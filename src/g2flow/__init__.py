@@ -8,7 +8,7 @@ Layered API, bottom up:
 * ``liealg``          — Lie algebra structures via generator differentials:
   d, codifferential, Hodge Laplacian, connections, Green identity check;
 * ``g2core``          — positive 3-forms, induced metrics, dual 4-forms,
-  Newton recovery of phi from psi, torsion;
+  closed-form recovery of phi from psi, torsion;
 * ``decomp``          — variation parametrization sigma = alpha ^ phi +
   (1/2) i_phi(h) and the irreducible 2-/3-form decompositions;
 * ``flows``           — flow right-hand sides, rk4/rkf45 integration,

@@ -59,7 +59,8 @@ TORSION_PAIRING = 0.25
 #: Weight applied to i_phi inside the variation parametrization.
 VARIATION_IPHI_WEIGHT = 1.0 / IPHI_KAPPA1
 
-#: Newton recovery defaults shared by flows and state constructors.
+#: Recovery of phi from psi: gate on |star phi - psi| and the cap on Newton
+#: correction steps after the closed form.
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 

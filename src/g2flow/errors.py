@@ -22,7 +22,7 @@ class UnimodularityError(G2FlowError):
 
 
 class RecoveryError(G2FlowError):
-    """Newton recovery of the 3-form from a 4-form failed."""
+    """Recovery of the 3-form from a 4-form failed (``residual`` when known)."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConfigError, G2FlowError, PositivityError, RecoveryError
 from .exterior import BASIS, DIMS, Form
-from .fixtures import ee2_diagonal_phi, load_algebra, load_form, standard_phi
+from .fixtures import ee2_diagonal_phi, load_algebra, load_form
 from .flows import (
     FlowConfig,
     coclosed_directions,
@@ -722,14 +722,13 @@ def _perturbation_basis(L, subspace):
     return np.column_stack([f.coeffs for f in forms])
 
 
-def sample_initial(L, base, pcfg, rng, flow_kind="modified_coflow", seed_phi=None, max_halvings=40):
+def sample_initial(L, base, pcfg, rng, flow_kind="modified_coflow", max_halvings=40):
     """One positivity-validated random perturbation of the base form.
 
     Draws a unit direction in the configured subspace, scales it by
     ``pcfg.magnitude``, and halves the scale until the perturbed form defines
     a positive structure (3-form check for the Laplacian flow, 4-form
-    recovery for the coflow, Newton-seeded by ``seed_phi``, the reference
-    3-form when omitted).  Returns (form, scale_used, halvings).
+    recovery for the coflow).  Returns (form, scale_used, halvings).
     """
     if pcfg.magnitude == 0.0:
         return base, 0.0, 0
@@ -744,13 +743,11 @@ def sample_initial(L, base, pcfg, rng, flow_kind="modified_coflow", seed_phi=Non
         return base, 0.0, 0
     direction /= norm
     scale = pcfg.magnitude
-    if seed_phi is None:
-        seed_phi = standard_phi()
     for halvings in range(max_halvings + 1):
         candidate = Form(base.degree, base.coeffs + scale * direction)
         try:
             if flow_kind == "modified_coflow":
-                CoclosedState.from_psi(candidate, seed=seed_phi)
+                CoclosedState.from_psi(candidate)
             else:
                 G2Structure.from_phi(candidate)
             return candidate, scale, halvings
@@ -777,7 +774,7 @@ def _run_ee1_static(cfg, path):
     L = load_algebra(cfg.algebra_file)
     rng = np.random.default_rng(cfg.perturbation.seed)
     base = _initial_form(cfg, 4)
-    state = CoclosedState.from_psi(base, seed=standard_phi())
+    state = CoclosedState.from_psi(base)
     standard_rhs = float(np.linalg.norm(coflow_rhs(L, state, cfg.flow.A).coeffs))
     records = [
         {
@@ -790,12 +787,9 @@ def _run_ee1_static(cfg, path):
     ]
     n = cfg.samples or 100
     max_rhs = 0.0
-    seed_phi = state.recovered.phi
     for i in range(n):
-        form, scale, halvings = sample_initial(
-            L, base, cfg.perturbation, rng, seed_phi=seed_phi
-        )
-        sample_state = CoclosedState.from_psi(form, seed=seed_phi)
+        form, scale, halvings = sample_initial(L, base, cfg.perturbation, rng)
+        sample_state = CoclosedState.from_psi(form)
         rhs = float(np.linalg.norm(coflow_rhs(L, sample_state, cfg.flow.A).coeffs))
         max_rhs = max(max_rhs, rhs)
         records.append(
@@ -920,12 +914,9 @@ def _run_flow(cfg, path, experiment):
     degree = 4 if coflow else 3
     base = _initial_form(cfg, degree)
     rng = np.random.default_rng(cfg.perturbation.seed)
-    seed_phi = standard_phi()
-    form, scale, halvings = sample_initial(
-        L, base, cfg.perturbation, rng, cfg.flow.flow_kind, seed_phi=seed_phi
-    )
+    form, scale, halvings = sample_initial(L, base, cfg.perturbation, rng, cfg.flow.flow_kind)
     if coflow:
-        state0 = CoclosedState.from_psi(form, seed=seed_phi)
+        state0 = CoclosedState.from_psi(form)
     else:
         state0 = G2Structure.from_phi(form)
     trajectory = integrate(L, cfg.flow, state0, reference=base)
@@ -989,7 +980,7 @@ def _run_linearize(cfg, path):
     """Finite-difference spectrum at a static point; writes a JSON report."""
     L = load_algebra(cfg.algebra_file)
     base = _initial_form(cfg, 4)
-    state = CoclosedState.from_psi(base, seed=standard_phi())
+    state = CoclosedState.from_psi(base)
     subspace = cfg.perturbation.subspace
     if subspace == "coclosed":
         directions = coclosed_directions(L)

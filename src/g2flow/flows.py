@@ -7,16 +7,16 @@ Two flows are supported on left-invariant data:
   flowing the dual 4-form, with real parameter A (A = 0 is the plain case).
 
 The flow variable is the coefficient vector of the flowing form.  For the
-coflow, each right-hand-side evaluation recovers phi from psi by seeded
-Newton iteration, so every step revalidates positivity and reports a
-recovery residual.  An optional DeTurck correction adds the Lie derivative
+coflow, each right-hand-side evaluation recovers phi from psi in closed
+form, so every step revalidates positivity and checks the recovery
+residual.  An optional DeTurck correction adds the Lie derivative
 along V^i = c1 g^{pq} T^i_{pq} + c2 g^{ki} T^j_{jk}, where T is the
 (lower-index symmetrized) difference between the Levi-Civita connection and
 a reference connection.
 
 Integrators: classic fixed-step rk4 (default dt 1e-3) and adaptive
 Fehlberg rkf45 (default rel_tol 1e-8).  Trajectories halt - never project -
-when closedness drifts, positivity or Newton recovery fails, a step
+when closedness drifts, positivity or recovery fails, a step
 underflows, or values stop being finite; the termination record carries the
 cause.
 
@@ -313,23 +313,32 @@ class Trajectory:
 
 
 class _Evaluator:
-    """Shared right-hand-side evaluator carrying the Newton seed forward."""
+    """Shared right-hand-side evaluator.
 
-    def __init__(self, L, config, seed_phi):
+    The state is a pure function of the flowing coefficients, so the last
+    (coefficients -> state, rhs) pair is kept: a record time, the next
+    step's first stage and every retried rkf45 attempt share one recovery
+    and one right-hand side.  It starts out holding ``state`` at ``y``.
+    """
+
+    def __init__(self, L, config, y, state):
         self.L = L
         self.config = config
-        self.seed = seed_phi
         self.coflow = config.flow_kind == "modified_coflow"
         self.nabla0 = Connection(np.zeros((DIM, DIM, DIM)))
         k = 4 if self.coflow else 3
         self.dmat = L.differential_matrix(k)
+        self._key, self._state, self._rhs = y.tobytes(), state, None
 
     def state_of(self, y):
-        if self.coflow:
-            state = CoclosedState.from_psi(Form(4, y), seed=self.seed)
-            self.seed = state.recovered.phi
-            return state
-        return G2Structure.from_phi(Form(3, y))
+        key = y.tobytes()
+        if key != self._key:
+            if self.coflow:
+                state = CoclosedState.from_psi(Form(4, y))
+            else:
+                state = G2Structure.from_phi(Form(3, y))
+            self._key, self._state, self._rhs = key, state, None
+        return self._state
 
     def rhs_form(self, state):
         cfg = self.config
@@ -342,7 +351,10 @@ class _Evaluator:
         return rhs
 
     def f(self, y):
-        return self.rhs_form(self.state_of(y)).coeffs
+        state = self.state_of(y)
+        if self._rhs is None:
+            self._rhs = self.rhs_form(state).coeffs
+        return self._rhs
 
     def closedness(self, y):
         return float(np.linalg.norm(self.dmat @ y))
@@ -385,17 +397,14 @@ def _rkf45_attempt(f, y, h):
     return y5, float(np.linalg.norm(err))
 
 
-def _diagnostics(evaluator, config, state_obj, y, ref_vec):
+def _diagnostics(evaluator, config, y, ref_vec):
     mon = config.monitors
-    L = evaluator.L
-    s = _structure_of(state_obj)
+    s = _structure_of(evaluator.state_of(y))
     diag = {}
-    diag["trT"] = torsion_trace(L, s) if mon.trT else None
+    diag["trT"] = torsion_trace(evaluator.L, s) if mon.trT else None
     diag["volume"] = s.volume if mon.volume else None
     diag["closedness"] = evaluator.closedness(y) if mon.closedness else None
-    diag["rhs_norm"] = (
-        float(np.linalg.norm(evaluator.rhs_form(state_obj).coeffs)) if mon.rhs_norm else None
-    )
+    diag["rhs_norm"] = float(np.linalg.norm(evaluator.f(y))) if mon.rhs_norm else None
     diag["dist_ref"] = float(np.linalg.norm(y - ref_vec)) if mon.dist_ref else None
     return diag
 
@@ -407,7 +416,7 @@ def integrate(L, config, state0, reference=None):
     Laplacian flow; ``reference`` (a form, defaults to the initial one)
     anchors the dist_ref diagnostic.  Returns a Trajectory whose
     termination record distinguishes a completed run from halts caused by
-    closedness drift, positivity loss, Newton failure, step underflow, or
+    closedness drift, positivity loss, recovery failure, step underflow, or
     non-finite values.
     """
     config.ensure_valid()
@@ -416,12 +425,10 @@ def integrate(L, config, state0, reference=None):
         if not isinstance(state0, CoclosedState):
             raise G2FlowError("modified_coflow expects a CoclosedState initial state")
         y = state0.psi.coeffs.copy()
-        seed = state0.recovered.phi
     else:
-        s0 = _structure_of(state0)
-        y = s0.phi.coeffs.copy()
-        seed = s0.phi
-    evaluator = _Evaluator(L, config, seed)
+        state0 = _structure_of(state0)
+        y = state0.phi.coeffs.copy()
+    evaluator = _Evaluator(L, config, y, state0)
     ref_vec = (reference.coeffs if reference is not None else y).copy()
 
     cfg_int = config.integrator
@@ -432,15 +439,10 @@ def integrate(L, config, state0, reference=None):
     states = []
     termination = None
 
-    def snapshot(state_obj):
-        form = state_obj.psi if coflow else _structure_of(state_obj).phi
+    def snapshot(state_obj, diag):
+        form = state_obj.psi if coflow else state_obj.phi
         states.append(
-            FlowState(
-                t=t,
-                form=form,
-                structure=_structure_of(state_obj),
-                diagnostics=_diagnostics(evaluator, config, state_obj, y, ref_vec),
-            )
+            FlowState(t=t, form=form, structure=_structure_of(state_obj), diagnostics=diag)
         )
 
     def halt(reason, detail=""):
@@ -452,7 +454,7 @@ def integrate(L, config, state0, reference=None):
             "detail": detail,
         }
 
-    snapshot(state0)
+    snapshot(state0, _diagnostics(evaluator, config, y, ref_vec))
     if (
         config.monitors.closedness
         and states[0].diagnostics["closedness"] is not None
@@ -515,19 +517,15 @@ def integrate(L, config, state0, reference=None):
                 reason = "positivity" if isinstance(exc, PositivityError) else "newton"
                 termination = halt(reason, str(exc))
                 break
-            diag = _diagnostics(evaluator, config, state_obj, y, ref_vec)
+            diag = _diagnostics(evaluator, config, y, ref_vec)
+            snapshot(state_obj, diag)
             if (
                 config.halt.max_rhs_norm is not None
                 and diag["rhs_norm"] is not None
                 and diag["rhs_norm"] > config.halt.max_rhs_norm
             ):
-                states.append(
-                    FlowState(t=t, form=state_obj.psi if coflow else state_obj.phi,
-                              structure=_structure_of(state_obj), diagnostics=diag)
-                )
                 termination = halt("rhs_blowup", f"rhs_norm {diag['rhs_norm']:.3e}")
                 break
-            snapshot(state_obj)
     return Trajectory(flow_kind=config.flow_kind, states=states, termination=termination)
 
 
@@ -596,13 +594,12 @@ def linearize(L, rhs, state, directions, eps=1e-5, static_tol=1e-8):
     except np.linalg.LinAlgError:
         raise G2FlowError("degenerate direction set (L2 Gram matrix is singular)") from None
     basis = dmat @ np.linalg.inv(chol).T  # columns are L2-orthonormal
-    seed = structure.phi
     m = basis.shape[1]
     matrix = np.empty((m, m))
     project = basis.T @ gram
     for j in range(m):
-        plus = CoclosedState.from_psi(Form(4, state.psi.coeffs + eps * basis[:, j]), seed=seed)
-        minus = CoclosedState.from_psi(Form(4, state.psi.coeffs - eps * basis[:, j]), seed=seed)
+        plus = CoclosedState.from_psi(Form(4, state.psi.coeffs + eps * basis[:, j]))
+        minus = CoclosedState.from_psi(Form(4, state.psi.coeffs - eps * basis[:, j]))
         deriv = (rhs(L, plus).coeffs - rhs(L, minus).coeffs) / (2.0 * eps)
         matrix[:, j] = project @ deriv
     sym = 0.5 * (matrix + matrix.T)

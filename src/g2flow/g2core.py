@@ -8,7 +8,8 @@ g = kappa B (det B)^{-1/9}; at the standard form
 
 this gives exactly the identity metric and volume e^{1234567}.  The dual
 4-form is psi = star phi.  Flows evolve psi, so the inverse map (recovering
-phi from psi) is a seeded Newton iteration on F(phi) = star_{g(phi)} phi - psi.
+phi from psi) is needed on every step; a positive 4-form fixes its metric
+algebraically, so it is a closed form with an optional Newton correction.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .exterior import (
     WEDGE,
     Form,
     Metric,
-    exterior_powers_batch,
     inner,
     star,
     wedge,
@@ -115,116 +115,75 @@ def psi_of_phi(structure):
     return structure.psi
 
 
-def _recovery_residual(x, psi_coeffs):
-    structure = G2Structure.from_phi(Form(3, x))
-    return structure.psi.coeffs - psi_coeffs, structure
+# Tries per correction step, halving it each time, before recovery stalls.
+_CORRECTION_HALVINGS = 10
 
 
-def _dual_batch(xs):
-    """Dual 4-forms of a batch of positive 3-forms (rows of ``xs``).
+def dual_jacobian(structure):
+    """Matrix of the derivative of phi -> star_{g(phi)} phi at a structure.
 
-    Mirrors metric_from_phi + star without the validation layers; used for
-    finite-difference Jacobians.  Returns None when any member leaves the
-    positive orbit, so callers can fall back to the checked scalar path.
+    On the type decomposition the derivative is star((4/3) P1 + P7 - P27)
+    (Hitchin 2000; Bryant 2005): the metric variation scales the 1-part,
+    leaves the 7-part alone and reverses the 27-part.
     """
-    n = xs.shape[0]
-    u = np.tensordot(xs, CONTRACT[3], axes=(1, 1))  # (n, 7, D2)
-    p = np.tensordot(xs, _P223, axes=(1, 2))  # (n, D2, D2)
-    b = u @ p @ u.transpose(0, 2, 1)
-    det_b = np.linalg.det(b)
-    if not np.all(det_b > 0.0):
-        return None
-    g = METRIC_KAPPA * b * det_b[:, None, None] ** (-1.0 / 9.0)
-    g = 0.5 * (g + g.transpose(0, 2, 1))
-    det_g = np.linalg.det(g)
-    if not np.all(det_g > 0.0):
-        return None
-    try:
-        ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError:
-        return None
-    gram3 = exterior_powers_batch(ginv, 3)[3]
-    gram3 = 0.5 * (gram3 + gram3.transpose(0, 2, 1))
-    weighted = (gram3 @ xs[:, :, None])[:, :, 0]  # (n, D3)
-    duals = np.empty((n, DIMS[4]))
-    duals[:, COMPL_INDEX[3]] = COMPL_SIGN[3][None, :] * np.sqrt(det_g)[:, None] * weighted
-    return duals
+    from .decomp import projector_matrices3  # decomp imports this module
+
+    p1, p7, p27 = projector_matrices3(structure)
+    return structure.metric.star_matrix(3) @ ((4.0 / 3.0) * p1 + p7 - p27)
 
 
-def _fd_jacobian(x, f0, psi_coeffs):
-    eps = 1e-7 * (1.0 + np.abs(x))
-    xs = x[None, :] + np.diag(eps)
-    duals = _dual_batch(xs)
-    if duals is not None and np.all(np.isfinite(duals)):
-        return (duals - (f0 + psi_coeffs)[None, :]).T / eps[None, :]
-    jac = np.empty((DIMS[4], DIMS[3]))
-    for j in range(DIMS[3]):
-        xp = x.copy()
-        xp[j] += eps[j]
-        fp, _ = _recovery_residual(xp, psi_coeffs)
-        jac[:, j] = (fp - f0) / eps[j]
-    return jac
-
-
-def phi_of_psi(psi, seed, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
+def phi_of_psi(psi, seed=None, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
     """Recover the positive 3-form whose dual 4-form is psi.
 
-    Newton iteration on F(phi) = star_{g(phi)} phi - psi with a finite
-    difference Jacobian that is reused while convergence stays fast.  The
-    seed must be a positive 3-form; during a flow it is the previous step's
-    phi, which keeps the iteration in the quadratic regime.
+    Closed form: read psi through the inverse volume as a 3-form chi on the
+    dual space; its induced metric is g_chi = s^{2/3} g^{-1} with
+    s = sqrt(det g), so s = det(g_chi)^{3/8}, g = s^{2/3} g_chi^{-1} and
+    phi = star_g psi.  The result is rebuilt with ``G2Structure.from_phi``,
+    which rechecks positivity, and ``star phi`` must match psi to ``tol``;
+    otherwise up to ``max_iter`` Newton corrections with the analytic
+    Jacobian ``dual_jacobian`` are applied, each halved until it lowers the
+    residual.  ``seed`` is accepted for compatibility and ignored.
     """
     if psi.degree != 4:
         raise DegreeError(f"expected a 4-form, got degree {psi.degree}")
-    if seed.degree != 3:
-        raise DegreeError(f"seed must be a 3-form, got degree {seed.degree}")
-    x = seed.coeffs.copy()
     try:
-        f, structure = _recovery_residual(x, psi.coeffs)
+        g_chi, _ = metric_from_phi(Form(3, COMPL_SIGN[3] * psi.coeffs[COMPL_INDEX[3]]))
     except PositivityError as exc:
-        raise RecoveryError(f"seed is not a positive 3-form: {exc}") from exc
+        raise RecoveryError(f"4-form is not positive (its dual 3-form: {exc})") from exc
+    s = g_chi.det**0.375
+    metric = Metric(s ** (2.0 / 3.0) * g_chi.inv)
+    metric._spd_checked = True  # a positive multiple of an SPD inverse
+    try:
+        structure = G2Structure.from_phi(star(metric, psi))
+    except PositivityError as exc:
+        raise RecoveryError(f"recovered 3-form is not positive: {exc}") from exc
+    f = structure.psi.coeffs - psi.coeffs
     res = float(np.linalg.norm(f))
-    jac = None
-    jac_fresh = False
     for _ in range(max_iter):
         if res <= tol:
             return structure
-        if jac is None:
-            jac = _fd_jacobian(x, f, psi.coeffs)
-            jac_fresh = True
         try:
-            step = np.linalg.solve(jac, f)
+            step = np.linalg.solve(dual_jacobian(structure), f)
         except np.linalg.LinAlgError:
-            raise RecoveryError("singular Jacobian in Newton recovery", residual=res) from None
-        accepted = False
-        scale = 1.0
-        for _ in range(10):
+            raise RecoveryError("singular Jacobian in recovery correction", residual=res) from None
+        for _ in range(_CORRECTION_HALVINGS):
             try:
-                f_new, structure_new = _recovery_residual(x - scale * step, psi.coeffs)
+                trial = G2Structure.from_phi(Form(3, structure.phi.coeffs - step))
             except PositivityError:
-                scale *= 0.5
+                step = 0.5 * step
                 continue
+            f_new = trial.psi.coeffs - psi.coeffs
             res_new = float(np.linalg.norm(f_new))
             if res_new < res:
-                x = x - scale * step
-                prev_res = res
-                f, structure, res = f_new, structure_new, res_new
-                # chord strategy: keep the Jacobian while contraction is fast
-                if res > 0.1 * prev_res:
-                    jac = None
-                jac_fresh = False
-                accepted = True
                 break
-            scale *= 0.5
-        if not accepted:
-            if not jac_fresh:
-                jac = None  # stale chord Jacobian; retry once with a fresh one
-                continue
-            raise RecoveryError("Newton recovery stalled", residual=res)
+            step = 0.5 * step
+        else:
+            raise RecoveryError("recovery correction stalled", residual=res)
+        structure, f, res = trial, f_new, res_new
     if res <= tol:
         return structure
     raise RecoveryError(
-        f"Newton recovery did not reach tolerance {tol:.1e} in {max_iter} iterations",
+        f"recovery residual {res:.3e} above tolerance {tol:.1e} after {max_iter} corrections",
         residual=res,
     )
 
@@ -243,8 +202,9 @@ class CoclosedState:
     residual: float
 
     @classmethod
-    def from_psi(cls, psi, seed, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
-        structure = phi_of_psi(psi, seed, tol=tol, max_iter=max_iter)
+    def from_psi(cls, psi, seed=None, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
+        """Recover the structure of psi; ``seed`` is accepted and ignored."""
+        structure = phi_of_psi(psi, tol=tol, max_iter=max_iter)
         residual = float(np.linalg.norm(structure.psi.coeffs - psi.coeffs))
         return cls(psi=psi, recovered=structure, residual=residual)
 

@@ -94,7 +94,7 @@ def coclosed_sample(L, rng, magnitude=0.25, max_halvings=40):
     """Positivity-validated random coclosed 4-form near the reference one.
 
     Draws a unit direction in the closed-4-form subspace and halves the
-    magnitude until Newton recovery from the reference 3-form succeeds.
+    magnitude until the recovery of its 3-form succeeds.
     """
     from g2flow.errors import PositivityError, RecoveryError
     from g2flow.flows import coclosed_directions
@@ -103,13 +103,12 @@ def coclosed_sample(L, rng, magnitude=0.25, max_halvings=40):
     z = rng.standard_normal(basis.shape[1])
     direction = basis @ z
     direction /= np.linalg.norm(direction)
-    seed = standard_phi()
     base = standard_psi().coeffs
     scale = magnitude
     for _ in range(max_halvings + 1):
         candidate = Form(4, base + scale * direction)
         try:
-            return CoclosedState.from_psi(candidate, seed=seed)
+            return CoclosedState.from_psi(candidate)
         except (PositivityError, RecoveryError):
             scale *= 0.5
     raise AssertionError("no positive coclosed sample found")

@@ -2,7 +2,10 @@
 
 Everything here is written against sparse dictionaries keyed by increasing
 index tuples, with its own sign bookkeeping, so it shares no code path with
-the package's dense table-driven kernels.  Tests compare the two.
+the package's dense table-driven kernels.  Tests compare the two.  The one
+exception is the Newton recovery at the end: it is the reference for the
+inverse map psi -> phi, so it iterates the package's forward map
+phi -> star_{g(phi)} phi.
 """
 
 from __future__ import annotations
@@ -219,3 +222,118 @@ def np_closed_form_oracle(t, tau0, c0=1.0):
     """A = 0 scalar solution (sqrt(c0) - (5/4) tau0^2 t)^2."""
     root = np.sqrt(c0) - 1.25 * tau0**2 * np.asarray(t, dtype=float)
     return np.where(root > 0.0, root, 0.0) ** 2
+
+
+# --------------------------------------------------------------------------
+# Newton recovery of phi from psi (reference for the closed form)
+# --------------------------------------------------------------------------
+
+
+def _dual_batch(xs):
+    """Dual 4-forms of a batch of 3-forms (rows of ``xs``), unvalidated.
+
+    Returns None when any member leaves the positive orbit, so callers can
+    fall back to the checked scalar path.
+    """
+    from g2flow.conventions import METRIC_KAPPA
+    from g2flow.exterior import COMPL_INDEX, COMPL_SIGN, CONTRACT, DIMS, exterior_powers_batch
+    from g2flow.g2core import _P223
+
+    u = np.tensordot(xs, CONTRACT[3], axes=(1, 1))  # (n, 7, D2)
+    p = np.tensordot(xs, _P223, axes=(1, 2))  # (n, D2, D2)
+    b = u @ p @ u.transpose(0, 2, 1)
+    det_b = np.linalg.det(b)
+    if not np.all(det_b > 0.0):
+        return None
+    g = METRIC_KAPPA * b * det_b[:, None, None] ** (-1.0 / 9.0)
+    g = 0.5 * (g + g.transpose(0, 2, 1))
+    det_g = np.linalg.det(g)
+    if not np.all(det_g > 0.0):
+        return None
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        return None
+    gram3 = exterior_powers_batch(ginv, 3)[3]
+    gram3 = 0.5 * (gram3 + gram3.transpose(0, 2, 1))
+    weighted = (gram3 @ xs[:, :, None])[:, :, 0]
+    duals = np.empty((xs.shape[0], DIMS[4]))
+    duals[:, COMPL_INDEX[3]] = COMPL_SIGN[3][None, :] * np.sqrt(det_g)[:, None] * weighted
+    return duals
+
+
+def _newton_residual(x, psi_coeffs):
+    from g2flow.exterior import Form
+    from g2flow.g2core import G2Structure
+
+    structure = G2Structure.from_phi(Form(3, x))
+    return structure.psi.coeffs - psi_coeffs, structure
+
+
+def fd_dual_jacobian(x, f0, psi_coeffs):
+    """Forward-difference Jacobian of phi -> star phi - psi at ``x``."""
+    eps = 1e-7 * (1.0 + np.abs(x))
+    duals = _dual_batch(x[None, :] + np.diag(eps))
+    if duals is not None and np.all(np.isfinite(duals)):
+        return (duals - (f0 + psi_coeffs)[None, :]).T / eps[None, :]
+    jac = np.empty((len(f0), len(x)))
+    for j in range(len(x)):
+        xp = x.copy()
+        xp[j] += eps[j]
+        jac[:, j] = (_newton_residual(xp, psi_coeffs)[0] - f0) / eps[j]
+    return jac
+
+
+def newton_phi_of_psi(psi, seed, tol=1e-12, max_iter=50):
+    """Seeded Newton iteration on F(phi) = star_{g(phi)} phi - psi.
+
+    Chord strategy: the finite-difference Jacobian is kept while the
+    residual contracts tenfold per step, with a halving line search.
+    Returns the recovered G2Structure, or None when the seed is not
+    positive, the iteration stalls, or ``max_iter`` steps do not reach
+    ``tol``.
+    """
+    from g2flow.errors import PositivityError
+
+    x = np.array(seed.coeffs, dtype=float)
+    try:
+        f, structure = _newton_residual(x, psi.coeffs)
+    except PositivityError:
+        return None
+    res = float(np.linalg.norm(f))
+    jac = None
+    jac_fresh = False
+    for _ in range(max_iter):
+        if res <= tol:
+            return structure
+        if jac is None:
+            jac = fd_dual_jacobian(x, f, psi.coeffs)
+            jac_fresh = True
+        try:
+            step = np.linalg.solve(jac, f)
+        except np.linalg.LinAlgError:
+            return None
+        accepted = False
+        scale = 1.0
+        for _ in range(10):
+            try:
+                f_new, structure_new = _newton_residual(x - scale * step, psi.coeffs)
+            except PositivityError:
+                scale *= 0.5
+                continue
+            res_new = float(np.linalg.norm(f_new))
+            if res_new < res:
+                x = x - scale * step
+                if res_new > 0.1 * res:
+                    jac = None
+                f, structure, res = f_new, structure_new, res_new
+                jac_fresh = False
+                accepted = True
+                break
+            scale *= 0.5
+        if not accepted:
+            if not jac_fresh:
+                jac = None  # stale chord Jacobian; retry once with a fresh one
+                continue
+            return None
+    return structure if res <= tol else None

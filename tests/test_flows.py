@@ -265,6 +265,36 @@ class TestIntegrate:
         assert traj.termination["steps"] == 1000
         assert len(traj.states) == 101
 
+    def test_record_shares_recovery_and_rhs_with_next_step(self, ee2, rng, monkeypatch):
+        """With a record every step, rk4 costs four recoveries and four
+        right-hand sides per step (plus the initial snapshot's right-hand
+        side): a record and the next step's first stage share both, and the
+        initial state is not recovered again."""
+        import g2flow.flows
+        import g2flow.g2core
+
+        state = coclosed_sample(ee2, rng, magnitude=0.2)
+        counts = {"recoveries": 0, "rhs": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            g2flow.g2core, "phi_of_psi", counting("recoveries", g2flow.g2core.phi_of_psi)
+        )
+        monkeypatch.setattr(g2flow.flows, "coflow_rhs", counting("rhs", g2flow.flows.coflow_rhs))
+        cfg = FlowConfig(
+            integrator=IntegratorConfig(dt=1e-3, t_end=0.01),
+            monitors=MonitorConfig(record_every=1),
+        )
+        traj = integrate(ee2, cfg, state)
+        assert traj.termination["steps"] == 10
+        assert counts == {"recoveries": 40, "rhs": 41}
+
     def test_rk4_and_rkf45_agree(self, ee2, rng):
         state = coclosed_sample(ee2, rng, magnitude=0.2)
         results = {}

@@ -1,4 +1,4 @@
-"""Positive 3-forms, induced metrics, duals, Newton recovery, torsion."""
+"""Positive 3-forms, induced metrics, duals, closed-form recovery, torsion."""
 
 import time
 
@@ -17,9 +17,10 @@ from g2flow import (
     standard_psi,
     torsion_trace,
 )
+from g2flow.conventions import NEWTON_TOL
 from g2flow.errors import DegreeError, PositivityError, RecoveryError
 from g2flow.exterior import DIM, Metric, star
-from g2flow.g2core import b_matrix
+from g2flow.g2core import b_matrix, dual_jacobian
 from g2flow.fixtures import ee2_diagonal_phi
 
 from .conftest import coclosed_sample, random_positive_phi
@@ -27,7 +28,9 @@ from .oracles import (
     b_matrix_oracle,
     dict_of_coeffs,
     family_lambda_oracle,
+    fd_dual_jacobian,
     metric_oracle,
+    newton_phi_of_psi,
 )
 
 
@@ -122,22 +125,71 @@ class TestRecovery:
         rec = phi_of_psi(s.psi, seed)
         assert np.allclose(rec.phi.coeffs, phi.coeffs, atol=1e-9)
 
-    def test_bad_seed_rejected(self, phi_bar):
-        s = G2Structure.from_phi(phi_bar)
-        with pytest.raises(RecoveryError):
-            phi_of_psi(s.psi, Form(3, -phi_bar.coeffs))
+    def test_negative_psi_rejected(self, psi_bar):
+        with pytest.raises(RecoveryError, match="det B"):
+            phi_of_psi(Form(4, -psi_bar.coeffs))
 
-    def test_iteration_budget_enforced(self, phi_bar, rng):
-        s = G2Structure.from_phi(phi_bar)
-        far_seed = Form(3, phi_bar.coeffs + 0.2 * rng.standard_normal(35))
-        with pytest.raises(RecoveryError):
-            phi_of_psi(s.psi, far_seed, max_iter=1)
+    def test_degenerate_dual_rejected(self):
+        """e4567 reads as the 3-form e123, whose B matrix is singular."""
+        with pytest.raises(RecoveryError, match="det B"):
+            phi_of_psi(Form.monomial((4, 5, 6, 7)))
+
+    def test_correction_budget_enforced(self, rng):
+        s = G2Structure.from_phi(random_positive_phi(rng))
+        closed = phi_of_psi(s.psi, tol=np.inf)
+        residual = float(np.linalg.norm(closed.psi.coeffs - s.psi.coeffs))
+        assert residual > 0.0
+        with pytest.raises(RecoveryError) as info:
+            phi_of_psi(s.psi, tol=0.5 * residual, max_iter=0)
+        assert info.value.residual == residual
 
     def test_coclosed_state_residuals(self, phi_bar):
         exact = CoclosedState.from_phi(phi_bar)
         assert exact.residual == 0.0
         rebuilt = CoclosedState.from_psi(exact.psi, seed=phi_bar)
         assert rebuilt.residual <= 1e-10
+
+
+class TestRecoveryOracles:
+    def test_closed_form_matches_newton(self, rng):
+        """Wherever Newton from the standard seed converges, the closed form
+        (with its corrections) recovers the same phi within tolerance; near
+        the standard form it needs no correction at all."""
+        compared = 0
+        corrected = {0.05: 0, 0.3: 0}
+        for magnitude in (0.05, 0.3):
+            for _ in range(100):
+                try:
+                    s = G2Structure.from_phi(random_positive_phi(rng, scale=magnitude))
+                except PositivityError:
+                    continue
+                ref = newton_phi_of_psi(s.psi, standard_phi())
+                if ref is None:
+                    continue
+                rec = phi_of_psi(s.psi)
+                rel = np.linalg.norm(rec.phi.coeffs - ref.phi.coeffs) / np.linalg.norm(
+                    ref.phi.coeffs
+                )
+                assert rel <= 1e-9
+                assert np.linalg.norm(rec.psi.coeffs - s.psi.coeffs) <= NEWTON_TOL
+                compared += 1
+                try:
+                    phi_of_psi(s.psi, max_iter=0)
+                except RecoveryError:
+                    corrected[magnitude] += 1
+        assert compared >= 100
+        assert corrected[0.05] == 0
+        assert corrected[0.3] >= 1  # the correction path was exercised
+
+    def test_dual_jacobian_matches_finite_differences(self, rng):
+        for magnitude in (0.05, 0.3):
+            for _ in range(5):
+                try:
+                    s = G2Structure.from_phi(random_positive_phi(rng, scale=magnitude))
+                except PositivityError:
+                    continue
+                fd = fd_dual_jacobian(s.phi.coeffs, np.zeros(35), s.psi.coeffs)
+                assert np.linalg.norm(dual_jacobian(s) - fd) <= 1e-4 * np.linalg.norm(fd)
 
 
 class TestTorsion:
