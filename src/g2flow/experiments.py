@@ -728,10 +728,13 @@ def sample_initial(L, base, pcfg, rng, flow_kind="modified_coflow", max_halvings
     Draws a unit direction in the configured subspace, scales it by
     ``pcfg.magnitude``, and halves the scale until the perturbed form defines
     a positive structure (3-form check for the Laplacian flow, 4-form
-    recovery for the coflow).  Returns (form, scale_used, halvings).
+    recovery for the coflow).  Returns (form, scale_used, halvings, state)
+    with ``state`` the structure the check built (a CoclosedState or a
+    G2Structure), so callers need not recover the form again.
     """
+    state_of = CoclosedState.from_psi if flow_kind == "modified_coflow" else G2Structure.from_phi
     if pcfg.magnitude == 0.0:
-        return base, 0.0, 0
+        return base, 0.0, 0, state_of(base)
     if flow_kind == "modified_coflow":
         basis = _perturbation_basis(L, pcfg.subspace)
     else:
@@ -740,17 +743,13 @@ def sample_initial(L, base, pcfg, rng, flow_kind="modified_coflow", max_halvings
     direction = basis @ z
     norm = np.linalg.norm(direction)
     if norm == 0.0:
-        return base, 0.0, 0
+        return base, 0.0, 0, state_of(base)
     direction /= norm
     scale = pcfg.magnitude
     for halvings in range(max_halvings + 1):
         candidate = Form(base.degree, base.coeffs + scale * direction)
         try:
-            if flow_kind == "modified_coflow":
-                CoclosedState.from_psi(candidate)
-            else:
-                G2Structure.from_phi(candidate)
-            return candidate, scale, halvings
+            return candidate, scale, halvings, state_of(candidate)
         except (PositivityError, RecoveryError):
             scale *= 0.5
     raise G2FlowError(
@@ -788,8 +787,7 @@ def _run_ee1_static(cfg, path):
     n = cfg.samples or 100
     max_rhs = 0.0
     for i in range(n):
-        form, scale, halvings = sample_initial(L, base, cfg.perturbation, rng)
-        sample_state = CoclosedState.from_psi(form)
+        _, scale, halvings, sample_state = sample_initial(L, base, cfg.perturbation, rng)
         rhs = float(np.linalg.norm(coflow_rhs(L, sample_state, cfg.flow.A).coeffs))
         max_rhs = max(max_rhs, rhs)
         records.append(
@@ -910,15 +908,11 @@ def _run_ee2_family(cfg, path):
 def _run_flow(cfg, path, experiment):
     """Integrate the configured flow (ee2_flow and custom)."""
     L = load_algebra(cfg.algebra_file)
-    coflow = cfg.flow.flow_kind == "modified_coflow"
-    degree = 4 if coflow else 3
-    base = _initial_form(cfg, degree)
+    base = _initial_form(cfg, 4 if cfg.flow.flow_kind == "modified_coflow" else 3)
     rng = np.random.default_rng(cfg.perturbation.seed)
-    form, scale, halvings = sample_initial(L, base, cfg.perturbation, rng, cfg.flow.flow_kind)
-    if coflow:
-        state0 = CoclosedState.from_psi(form)
-    else:
-        state0 = G2Structure.from_phi(form)
+    _, scale, halvings, state0 = sample_initial(
+        L, base, cfg.perturbation, rng, cfg.flow.flow_kind
+    )
     trajectory = integrate(L, cfg.flow, state0, reference=base)
     if cfg.output.format == "jsonl":
         trajectory.write_jsonl(path)

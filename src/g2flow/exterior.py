@@ -12,7 +12,10 @@ Conventions
   means e^1 ^ e^3.
 * Monomials of equal degree are orthonormal for the identity metric; for a
   general metric g the Gram matrix on k-forms is the k-th compound (minor
-  determinant matrix) of g^{-1}.
+  determinant matrix) of g^{-1}.  ``exterior_powers`` builds all eight
+  compounds of one matrix or of a stack of matrices degree by degree: a
+  Laplace expansion along the first column, done as two gathers through
+  index tables built at import, one product and one sum over the slots.
 * The positive orientation is e^{1234567}; a Metric carries an orientation
   sign that flips the volume form and the star.
 """
@@ -136,39 +139,36 @@ def _build_complements():
     return tuple(comp_index), tuple(comp_sign)
 
 
-def _build_splits():
-    # For degree k >= 2: monomial = first index wedged with the remaining tail.
-    first, rest = [None, None], [None, None]
+def _build_gather_tables():
+    # Laplace expansion of each k x k minor along its first column: entry
+    # (r, c) of the k-th power is the sum over the k slots s of row monomial
+    # r of (-1)^s m[r_s, c_1] P_{k-1}[r without r_s, c without c_1].  Per
+    # degree, two flat (k, C(7,k)^2) index tables: one into the 98 entries
+    # of [m, -m] (odd slots read the negated half), one into P_{k-1}.
+    from_m, from_prev = [None, None], [None, None]
     for k in range(2, DIM + 1):
-        first.append(np.array([idx[0] - 1 for idx in BASIS[k]], dtype=np.intp))
-        rest.append(np.array([BASIS_POS[k - 1][idx[1:]] for idx in BASIS[k]], dtype=np.intp))
-    return first, rest
-
-
-def _build_row_splits():
-    # All k ways of pulling a single index out of a degree-k monomial, with
-    # the alternating sign of the pull-out slot; drives the sparse assembly
-    # of exterior powers (each output row has exactly k contributing pairs).
-    firsts, rests = [None, None], [None, None]
-    for k in range(2, DIM + 1):
-        f = np.empty((k, DIMS[k]), dtype=np.intp)
-        r = np.empty((k, DIMS[k]), dtype=np.intp)
-        for c, idx in enumerate(BASIS[k]):
-            for s in range(k):
-                f[s, c] = idx[s] - 1
-                r[s, c] = BASIS_POS[k - 1][idx[:s] + idx[s + 1 :]]
-        firsts.append(f)
-        rests.append(r)
-    return firsts, rests
+        rows = BASIS[k]
+        slot_row = np.array([[idx[s] - 1 for idx in rows] for s in range(k)], dtype=np.intp)
+        slot_rest = np.array(
+            [[BASIS_POS[k - 1][idx[:s] + idx[s + 1 :]] for idx in rows] for s in range(k)],
+            dtype=np.intp,
+        )
+        col_first = np.array([idx[0] - 1 for idx in rows], dtype=np.intp)
+        col_rest = np.array([BASIS_POS[k - 1][idx[1:]] for idx in rows], dtype=np.intp)
+        half = (np.arange(k) % 2 * DIM * DIM)[:, None, None]
+        from_m.append((half + slot_row[:, :, None] * DIM + col_first).reshape(k, -1))
+        from_prev.append((slot_rest[:, :, None] * DIMS[k - 1] + col_rest).reshape(k, -1))
+    return from_m, from_prev
 
 
 #: WEDGE[k, l][a, b, c] = sign of basis_k[a] ^ basis_l[b] on basis_{k+l}[c].
 WEDGE = _build_wedge_tables()
 #: CONTRACT[k][i, a, b] = sign of iota_{e_{i+1}} basis_k[a] on basis_{k-1}[b].
 CONTRACT = _build_contraction_tables()
+# _WEDGE_FLAT[k, l] is WEDGE[k, l] viewed as a (C(7,k), C(7,l) * C(7,k+l)) matrix.
+_WEDGE_FLAT = {key: table.reshape(table.shape[0], -1) for key, table in WEDGE.items()}
 COMPL_INDEX, COMPL_SIGN = _build_complements()
-_SPLIT_FIRST, _SPLIT_REST = _build_splits()
-_ROW_FIRST, _ROW_REST = _build_row_splits()
+_GATHER_M, _GATHER_PREV = _build_gather_tables()
 
 _TOP_INDEX = MultiIndex(range(1, DIM + 1))
 
@@ -189,7 +189,7 @@ class Form:
                 f"degree {self.degree} needs {DIMS[self.degree]} coefficients, "
                 f"got shape {coeffs.shape}"
             )
-        if not np.all(np.isfinite(coeffs)):
+        if not np.isfinite(coeffs).all():
             raise ValueError("coefficients must be finite")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
@@ -263,50 +263,25 @@ def exterior_powers(matrix):
     """Matrices of the induced maps on all exterior powers.
 
     ``matrix`` sends e^j to sum_i matrix[i, j] e^i; entry [I, J] of the k-th
-    output is the minor det(matrix[I, J]), built recursively with the wedge
-    tables rather than by enumerating minors.
+    output is the minor det(matrix[I, J]).  Takes one 7x7 matrix or an
+    (N, 7, 7) stack and returns a list indexed by degree whose entry k has
+    shape (C(7,k), C(7,k)), after the leading N axis for a stack.  Degree k
+    is one gather from [m, -m], one from degree k-1, a product and a sum
+    over the k slots of the Laplace expansion (see _build_gather_tables).
     """
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (DIM, DIM):
-        raise ValueError(f"expected a {DIM}x{DIM} matrix, got {matrix.shape}")
-    powers = [np.ones((1, 1)), matrix.copy()]
+    if matrix.ndim not in (2, 3) or matrix.shape[-2:] != (DIM, DIM):
+        raise ValueError(f"expected a {DIM}x{DIM} matrix or a stack of them, got {matrix.shape}")
+    flat = matrix.reshape(-1, DIM * DIM)
+    signed = np.concatenate([flat, -flat], axis=1)
+    powers = [np.ones((len(flat), 1)), signed[:, : DIM * DIM]]
     for k in range(2, DIM + 1):
-        cols_first = matrix[:, _SPLIT_FIRST[k]]
-        cols_rest = powers[k - 1][:, _SPLIT_REST[k]]
-        # Laplace expansion along the first row of each minor: output row c
-        # receives one signed product per way of pulling an index out of c.
-        out = np.zeros((DIMS[k], DIMS[k]))
-        for s in range(k):
-            term = cols_first[_ROW_FIRST[k][s]] * cols_rest[_ROW_REST[k][s]]
-            if s % 2:
-                out -= term
-            else:
-                out += term
-        powers.append(out)
-    return powers
-
-
-def exterior_powers_batch(mats, max_degree):
-    """Exterior powers up to ``max_degree`` for a stack of matrices.
-
-    Same recursion as :func:`exterior_powers` with a leading batch axis;
-    returns a list indexed by degree whose entry k has shape
-    (batch, C(7,k), C(7,k)).
-    """
-    mats = np.asarray(mats, dtype=float)
-    powers = [np.ones((mats.shape[0], 1, 1)), mats]
-    for k in range(2, max_degree + 1):
-        cols_first = mats[:, :, _SPLIT_FIRST[k]]
-        cols_rest = powers[k - 1][:, :, _SPLIT_REST[k]]
-        out = np.zeros((mats.shape[0], DIMS[k], DIMS[k]))
-        for s in range(k):
-            term = cols_first[:, _ROW_FIRST[k][s], :] * cols_rest[:, _ROW_REST[k][s], :]
-            if s % 2:
-                out -= term
-            else:
-                out += term
-        powers.append(out)
-    return powers
+        # mode="clip" only skips the bounds check: the tables are in range.
+        terms = signed.take(_GATHER_M[k], axis=1, mode="clip")
+        terms *= powers[k - 1].take(_GATHER_PREV[k], axis=1, mode="clip")
+        powers.append(terms.sum(axis=1))
+    lead = matrix.shape[:-2]
+    return [p.reshape(lead + (DIMS[k], DIMS[k])) for k, p in enumerate(powers)]
 
 
 @dataclass(eq=False)
@@ -327,7 +302,9 @@ class Metric:
         g = np.array(self.g, dtype=float)
         if g.shape != (DIM, DIM):
             raise MetricError(f"metric must be {DIM}x{DIM}, got {g.shape}")
-        if not np.allclose(g, g.T, atol=1e-12, rtol=0.0):
+        if not np.isfinite(g).all():
+            raise MetricError("metric entries must be finite")
+        if np.abs(g - g.T).max() > 1e-12:
             raise MetricError("metric must be symmetric")
         if self.orientation not in (1, -1):
             raise MetricError(f"orientation must be +1 or -1, got {self.orientation}")
@@ -346,7 +323,7 @@ class Metric:
     def require_spd(self):
         if self._spd_checked:
             return
-        if self.min_eigenvalue <= 0.0:
+        if not self.min_eigenvalue > 0.0:  # also catches NaN
             raise MetricError(
                 f"metric is not positive definite (min eigenvalue {self.min_eigenvalue:.3e})"
             )
@@ -382,7 +359,8 @@ class Metric:
         if not self._gram:
             powers = exterior_powers(self.inv)
             for deg in range(DIM + 1):
-                mat = 0.5 * (powers[deg] + powers[deg].T)
+                mat = powers[deg] + powers[deg].T
+                mat *= 0.5
                 mat.flags.writeable = False
                 self._gram[deg] = mat
         return self._gram[k]
@@ -404,7 +382,7 @@ def wedge(a, b):
     k, l = a.degree, b.degree
     if k + l > DIM:
         raise DegreeError(f"wedge of degrees {k} and {l} exceeds dimension {DIM}")
-    partial = np.tensordot(a.coeffs, WEDGE[k, l], axes=(0, 0))
+    partial = (a.coeffs @ _WEDGE_FLAT[k, l]).reshape(DIMS[l], DIMS[k + l])
     return Form(k + l, b.coeffs @ partial)
 
 

@@ -41,19 +41,20 @@ from .exterior import (
 )
 from .liealg import differential, hodge_laplacian_matrix, levi_civita
 
-# P[a, b, c]: coefficient of e^{1..7} in (2-form basis a) ^ (2-form basis b)
-# ^ (3-form basis c); contracts the whole B matrix into three small products.
-_P223 = np.einsum("abd,dce->abc", WEDGE[2, 2], WEDGE[4, 3]).reshape(
-    DIMS[2], DIMS[2], DIMS[3]
-)
+# _P223[(a, b), c]: coefficient of e^{1..7} in (2-form basis a) ^ (2-form
+# basis b) ^ (3-form basis c); _IOTA3[(i, a), c]: coefficient of 2-form basis
+# a in iota_{e_{i+1}} (3-form basis c).  Flattened once, so B takes two
+# matrix-vector and two small matrix products.
+_P223 = np.einsum("abd,dce->abc", WEDGE[2, 2], WEDGE[4, 3]).reshape(DIMS[2] ** 2, DIMS[3])
+_IOTA3 = np.ascontiguousarray(CONTRACT[3].transpose(0, 2, 1)).reshape(DIM * DIMS[2], DIMS[3])
 
 
 def b_matrix(phi):
     """Bilinear form B with (iota_i phi) ^ (iota_j phi) ^ phi = B_ij e^{1..7}."""
     if phi.degree != 3:
         raise DegreeError(f"expected a 3-form, got degree {phi.degree}")
-    u = np.tensordot(CONTRACT[3], phi.coeffs, axes=(1, 0))  # u[i] = iota_i phi
-    p = np.tensordot(_P223, phi.coeffs, axes=(2, 0))
+    u = (_IOTA3 @ phi.coeffs).reshape(DIM, DIMS[2])  # u[i] = iota_i phi
+    p = (_P223 @ phi.coeffs).reshape(DIMS[2], DIMS[2])
     return u @ p @ u.T
 
 

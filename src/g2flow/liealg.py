@@ -142,8 +142,10 @@ class LieAlgebraStructure:
 
     def is_unimodular(self, tol=1e-12):
         """True when every adjoint map is traceless."""
-        traces = np.einsum("ikk->i", self.structure_constants)
-        return bool(np.max(np.abs(traces)) <= tol)
+        if not hasattr(self, "_max_trace"):
+            traces = np.einsum("ikk->i", self.structure_constants)
+            self._max_trace = float(np.max(np.abs(traces)))
+        return self._max_trace <= tol
 
 
 @dataclass

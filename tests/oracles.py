@@ -2,7 +2,9 @@
 
 Everything here is written against sparse dictionaries keyed by increasing
 index tuples, with its own sign bookkeeping, so it shares no code path with
-the package's dense table-driven kernels.  Tests compare the two.  The one
+the package's dense table-driven kernels.  Tests compare the two.  The
+slot-by-slot Laplace recursion for exterior powers builds its own index
+lists and is the bitwise reference for the package's gather kernel.  The one
 exception is the Newton recovery at the end: it is the reference for the
 inverse map psi -> phi, so it iterates the package's forward map
 phi -> star_{g(phi)} phi.
@@ -85,6 +87,35 @@ def gram_minors(ginv, k):
             sub = ginv[np.ix_(rows, cols)]
             out[i, j] = 1.0 if k == 0 else np.linalg.det(sub)
     return out
+
+
+def laplace_exterior_powers(matrix):
+    """All exterior powers of one 7x7 matrix by the slot-by-slot recursion.
+
+    Degree k is built from degree k-1 by a Laplace expansion of every minor
+    along its first column, accumulated one pull-out slot at a time into a
+    zero matrix (+ for even slots, - for odd).  The package's gather kernel
+    sums the same signed products in the same order, so the two agree bit
+    for bit.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    pos = [{idx: p for p, idx in enumerate(oracle_basis(k))} for k in range(DIM + 1)]
+    powers = [np.ones((1, 1)), matrix.copy()]
+    for k in range(2, DIM + 1):
+        basis = oracle_basis(k)
+        cols_first = matrix[:, [idx[0] - 1 for idx in basis]]
+        cols_rest = powers[k - 1][:, [pos[k - 1][idx[1:]] for idx in basis]]
+        out = np.zeros((len(basis), len(basis)))
+        for s in range(k):
+            rows_first = [idx[s] - 1 for idx in basis]
+            rows_rest = [pos[k - 1][idx[:s] + idx[s + 1 :]] for idx in basis]
+            term = cols_first[rows_first] * cols_rest[rows_rest]
+            if s % 2:
+                out -= term
+            else:
+                out += term
+        powers.append(out)
+    return powers
 
 
 def star_oracle(g, k, coeffs):
@@ -236,11 +267,11 @@ def _dual_batch(xs):
     fall back to the checked scalar path.
     """
     from g2flow.conventions import METRIC_KAPPA
-    from g2flow.exterior import COMPL_INDEX, COMPL_SIGN, CONTRACT, DIMS, exterior_powers_batch
+    from g2flow.exterior import COMPL_INDEX, COMPL_SIGN, CONTRACT, DIMS, exterior_powers
     from g2flow.g2core import _P223
 
     u = np.tensordot(xs, CONTRACT[3], axes=(1, 1))  # (n, 7, D2)
-    p = np.tensordot(xs, _P223, axes=(1, 2))  # (n, D2, D2)
+    p = (xs @ _P223.T).reshape(-1, DIMS[2], DIMS[2])
     b = u @ p @ u.transpose(0, 2, 1)
     det_b = np.linalg.det(b)
     if not np.all(det_b > 0.0):
@@ -254,7 +285,7 @@ def _dual_batch(xs):
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError:
         return None
-    gram3 = exterior_powers_batch(ginv, 3)[3]
+    gram3 = exterior_powers(ginv)[3]
     gram3 = 0.5 * (gram3 + gram3.transpose(0, 2, 1))
     weighted = (gram3 @ xs[:, :, None])[:, :, 0]
     duals = np.empty((xs.shape[0], DIMS[4]))

@@ -18,6 +18,7 @@ from g2flow import (
     run_experiment,
     validate_config,
 )
+from g2flow.conventions import NEWTON_TOL
 from g2flow.experiments import (
     PerturbationConfig,
     _E1357,
@@ -323,8 +324,9 @@ class TestSampleInitial:
         base = CoclosedState.from_phi(ee2_diagonal_phi(np.ones(7))).psi
         pcfg = PerturbationConfig(magnitude=0.2, subspace="coclosed")
         rng = np.random.default_rng(3)
-        form, scale, halvings = sample_initial(ee2, base, pcfg, rng)
+        form, scale, halvings, state = sample_initial(ee2, base, pcfg, rng)
         assert form.degree == 4
+        assert state.psi is form and state.residual <= NEWTON_TOL
         assert 0.0 < scale <= 0.2
         assert np.linalg.norm(form.coeffs - base.coeffs) == pytest.approx(scale, rel=1e-12)
         d4 = ee2.differential_matrix(4)
@@ -335,10 +337,10 @@ class TestSampleInitial:
         from g2flow import standard_psi
 
         base = standard_psi()
-        form, scale, halvings = sample_initial(
+        form, scale, halvings, state = sample_initial(
             ee1, base, PerturbationConfig(magnitude=0.0), np.random.default_rng(0)
         )
-        assert form is base
+        assert form is base and state.psi is base
         assert scale == 0.0 and halvings == 0
 
     def test_same_seed_reproduces_sample(self, ee1):
@@ -346,9 +348,19 @@ class TestSampleInitial:
 
         base = standard_psi()
         pcfg = PerturbationConfig(magnitude=0.25, subspace="coclosed")
-        a, _, _ = sample_initial(ee1, base, pcfg, np.random.default_rng(42))
-        b, _, _ = sample_initial(ee1, base, pcfg, np.random.default_rng(42))
+        a, _, _, _ = sample_initial(ee1, base, pcfg, np.random.default_rng(42))
+        b, _, _, _ = sample_initial(ee1, base, pcfg, np.random.default_rng(42))
         assert np.array_equal(a.coeffs, b.coeffs)
+
+    def test_laplacian_flow_sample_returns_its_structure(self, ee1):
+        from g2flow import G2Structure, standard_phi
+
+        base = standard_phi()
+        pcfg = PerturbationConfig(magnitude=0.1)
+        form, _, _, state = sample_initial(
+            ee1, base, pcfg, np.random.default_rng(5), flow_kind="laplacian_flow"
+        )
+        assert isinstance(state, G2Structure) and state.phi is form
 
 
 class TestCheckFixture:
@@ -388,6 +400,22 @@ class TestRunExperiment:
         assert kinds[0] == "reference"
         assert kinds[-1] == "summary"
         assert kinds[1:-1] == ["sample"] * 3
+
+    def test_ee1_static_recovers_each_sample_once(self, tmp_path, monkeypatch):
+        from g2flow import g2core
+
+        calls = []
+        recover = g2core.phi_of_psi
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return recover(*args, **kwargs)
+
+        monkeypatch.setattr(g2core, "phi_of_psi", counting)
+        cfg, _ = config_from_dict(_minimal("ee1_static", samples=3))
+        result = run_experiment(cfg, output_dir=tmp_path)
+        assert result.summary["passed"] is True
+        assert len(calls) == 1 + 3  # the reference plus one per accepted sample
 
     def test_ee2_family_driver(self, tmp_path):
         cfg, violations = config_from_dict(_minimal("ee2_family", samples=4))

@@ -14,7 +14,6 @@ from g2flow.exterior import (
     contract,
     derivation_matrix,
     exterior_powers,
-    exterior_powers_batch,
     form_norm,
     inner,
     merge_sign,
@@ -30,6 +29,7 @@ from .oracles import (
     dict_of_coeffs,
     dict_wedge,
     gram_minors,
+    laplace_exterior_powers,
     oracle_basis,
     perm_parity,
     star_oracle,
@@ -127,6 +127,17 @@ class TestWedge:
         rhs = wedge(a, wedge(b, c)).coeffs
         assert np.allclose(lhs, rhs, atol=1e-12)
 
+    def test_flat_table_equals_tensordot_bitwise(self, rng):
+        from g2flow.exterior import WEDGE
+
+        for k in range(DIM + 1):
+            for l in range(DIM + 1 - k):
+                # half the coefficients zeroed (with both signs of zero)
+                a = Form(k, random_form(rng, k).coeffs * (rng.random(DIMS[k]) < 0.5))
+                b = random_form(rng, l)
+                want = b.coeffs @ np.tensordot(a.coeffs, WEDGE[k, l], axes=(0, 0))
+                assert wedge(a, b).coeffs.tobytes() == want.tobytes()
+
     def test_degree_overflow_raises(self, rng):
         with pytest.raises(DegreeError):
             wedge(random_form(rng, 4), random_form(rng, 4))
@@ -180,6 +191,28 @@ class TestMetric:
         v = g.vol
         assert v.degree == DIM
         assert np.isclose(v.coeffs[0], np.sqrt(np.linalg.det(g.g)))
+
+    def test_rejects_non_finite_entries(self):
+        for bad in (np.inf, -np.inf, np.nan):
+            g = np.eye(DIM)
+            g[0, 0] = bad
+            with pytest.raises(MetricError, match="metric entries must be finite"):
+                Metric(g)
+
+    def test_nan_eigenvalue_is_not_positive_definite(self, monkeypatch):
+        g = Metric.identity()
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(DIM, np.nan))
+        with pytest.raises(MetricError, match="not positive definite"):
+            g.require_spd()
+
+    def test_gram_caches_only_the_eight_gram_matrices(self, rng):
+        g = Metric(random_spd(rng))
+        g.gram(3)
+        assert sorted(g._gram) == list(range(DIM + 1))
+        for k, mat in g._gram.items():
+            assert mat.shape == (DIMS[k], DIMS[k]) and not mat.flags.writeable
+            assert np.array_equal(mat, mat.T)
+        assert set(vars(g)) == {"g", "orientation", "_gram", "_star", "_spd_checked", "inv"}
 
 
 class TestStar:
@@ -240,11 +273,40 @@ class TestExteriorPowers:
 
     def test_batch_matches_scalar(self, rng):
         mats = rng.standard_normal((5, DIM, DIM))
-        batched = exterior_powers_batch(mats, 4)
+        batched = exterior_powers(mats)
         for n in range(5):
             single = exterior_powers(mats[n])
-            for k in range(5):
-                assert np.allclose(batched[k][n], single[k], atol=1e-12)
+            for k in range(DIM + 1):
+                assert batched[k].shape == (5, DIMS[k], DIMS[k])
+                assert batched[k][n].tobytes() == single[k].tobytes()
+
+    def test_bitwise_equal_to_laplace_recursion(self):
+        """200 seeded matrices, half of them with column scales spread over
+        12 decades and some with exact (signed) zeros, single and batched."""
+        rng = np.random.default_rng(7)
+        mats = rng.standard_normal((200, DIM, DIM))
+        mats[1::2] *= 10.0 ** rng.uniform(-6.0, 6.0, (100, 1, DIM))
+        mats[::5][rng.random((40, DIM, DIM)) < 0.4] = -0.0
+        mats[::7][rng.random((29, DIM, DIM)) < 0.3] = 0.0
+        batched = exterior_powers(mats)
+        for n, m in enumerate(mats):
+            want = laplace_exterior_powers(m)
+            single = exterior_powers(m)
+            for k in range(DIM + 1):
+                assert np.array_equal(single[k], want[k])
+                assert single[k].tobytes() == want[k].tobytes()  # signs of zeros too
+                assert batched[k][n].tobytes() == want[k].tobytes()
+
+    def test_degree_one_does_not_alias_input(self, rng):
+        m = rng.standard_normal((DIM, DIM))
+        powers = exterior_powers(m)
+        m[0, 0] += 1.0
+        assert powers[1][0, 0] == m[0, 0] - 1.0
+
+    def test_rejects_wrong_shape(self):
+        for shape in ((DIM, DIM - 1), (2, 2, DIM, DIM), (DIM,)):
+            with pytest.raises(ValueError):
+                exterior_powers(np.ones(shape))
 
 
 class TestDerivationMatrix:

@@ -44,6 +44,20 @@ class TestBMatrix:
             want = b_matrix_oracle(dict_of_coeffs(3, phi.coeffs))
             assert np.allclose(b_matrix(phi), want, atol=1e-10)
 
+    def test_flat_tables_equal_tensordot_bitwise(self, rng, phi_bar):
+        """The flattened contractions reproduce the tensordot forms bit for
+        bit, also on forms with exact zeros of both signs."""
+        from g2flow.exterior import CONTRACT, DIMS
+        from g2flow.g2core import _P223
+
+        p223 = _P223.reshape(DIMS[2], DIMS[2], DIMS[3])
+        phis = [phi_bar] + [random_positive_phi(rng) for _ in range(20)]
+        phis += [Form(3, p.coeffs * (rng.random(DIMS[3]) < 0.5)) for p in phis[1:]]
+        for phi in phis:
+            u = np.tensordot(CONTRACT[3], phi.coeffs, axes=(1, 0))
+            p = np.tensordot(p223, phi.coeffs, axes=(2, 0))
+            assert b_matrix(phi).tobytes() == (u @ p @ u.T).tobytes()
+
     def test_wrong_degree_rejected(self, psi_bar):
         with pytest.raises(DegreeError):
             b_matrix(psi_bar)

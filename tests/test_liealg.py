@@ -129,6 +129,14 @@ class TestUnimodularity:
     def test_counterexample_detected(self):
         assert not _non_unimodular().is_unimodular()
 
+    def test_trace_computed_once_and_tolerance_still_applies(self):
+        L = _non_unimodular()
+        assert not L.is_unimodular()
+        worst = L._max_trace
+        assert worst > 0.0
+        assert L.is_unimodular(tol=2.0 * worst) and not L.is_unimodular(tol=0.5 * worst)
+        assert L._max_trace is worst
+
     def test_codifferential_requires_unimodularity(self, rng):
         with pytest.raises(UnimodularityError):
             codifferential(_non_unimodular(), Metric.identity(), random_form(rng, 2))
