@@ -66,7 +66,12 @@ def _build_parser():
         p = sub.add_parser(verb, help=doc)
         p.add_argument("config", help="path to a JSON experiment config")
         p.add_argument("--output-dir", default=None, help="directory for relative output paths")
-        p.add_argument("--jobs", type=int, default=1, help="concurrent sweep cells (default 1)")
+        p.add_argument(
+            "--jobs",
+            type=int,
+            default=1,
+            help="accepted and ignored: sweep cells run one after another",
+        )
         p.add_argument("--seed", type=int, default=None, help="override perturbation.seed")
         p.add_argument(
             "--format", choices=OUTPUT_FORMATS, default=None, help="override output.format"
@@ -136,7 +141,7 @@ def _cmd_run(args, require=None):
     if args.validate_only:
         _emit({"ok": True, "normalized": cfg.to_dict()})
         return EXIT_OK
-    result = run_experiment(cfg, output_dir=args.output_dir, jobs=args.jobs)
+    result = run_experiment(cfg, output_dir=args.output_dir)
     _emit(
         {
             "experiment": result.experiment,

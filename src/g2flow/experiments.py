@@ -24,16 +24,19 @@ Experiments:
 * ``linearize``    — finite-difference spectrum at a static point;
 * ``custom``       — integrate the configured flow on any algebra/initial;
 * ``sweep``        — a cartesian grid of overrides on top of a base
-  experiment, run concurrently, one output file per cell plus a manifest.
+  experiment, run one cell after another, one output file per cell plus a
+  manifest.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import copy
 import csv
+import functools
 import json
-from dataclasses import dataclass, field
+import math
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,13 +76,6 @@ EXPERIMENTS = ("ee1_static", "ee2_family", "ee2_flow", "np", "sweep", "linearize
 SUBSPACES = ("coclosed", "exact", "full")
 OUTPUT_FORMATS = ("jsonl", "csv")
 
-_DEFAULT_ALGEBRA = {
-    "ee1_static": "ee1",
-    "ee2_family": "ee2",
-    "ee2_flow": "ee2",
-    "linearize": "ee1",
-}
-_DEFAULT_SAMPLES = {"ee1_static": 100, "ee2_family": 20}
 _MAX_SWEEP_CELLS = 1000
 
 
@@ -139,6 +135,51 @@ def family_monomial_pattern(x):
 # --------------------------------------------------------------------------
 # Config schema
 # --------------------------------------------------------------------------
+#
+# The schema is the dataclasses below and the flow sections of FlowConfig:
+# each field is read, type-checked and echoed from its declaration, in
+# declaration order.  Field metadata carries the two irregular things: the
+# JSON "key" where it differs from the attribute name, and a "read"
+# function for the fields that are not plain float/int/bool/str leaves.
+
+# Defaults that depend on the experiment, keyed by dotted config path.
+_EXPERIMENT_DEFAULTS = {
+    "ee1_static": {"algebra_file": "ee1", "samples": 100, "perturbation.magnitude": 0.25},
+    "ee2_family": {"algebra_file": "ee2", "samples": 20},
+    "ee2_flow": {"algebra_file": "ee2"},
+    "linearize": {"algebra_file": "ee1"},
+}
+
+# Accepted JSON types of a leaf, by annotation, and the message otherwise.
+_LEAF_TYPES = {
+    float: ((int, float), "must be a number"),
+    int: ((int,), "must be an integer"),
+    bool: ((bool,), "must be true or false"),
+    str: ((str,), "must be a string"),
+}
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _read_initial(value, label, violations):
+    """A form fixture name, or an inline list of 35 finite coefficients."""
+    if value is None or isinstance(value, str):
+        return value
+    if isinstance(value, list) and len(value) == DIMS[3] and all(map(_is_number, value)):
+        coeffs = [float(v) for v in value]
+        if all(map(math.isfinite, coeffs)):
+            return coeffs
+    violations.append(f"{label} must be a fixture name or a list of {DIMS[3]} numbers")
+    return None
+
+
+def _read_axes(value, label, violations):
+    if isinstance(value, dict):
+        return value
+    violations.append(f"{label} must be an object mapping config paths to value lists")
+    return {}
 
 
 @dataclass
@@ -153,6 +194,8 @@ class PerturbationConfig:
             out.append(f"{prefix}.magnitude must be >= 0")
         if not isinstance(self.seed, int):
             out.append(f"{prefix}.seed must be an integer")
+        elif self.seed < 0:
+            out.append(f"{prefix}.seed must be >= 0")
         if self.subspace not in SUBSPACES:
             out.append(
                 f"{prefix}.subspace must be one of {'|'.join(SUBSPACES)}, got {self.subspace!r}"
@@ -208,7 +251,7 @@ class LinearizeSection:
 @dataclass
 class SweepSection:
     experiment: str = "custom"
-    axes: dict = field(default_factory=dict)
+    axes: dict = field(default_factory=dict, metadata={"read": _read_axes})
 
     def violations(self, prefix="sweep"):
         out = []
@@ -230,182 +273,94 @@ class SweepSection:
 class ExperimentConfig:
     experiment: str
     algebra_file: str | None = None
-    initial: object = None  # fixture name or 35-coefficient list
+    initial: object = field(default=None, metadata={"read": _read_initial})
     samples: int | None = None
     flow: FlowConfig = field(default_factory=FlowConfig)
     perturbation: PerturbationConfig = field(default_factory=PerturbationConfig)
-    np_section: NPSection = field(default_factory=NPSection)
-    linearize_section: LinearizeSection = field(default_factory=LinearizeSection)
-    sweep_section: SweepSection = field(default_factory=SweepSection)
+    np_section: NPSection = field(default_factory=NPSection, metadata={"key": "np"})
+    linearize_section: LinearizeSection = field(
+        default_factory=LinearizeSection, metadata={"key": "linearize"}
+    )
+    sweep_section: SweepSection = field(default_factory=SweepSection, metadata={"key": "sweep"})
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def to_dict(self):
         """Fully-defaulted echo of the config (every implicit value made
         explicit), suitable for re-ingestion."""
-        flow = self.flow
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "experiment": self.experiment,
-            "algebra_file": self.algebra_file,
-            "initial": self.initial,
-            "samples": self.samples,
-            "flow": {
-                "flow_kind": flow.flow_kind,
-                "A": flow.A,
-                "deturck": {
-                    "enabled": flow.deturck.enabled,
-                    "c1": flow.deturck.c1,
-                    "c2": flow.deturck.c2,
-                },
-                "integrator": {
-                    "method": flow.integrator.method,
-                    "dt": flow.integrator.dt,
-                    "t_end": flow.integrator.t_end,
-                    "rel_tol": flow.integrator.rel_tol,
-                },
-                "monitors": {
-                    "record_every": flow.monitors.record_every,
-                    "trT": flow.monitors.trT,
-                    "volume": flow.monitors.volume,
-                    "closedness": flow.monitors.closedness,
-                    "rhs_norm": flow.monitors.rhs_norm,
-                    "dist_ref": flow.monitors.dist_ref,
-                },
-                "halt": {
-                    "closedness_tol": flow.halt.closedness_tol,
-                    "max_rhs_norm": flow.halt.max_rhs_norm,
-                },
-            },
-            "perturbation": {
-                "magnitude": self.perturbation.magnitude,
-                "seed": self.perturbation.seed,
-                "subspace": self.perturbation.subspace,
-            },
-            "np": {
-                "tau0": self.np_section.tau0,
-                "c0": self.np_section.c0,
-                "vol0": self.np_section.vol0,
-            },
-            "linearize": {
-                "eps": self.linearize_section.eps,
-                "static_tol": self.linearize_section.static_tol,
-            },
-            "sweep": {
-                "experiment": self.sweep_section.experiment,
-                "axes": copy.deepcopy(self.sweep_section.axes),
-            },
-            "output": {"path": self.output.path, "format": self.output.format},
-        }
+        return {"schema_version": SCHEMA_VERSION, **_echo(self)}
 
 
-class _SectionReader:
-    """Pulls typed values out of one JSON object, collecting violations
-    instead of raising, and flagging unknown keys."""
-
-    def __init__(self, raw, name, violations):
-        self.raw = raw if isinstance(raw, dict) else None
-        self.name = name
-        self.violations = violations
-        if raw is not None and not isinstance(raw, dict):
-            violations.append(f"{name} must be an object" if name else "config must be an object")
-
-    def check_unknown(self, allowed):
-        if self.raw is None:
-            return
-        for key in self.raw:
-            if key not in allowed:
-                where = f"{self.name}: " if self.name else ""
-                self.violations.append(f"{where}unknown field {key!r}")
-
-    def sub(self, key):
-        raw = None if self.raw is None else self.raw.get(key)
-        name = f"{self.name}.{key}" if self.name else key
-        return _SectionReader(raw, name, self.violations)
-
-    def _label(self, key):
-        return f"{self.name}.{key}" if self.name else key
-
-    def value(self, key, default):
-        if self.raw is None or key not in self.raw:
-            return default
-        return self.raw[key]
-
-    def number(self, key, default):
-        val = self.value(key, default)
-        if val is None and default is None:
-            return None
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            self.violations.append(f"{self._label(key)} must be a number")
-            return default
-        return float(val)
-
-    def integer(self, key, default):
-        val = self.value(key, default)
-        if val is None and default is None:
-            return None
-        if isinstance(val, bool) or not isinstance(val, int):
-            self.violations.append(f"{self._label(key)} must be an integer")
-            return default
-        return val
-
-    def boolean(self, key, default):
-        val = self.value(key, default)
-        if not isinstance(val, bool):
-            self.violations.append(f"{self._label(key)} must be true or false")
-            return default
-        return val
-
-    def string(self, key, default):
-        val = self.value(key, default)
-        if val is None and default is None:
-            return None
-        if not isinstance(val, str):
-            self.violations.append(f"{self._label(key)} must be a string")
-            return default
-        return val
+def _key(f):
+    return f.metadata.get("key", f.name)
 
 
-def _read_flow(reader):
-    cfg = FlowConfig()
-    reader.check_unknown({"flow_kind", "A", "deturck", "integrator", "monitors", "halt"})
-    cfg.flow_kind = reader.string("flow_kind", cfg.flow_kind)
-    cfg.A = reader.number("A", cfg.A)
-    det = reader.sub("deturck")
-    det.check_unknown({"enabled", "c1", "c2"})
-    cfg.deturck.enabled = det.boolean("enabled", cfg.deturck.enabled)
-    cfg.deturck.c1 = det.number("c1", cfg.deturck.c1)
-    cfg.deturck.c2 = det.number("c2", cfg.deturck.c2)
-    integ = reader.sub("integrator")
-    integ.check_unknown({"method", "dt", "t_end", "rel_tol"})
-    cfg.integrator.method = integ.string("method", cfg.integrator.method)
-    cfg.integrator.dt = integ.number("dt", cfg.integrator.dt)
-    cfg.integrator.t_end = integ.number("t_end", cfg.integrator.t_end)
-    cfg.integrator.rel_tol = integ.number("rel_tol", cfg.integrator.rel_tol)
-    mon = reader.sub("monitors")
-    mon.check_unknown({"record_every", "trT", "volume", "closedness", "rhs_norm", "dist_ref"})
-    cfg.monitors.record_every = mon.integer("record_every", cfg.monitors.record_every)
-    for name in ("trT", "volume", "closedness", "rhs_norm", "dist_ref"):
-        setattr(cfg.monitors, name, mon.boolean(name, getattr(cfg.monitors, name)))
-    halt = reader.sub("halt")
-    halt.check_unknown({"closedness_tol", "max_rhs_norm"})
-    cfg.halt.closedness_tol = halt.number("closedness_tol", cfg.halt.closedness_tol)
-    cfg.halt.max_rhs_norm = halt.number("max_rhs_norm", cfg.halt.max_rhs_norm)
-    return cfg
+# Resolved field annotations of a section class (they are strings here).
+_hints = functools.cache(typing.get_type_hints)
 
 
-def _read_initial(reader, violations):
-    raw = reader.value("initial", None)
-    if raw is None or isinstance(raw, str):
-        return raw
-    if isinstance(raw, list):
-        if len(raw) != DIMS[3] or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw
-        ):
-            violations.append(f"initial must be a fixture name or a list of {DIMS[3]} numbers")
-            return None
-        return [float(v) for v in raw]
-    violations.append(f"initial must be a fixture name or a list of {DIMS[3]} numbers")
-    return None
+def _echo(section):
+    out = {}
+    for f in fields(section):
+        value = getattr(section, f.name)
+        out[_key(f)] = _echo(value) if is_dataclass(value) else copy.deepcopy(value)
+    return out
+
+
+def _check_unknown(cls, raw, path, violations, also=()):
+    known = {_key(f) for f in fields(cls)}.union(also)
+    where = f"{path}: " if path else ""
+    violations += [f"{where}unknown field {key!r}" for key in raw if key not in known]
+
+
+def _read_leaf(hint, value, default, label, violations):
+    """Type-check one JSON value; null is accepted only when the default is None."""
+    if value is None and default is None:
+        return None
+    kind = next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+    types, message = _LEAF_TYPES[kind]
+    if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
+        violations.append(f"{label} {message}")
+        return default
+    return float(value) if kind is float else value
+
+
+def _read_fields(cls, raw, path, violations, defaults):
+    """Field values of a ``cls`` read from the JSON object ``raw``; absent
+    fields take ``defaults[dotted path]`` or else the declared default."""
+    hints = _hints(cls)
+    values = {}
+    for f in fields(cls):
+        key = _key(f)
+        label = f"{path}.{key}" if path else key
+        if is_dataclass(hints[f.name]):
+            values[f.name] = _read_section(
+                hints[f.name], raw.get(key), label, violations, defaults
+            )
+            continue
+        if label in defaults:
+            default = defaults[label]
+        elif f.default_factory is not MISSING:
+            default = f.default_factory()
+        else:
+            default = None if f.default is MISSING else f.default
+        if key not in raw:
+            values[f.name] = default
+        elif "read" in f.metadata:
+            values[f.name] = f.metadata["read"](raw[key], label, violations)
+        else:
+            values[f.name] = _read_leaf(hints[f.name], raw[key], default, label, violations)
+    return values
+
+
+def _read_section(cls, raw, path, violations, defaults):
+    """A ``cls`` read from one JSON object; null reads as an empty object."""
+    if raw is None:
+        raw = {}
+    elif not isinstance(raw, dict):
+        violations.append(f"{path} must be an object")
+        raw = {}
+    _check_unknown(cls, raw, path, violations)
+    return cls(**_read_fields(cls, raw, path, violations, defaults))
 
 
 def config_from_dict(raw):
@@ -414,97 +369,48 @@ def config_from_dict(raw):
     Returns (config-or-None, violations).  The config is fully defaulted;
     it is None exactly when violations is non-empty.
     """
+    if not isinstance(raw, dict):
+        return None, ["config must be an object"]
     violations = []
-    top = _SectionReader(raw, "", violations)
-    if top.raw is None:
-        return None, violations
-    top.check_unknown(
-        {
-            "schema_version",
-            "experiment",
-            "algebra_file",
-            "initial",
-            "samples",
-            "flow",
-            "perturbation",
-            "np",
-            "linearize",
-            "sweep",
-            "output",
-        }
-    )
-    version = top.value("schema_version", None)
+    _check_unknown(ExperimentConfig, raw, "", violations, also=("schema_version",))
+    version = raw.get("schema_version")
     if version is None:
         violations.append(f"schema_version is required (current version {SCHEMA_VERSION})")
     elif version != SCHEMA_VERSION:
         violations.append(
             f"unsupported schema_version {version!r} (supported: {SCHEMA_VERSION})"
         )
-    experiment = top.string("experiment", None)
+    # A non-string experiment is reported by the field reader.
+    experiment = raw.get("experiment")
     if experiment is None:
         violations.append(f"experiment is required; one of {'|'.join(EXPERIMENTS)}")
-    elif experiment not in EXPERIMENTS:
+    elif isinstance(experiment, str) and experiment not in EXPERIMENTS:
         violations.append(
             f"experiment must be one of {'|'.join(EXPERIMENTS)}, got {experiment!r}"
         )
-
-    cfg = ExperimentConfig(experiment=experiment or "custom")
-    cfg.algebra_file = top.string("algebra_file", _DEFAULT_ALGEBRA.get(experiment))
-    cfg.initial = _read_initial(top, violations)
-    cfg.samples = top.integer("samples", _DEFAULT_SAMPLES.get(experiment))
-    cfg.flow = _read_flow(top.sub("flow"))
-
-    pert = top.sub("perturbation")
-    pert.check_unknown({"magnitude", "seed", "subspace"})
-    if experiment == "ee1_static" and cfg.perturbation.magnitude == 0.0:
-        cfg.perturbation.magnitude = 0.25
-    cfg.perturbation.magnitude = pert.number("magnitude", cfg.perturbation.magnitude)
-    cfg.perturbation.seed = pert.integer("seed", cfg.perturbation.seed)
-    cfg.perturbation.subspace = pert.string("subspace", cfg.perturbation.subspace)
-
-    npsec = top.sub("np")
-    npsec.check_unknown({"tau0", "c0", "vol0"})
-    cfg.np_section.tau0 = npsec.number("tau0", cfg.np_section.tau0)
-    cfg.np_section.c0 = npsec.number("c0", cfg.np_section.c0)
-    cfg.np_section.vol0 = npsec.number("vol0", cfg.np_section.vol0)
-
-    lin = top.sub("linearize")
-    lin.check_unknown({"eps", "static_tol"})
-    cfg.linearize_section.eps = lin.number("eps", cfg.linearize_section.eps)
-    cfg.linearize_section.static_tol = lin.number("static_tol", cfg.linearize_section.static_tol)
-
-    sweep = top.sub("sweep")
-    sweep.check_unknown({"experiment", "axes"})
-    cfg.sweep_section.experiment = sweep.string("experiment", cfg.sweep_section.experiment)
-    axes = sweep.value("axes", cfg.sweep_section.axes)
-    cfg.sweep_section.axes = axes if isinstance(axes, dict) else cfg.sweep_section.axes
-    if not isinstance(axes, dict):
-        violations.append("sweep.axes must be an object mapping config paths to value lists")
-
-    out = top.sub("output")
-    out.check_unknown({"path", "format"})
-    cfg.output.path = out.string("path", cfg.output.path)
-    cfg.output.format = out.string("format", cfg.output.format)
+    defaults = _EXPERIMENT_DEFAULTS.get(experiment, {}) if isinstance(experiment, str) else {}
+    cfg = ExperimentConfig(**_read_fields(ExperimentConfig, raw, "", violations, defaults))
 
     violations += cfg.flow.violations()
     violations += cfg.perturbation.violations()
     violations += cfg.output.violations()
-    if experiment == "np":
+    if cfg.experiment == "np":
         violations += cfg.np_section.violations()
-    if experiment == "linearize":
+    if cfg.experiment == "linearize":
         violations += cfg.linearize_section.violations()
     if cfg.samples is not None and (not isinstance(cfg.samples, int) or cfg.samples < 1):
         violations.append("samples must be an integer >= 1")
-    violations += _semantic_violations(cfg, experiment)
+    violations += _semantic_violations(cfg)
     if violations:
         return None, violations
     return cfg, []
 
 
-def _semantic_violations(cfg, experiment):
+def _semantic_violations(cfg):
     """Cross-field checks: referenced fixtures exist, degrees line up,
     experiment-specific constraints."""
     out = []
+    experiment = cfg.experiment
     if experiment is None or experiment not in EXPERIMENTS:
         return out
     if experiment == "np":
@@ -684,11 +590,25 @@ class ExperimentResult:
     files: list
 
 
-def _resolve_output(cfg, output_dir, default_name):
+def _output_path(cfg, output_dir, default_name):
     path = Path(cfg.output.path) if cfg.output.path else Path(default_name)
     if output_dir is not None and not path.is_absolute():
         path = Path(output_dir) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _make_dir(path):
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError([f"output directory {str(path)!r} is not a directory"]) from None
+
+
+def _resolve_output(cfg, output_dir, default_name):
+    path = _output_path(cfg, output_dir, default_name)
+    if path.is_dir():
+        raise ConfigError([f"output file {str(path)!r} is a directory"])
+    _make_dir(path.parent)
     return path
 
 
@@ -712,14 +632,13 @@ def _write_records(path, fmt, records, fieldnames):
                 writer.writerow(row)
 
 
-def _perturbation_basis(L, subspace):
+def _subspace_directions(L, subspace):
+    """The 4-form directions spanning a perturbation subspace."""
     if subspace == "coclosed":
-        forms = coclosed_directions(L)
-    elif subspace == "exact":
-        forms = exact_directions(L)
-    else:
-        return np.eye(DIMS[4])
-    return np.column_stack([f.coeffs for f in forms])
+        return coclosed_directions(L)
+    if subspace == "exact":
+        return exact_directions(L)
+    return [Form(4, row) for row in np.eye(DIMS[4])]
 
 
 def sample_initial(L, base, pcfg, rng, flow_kind="modified_coflow", max_halvings=40):
@@ -736,7 +655,7 @@ def sample_initial(L, base, pcfg, rng, flow_kind="modified_coflow", max_halvings
     if pcfg.magnitude == 0.0:
         return base, 0.0, 0, state_of(base)
     if flow_kind == "modified_coflow":
-        basis = _perturbation_basis(L, pcfg.subspace)
+        basis = np.column_stack([f.coeffs for f in _subspace_directions(L, pcfg.subspace)])
     else:
         basis = np.eye(DIMS[3])
     z = rng.standard_normal(basis.shape[1])
@@ -784,7 +703,7 @@ def _run_ee1_static(cfg, path):
             "halvings": None,
         }
     ]
-    n = cfg.samples or 100
+    n = cfg.samples
     max_rhs = 0.0
     for i in range(n):
         _, scale, halvings, sample_state = sample_initial(L, base, cfg.perturbation, rng)
@@ -846,7 +765,7 @@ def _run_ee2_family(cfg, path):
     """
     L = load_algebra(cfg.algebra_file)
     rng = np.random.default_rng(cfg.perturbation.seed)
-    n = cfg.samples or 20
+    n = cfg.samples
     records = []
     max_law_err = 0.0
     max_off = 0.0
@@ -976,17 +895,11 @@ def _run_linearize(cfg, path):
     base = _initial_form(cfg, 4)
     state = CoclosedState.from_psi(base)
     subspace = cfg.perturbation.subspace
-    if subspace == "coclosed":
-        directions = coclosed_directions(L)
-    elif subspace == "exact":
-        directions = exact_directions(L)
-    else:
-        directions = [Form(4, row) for row in np.eye(DIMS[4])]
     report = linearize(
         L,
         lambda lie, st: coflow_rhs(lie, st, cfg.flow.A),
         state,
-        directions,
+        _subspace_directions(L, subspace),
         eps=cfg.linearize_section.eps,
         static_tol=cfg.linearize_section.static_tol,
     )
@@ -1012,28 +925,20 @@ def _run_linearize(cfg, path):
     return ExperimentResult(experiment="linearize", status="ok", summary=summary, files=[str(path)])
 
 
-def _run_sweep(cfg, output_dir, jobs):
-    """Run the grid concurrently; every cell writes its own file, and a
+def _run_sweep(cfg, output_dir):
+    """Run the grid cell by cell; every cell writes its own file, and a
     manifest records the override-to-file mapping with per-cell outcomes."""
     cells = expand_sweep(cfg)
-    sweep_dir = _resolve_output(cfg, output_dir, "sweep_out")
-    sweep_dir.mkdir(parents=True, exist_ok=True)
+    sweep_dir = _output_path(cfg, output_dir, "sweep_out")
+    _make_dir(sweep_dir)
     ext = "jsonl" if cfg.output.format == "jsonl" else "csv"
     base_exp = cfg.sweep_section.experiment
     if base_exp == "linearize":
         ext = "json"
-
-    def run_cell(item):
-        index, (overrides, cell_cfg) = item
-        cell_path = sweep_dir / f"cell_{index:03d}.{ext}"
-        cell_cfg.output.path = str(cell_path)
-        result = _dispatch(cell_cfg, None, jobs=1)
-        return index, overrides, result
-
-    outcomes = [None] * len(cells)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        for index, overrides, result in pool.map(run_cell, enumerate(cells)):
-            outcomes[index] = (overrides, result)
+    outcomes = []
+    for index, (overrides, cell_cfg) in enumerate(cells):
+        cell_cfg.output.path = str(sweep_dir / f"cell_{index:03d}.{ext}")
+        outcomes.append((overrides, _dispatch(cell_cfg, None)))
     manifest = {
         "experiment": base_exp,
         "axes": cfg.sweep_section.axes,
@@ -1067,7 +972,7 @@ def _run_sweep(cfg, output_dir, jobs):
     )
 
 
-def _dispatch(cfg, output_dir, jobs):
+def _dispatch(cfg, output_dir):
     ext = cfg.output.format
     if cfg.experiment == "ee1_static":
         return _run_ee1_static(cfg, _resolve_output(cfg, output_dir, f"ee1_static.{ext}"))
@@ -1082,11 +987,11 @@ def _dispatch(cfg, output_dir, jobs):
     if cfg.experiment == "linearize":
         return _run_linearize(cfg, _resolve_output(cfg, output_dir, "linearize.json"))
     if cfg.experiment == "sweep":
-        return _run_sweep(cfg, output_dir, jobs)
+        return _run_sweep(cfg, output_dir)
     raise ConfigError([f"experiment must be one of {'|'.join(EXPERIMENTS)}"])
 
 
-def run_experiment(cfg, output_dir=None, jobs=1):
+def run_experiment(cfg, output_dir=None):
     """Run a validated config; deterministic given (config, seed).
 
     Relative output paths are resolved under ``output_dir`` when given.
@@ -1097,7 +1002,7 @@ def run_experiment(cfg, output_dir=None, jobs=1):
     violations = cfg.flow.violations()
     if violations:
         raise ConfigError(violations)
-    return _dispatch(cfg, output_dir, jobs)
+    return _dispatch(cfg, output_dir)
 
 
 def check_fixture(name_or_path):

@@ -170,8 +170,6 @@ _WEDGE_FLAT = {key: table.reshape(table.shape[0], -1) for key, table in WEDGE.it
 COMPL_INDEX, COMPL_SIGN = _build_complements()
 _GATHER_M, _GATHER_PREV = _build_gather_tables()
 
-_TOP_INDEX = MultiIndex(range(1, DIM + 1))
-
 
 @dataclass(frozen=True, eq=False)
 class Form:
@@ -352,7 +350,7 @@ class Metric:
     @cached_property
     def vol(self):
         """Riemannian volume form, orientation sign included."""
-        return Form.monomial(_TOP_INDEX, self.orientation * self.sqrt_det)
+        return Form(DIM, [self.orientation * self.sqrt_det])
 
     def gram(self, k):
         """Gram matrix of the induced inner product on k-forms."""

@@ -376,7 +376,7 @@ def test_criterion_12_infrastructure(announce, ee1, ee2, tmp_path):
             cfg, violations = config_from_dict(raw)
             assert violations == []
             outdir = tmp_path / tag
-            run_experiment(cfg, output_dir=str(outdir), jobs=1)
+            run_experiment(cfg, output_dir=str(outdir))
             files = sorted(p for p in outdir.rglob("*") if p.is_file())
             assert files
             blobs.append([(p.name, p.read_bytes()) for p in files])

@@ -169,6 +169,53 @@ class TestRunVerb:
         header = (tmp_path / "ee1_static.csv").read_text().splitlines()[0]
         assert header.startswith("record,index,rhs_norm")
 
+    def test_negative_seed_exits_config(self, capsys, tmp_path):
+        for payload, extra in (({"perturbation": {"seed": -1}}, []), ({}, ["--seed", "-1"])):
+            cfg = _config(tmp_path, {"schema_version": 1, "experiment": "ee2_flow", **payload})
+            code, _, err = _run(capsys, ["run", cfg, "--output-dir", str(tmp_path)] + extra)
+            assert code == EXIT_CONFIG
+            assert "config error: perturbation.seed must be >= 0" in err
+
+    def test_non_finite_initial_exits_config(self, capsys, tmp_path):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            cfg = _config(
+                tmp_path,
+                {"schema_version": 1, "experiment": "ee2_flow", "initial": [bad] + [0.0] * 34},
+            )
+            code, _, err = _run(capsys, ["run", cfg, "--output-dir", str(tmp_path)])
+            assert code == EXIT_CONFIG
+            assert "config error: initial must be a fixture name or a list of 35" in err
+
+    def test_output_path_that_is_a_directory_exits_config(self, capsys, tmp_path):
+        (tmp_path / "taken").mkdir()
+        cfg = _config(
+            tmp_path,
+            {
+                "schema_version": 1,
+                "experiment": "ee1_static",
+                "samples": 1,
+                "output": {"path": "taken"},
+            },
+        )
+        code, out, err = _run(capsys, ["run", cfg, "--output-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "config error: output file " in err and "is a directory" in err
+
+    def test_output_dir_that_is_a_file_exits_config(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        sweep = {"experiment": "np", "axes": {"np.c0": [1]}}
+        for payload, verb in (
+            ({"experiment": "ee1_static", "samples": 1}, "run"),
+            ({"experiment": "sweep", "sweep": sweep}, "sweep"),
+        ):
+            cfg = _config(tmp_path, {"schema_version": 1, **payload})
+            code, out, err = _run(capsys, [verb, cfg, "--output-dir", str(taken)])
+            assert code == EXIT_CONFIG
+            assert out == ""
+            assert "config error: output directory " in err and "is not a directory" in err
+
 
 class TestNpVerb:
     def test_worked_example(self, capsys, tmp_path):

@@ -460,7 +460,7 @@ class TestRunExperiment:
         )
         cfg, violations = config_from_dict(raw)
         assert violations == []
-        result = run_experiment(cfg, output_dir=tmp_path, jobs=2)
+        result = run_experiment(cfg, output_dir=tmp_path)
         assert result.status == "ok"
         manifest = json.loads((tmp_path / "sweep_out" / "manifest.json").read_text())
         assert len(manifest["cells"]) == 2
