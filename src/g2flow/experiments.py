@@ -34,7 +34,7 @@ import copy
 import csv
 import functools
 import json
-import math
+import sys
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -45,12 +45,19 @@ from .errors import ConfigError, G2FlowError, PositivityError, RecoveryError
 from .exterior import BASIS, DIMS, Form
 from .fixtures import ee2_diagonal_phi, load_algebra, load_form
 from .flows import (
+    FINITE,
+    NON_NEGATIVE,
+    NON_NEGATIVE_INT,
+    POSITIVE,
+    POSITIVE_INT,
     FlowConfig,
     coclosed_directions,
     coflow_rhs,
     exact_directions,
     integrate,
     linearize,
+    one_of,
+    rule_violations,
 )
 from .g2core import CoclosedState, G2Structure
 from .liealg import jacobi_check
@@ -137,10 +144,12 @@ def family_monomial_pattern(x):
 # --------------------------------------------------------------------------
 #
 # The schema is the dataclasses below and the flow sections of FlowConfig:
-# each field is read, type-checked and echoed from its declaration, in
-# declaration order.  Field metadata carries the two irregular things: the
-# JSON "key" where it differs from the attribute name, and a "read"
-# function for the fields that are not plain float/int/bool/str leaves.
+# each field is read, type-checked, range-checked and echoed from its
+# declaration, in declaration order.  Field metadata carries the field's
+# range or choice "rule" (see flows.rule_violations), the JSON "key" where it
+# differs from the attribute name, a "read" function for the fields that are
+# not plain float/int/bool/str leaves, and for the experiment-specific
+# sections the "when" condition under which their rules are checked.
 
 # Defaults that depend on the experiment, keyed by dotted config path.
 _EXPERIMENT_DEFAULTS = {
@@ -159,18 +168,21 @@ _LEAF_TYPES = {
 }
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite_number(value):
+    """A JSON number that a float holds: no bool, NaN, inf or huge integer."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
 
 
 def _read_initial(value, label, violations):
     """A form fixture name, or an inline list of 35 finite coefficients."""
     if value is None or isinstance(value, str):
         return value
-    if isinstance(value, list) and len(value) == DIMS[3] and all(map(_is_number, value)):
-        coeffs = [float(v) for v in value]
-        if all(map(math.isfinite, coeffs)):
-            return coeffs
+    if isinstance(value, list) and len(value) == DIMS[3] and all(map(_is_finite_number, value)):
+        return [float(v) for v in value]
     violations.append(f"{label} must be a fixture name or a list of {DIMS[3]} numbers")
     return None
 
@@ -182,91 +194,46 @@ def _read_axes(value, label, violations):
     return {}
 
 
+def _experiment_section(cls, key):
+    """A section under JSON ``key`` that every config may hold, but whose
+    rules are checked only for the experiment of the same name."""
+    return field(
+        default_factory=cls, metadata={"key": key, "when": lambda cfg: cfg.experiment == key}
+    )
+
+
 @dataclass
 class PerturbationConfig:
-    magnitude: float = 0.0
-    seed: int = 0
-    subspace: str = "coclosed"
-
-    def violations(self, prefix="perturbation"):
-        out = []
-        if not (np.isfinite(self.magnitude) and self.magnitude >= 0):
-            out.append(f"{prefix}.magnitude must be >= 0")
-        if not isinstance(self.seed, int):
-            out.append(f"{prefix}.seed must be an integer")
-        elif self.seed < 0:
-            out.append(f"{prefix}.seed must be >= 0")
-        if self.subspace not in SUBSPACES:
-            out.append(
-                f"{prefix}.subspace must be one of {'|'.join(SUBSPACES)}, got {self.subspace!r}"
-            )
-        return out
+    magnitude: float = field(default=0.0, metadata=NON_NEGATIVE)
+    seed: int = field(default=0, metadata=NON_NEGATIVE_INT)
+    subspace: str = field(default="coclosed", metadata=one_of(SUBSPACES))
 
 
 @dataclass
 class OutputConfig:
     path: str | None = None
-    format: str = "jsonl"
-
-    def violations(self, prefix="output"):
-        out = []
-        if self.format not in OUTPUT_FORMATS:
-            out.append(
-                f"{prefix}.format must be one of {'|'.join(OUTPUT_FORMATS)}, got {self.format!r}"
-            )
-        return out
+    format: str = field(default="jsonl", metadata=one_of(OUTPUT_FORMATS))
 
 
 @dataclass
 class NPSection:
-    tau0: float = 1.0
-    c0: float = 1.0
-    vol0: float = 1.0
-
-    def violations(self, prefix="np"):
-        out = []
-        if not np.isfinite(self.tau0):
-            out.append(f"{prefix}.tau0 must be finite")
-        if not (np.isfinite(self.c0) and self.c0 > 0):
-            out.append(f"{prefix}.c0 must be > 0")
-        if not (np.isfinite(self.vol0) and self.vol0 > 0):
-            out.append(f"{prefix}.vol0 must be > 0")
-        return out
+    tau0: float = field(default=1.0, metadata=FINITE)
+    c0: float = field(default=1.0, metadata=POSITIVE)
+    vol0: float = field(default=1.0, metadata=POSITIVE)
 
 
 @dataclass
 class LinearizeSection:
-    eps: float = 1e-5
-    static_tol: float = 1e-8
-
-    def violations(self, prefix="linearize"):
-        out = []
-        if not (np.isfinite(self.eps) and self.eps > 0):
-            out.append(f"{prefix}.eps must be > 0")
-        if not (np.isfinite(self.static_tol) and self.static_tol > 0):
-            out.append(f"{prefix}.static_tol must be > 0")
-        return out
+    eps: float = field(default=1e-5, metadata=POSITIVE)
+    static_tol: float = field(default=1e-8, metadata=POSITIVE)
 
 
 @dataclass
 class SweepSection:
-    experiment: str = "custom"
+    experiment: str = field(
+        default="custom", metadata=one_of(tuple(e for e in EXPERIMENTS if e != "sweep"))
+    )
     axes: dict = field(default_factory=dict, metadata={"read": _read_axes})
-
-    def violations(self, prefix="sweep"):
-        out = []
-        if self.experiment not in EXPERIMENTS or self.experiment == "sweep":
-            choices = "|".join(e for e in EXPERIMENTS if e != "sweep")
-            out.append(f"{prefix}.experiment must be one of {choices}, got {self.experiment!r}")
-        if not isinstance(self.axes, dict):
-            out.append(f"{prefix}.axes must be an object mapping config paths to value lists")
-        else:
-            for key, values in self.axes.items():
-                if not isinstance(key, str) or not key:
-                    out.append(f"{prefix}.axes keys must be non-empty dotted config paths")
-                if not isinstance(values, list) or not values:
-                    out.append(f"{prefix}.axes[{key!r}] must be a non-empty list of values")
-        return out
 
 
 @dataclass
@@ -274,14 +241,12 @@ class ExperimentConfig:
     experiment: str
     algebra_file: str | None = None
     initial: object = field(default=None, metadata={"read": _read_initial})
-    samples: int | None = None
+    samples: int | None = field(default=None, metadata=POSITIVE_INT)
     flow: FlowConfig = field(default_factory=FlowConfig)
     perturbation: PerturbationConfig = field(default_factory=PerturbationConfig)
-    np_section: NPSection = field(default_factory=NPSection, metadata={"key": "np"})
-    linearize_section: LinearizeSection = field(
-        default_factory=LinearizeSection, metadata={"key": "linearize"}
-    )
-    sweep_section: SweepSection = field(default_factory=SweepSection, metadata={"key": "sweep"})
+    np_section: NPSection = _experiment_section(NPSection, "np")
+    linearize_section: LinearizeSection = _experiment_section(LinearizeSection, "linearize")
+    sweep_section: SweepSection = _experiment_section(SweepSection, "sweep")
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def to_dict(self):
@@ -318,10 +283,13 @@ def _read_leaf(hint, value, default, label, violations):
         return None
     kind = next((t for t in typing.get_args(hint) if t is not type(None)), hint)
     types, message = _LEAF_TYPES[kind]
-    if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
-        violations.append(f"{label} {message}")
-        return default
-    return float(value) if kind is float else value
+    if isinstance(value, types) and (kind is bool or not isinstance(value, bool)):
+        try:
+            return float(value) if kind is float else value
+        except OverflowError:  # an integer beyond the float range
+            pass
+    violations.append(f"{label} {message}")
+    return default
 
 
 def _read_fields(cls, raw, path, violations, defaults):
@@ -390,16 +358,7 @@ def config_from_dict(raw):
         )
     defaults = _EXPERIMENT_DEFAULTS.get(experiment, {}) if isinstance(experiment, str) else {}
     cfg = ExperimentConfig(**_read_fields(ExperimentConfig, raw, "", violations, defaults))
-
-    violations += cfg.flow.violations()
-    violations += cfg.perturbation.violations()
-    violations += cfg.output.violations()
-    if cfg.experiment == "np":
-        violations += cfg.np_section.violations()
-    if cfg.experiment == "linearize":
-        violations += cfg.linearize_section.violations()
-    if cfg.samples is not None and (not isinstance(cfg.samples, int) or cfg.samples < 1):
-        violations.append("samples must be an integer >= 1")
+    violations += rule_violations(cfg)
     violations += _semantic_violations(cfg)
     if violations:
         return None, violations
@@ -424,10 +383,18 @@ def _semantic_violations(cfg):
             out += _check_algebra(cfg.algebra_file)
         return out
     if experiment == "sweep":
-        out += cfg.sweep_section.violations()
-        if not out and not cfg.sweep_section.axes:
+        axes = cfg.sweep_section.axes
+        for key, values in axes.items():
+            if not isinstance(key, str) or not key:
+                out.append("sweep.axes keys must be non-empty dotted config paths")
+            if not isinstance(values, list) or not values:
+                out.append(f"sweep.axes[{key!r}] must be a non-empty list of values")
+        # The cells are expanded only from a sound sweep section.
+        if out or rule_violations(cfg.sweep_section):
+            return out
+        if not axes:
             out.append("sweep.axes must define at least one axis")
-        if not out:
+        else:
             try:
                 cells = expand_sweep(cfg)
             except ConfigError as exc:
@@ -641,7 +608,16 @@ def _subspace_directions(L, subspace):
     return [Form(4, row) for row in np.eye(DIMS[4])]
 
 
-def sample_initial(L, base, pcfg, rng, flow_kind="modified_coflow", max_halvings=40):
+def _perturbation_basis(L, subspace, flow_kind):
+    """Columns spanning the directions a perturbation is drawn from."""
+    if flow_kind != "modified_coflow":
+        return np.eye(DIMS[3])
+    return np.column_stack([f.coeffs for f in _subspace_directions(L, subspace)])
+
+
+def sample_initial(
+    L, base, pcfg, rng, flow_kind="modified_coflow", max_halvings=40, basis=None
+):
     """One positivity-validated random perturbation of the base form.
 
     Draws a unit direction in the configured subspace, scales it by
@@ -649,15 +625,15 @@ def sample_initial(L, base, pcfg, rng, flow_kind="modified_coflow", max_halvings
     a positive structure (3-form check for the Laplacian flow, 4-form
     recovery for the coflow).  Returns (form, scale_used, halvings, state)
     with ``state`` the structure the check built (a CoclosedState or a
-    G2Structure), so callers need not recover the form again.
+    G2Structure), so callers need not recover the form again.  ``basis``
+    spans the subspace (built from ``L`` when None); a caller drawing many
+    samples builds it once.
     """
     state_of = CoclosedState.from_psi if flow_kind == "modified_coflow" else G2Structure.from_phi
     if pcfg.magnitude == 0.0:
         return base, 0.0, 0, state_of(base)
-    if flow_kind == "modified_coflow":
-        basis = np.column_stack([f.coeffs for f in _subspace_directions(L, pcfg.subspace)])
-    else:
-        basis = np.eye(DIMS[3])
+    if basis is None:
+        basis = _perturbation_basis(L, pcfg.subspace, flow_kind)
     z = rng.standard_normal(basis.shape[1])
     direction = basis @ z
     norm = np.linalg.norm(direction)
@@ -705,8 +681,13 @@ def _run_ee1_static(cfg, path):
     ]
     n = cfg.samples
     max_rhs = 0.0
+    basis = None
+    if cfg.perturbation.magnitude:
+        basis = _perturbation_basis(L, cfg.perturbation.subspace, "modified_coflow")
     for i in range(n):
-        _, scale, halvings, sample_state = sample_initial(L, base, cfg.perturbation, rng)
+        _, scale, halvings, sample_state = sample_initial(
+            L, base, cfg.perturbation, rng, basis=basis
+        )
         rhs = float(np.linalg.norm(coflow_rhs(L, sample_state, cfg.flow.A).coeffs))
         max_rhs = max(max_rhs, rhs)
         records.append(
@@ -862,18 +843,11 @@ def _run_np(cfg, path):
         dt=cfg.flow.integrator.dt,
         vol0=cfg.np_section.vol0,
     )
-    if cfg.output.format == "csv":
-        traj.write_csv(path)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in zip(traj.t, traj.c, traj.vol, traj.rhs):
-                fh.write(
-                    json.dumps(
-                        {"t": float(row[0]), "c": float(row[1]), "vol": float(row[2]),
-                         "rhs": float(row[3])}
-                    )
-                    + "\n"
-                )
+    fieldnames = ["t", "c", "vol", "rhs"]
+    # tolist() gives Python floats, which print the same through repr and json.
+    columns = [getattr(traj, name).tolist() for name in fieldnames]
+    records = [dict(zip(fieldnames, row)) for row in zip(*columns)]
+    _write_records(path, cfg.output.format, records, fieldnames)
     summary = {
         "status": traj.status,
         "blow_down_time": traj.blow_down_time,
@@ -999,7 +973,7 @@ def run_experiment(cfg, output_dir=None):
     problems raise ConfigError, numerical failures raise G2FlowError
     subclasses.
     """
-    violations = cfg.flow.violations()
+    violations = rule_violations(cfg)
     if violations:
         raise ConfigError(violations)
     return _dispatch(cfg, output_dir)

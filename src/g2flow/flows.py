@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -75,44 +76,68 @@ INTEGRATOR_METHODS = ("rk4", "rkf45")
 # --------------------------------------------------------------------------
 
 
+# Range and choice rules.  A config field declares at most one, as its
+# metadata: a (test, message) pair under "rule"; the message may name the
+# offending value as {0!r}.  ``rule_violations`` checks them all.  A None
+# value passes where the field's default is None ("when set").
+
+
+def _is_positive(value):
+    return math.isfinite(value) and value > 0
+
+
+FINITE = {"rule": (math.isfinite, "must be finite")}
+POSITIVE = {"rule": (_is_positive, "must be > 0")}
+NON_NEGATIVE = {"rule": (lambda v: math.isfinite(v) and v >= 0, "must be >= 0")}
+POSITIVE_WHEN_SET = {"rule": (_is_positive, "must be > 0 when set")}
+POSITIVE_INT = {"rule": (lambda v: isinstance(v, int) and v >= 1, "must be an integer >= 1")}
+# The reader already reports a value that is no integer as "must be an integer".
+NON_NEGATIVE_INT = {"rule": (lambda v: isinstance(v, int) and v >= 0, "must be >= 0")}
+
+
+def one_of(choices):
+    """The rule that a value is one of ``choices``."""
+    return {"rule": (choices.__contains__, f"must be one of {'|'.join(choices)}, got {{0!r}}")}
+
+
+def rule_violations(config, path=""):
+    """Every rule declared on the fields of the dataclass ``config`` and of
+    its sections, in declaration order; each message starts with the field's
+    dotted path below ``path`` (a field's JSON name is its metadata "key",
+    else its attribute name).  A section whose metadata holds a "when"
+    predicate is checked only where the predicate holds for ``config``."""
+    out = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        key = f.metadata.get("key", f.name)
+        label = f"{path}.{key}" if path else key
+        if is_dataclass(value):
+            when = f.metadata.get("when")
+            if when is None or when(config):
+                out += rule_violations(value, label)
+        elif "rule" in f.metadata and not (value is None and f.default is None):
+            test, message = f.metadata["rule"]
+            if not test(value):
+                out.append(f"{label} {message.format(value)}")
+    return out
+
+
 @dataclass
 class DeTurckConfig:
     """Gauge-fixing correction; disabled by default (invariant flows on
     unimodular algebras need no gauge fixing), constants are inputs."""
 
     enabled: bool = False
-    c1: float = 0.0
-    c2: float = 0.0
-
-    def violations(self, prefix="deturck"):
-        out = []
-        for name in ("c1", "c2"):
-            if not np.isfinite(getattr(self, name)):
-                out.append(f"{prefix}.{name} must be finite")
-        return out
+    c1: float = field(default=0.0, metadata=FINITE)
+    c2: float = field(default=0.0, metadata=FINITE)
 
 
 @dataclass
 class IntegratorConfig:
-    method: str = "rk4"
-    dt: float = 1e-3
-    t_end: float = 1.0
-    rel_tol: float = 1e-8
-
-    def violations(self, prefix="integrator"):
-        out = []
-        if self.method not in INTEGRATOR_METHODS:
-            out.append(
-                f"{prefix}.method must be one of {'|'.join(INTEGRATOR_METHODS)}, "
-                f"got {self.method!r}"
-            )
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            out.append(f"{prefix}.dt must be > 0")
-        if not (np.isfinite(self.t_end) and self.t_end > 0):
-            out.append(f"{prefix}.t_end must be > 0")
-        if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
-            out.append(f"{prefix}.rel_tol must be > 0")
-        return out
+    method: str = field(default="rk4", metadata=one_of(INTEGRATOR_METHODS))
+    dt: float = field(default=1e-3, metadata=POSITIVE)
+    t_end: float = field(default=1.0, metadata=POSITIVE)
+    rel_tol: float = field(default=1e-8, metadata=POSITIVE)
 
 
 @dataclass
@@ -120,18 +145,12 @@ class MonitorConfig:
     """Which diagnostics are evaluated at record times (disabled ones are
     emitted as null) and how many accepted steps separate records."""
 
-    record_every: int = 10
+    record_every: int = field(default=10, metadata=POSITIVE_INT)
     trT: bool = True
     volume: bool = True
     closedness: bool = True
     rhs_norm: bool = True
     dist_ref: bool = True
-
-    def violations(self, prefix="monitors"):
-        out = []
-        if not (isinstance(self.record_every, int) and self.record_every >= 1):
-            out.append(f"{prefix}.record_every must be an integer >= 1")
-        return out
 
 
 @dataclass
@@ -139,42 +158,21 @@ class HaltConfig:
     """Halt thresholds; closedness drift past the tolerance stops the run
     (projecting back would mask right-hand-side bugs)."""
 
-    closedness_tol: float = 1e-6
-    max_rhs_norm: float | None = None
-
-    def violations(self, prefix="halt"):
-        out = []
-        if not (np.isfinite(self.closedness_tol) and self.closedness_tol > 0):
-            out.append(f"{prefix}.closedness_tol must be > 0")
-        if self.max_rhs_norm is not None and not (
-            np.isfinite(self.max_rhs_norm) and self.max_rhs_norm > 0
-        ):
-            out.append(f"{prefix}.max_rhs_norm must be > 0 when set")
-        return out
+    closedness_tol: float = field(default=1e-6, metadata=POSITIVE)
+    max_rhs_norm: float | None = field(default=None, metadata=POSITIVE_WHEN_SET)
 
 
 @dataclass
 class FlowConfig:
-    flow_kind: str = "modified_coflow"
-    A: float = 0.0
+    flow_kind: str = field(default="modified_coflow", metadata=one_of(FLOW_KINDS))
+    A: float = field(default=0.0, metadata=FINITE)
     deturck: DeTurckConfig = field(default_factory=DeTurckConfig)
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     monitors: MonitorConfig = field(default_factory=MonitorConfig)
     halt: HaltConfig = field(default_factory=HaltConfig)
 
     def violations(self):
-        out = []
-        if self.flow_kind not in FLOW_KINDS:
-            out.append(
-                f"flow_kind must be one of {'|'.join(FLOW_KINDS)}, got {self.flow_kind!r}"
-            )
-        if not np.isfinite(self.A):
-            out.append("A must be finite")
-        out += self.deturck.violations()
-        out += self.integrator.violations()
-        out += self.monitors.violations()
-        out += self.halt.violations()
-        return out
+        return rule_violations(self)
 
     def ensure_valid(self):
         violations = self.violations()
@@ -433,6 +431,7 @@ def integrate(L, config, state0, reference=None):
 
     cfg_int = config.integrator
     t_end = cfg_int.t_end
+    t_stop = t_end - 1e-12 * max(1.0, t_end)  # end of the horizon up to rounding
     t = 0.0
     steps = 0
     dt = cfg_int.dt
@@ -445,87 +444,64 @@ def integrate(L, config, state0, reference=None):
             FlowState(t=t, form=form, structure=_structure_of(state_obj), diagnostics=diag)
         )
 
-    def halt(reason, detail=""):
-        return {
-            "status": "halted",
-            "reason": reason,
-            "t": t,
-            "steps": steps,
-            "detail": detail,
-        }
+    def end(reason, detail="", status="halted"):
+        return {"status": status, "reason": reason, "t": t, "steps": steps, "detail": detail}
 
     snapshot(state0, _diagnostics(evaluator, config, y, ref_vec))
     if (
         config.monitors.closedness
-        and states[0].diagnostics["closedness"] is not None
         and states[0].diagnostics["closedness"] > config.halt.closedness_tol
     ):
-        termination = halt("closedness", "initial state violates the closedness tolerance")
+        termination = end("closedness", "initial state violates the closedness tolerance")
 
     while termination is None:
-        if t >= t_end - 1e-12 * max(1.0, t_end):
-            termination = {
-                "status": "completed",
-                "reason": "t_end",
-                "t": t,
-                "steps": steps,
-                "detail": "",
-            }
+        if t >= t_stop:
+            termination = end("t_end", status="completed")
             break
         h = min(dt, t_end - t)
         try:
             if cfg_int.method == "rk4":
                 y_new = _rk4_step(evaluator.f, y, h)
             else:
+                scale = cfg_int.rel_tol * max(1.0, float(np.linalg.norm(y)))
                 while True:
                     y_new, err = _rkf45_attempt(evaluator.f, y, h)
-                    scale = cfg_int.rel_tol * max(1.0, float(np.linalg.norm(y)))
-                    if err <= scale or not np.isfinite(err):
+                    accepted = err <= scale
+                    if accepted or not np.isfinite(err):
                         break
                     h *= max(0.2, 0.9 * (scale / err) ** 0.2)
                     if h < 1e-14 * max(1.0, t):
                         break
                 if h < 1e-14 * max(1.0, t):
-                    termination = halt("step_underflow", f"step size fell to {h:.3e}")
+                    termination = end("step_underflow", f"step size fell to {h:.3e}")
                     break
-                if err <= cfg_int.rel_tol * max(1.0, float(np.linalg.norm(y))):
+                if accepted:
                     dt = h * min(5.0, max(0.2, 0.9 * (cfg_int.rel_tol / max(err, 1e-300)) ** 0.2))
-        except PositivityError as exc:
-            termination = halt("positivity", str(exc))
-            break
-        except RecoveryError as exc:
-            termination = halt("newton", str(exc))
-            break
-        if not np.all(np.isfinite(y_new)):
-            termination = halt("nonfinite", "state left the finite range")
-            break
-        y = y_new
-        t += h
-        steps += 1
-        closed_res = evaluator.closedness(y)
-        if closed_res > config.halt.closedness_tol:
-            termination = halt(
-                "closedness", f"closedness residual {closed_res:.3e} exceeded tolerance"
-            )
-            break
-        record_now = steps % config.monitors.record_every == 0
-        final_now = t >= t_end - 1e-12 * max(1.0, t_end)
-        if record_now or final_now:
-            try:
+            if not np.all(np.isfinite(y_new)):
+                termination = end("nonfinite", "state left the finite range")
+                break
+            y = y_new
+            t += h
+            steps += 1
+            closed_res = evaluator.closedness(y)
+            if closed_res > config.halt.closedness_tol:
+                termination = end(
+                    "closedness", f"closedness residual {closed_res:.3e} exceeded tolerance"
+                )
+                break
+            if steps % config.monitors.record_every == 0 or t >= t_stop:
                 state_obj = evaluator.state_of(y)
-            except (PositivityError, RecoveryError) as exc:
-                reason = "positivity" if isinstance(exc, PositivityError) else "newton"
-                termination = halt(reason, str(exc))
-                break
-            diag = _diagnostics(evaluator, config, y, ref_vec)
-            snapshot(state_obj, diag)
-            if (
-                config.halt.max_rhs_norm is not None
-                and diag["rhs_norm"] is not None
-                and diag["rhs_norm"] > config.halt.max_rhs_norm
-            ):
-                termination = halt("rhs_blowup", f"rhs_norm {diag['rhs_norm']:.3e}")
-                break
+                diag = _diagnostics(evaluator, config, y, ref_vec)
+                snapshot(state_obj, diag)
+                if (
+                    config.halt.max_rhs_norm is not None
+                    and diag["rhs_norm"] is not None
+                    and diag["rhs_norm"] > config.halt.max_rhs_norm
+                ):
+                    termination = end("rhs_blowup", f"rhs_norm {diag['rhs_norm']:.3e}")
+        except (PositivityError, RecoveryError) as exc:
+            reason = "positivity" if isinstance(exc, PositivityError) else "newton"
+            termination = end(reason, str(exc))
     return Trajectory(flow_kind=config.flow_kind, states=states, termination=termination)
 
 

@@ -203,8 +203,8 @@ class CoclosedState:
     residual: float
 
     @classmethod
-    def from_psi(cls, psi, seed=None, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
-        """Recover the structure of psi; ``seed`` is accepted and ignored."""
+    def from_psi(cls, psi, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
+        """Recover the structure of psi in closed form (see ``phi_of_psi``)."""
         structure = phi_of_psi(psi, tol=tol, max_iter=max_iter)
         residual = float(np.linalg.norm(structure.psi.coeffs - psi.coeffs))
         return cls(psi=psi, recovered=structure, residual=residual)

@@ -20,13 +20,13 @@ scaling behavior.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .conventions import BLOWDOWN_THRESHOLD
 from .errors import ConfigError, G2FlowError
+from .flows import FINITE, POSITIVE, rule_violations
 
 __all__ = ["NPParams", "NPTrajectory", "np_rhs", "np_closed_form", "np_solve"]
 
@@ -35,18 +35,12 @@ __all__ = ["NPParams", "NPTrajectory", "np_rhs", "np_closed_form", "np_solve"]
 class NPParams:
     """Torsion constant tau0, coflow parameter A, initial factor c0 > 0."""
 
-    tau0: float
-    A: float = 0.0
-    c0: float = 1.0
+    tau0: float = field(metadata=FINITE)
+    A: float = field(default=0.0, metadata=FINITE)
+    c0: float = field(default=1.0, metadata=POSITIVE)
 
     def __post_init__(self):
-        violations = []
-        if not np.isfinite(self.tau0):
-            violations.append("tau0 must be finite")
-        if not np.isfinite(self.A):
-            violations.append("A must be finite")
-        if not (np.isfinite(self.c0) and self.c0 > 0):
-            violations.append("c0 must be > 0")
+        violations = rule_violations(self)
         if violations:
             raise ConfigError(violations)
 
@@ -84,13 +78,6 @@ class NPTrajectory:
     status: str
     blow_down_time: float | None
     closed_form_max_rel_err: float | None
-
-    def write_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "c", "vol", "rhs"])
-            for row in zip(self.t, self.c, self.vol, self.rhs):
-                writer.writerow([repr(float(v)) for v in row])
 
 
 def np_solve(params, t_end, dt=1e-4, vol0=1.0):

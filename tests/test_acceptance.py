@@ -119,7 +119,7 @@ def test_criterion_03_static_suite(announce, ee1):
     # positivity-validated neighbours, and a long integration all sit still.
     with gate(announce, 3, "static suite on ee1"):
         t0 = time.perf_counter()
-        base = CoclosedState.from_psi(standard_psi(), seed=standard_phi())
+        base = CoclosedState.from_psi(standard_psi())
         assert np.linalg.norm(_rhs0(ee1, base).coeffs) <= 1e-10
 
         rng = np.random.default_rng(31)
@@ -240,10 +240,7 @@ def test_criterion_07_torsion_scaling(announce, ee1, ee2):
                 state = coclosed_sample(L, rng, magnitude=0.2)
                 trt = torsion_trace(L, state)
                 for c in (0.5, 2.0, 5.0):
-                    scaled = CoclosedState.from_psi(
-                        Form(4, c * state.psi.coeffs),
-                        seed=Form(3, c**0.75 * state.recovered.phi.coeffs),
-                    )
+                    scaled = CoclosedState.from_psi(Form(4, c * state.psi.coeffs))
                     assert torsion_trace(L, scaled) == pytest.approx(
                         c**-0.25 * trt, rel=1e-8
                     )
@@ -323,7 +320,7 @@ def test_criterion_11_linearization_sanity(announce, ee1, ee2):
     # The quadratic refinement law itself is exhibited at a static family
     # member whose linearization is genuinely nonzero.
     with gate(announce, 11, "linearization sanity"):
-        base = CoclosedState.from_psi(standard_psi(), seed=standard_phi())
+        base = CoclosedState.from_psi(standard_psi())
         dirs = coclosed_directions(ee1)
         eps = 2e-3
         coarse = linearize(ee1, _rhs0, base, dirs, eps=eps)

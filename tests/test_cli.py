@@ -78,7 +78,7 @@ class TestRunVerb:
         code, out, err = _run(capsys, ["run", cfg])
         assert code == EXIT_CONFIG
         assert out == ""
-        assert "config error: integrator.dt must be > 0" in err
+        assert "config error: flow.integrator.dt must be > 0" in err
         assert "config error: output.format must be one of jsonl|csv, got 'xml'" in err
 
     def test_unknown_algebra_lists_known_names(self, capsys, tmp_path):
@@ -185,6 +185,26 @@ class TestRunVerb:
             code, _, err = _run(capsys, ["run", cfg, "--output-dir", str(tmp_path)])
             assert code == EXIT_CONFIG
             assert "config error: initial must be a fixture name or a list of 35" in err
+
+    def test_integer_beyond_float_range_exits_config(self, capsys, tmp_path):
+        huge = 10**400  # valid JSON, but no float holds it
+        cases = (
+            ({"experiment": "ee2_flow", "flow": {"A": huge}}, "flow.A must be a number"),
+            (
+                {"experiment": "ee2_flow", "initial": [huge] + [0] * 34},
+                "initial must be a fixture name or a list of 35 numbers",
+            ),
+            (
+                {"experiment": "sweep", "sweep": {"experiment": "np", "axes": {"np.c0": [huge]}}},
+                "sweep cell 0: np.c0 must be a number",
+            ),
+        )
+        for payload, message in cases:
+            cfg = _config(tmp_path, {"schema_version": 1, **payload})
+            code, out, err = _run(capsys, ["run", cfg, "--validate-only"])
+            assert code == EXIT_CONFIG
+            assert out == ""
+            assert err == f"config error: {message}\n"
 
     def test_output_path_that_is_a_directory_exits_config(self, capsys, tmp_path):
         (tmp_path / "taken").mkdir()

@@ -97,6 +97,12 @@ CASES = {
     "inline_initial_infinite": _cfg("ee2_flow", initial=[_INF] + [0.0] * 34),
     "negative_seed": _cfg("ee2_flow", perturbation={"seed": -1}),
     "bools_are_not_numbers": _cfg("ee2_flow", samples=True, flow={"A": False}),
+    # Integer literals beyond the float range.
+    "huge_integers": _cfg(
+        "ee2_flow",
+        initial=[10**400] + [0] * 34,
+        flow={"A": 10**400, "integrator": {"dt": -(10**400)}},
+    ),
     # Range and cross-field checks.
     "range_errors": _cfg(
         "ee2_flow",
@@ -145,6 +151,9 @@ CASES = {
     ),
     "sweep_invalid_cell": _cfg(
         "sweep", sweep={"experiment": "np", "axes": {"np.tau0": [0.5, -_INF, "x"]}}
+    ),
+    "sweep_huge_integer_cell": _cfg(
+        "sweep", sweep={"experiment": "np", "axes": {"np.tau0": [1, 10**400]}}
     ),
     "sweep_reserved_root": _cfg(
         "sweep", sweep={"experiment": "np", "axes": {"output.format": ["csv"]}}

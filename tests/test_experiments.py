@@ -1,6 +1,9 @@
 """Tests for the experiment config schema, sweep expansion, and drivers."""
 
+import dataclasses
 import json
+import math
+import typing
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from g2flow import (
     family_coefficient_law,
     family_monomial_pattern,
     family_stretch_factors,
+    FlowConfig,
     G2FlowError,
     load_algebra,
     run_experiment,
@@ -20,6 +24,8 @@ from g2flow import (
 )
 from g2flow.conventions import NEWTON_TOL
 from g2flow.experiments import (
+    EXPERIMENTS,
+    ExperimentConfig,
     PerturbationConfig,
     _E1357,
     check_fixture,
@@ -166,7 +172,7 @@ class TestConfigFromDict:
             output={"format": "xml"},
         )
         _, violations = config_from_dict(raw)
-        assert "integrator.dt must be > 0" in violations
+        assert "flow.integrator.dt must be > 0" in violations
         assert (
             "perturbation.subspace must be one of coclosed|exact|full, got 'sideways'"
             in violations
@@ -238,6 +244,59 @@ class TestConfigFromDict:
         assert "initial must be a fixture name or a list of 35 numbers" in violations
 
 
+def _leaves(cls, path=""):
+    """(dotted path, field, value type) of every leaf of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        key = f.metadata.get("key", f.name)
+        label = f"{path}.{key}" if path else key
+        if dataclasses.is_dataclass(hints[f.name]):
+            yield from _leaves(hints[f.name], label)
+        else:
+            kinds = [t for t in typing.get_args(hints[f.name]) if t is not type(None)]
+            yield label, f, kinds[0] if kinds else hints[f.name]
+
+
+def _nested(dotted, value):
+    """The JSON object that sets one dotted path."""
+    for part in reversed(dotted.split(".")):
+        value = {part: value}
+    return value
+
+
+class TestRuleWalk:
+    def test_every_checked_float_rejects_non_finite_values(self):
+        float_leaves = [label for label, _, kind in _leaves(ExperimentConfig) if kind is float]
+        assert len(float_leaves) == 14
+        for label in float_leaves:
+            root = label.split(".")[0]
+            # The np and linearize sections are checked only for their experiment.
+            experiment = root if root in EXPERIMENTS else "ee2_flow"
+            for bad in (math.nan, math.inf, -math.inf):
+                _, violations = config_from_dict(_minimal(experiment, **_nested(label, bad)))
+                assert len(violations) == 1, (label, bad, violations)
+                assert violations[0].startswith(f"{label} must be "), (label, violations)
+
+    def test_flow_rules_read_through_the_config_carry_the_flow_prefix(self):
+        # A value of each type that breaks every rule of that type.
+        bad_values = {float: -math.inf, int: -1, str: "bogus"}
+        ruled = [(label, kind) for label, f, kind in _leaves(FlowConfig) if "rule" in f.metadata]
+        assert len(ruled) == 11
+        for label, kind in ruled:
+            flow = FlowConfig()
+            *parents, name = label.split(".")
+            section = flow
+            for part in parents:
+                section = getattr(section, part)
+            setattr(section, name, bad_values[kind])
+            expected = flow.violations()
+            assert len(expected) == 1 and expected[0].startswith(f"{label} "), expected
+            _, violations = config_from_dict(
+                _minimal("ee2_flow", flow=_nested(label, bad_values[kind]))
+            )
+            assert violations == ["flow." + expected[0]]
+
+
 class TestValidateConfig:
     def test_ok_report_echoes_defaults(self, tmp_path):
         path = _write(tmp_path, "ok.json", _minimal("np", np={"tau0": 0.5}))
@@ -262,7 +321,7 @@ class TestValidateConfig:
         )
         report = validate_config(path)
         assert not report.ok
-        assert report.violations == ["integrator.dt must be > 0"]
+        assert report.violations == ["flow.integrator.dt must be > 0"]
 
 
 class TestExpandSweep:
@@ -416,6 +475,22 @@ class TestRunExperiment:
         result = run_experiment(cfg, output_dir=tmp_path)
         assert result.summary["passed"] is True
         assert len(calls) == 1 + 3  # the reference plus one per accepted sample
+
+    def test_ee1_static_builds_the_subspace_basis_once(self, tmp_path, monkeypatch):
+        from g2flow import experiments
+
+        calls = []
+        directions = experiments.coclosed_directions
+
+        def counting(L):
+            calls.append(1)
+            return directions(L)
+
+        monkeypatch.setattr(experiments, "coclosed_directions", counting)
+        cfg, _ = config_from_dict(_minimal("ee1_static", samples=5))
+        result = run_experiment(cfg, output_dir=tmp_path)
+        assert result.summary["passed"] is True
+        assert len(calls) == 1
 
     def test_ee2_family_driver(self, tmp_path):
         cfg, violations = config_from_dict(_minimal("ee2_family", samples=4))

@@ -95,7 +95,7 @@ class TestCoflowRhs:
     def test_reference_state_is_static(self, ee1):
         # The standard structure is a stationary point of the plain
         # coflow on this algebra.
-        state = CoclosedState.from_psi(standard_psi(), seed=standard_phi())
+        state = CoclosedState.from_psi(standard_psi())
         assert np.linalg.norm(coflow_rhs(ee1, state, 0.0).coeffs) <= 1e-10
 
     def test_parameter_dependence_is_affine(self, ee1, ee2, rng):
@@ -203,13 +203,8 @@ class TestVolumeMonotonicity:
                 crit = volume_monotonicity_criterion(L, state, A)
                 vol = state.recovered.volume
                 f = coflow_rhs(L, state, A).coeffs
-                seed = state.recovered.phi
-                vp = CoclosedState.from_psi(
-                    Form(4, state.psi.coeffs + h * f), seed=seed
-                ).recovered.volume
-                vm = CoclosedState.from_psi(
-                    Form(4, state.psi.coeffs - h * f), seed=seed
-                ).recovered.volume
+                vp = CoclosedState.from_psi(Form(4, state.psi.coeffs + h * f)).recovered.volume
+                vm = CoclosedState.from_psi(Form(4, state.psi.coeffs - h * f)).recovered.volume
                 dvdt = (vp - vm) / (2.0 * h)
                 if abs(crit) < 1e-4:
                     continue  # sign is ambiguous at the stationary locus
@@ -254,7 +249,7 @@ class TestDirectionBases:
 class TestIntegrate:
     def test_static_state_stays_put(self, ee1):
         # Long run at the stationary state: the trajectory must not drift.
-        state = CoclosedState.from_psi(standard_psi(), seed=standard_phi())
+        state = CoclosedState.from_psi(standard_psi())
         cfg = FlowConfig(integrator=IntegratorConfig(dt=1e-2, t_end=10.0))
         traj = integrate(ee1, cfg, state)
         assert traj.termination["status"] == "completed"
@@ -333,7 +328,7 @@ class TestIntegrate:
         assert traj.states[0].diagnostics["dist_ref"] == pytest.approx(expected, rel=1e-12)
 
     def test_disabled_monitors_record_none(self, ee1):
-        state = CoclosedState.from_psi(standard_psi(), seed=standard_phi())
+        state = CoclosedState.from_psi(standard_psi())
         cfg = FlowConfig(
             integrator=IntegratorConfig(dt=1e-2, t_end=0.05),
             monitors=MonitorConfig(record_every=1, trT=False, volume=False, dist_ref=False),
@@ -352,7 +347,7 @@ class TestIntegrate:
             integrate(ee1, cfg, G2Structure.from_phi(standard_phi()))
 
     def test_invalid_config_raises(self, ee1):
-        state = CoclosedState.from_psi(standard_psi(), seed=standard_phi())
+        state = CoclosedState.from_psi(standard_psi())
         with pytest.raises(ConfigError, match="integrator.dt must be > 0"):
             integrate(ee1, FlowConfig(integrator=IntegratorConfig(dt=-1.0)), state)
 
@@ -368,7 +363,7 @@ class TestHalts:
     def test_initial_closedness_violation(self, ee1):
         # A generic 4-form is not closed; the run must stop before stepping.
         psi = Form(4, standard_psi().coeffs + 1e-3 * np.arange(35, dtype=float))
-        state = CoclosedState.from_psi(psi, seed=standard_phi())
+        state = CoclosedState.from_psi(psi)
         traj = integrate(ee1, FlowConfig(), state)
         term = traj.termination
         assert term["status"] == "halted"
@@ -482,7 +477,7 @@ class TestLinearize:
     def test_reference_point_has_zero_linearization(self, ee1):
         # Every nearby invariant coclosed structure is also static,
         # so the flow map has vanishing derivative in coclosed directions.
-        base = CoclosedState.from_psi(standard_psi(), seed=standard_phi())
+        base = CoclosedState.from_psi(standard_psi())
         dirs = coclosed_directions(ee1)
         report = linearize(ee1, _rhs0, base, dirs, eps=1e-3)
         assert report.matrix.shape == (len(dirs), len(dirs))
@@ -493,7 +488,7 @@ class TestLinearize:
     def test_refinement_keeps_zero_matrix(self, ee1):
         # Halving eps must leave the zero matrix in place: entry changes stay
         # within a quadratic-in-eps budget instead of exploding as 1/eps.
-        base = CoclosedState.from_psi(standard_psi(), seed=standard_phi())
+        base = CoclosedState.from_psi(standard_psi())
         dirs = coclosed_directions(ee1)
         eps = 2e-3
         coarse = linearize(ee1, _rhs0, base, dirs, eps=eps)
@@ -517,7 +512,7 @@ class TestLinearize:
         assert d_coarse / d_fine == pytest.approx(4.0, rel=0.2)
 
     def test_directions_are_l2_orthonormal(self, ee1):
-        base = CoclosedState.from_psi(standard_psi(), seed=standard_phi())
+        base = CoclosedState.from_psi(standard_psi())
         report = linearize(ee1, _rhs0, base, coclosed_directions(ee1), eps=1e-3)
         structure = base.recovered
         gram = structure.metric.gram(4) * structure.volume
@@ -530,7 +525,7 @@ class TestLinearize:
             linearize(ee2, _rhs0, state, coclosed_directions(ee2))
 
     def test_degenerate_directions_raise(self, ee1):
-        base = CoclosedState.from_psi(standard_psi(), seed=standard_phi())
+        base = CoclosedState.from_psi(standard_psi())
         dirs = coclosed_directions(ee1)
         with pytest.raises(G2FlowError, match="degenerate direction set"):
             linearize(ee1, _rhs0, base, [dirs[0], dirs[0]])
@@ -540,6 +535,6 @@ class TestLinearize:
             linearize(ee1, _rhs0, G2Structure.from_phi(standard_phi()), [])
 
     def test_empty_directions_raise(self, ee1):
-        base = CoclosedState.from_psi(standard_psi(), seed=standard_phi())
+        base = CoclosedState.from_psi(standard_psi())
         with pytest.raises(G2FlowError, match="non-empty"):
             linearize(ee1, _rhs0, base, [])

@@ -160,7 +160,7 @@ class TestRecovery:
     def test_coclosed_state_residuals(self, phi_bar):
         exact = CoclosedState.from_phi(phi_bar)
         assert exact.residual == 0.0
-        rebuilt = CoclosedState.from_psi(exact.psi, seed=phi_bar)
+        rebuilt = CoclosedState.from_psi(exact.psi)
         assert rebuilt.residual <= 1e-10
 
 
@@ -235,10 +235,7 @@ class TestTorsion:
                 state = coclosed_sample(L, rng, magnitude=0.2)
                 base = torsion_trace(L, state)
                 for c in (0.5, 2.0, 5.0):
-                    scaled = CoclosedState.from_psi(
-                        Form(4, c * state.psi.coeffs),
-                        seed=Form(3, c**0.75 * state.recovered.phi.coeffs),
-                    )
+                    scaled = CoclosedState.from_psi(Form(4, c * state.psi.coeffs))
                     got = torsion_trace(L, scaled)
                     assert np.isclose(got, c ** (-0.25) * base, rtol=1e-8, atol=1e-12)
 

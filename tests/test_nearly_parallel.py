@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from g2flow import ConfigError, G2FlowError, NPParams, np_closed_form, np_rhs, np_solve
+from g2flow import (
+    ConfigError,
+    G2FlowError,
+    NPParams,
+    config_from_dict,
+    np_closed_form,
+    np_rhs,
+    np_solve,
+    run_experiment,
+)
 
 from .oracles import np_closed_form_oracle
 
@@ -139,16 +148,19 @@ class TestSolve:
         assert np.allclose(np.diff(traj.t), 1e-3, atol=1e-12)
 
     def test_csv_columns(self, tmp_path):
+        raw = {
+            "schema_version": 1,
+            "experiment": "np",
+            "flow": {"integrator": {"t_end": 0.01, "dt": 1e-3}},
+            "output": {"format": "csv"},
+        }
+        cfg, violations = config_from_dict(raw)
+        assert violations == []
+        (path,) = run_experiment(cfg, output_dir=tmp_path).files
         traj = np_solve(NPParams(tau0=1.0), t_end=0.01, dt=1e-3)
-        path = tmp_path / "np.csv"
-        traj.write_csv(path)
-        lines = path.read_text().splitlines()
+        lines = open(path, encoding="utf-8").read().splitlines()
         assert lines[0] == "t,c,vol,rhs"
-        assert len(lines) == 1 + len(traj.t)
-        row = lines[1].split(",")
-        assert [float(v) for v in row] == [
-            traj.t[0],
-            traj.c[0],
-            traj.vol[0],
-            traj.rhs[0],
+        assert lines[1:] == [
+            ",".join(repr(float(v)) for v in row)
+            for row in zip(traj.t, traj.c, traj.vol, traj.rhs)
         ]
