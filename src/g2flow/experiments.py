@@ -50,6 +50,7 @@ from .flows import (
     NON_NEGATIVE_INT,
     POSITIVE,
     POSITIVE_INT,
+    RECORD_FIELDS,
     FlowConfig,
     coclosed_directions,
     coflow_rhs,
@@ -84,6 +85,7 @@ SUBSPACES = ("coclosed", "exact", "full")
 OUTPUT_FORMATS = ("jsonl", "csv")
 
 _MAX_SWEEP_CELLS = 1000
+_PSI_COLUMNS = [f"psi_{i:02d}" for i in range(DIMS[4])]
 
 
 # --------------------------------------------------------------------------
@@ -356,13 +358,22 @@ def config_from_dict(raw):
         violations.append(
             f"experiment must be one of {'|'.join(EXPERIMENTS)}, got {experiment!r}"
         )
-    defaults = _EXPERIMENT_DEFAULTS.get(experiment, {}) if isinstance(experiment, str) else {}
-    cfg = ExperimentConfig(**_read_fields(ExperimentConfig, raw, "", violations, defaults))
+    cfg = ExperimentConfig(**_read_fields(ExperimentConfig, raw, "", violations, _defaults(raw)))
     violations += rule_violations(cfg)
     violations += _semantic_violations(cfg)
     if violations:
         return None, violations
     return cfg, []
+
+
+def _defaults(raw):
+    """The experiment-dependent defaults of a raw config; a sweep takes those
+    of the experiment it sweeps, so its cells inherit them."""
+    experiment = raw.get("experiment")
+    if experiment == "sweep":
+        section = raw.get("sweep")
+        experiment = section.get("experiment") if isinstance(section, dict) else None
+    return _EXPERIMENT_DEFAULTS.get(experiment, {}) if isinstance(experiment, str) else {}
 
 
 def _semantic_violations(cfg):
@@ -612,7 +623,9 @@ def _perturbation_basis(L, subspace, flow_kind):
     """Columns spanning the directions a perturbation is drawn from."""
     if flow_kind != "modified_coflow":
         return np.eye(DIMS[3])
-    return np.column_stack([f.coeffs for f in _subspace_directions(L, subspace)])
+    columns = [f.coeffs for f in _subspace_directions(L, subspace)]
+    # An empty subspace (the exact 4-forms of an abelian algebra) has no columns.
+    return np.column_stack(columns) if columns else np.zeros((DIMS[4], 0))
 
 
 def sample_initial(
@@ -708,18 +721,8 @@ def _run_ee1_static(cfg, path):
             "passed": passed,
         }
     )
-    fieldnames = [
-        "record",
-        "index",
-        "rhs_norm",
-        "scale",
-        "halvings",
-        "samples",
-        "reference_rhs_norm",
-        "tolerance",
-        "passed",
-    ]
-    _write_records(path, cfg.output.format, records, fieldnames)
+    # The summary record carries every column, in order.
+    _write_records(path, cfg.output.format, records, list(records[-1]))
     summary = {
         "reference_rhs_norm": standard_rhs,
         "samples": n,
@@ -781,15 +784,7 @@ def _run_ee2_family(cfg, path):
             }
         )
         records.append(rec)
-    fieldnames = ["index"] + [f"c{j + 1}" for j in range(7)] + [
-        "coeff_computed",
-        "coeff_law",
-        "law_err",
-        "coeff_direct",
-        "direct_err",
-        "off_max",
-    ]
-    _write_records(path, cfg.output.format, records, fieldnames)
+    _write_records(path, cfg.output.format, records, list(records[0]))
     summary = {
         "samples": n,
         "max_law_rel_err": max_law_err,
@@ -814,10 +809,14 @@ def _run_flow(cfg, path, experiment):
         L, base, cfg.perturbation, rng, cfg.flow.flow_kind
     )
     trajectory = integrate(L, cfg.flow, state0, reference=base)
-    if cfg.output.format == "jsonl":
-        trajectory.write_jsonl(path)
-    else:
-        trajectory.write_csv(path)
+    records = trajectory.records()
+    fieldnames = list(RECORD_FIELDS)
+    if cfg.output.format == "csv":
+        # The CSV mirror flattens the psi vector into psi_00..psi_34.
+        for rec in records:
+            rec.update(zip(_PSI_COLUMNS, rec.pop("psi")))
+        fieldnames[1:2] = _PSI_COLUMNS
+    _write_records(path, cfg.output.format, records, fieldnames)
     term = trajectory.termination
     summary = {
         "termination": term,

@@ -18,6 +18,10 @@ Conventions
   index tables built at import, one product and one sum over the slots.
 * The positive orientation is e^{1234567}; a Metric carries an orientation
   sign that flips the volume form and the star.
+* A Metric caches its inverse, determinant, volume, smallest eigenvalue
+  and the eight Gram matrices, and nothing else.  The star is applied from the
+  Gram matrices (``Metric.star_coeffs``); ``Metric.star_matrix`` builds the
+  star as a matrix on each call, for the callers that need one.
 """
 
 from __future__ import annotations
@@ -286,14 +290,13 @@ def exterior_powers(matrix):
 class Metric:
     """Symmetric positive-definite inner product on the 7-dimensional space.
 
-    Instances cache derived operators (inverse, Gram matrices, star blocks);
+    Instances cache derived data (inverse, determinant, Gram matrices);
     treat them as immutable after construction.
     """
 
     g: np.ndarray
     orientation: int = 1
     _gram: dict = field(default_factory=dict, repr=False)
-    _star: dict = field(default_factory=dict, repr=False)
     _spd_checked: bool = field(default=False, repr=False)
 
     def __post_init__(self):
@@ -363,16 +366,25 @@ class Metric:
                 self._gram[deg] = mat
         return self._gram[k]
 
+    def star_coeffs(self, k, coeffs):
+        """Hodge star of the k-form with coefficients ``coeffs``, as the
+        coefficients of a (7-k)-form: the Gram product, scaled and signed,
+        scattered to the complementary monomials."""
+        out = np.empty(DIMS[DIM - k])
+        out[COMPL_INDEX[k]] = self._star_scale(k) * (self.gram(k) @ coeffs)
+        return out
+
     def star_matrix(self, k):
-        """Matrix of the Hodge star from k-forms to (7-k)-forms."""
-        if k not in self._star:
-            self.require_spd()
-            mat = np.zeros((DIMS[DIM - k], DIMS[k]))
-            scale = self.sqrt_det * self.orientation
-            mat[COMPL_INDEX[k], :] = (COMPL_SIGN[k] * scale)[:, None] * self.gram(k)
-            mat.flags.writeable = False
-            self._star[k] = mat
-        return self._star[k]
+        """Matrix of the Hodge star from k-forms to (7-k)-forms, built on
+        each call (the flow's hot path applies ``star_coeffs`` instead)."""
+        mat = np.zeros((DIMS[DIM - k], DIMS[k]))
+        mat[COMPL_INDEX[k]] = self._star_scale(k)[:, None] * self.gram(k)
+        return mat
+
+    def _star_scale(self, k):
+        # (star a)_{I^c} = sign(I, I^c) * orientation * sqrt(det g) * (G_k a)_I.
+        self.require_spd()
+        return COMPL_SIGN[k] * (self.orientation * self.sqrt_det)
 
 
 def wedge(a, b):
@@ -404,7 +416,7 @@ def inner(g, a, b):
 
 def star(g, a):
     """Hodge star of a, defined by b ^ star(a) = inner(b, a) vol for all b."""
-    return Form(DIM - a.degree, g.star_matrix(a.degree) @ a.coeffs)
+    return Form(DIM - a.degree, g.star_coeffs(a.degree, a.coeffs))
 
 
 def form_norm(g, a):

@@ -20,6 +20,13 @@ when closedness drifts, positivity or recovery fails, a step
 underflows, or values stop being finite; the termination record carries the
 cause.
 
+A Trajectory is a list of FlowState records and the termination record.
+Each snapshot takes what the output needs at record time, while the
+step's metric is live: t, the flowing form, psi (star phi for the Laplacian
+flow) and the diagnostics.  It keeps no structure or metric, so only the
+current step's operators are alive at any time.  The experiments write
+``Trajectory.records()`` through their shared record writer.
+
 ``linearize`` probes a static point with central finite differences along a
 direction basis orthonormalized in the L2 inner product (pointwise metric
 inner product times the constant volume), reports the raw matrix, the
@@ -28,8 +35,6 @@ eigenvalues of its symmetrization, and the asymmetry norm.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
@@ -247,24 +252,18 @@ RECORD_FIELDS = ("t", "psi", "trT", "volume", "closedness", "rhs_norm", "dist_re
 
 @dataclass(eq=False)
 class FlowState:
-    """Snapshot along a flow: time, flowing form, structure, diagnostics.
+    """Snapshot along a flow: time, flowing form, its dual 4-form, diagnostics.
 
-    ``diagnostics`` holds the monitor values (None when a monitor is off):
-    trT, volume, closedness, rhs_norm, dist_ref.
+    ``psi`` is the flowing form itself for the coflow and star(phi) for the
+    Laplacian flow, taken while the step's metric was live; a snapshot keeps
+    no structure or metric.  ``diagnostics`` holds the monitor values (None
+    when a monitor is off): trT, volume, closedness, rhs_norm, dist_ref.
     """
 
     t: float
     form: Form
-    structure: G2Structure
+    psi: Form
     diagnostics: dict
-
-    @property
-    def psi(self):
-        return self.form if self.form.degree == 4 else self.structure.psi
-
-    @property
-    def phi(self):
-        return self.form if self.form.degree == 3 else self.structure.phi
 
     def record(self):
         """Record dict in the trajectory output schema."""
@@ -291,23 +290,6 @@ class Trajectory:
 
     def records(self):
         return [s.record() for s in self.states]
-
-    def write_jsonl(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.records():
-                fh.write(json.dumps(rec) + "\n")
-
-    def write_csv(self, path):
-        """CSV mirror; the psi vector is flattened into psi_00..psi_34."""
-        header = ["t"] + [f"psi_{i:02d}" for i in range(len(self.states[0].psi.coeffs))]
-        header += list(RECORD_FIELDS[2:])
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for rec in self.records():
-                row = [repr(rec["t"])] + [repr(c) for c in rec["psi"]]
-                row += ["" if rec[k] is None else repr(rec[k]) for k in RECORD_FIELDS[2:]]
-                writer.writerow(row)
 
 
 class _Evaluator:
@@ -440,9 +422,7 @@ def integrate(L, config, state0, reference=None):
 
     def snapshot(state_obj, diag):
         form = state_obj.psi if coflow else state_obj.phi
-        states.append(
-            FlowState(t=t, form=form, structure=_structure_of(state_obj), diagnostics=diag)
-        )
+        states.append(FlowState(t=t, form=form, psi=state_obj.psi, diagnostics=diag))
 
     def end(reason, detail="", status="halted"):
         return {"status": status, "reason": reason, "t": t, "steps": steps, "detail": detail}

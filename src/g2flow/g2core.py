@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .conventions import (
+    CODIFF_SIGN,
     METRIC_KAPPA,
     NEWTON_MAX_ITER,
     NEWTON_TOL,
@@ -35,11 +36,10 @@ from .exterior import (
     WEDGE,
     Form,
     Metric,
-    inner,
     star,
     wedge,
 )
-from .liealg import differential, hodge_laplacian_matrix, levi_civita
+from .liealg import _require_unimodular, differential, levi_civita
 
 # _P223[(a, b), c]: coefficient of e^{1..7} in (2-form basis a) ^ (2-form
 # basis b) ^ (3-form basis c); _IOTA3[(i, a), c]: coefficient of 2-form basis
@@ -99,21 +99,10 @@ class G2Structure:
         """Dual 4-form star(phi)."""
         return star(self.metric, self.phi)
 
-    def star(self, a):
-        return star(self.metric, a)
-
-    def inner(self, a, b):
-        return inner(self.metric, a, b)
-
     @property
     def volume(self):
         """Scalar volume sqrt(det g) of the unit frame box."""
         return self.metric.sqrt_det
-
-
-def psi_of_phi(structure):
-    """Dual 4-form of a structure (star of phi in its own metric)."""
-    return structure.psi
 
 
 # Tries per correction step, halving it each time, before recovery stalls.
@@ -166,7 +155,9 @@ def phi_of_psi(psi, seed=None, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
         try:
             step = np.linalg.solve(dual_jacobian(structure), f)
         except np.linalg.LinAlgError:
-            raise RecoveryError("singular Jacobian in recovery correction", residual=res) from None
+            raise RecoveryError(
+                f"singular Jacobian in recovery correction (residual {res:.2e})", residual=res
+            ) from None
         for _ in range(_CORRECTION_HALVINGS):
             try:
                 trial = G2Structure.from_phi(Form(3, structure.phi.coeffs - step))
@@ -179,7 +170,7 @@ def phi_of_psi(psi, seed=None, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
                 break
             step = 0.5 * step
         else:
-            raise RecoveryError("recovery correction stalled", residual=res)
+            raise RecoveryError(f"recovery correction stalled (residual {res:.2e})", residual=res)
         structure, f, res = trial, f_new, res_new
     if res <= tol:
         return structure
@@ -266,5 +257,16 @@ def full_torsion(L, state):
 
 
 def hodge_laplacian(L, g, a):
-    """Hodge Laplacian (d delta + delta d) of an invariant form."""
-    return Form(a.degree, hodge_laplacian_matrix(L, g, a.degree) @ a.coeffs)
+    """Hodge Laplacian (d delta + delta d) of an invariant form, applied as
+    four stars and four differentials with delta = CODIFF_SIGN star d star
+    (``liealg.hodge_laplacian_matrix`` is the same operator as a matrix)."""
+    _require_unimodular(L)
+    k, d = a.degree, L.differential_matrix
+    out = np.zeros(DIMS[k])
+    if k >= 1:  # d delta a
+        delta_a = g.star_coeffs(DIM - k + 1, d(DIM - k) @ g.star_coeffs(k, a.coeffs))
+        out += CODIFF_SIGN[k] * (d(k - 1) @ delta_a)
+    if k < DIM:  # delta d a
+        star_da = g.star_coeffs(k + 1, d(k) @ a.coeffs)
+        out += CODIFF_SIGN[k + 1] * g.star_coeffs(DIM - k, d(DIM - k - 1) @ star_da)
+    return Form(k, out)

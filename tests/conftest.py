@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 SUITE_BUDGET_SECONDS = 120.0
+# The benchmark's 2-step nilpotent algebra (de6 = e12, de7 = e13), on which
+# the standard 3-form is closed.
+N2_ALGEBRA = Path(__file__).parents[1] / "perfbench" / "n2.json"
 
 
 def pytest_configure(config):
@@ -59,6 +63,11 @@ def ee2():
 
 
 @pytest.fixture(scope="session")
+def n2():
+    return load_algebra(N2_ALGEBRA)
+
+
+@pytest.fixture(scope="session")
 def phi_bar():
     return standard_phi()
 
@@ -77,6 +86,13 @@ def random_spd(rng, scale=0.3):
     """Random symmetric positive-definite 7x7 matrix near the identity."""
     a = rng.standard_normal((7, 7)) * scale
     return np.eye(7) + a @ a.T
+
+
+def conditioned_spd(rng, cond):
+    """Random symmetric positive-definite 7x7 matrix with condition number
+    ``cond``: a random rotation of log-spaced eigenvalues."""
+    q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+    return (q * np.geomspace(1.0, cond, 7)) @ q.T
 
 
 def random_positive_phi(rng, scale=0.1):

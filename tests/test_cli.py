@@ -141,6 +141,24 @@ class TestRunVerb:
         ]
         assert len(records[0]["psi"]) == 35
 
+    def test_empty_perturbation_subspace_runs_unperturbed(self, capsys, tmp_path):
+        # The torus has no exact 4-forms: the perturbation has no direction.
+        cfg = _config(
+            tmp_path,
+            {
+                "schema_version": 1,
+                "experiment": "ee2_flow",
+                "algebra_file": "torus",
+                "perturbation": {"magnitude": 0.1, "subspace": "exact"},
+                "flow": {"integrator": {"dt": 1e-2, "t_end": 0.05}},
+            },
+        )
+        code, out, err = _run(capsys, ["run", cfg, "--output-dir", str(tmp_path)])
+        assert (code, err) == (EXIT_OK, "")
+        summary = json.loads(out)["summary"]
+        assert summary["perturbation_scale"] == 0.0
+        assert summary["termination"]["reason"] == "t_end"
+
     def test_seed_changes_output_and_same_seed_reproduces(self, capsys, tmp_path):
         cfg = _config(
             tmp_path,
@@ -325,6 +343,24 @@ class TestSweepVerb:
         ]
         for i in range(4):
             assert (tmp_path / "sweep_out" / f"cell_{i:03d}.jsonl").exists()
+
+    def test_cells_inherit_the_swept_experiments_defaults(self, capsys, tmp_path):
+        # No algebra_file: the ee2_flow cells take ee2, its default.
+        cfg = _config(
+            tmp_path,
+            {
+                "schema_version": 1,
+                "experiment": "sweep",
+                "flow": {"integrator": {"t_end": 0.02, "dt": 1e-2}},
+                "sweep": {"experiment": "ee2_flow", "axes": {"flow.A": [0.0, 0.5]}},
+            },
+        )
+        code, out, err = _run(capsys, ["sweep", cfg, "--output-dir", str(tmp_path)])
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["summary"]["cells"] == 2
+        code, out, _ = _run(capsys, ["sweep", cfg, "--validate-only"])
+        assert code == EXIT_OK
+        assert json.loads(out)["normalized"]["algebra_file"] == "ee2"
 
     def test_sweep_is_deterministic_across_job_counts(self, capsys, tmp_path):
         cfg = _config(

@@ -146,8 +146,12 @@ CASES = {
     "sweep_np": _cfg(
         "sweep", sweep={"experiment": "np", "axes": {"np.tau0": [0.5, 1], "np.c0": [2.0]}}
     ),
+    # A sweep takes the defaults of the experiment it sweeps.
     "sweep_inherits_null_algebra_file": _cfg(
         "sweep", sweep={"experiment": "ee1_static", "axes": {"perturbation.seed": [0]}}
+    ),
+    "sweep_ee2_flow_inherits_algebra_file": _cfg(
+        "sweep", sweep={"experiment": "ee2_flow", "axes": {"flow.A": [0.0, 0.5]}}
     ),
     "sweep_invalid_cell": _cfg(
         "sweep", sweep={"experiment": "np", "axes": {"np.tau0": [0.5, -_INF, "x"]}}

@@ -22,7 +22,7 @@ from g2flow.exterior import (
     wedge,
 )
 
-from .conftest import random_form, random_spd
+from .conftest import conditioned_spd, random_form, random_spd
 from .oracles import (
     coeffs_of_dict,
     dict_contract,
@@ -212,10 +212,24 @@ class TestMetric:
         for k, mat in g._gram.items():
             assert mat.shape == (DIMS[k], DIMS[k]) and not mat.flags.writeable
             assert np.array_equal(mat, mat.T)
-        assert set(vars(g)) == {"g", "orientation", "_gram", "_star", "_spd_checked", "inv"}
+        # No star cache: the star is applied from the Gram matrices.
+        assert set(vars(g)) == {"g", "orientation", "_gram", "_spd_checked", "inv"}
 
 
 class TestStar:
+    def test_matrix_free_star_matches_star_matrix(self):
+        # star applies the scaled Gram product without forming star_matrix.
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            for cond in (1.0, 1e2, 1e4):
+                for orientation in (1, -1):
+                    g = Metric(conditioned_spd(rng, cond), orientation)
+                    for k in range(DIM + 1):
+                        a = random_form(rng, k)
+                        want = g.star_matrix(k) @ a.coeffs
+                        got = star(g, a).coeffs
+                        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_matches_pairing_oracle_identity_metric(self, rng):
         g = Metric.identity()
         for k in range(DIM + 1):

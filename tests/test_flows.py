@@ -1,6 +1,9 @@
 """Tests for flow right-hand sides, integration, halts, and linearization."""
 
 import json
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from g2flow import (
     IntegratorConfig,
     coclosed_directions,
     coflow_rhs,
+    config_from_dict,
     deturck_term,
     deturck_vector,
     differential,
@@ -24,13 +28,23 @@ from g2flow import (
     integrate,
     laplacian_flow_rhs,
     linearize,
+    run_experiment,
     standard_phi,
     standard_psi,
     torsion_trace,
     volume_monotonicity_criterion,
 )
+from g2flow.conventions import NEWTON_TOL
+from g2flow.experiments import PerturbationConfig, sample_initial
+from g2flow.exterior import Metric
 from g2flow.fixtures import ee2_diagonal_phi
-from g2flow.flows import DeTurckConfig, HaltConfig, MonitorConfig, RECORD_FIELDS
+from g2flow.flows import (
+    RECORD_FIELDS,
+    DeTurckConfig,
+    HaltConfig,
+    MonitorConfig,
+    _rkf45_attempt,
+)
 from g2flow.liealg import Connection, levi_civita
 
 from .conftest import coclosed_sample
@@ -356,7 +370,78 @@ class TestIntegrate:
         traj = integrate(torus, cfg, G2Structure.from_phi(standard_phi()))
         assert traj.termination["status"] == "completed"
         assert traj.final.diagnostics["dist_ref"] == 0.0
-        assert traj.final.phi.degree == 3
+        assert traj.final.form.degree == 3 and traj.final.psi.degree == 4
+
+    def test_rk4_runs_build_no_operator_matrices(self, ee2, n2, monkeypatch):
+        """The right-hand sides and records apply the star and the Laplacian
+        matrix-free: 5 rk4 steps of either flow form no star matrix and no
+        Laplacian matrix."""
+        import g2flow.liealg
+
+        coflow_start = coclosed_sample(ee2, np.random.default_rng(0), magnitude=0.1)
+        laplacian_start = G2Structure.from_phi(standard_phi())
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(Metric, "star_matrix", counting("star", Metric.star_matrix))
+        lap_matrix = counting("laplacian", g2flow.liealg.hodge_laplacian_matrix)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("g2flow") and hasattr(module, "hodge_laplacian_matrix"):
+                monkeypatch.setattr(module, "hodge_laplacian_matrix", lap_matrix)
+        integrator = IntegratorConfig(dt=1e-2, t_end=0.05)
+        for L, kind, start in (
+            (ee2, "modified_coflow", coflow_start),
+            (n2, "laplacian_flow", laplacian_start),
+        ):
+            cfg = FlowConfig(
+                flow_kind=kind, integrator=integrator, monitors=MonitorConfig(record_every=1)
+            )
+            traj = integrate(L, cfg, start)
+            assert traj.termination["reason"] == "t_end" and traj.termination["steps"] == 5
+        assert calls == []
+        # The counters see the matrix path when it is taken.
+        g2flow.liealg.hodge_laplacian_matrix(ee2, Metric.identity(), 3)
+        assert calls[0] == "laplacian" and "star" in calls
+
+    def test_recorded_states_hold_no_structure_or_metric(self, ee2, n2):
+        def held(obj):
+            if isinstance(obj, dict):
+                return [v for x in obj.values() for v in held(x)]
+            if isinstance(obj, (list, tuple)):
+                return [v for x in obj for v in held(x)]
+            return [obj] + (held(vars(obj)) if hasattr(obj, "__dict__") else [])
+
+        coflow_start = coclosed_sample(ee2, np.random.default_rng(1), magnitude=0.1)
+        integrator = IntegratorConfig(dt=1e-2, t_end=0.03)
+        for L, kind, start in (
+            (ee2, "modified_coflow", coflow_start),
+            (n2, "laplacian_flow", G2Structure.from_phi(standard_phi())),
+        ):
+            cfg = FlowConfig(flow_kind=kind, integrator=integrator)
+            traj = integrate(L, cfg, start)
+            for state in traj.states:
+                assert set(vars(state)) == {"t", "form", "psi", "diagnostics"}
+                assert not any(
+                    isinstance(v, (G2Structure, CoclosedState, Metric)) for v in held(state)
+                )
+                assert state.psi.degree == 4
+
+    def test_rkf45_error_estimate_is_fifth_order(self, ee2):
+        """Halving the step divides the embedded error estimate by about
+        2^5 (the local error of the fourth-order solution is O(h^5))."""
+        f = lambda y: coflow_rhs(ee2, CoclosedState.from_psi(Form(4, y)), 0.0).coeffs  # noqa: E731
+        for seed in (0, 3, 7):
+            pcfg = PerturbationConfig(magnitude=0.1, seed=seed)
+            form, *_ = sample_initial(ee2, standard_psi(), pcfg, np.random.default_rng(seed))
+            coarse = _rkf45_attempt(f, form.coeffs, 0.04)[1]
+            fine = _rkf45_attempt(f, form.coeffs, 0.02)[1]
+            assert 24.0 <= coarse / fine <= 40.0
 
 
 class TestHalts:
@@ -408,6 +493,33 @@ class TestHalts:
         assert term["t"] == 0.0
         assert term["detail"].startswith("step size fell to ")
 
+    @staticmethod
+    def _halting_ee2_run(tmp_path, method):
+        raw = {
+            "schema_version": 1,
+            "experiment": "ee2_flow",
+            "flow": {"A": 0.5, "integrator": {"method": method, "dt": 0.01, "t_end": 1.0}},
+            "perturbation": {"seed": 0, "magnitude": 0.2},
+        }
+        cfg, violations = config_from_dict(raw)
+        assert violations == []
+        return run_experiment(cfg, output_dir=tmp_path).summary["termination"]
+
+    def test_rkf45_recovery_stall_names_its_residual(self, tmp_path):
+        # NEWTON_TOL is an absolute gate: this run stalls at the forward
+        # map's rounding floor, just above it.
+        term = self._halting_ee2_run(tmp_path, "rkf45")
+        assert term["status"] == "halted" and term["reason"] == "newton"
+        match = re.fullmatch(r"recovery correction stalled \(residual (\S+)\)", term["detail"])
+        assert match, term["detail"]
+        assert NEWTON_TOL < float(match.group(1)) <= 1e-10
+
+    def test_rk4_halts_when_the_dual_3_form_stops_being_positive(self, tmp_path):
+        term = self._halting_ee2_run(tmp_path, "rk4")
+        assert term["status"] == "halted" and term["reason"] == "newton"
+        assert term["steps"] == 55
+        assert term["detail"].startswith("4-form is not positive (its dual 3-form: ")
+
     def test_recovery_failure_on_huge_step(self, ee2, rng):
         state = coclosed_sample(ee2, rng, magnitude=0.2)
         cfg = FlowConfig(integrator=IntegratorConfig(dt=1e4, t_end=1e5))
@@ -419,20 +531,32 @@ class TestHalts:
 
 
 class TestTrajectoryIO:
-    @pytest.fixture()
-    def short_traj(self, ee2, rng):
-        state = coclosed_sample(ee2, rng, magnitude=0.2)
-        cfg = FlowConfig(
-            integrator=IntegratorConfig(dt=1e-3, t_end=0.01),
-            monitors=MonitorConfig(record_every=5, volume=False),
-        )
-        return integrate(ee2, cfg, state)
+    """Flow experiments write their trajectories through the shared record
+    writer; these pin its JSONL and CSV schemas on experiment output."""
 
-    def test_jsonl_schema(self, short_traj, tmp_path):
-        path = tmp_path / "traj.jsonl"
-        short_traj.write_jsonl(path)
+    @staticmethod
+    def _run(tmp_path, experiment, fmt, name=None):
+        raw = {
+            "schema_version": 1,
+            "experiment": experiment,
+            "algebra_file": "ee2",
+            "flow": {
+                "integrator": {"dt": 1e-3, "t_end": 0.01},
+                "monitors": {"record_every": 5, "volume": False},
+            },
+            "perturbation": {"seed": 3, "magnitude": 0.2},
+            "output": {"path": name or f"{experiment}.{fmt}", "format": fmt},
+        }
+        cfg, violations = config_from_dict(raw)
+        assert violations == []
+        result = run_experiment(cfg, output_dir=tmp_path)
+        assert result.status == "ok"
+        return Path(result.files[0]), result.summary["records"]
+
+    def test_jsonl_schema(self, tmp_path):
+        path, records = self._run(tmp_path, "ee2_flow", "jsonl")
         lines = path.read_text().splitlines()
-        assert len(lines) == len(short_traj.states)
+        assert len(lines) == records == 3
         for line in lines:
             rec = json.loads(line)
             assert list(rec.keys()) == list(RECORD_FIELDS)
@@ -441,9 +565,8 @@ class TestTrajectoryIO:
             assert rec["volume"] is None  # disabled monitor serializes as null
             assert rec["closedness"] is not None
 
-    def test_csv_schema(self, short_traj, tmp_path):
-        path = tmp_path / "traj.csv"
-        short_traj.write_csv(path)
+    def test_csv_schema(self, tmp_path):
+        path, records = self._run(tmp_path, "custom", "csv")
         lines = path.read_text().splitlines()
         header = lines[0].split(",")
         expected = (
@@ -452,24 +575,19 @@ class TestTrajectoryIO:
             + ["trT", "volume", "closedness", "rhs_norm", "dist_ref"]
         )
         assert header == expected
-        assert len(lines) == 1 + len(short_traj.states)
-        # repr round-trip: parsing the first row reproduces the floats exactly
-        row = lines[1].split(",")
-        rec = short_traj.records()[0]
-        assert float(row[0]) == rec["t"]
-        for i in range(35):
-            assert float(row[1 + i]) == rec["psi"][i]
-        assert row[header.index("volume")] == ""  # disabled monitor is blank
+        assert len(lines) == 1 + records
+        # repr round-trip: each row reproduces the floats of the JSONL mirror
+        jsonl, _ = self._run(tmp_path, "custom", "jsonl")
+        for line, row in zip(jsonl.read_text().splitlines(), lines[1:]):
+            rec, row = json.loads(line), row.split(",")
+            assert float(row[0]) == rec["t"]
+            for i in range(35):
+                assert float(row[1 + i]) == rec["psi"][i]
+            assert float(row[header.index("trT")]) == rec["trT"]
+            assert row[header.index("volume")] == ""  # disabled monitor is blank
 
-    def test_identical_runs_write_identical_files(self, ee2, rng, tmp_path):
-        state = coclosed_sample(ee2, rng, magnitude=0.2)
-        cfg = FlowConfig(integrator=IntegratorConfig(dt=1e-3, t_end=0.01))
-        paths = []
-        for tag in ("a", "b"):
-            traj = integrate(ee2, cfg, state)
-            path = tmp_path / f"run_{tag}.jsonl"
-            traj.write_jsonl(path)
-            paths.append(path)
+    def test_identical_runs_write_identical_files(self, tmp_path):
+        paths = [self._run(tmp_path, "ee2_flow", "jsonl", f"run_{tag}.jsonl")[0] for tag in "ab"]
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 

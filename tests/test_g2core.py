@@ -18,12 +18,12 @@ from g2flow import (
     torsion_trace,
 )
 from g2flow.conventions import NEWTON_TOL
-from g2flow.errors import DegreeError, PositivityError, RecoveryError
+from g2flow.errors import DegreeError, PositivityError, RecoveryError, UnimodularityError
 from g2flow.exterior import DIM, Metric, star
 from g2flow.g2core import b_matrix, dual_jacobian
 from g2flow.fixtures import ee2_diagonal_phi
 
-from .conftest import coclosed_sample, random_positive_phi
+from .conftest import coclosed_sample, conditioned_spd, random_form, random_positive_phi
 from .oracles import (
     b_matrix_oracle,
     dict_of_coeffs,
@@ -246,14 +246,38 @@ class TestTorsion:
 
 
 class TestLaplacian:
-    def test_matches_matrix_assembly(self, ee2, rng):
+    def test_matches_matrix_assembly(self, torus, ee1, ee2, n2, rng):
+        # The chain of coefficient products against the assembled matrix: at
+        # a G2 metric, and in every degree on every algebra for metrics of
+        # both orientations with condition numbers up to 1e4.
         from g2flow.liealg import hodge_laplacian_matrix
 
-        phi = random_positive_phi(rng)
-        s = G2Structure.from_phi(phi)
+        s = G2Structure.from_phi(random_positive_phi(rng))
         got = hodge_laplacian(ee2, s.metric, s.psi)
         want = hodge_laplacian_matrix(ee2, s.metric, 4) @ s.psi.coeffs
         assert np.allclose(got.coeffs, want, atol=1e-12)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            for cond in (1.0, 1e2, 1e4):
+                for orientation in (1, -1):
+                    g = Metric(conditioned_spd(rng, cond), orientation)
+                    for k in range(DIM + 1):
+                        a = random_form(rng, k)
+                        for L in (torus, ee1, ee2, n2):
+                            want = hodge_laplacian_matrix(L, g, k) @ a.coeffs
+                            got = hodge_laplacian(L, g, a).coeffs
+                            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_non_unimodular_algebra_raises(self):
+        from g2flow.liealg import LieAlgebraStructure
+
+        # d e^1 = e^{12}: ad(e_2) has nonzero trace.
+        L = LieAlgebraStructure.from_dict(
+            {"dim": 7, "d": [{"one_form": 1, "terms": [{"idx": [1, 2], "coef": 1.0}]}]}
+        )
+        for k in range(DIM + 1):
+            with pytest.raises(UnimodularityError):
+                hodge_laplacian(L, Metric.identity(), Form.zero(k))
 
     def test_torus_harmonic(self, torus, phi_bar):
         s = G2Structure.from_phi(phi_bar)
