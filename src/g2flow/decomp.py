@@ -195,10 +195,11 @@ def _nullspace(mat, dim_expected):
 def projector_matrices2(structure):
     """(P7, P14): orthogonal projectors onto the 2-form pieces."""
     g = structure.metric
+    gram2 = g.gram(2)
     span7 = g.star_matrix(5) @ wedge_matrix(structure.psi, 1)
-    p7 = _orthogonal_projector(span7, g.gram(2))
+    p7 = _orthogonal_projector(span7, gram2)
     ker14 = _nullspace(wedge_matrix(structure.phi, 2) + g.star_matrix(2), 14)
-    p14 = _orthogonal_projector(ker14, g.gram(2))
+    p14 = _orthogonal_projector(ker14, gram2)
     for p in (p7, p14):
         p.flags.writeable = False
     return p7, p14
@@ -208,14 +209,15 @@ def projector_matrices2(structure):
 def projector_matrices3(structure):
     """(P1, P7, P27): orthogonal projectors onto the 3-form pieces."""
     g = structure.metric
-    p1 = _orthogonal_projector(structure.phi.coeffs[:, None], g.gram(3))
+    gram3 = g.gram(3)
+    p1 = _orthogonal_projector(structure.phi.coeffs[:, None], gram3)
     span7 = g.star_matrix(4) @ wedge_matrix(structure.phi, 1)
-    p7 = _orthogonal_projector(span7, g.gram(3))
+    p7 = _orthogonal_projector(span7, gram3)
     ker27 = _nullspace(
         np.vstack([wedge_matrix(structure.phi, 3), wedge_matrix(structure.psi, 3)]),
         27,
     )
-    p27 = _orthogonal_projector(ker27, g.gram(3))
+    p27 = _orthogonal_projector(ker27, gram3)
     for p in (p1, p7, p27):
         p.flags.writeable = False
     return p1, p7, p27

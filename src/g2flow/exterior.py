@@ -12,16 +12,21 @@ Conventions
   means e^1 ^ e^3.
 * Monomials of equal degree are orthonormal for the identity metric; for a
   general metric g the Gram matrix on k-forms is the k-th compound (minor
-  determinant matrix) of g^{-1}.  ``exterior_powers`` builds all eight
-  compounds of one matrix or of a stack of matrices degree by degree: a
-  Laplace expansion along the first column, done as two gathers through
-  index tables built at import, one product and one sum over the slots.
+  determinant matrix) of g^{-1}.  Applied to coefficients, the k-th
+  compound of a matrix m transforms each of the k indices of the form by m.
 * The positive orientation is e^{1234567}; a Metric carries an orientation
   sign that flips the volume form and the star.
-* A Metric caches its inverse, determinant, volume, smallest eigenvalue
-  and the eight Gram matrices, and nothing else.  The star is applied from the
-  Gram matrices (``Metric.star_coeffs``); ``Metric.star_matrix`` builds the
-  star as a matrix on each call, for the callers that need one.
+* The star never forms a compound matrix.  On k <= 3 forms it raises the k
+  indices with g^{-1}; on k >= 4 forms, since star star = 1 in dimension 7,
+  it lowers the 7-k indices of the signed complement with g.  Degree 2 and
+  3 work on the layout of contractions (iota_{e_i} a)_b, transforming i by
+  m and b by the lower compound (m itself, or the 21 x 21 second compound,
+  which a Metric caches for g and for g^{-1}).
+* A Metric caches its inverse, determinant, volume, smallest eigenvalue and
+  those two second compounds, and nothing else.  ``Metric.star_coeffs``
+  applies the star to a vector or to a stack of them; ``star_matrix`` (the
+  star of the identity) and ``gram`` (read off it by the defining pairing)
+  are built on each call, for the callers that need a matrix.
 """
 
 from __future__ import annotations
@@ -143,26 +148,32 @@ def _build_complements():
     return tuple(comp_index), tuple(comp_sign)
 
 
-def _build_gather_tables():
-    # Laplace expansion of each k x k minor along its first column: entry
-    # (r, c) of the k-th power is the sum over the k slots s of row monomial
-    # r of (-1)^s m[r_s, c_1] P_{k-1}[r without r_s, c without c_1].  Per
-    # degree, two flat (k, C(7,k)^2) index tables: one into the 98 entries
-    # of [m, -m] (odd slots read the negated half), one into P_{k-1}.
-    from_m, from_prev = [None, None], [None, None]
-    for k in range(2, DIM + 1):
-        rows = BASIS[k]
-        slot_row = np.array([[idx[s] - 1 for idx in rows] for s in range(k)], dtype=np.intp)
-        slot_rest = np.array(
-            [[BASIS_POS[k - 1][idx[:s] + idx[s + 1 :]] for idx in rows] for s in range(k)],
-            dtype=np.intp,
-        )
-        col_first = np.array([idx[0] - 1 for idx in rows], dtype=np.intp)
-        col_rest = np.array([BASIS_POS[k - 1][idx[1:]] for idx in rows], dtype=np.intp)
-        half = (np.arange(k) % 2 * DIM * DIM)[:, None, None]
-        from_m.append((half + slot_row[:, :, None] * DIM + col_first).reshape(k, -1))
-        from_prev.append((slot_rest[:, :, None] * DIMS[k - 1] + col_rest).reshape(k, -1))
-    return from_m, from_prev
+def _build_power_tables():
+    # Degree 1 <= j <= 3 is laid out flat as the (7, C(7,j-1)) array of the
+    # contractions u[i, b] = (iota_{e_{i+1}} a)_b (CONTRACT[j]; the sign is 0
+    # where b already holds i), degree 0 as itself; pick[j][a] is the flat
+    # position of basis_j[a] = (i, rest) in the layout.
+    src, sign, pick = [[0]], [[1.0]], [[0]]
+    for j in (1, 2, 3):
+        table = CONTRACT[j].transpose(0, 2, 1).reshape(-1, DIMS[j])
+        src.append(np.abs(table).argmax(axis=1))
+        sign.append(table.sum(axis=1))
+        pick.append([(idx[0] - 1) * DIMS[j - 1] + BASIS_POS[j - 1][idx[1:]] for idx in BASIS[j]])
+    layout = [(np.asarray(s), np.asarray(g), np.asarray(p)) for s, g, p in zip(src, sign, pick)]
+    # The star of degree k works in degree j = min(k, 7-k).  For k <= 3 the
+    # layout is read from the coefficients and the result is written to the
+    # complements with their signs; for k >= 4 the layout is read from the
+    # complements with their signs and the result is read out in order.
+    star = []
+    for k in range(DIM + 1):
+        j = min(k, DIM - k)
+        s, g, p = layout[j]
+        if k == j:
+            back = np.argsort(COMPL_INDEX[k])
+            star.append((s, g, p[back], COMPL_SIGN[k][back]))
+        else:
+            star.append((COMPL_INDEX[j][s], COMPL_SIGN[j][s] * g, p, np.ones(DIMS[j])))
+    return tuple(layout), tuple(star)
 
 
 #: WEDGE[k, l][a, b, c] = sign of basis_k[a] ^ basis_l[b] on basis_{k+l}[c].
@@ -172,7 +183,11 @@ CONTRACT = _build_contraction_tables()
 # _WEDGE_FLAT[k, l] is WEDGE[k, l] viewed as a (C(7,k), C(7,l) * C(7,k+l)) matrix.
 _WEDGE_FLAT = {key: table.reshape(table.shape[0], -1) for key, table in WEDGE.items()}
 COMPL_INDEX, COMPL_SIGN = _build_complements()
-_GATHER_M, _GATHER_PREV = _build_gather_tables()
+# _LAYOUT[j] = (source, sign, pick) of degree j <= 3; _STAR_TABLES[k] =
+# (source, sign, pick, output sign) of the star on degree k.
+_LAYOUT, _STAR_TABLES = _build_power_tables()
+# Rows: the layouts of the 21 basis 2-forms.
+_BASIS2_LAYOUT = np.eye(DIMS[2]).take(_LAYOUT[2][0], axis=1) * _LAYOUT[2][1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,42 +276,38 @@ class Form:
         return f"Form({self.degree}: {' '.join(parts)})"
 
 
-def exterior_powers(matrix):
-    """Matrices of the induced maps on all exterior powers.
+def _transform(j, m, m2t, u):
+    """Transform every index of degree-j layouts (j <= 3, the last axis of
+    ``u``) by the symmetric matrix m: m on the contracted index i and the
+    (j-1)-th power on the rest.  ``m2t`` is the transposed second power of
+    m, needed for j = 3 only."""
+    if j == 0:
+        return u
+    if j == 1:
+        return u @ m
+    lead = u.shape[:-1]
+    u = u.reshape(lead + (DIM, DIMS[j - 1]))
+    return (m @ (u @ (m if j == 2 else m2t))).reshape(lead + (-1,))
 
-    ``matrix`` sends e^j to sum_i matrix[i, j] e^i; entry [I, J] of the k-th
-    output is the minor det(matrix[I, J]).  Takes one 7x7 matrix or an
-    (N, 7, 7) stack and returns a list indexed by degree whose entry k has
-    shape (C(7,k), C(7,k)), after the leading N axis for a stack.  Degree k
-    is one gather from [m, -m], one from degree k-1, a product and a sum
-    over the k slots of the Laplace expansion (see _build_gather_tables).
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim not in (2, 3) or matrix.shape[-2:] != (DIM, DIM):
-        raise ValueError(f"expected a {DIM}x{DIM} matrix or a stack of them, got {matrix.shape}")
-    flat = matrix.reshape(-1, DIM * DIM)
-    signed = np.concatenate([flat, -flat], axis=1)
-    powers = [np.ones((len(flat), 1)), signed[:, : DIM * DIM]]
-    for k in range(2, DIM + 1):
-        # mode="clip" only skips the bounds check: the tables are in range.
-        terms = signed.take(_GATHER_M[k], axis=1, mode="clip")
-        terms *= powers[k - 1].take(_GATHER_PREV[k], axis=1, mode="clip")
-        powers.append(terms.sum(axis=1))
-    lead = matrix.shape[:-2]
-    return [p.reshape(lead + (DIMS[k], DIMS[k])) for k, p in enumerate(powers)]
+
+def _second_power_t(m):
+    """Transposed second exterior power of the symmetric m as a (21, 21)
+    matrix (read-only): row a holds the transformed basis 2-form a."""
+    mat = _transform(2, m, None, _BASIS2_LAYOUT).take(_LAYOUT[2][2], axis=1)
+    mat.flags.writeable = False
+    return mat
 
 
 @dataclass(eq=False)
 class Metric:
     """Symmetric positive-definite inner product on the 7-dimensional space.
 
-    Instances cache derived data (inverse, determinant, Gram matrices);
-    treat them as immutable after construction.
+    Instances cache derived data (inverse, determinant, the second
+    compounds of g and g^{-1}); treat them as immutable after construction.
     """
 
     g: np.ndarray
     orientation: int = 1
-    _gram: dict = field(default_factory=dict, repr=False)
     _spd_checked: bool = field(default=False, repr=False)
 
     def __post_init__(self):
@@ -355,36 +366,55 @@ class Metric:
         """Riemannian volume form, orientation sign included."""
         return Form(DIM, [self.orientation * self.sqrt_det])
 
+    @cached_property
+    def _inv2t(self):
+        return _second_power_t(self.inv)
+
+    @cached_property
+    def _g2t(self):
+        return _second_power_t(self.g)
+
     def gram(self, k):
-        """Gram matrix of the induced inner product on k-forms."""
-        if not self._gram:
-            powers = exterior_powers(self.inv)
-            for deg in range(DIM + 1):
-                mat = powers[deg] + powers[deg].T
-                mat *= 0.5
-                mat.flags.writeable = False
-                self._gram[deg] = mat
-        return self._gram[k]
+        """Gram matrix of the induced inner product on k-forms, built on each call.
+
+        Read off the star by the defining pairing e^I ^ star(e^J) =
+        G[I, J] vol: row I is the I^c row of ``star_matrix(k)`` times
+        sign(I, I^c) / (orientation * sqrt(det g)).  So for k <= 3 it is the
+        k-th power of g^{-1}, and for k >= 4 Jacobi's complementary-minor
+        identity on the (7-k)-th power of g.
+        """
+        scale = COMPL_SIGN[k] / (self.orientation * self.sqrt_det)
+        mat = self.star_matrix(k)[COMPL_INDEX[k]] * scale[:, None]
+        return 0.5 * (mat + mat.T)
 
     def star_coeffs(self, k, coeffs):
-        """Hodge star of the k-form with coefficients ``coeffs``, as the
-        coefficients of a (7-k)-form: the Gram product, scaled and signed,
-        scattered to the complementary monomials."""
-        out = np.empty(DIMS[DIM - k])
-        out[COMPL_INDEX[k]] = self._star_scale(k) * (self.gram(k) @ coeffs)
+        """Hodge star of k-form coefficients (a vector, or a stack in rows),
+        as the coefficients of a (7-k)-form.
+
+        For k <= 3: (star a)_{I^c} = sign(I, I^c) * orientation * sqrt(det g)
+        * (G_k a)_I, with G_k a the raised coefficients.  For k >= 4, since
+        star star = 1 in dimension 7, the complement is gathered with its
+        signs, its 7-k indices are lowered by g and the result is divided by
+        orientation * sqrt(det g).
+        """
+        self.require_spd()
+        src, sign, pick, out_sign = _STAR_TABLES[k]
+        vol = self.orientation * self.sqrt_det
+        if k <= DIM - k:
+            m, m2t, scale = self.inv, self._inv2t if k == 3 else None, vol
+        else:
+            m, m2t, scale = self.g, self._g2t if k == 4 else None, 1.0 / vol
+        u = coeffs.take(src, axis=-1)
+        u *= sign * scale
+        out = _transform(min(k, DIM - k), m, m2t, u).take(pick, axis=-1)
+        out *= out_sign
         return out
 
     def star_matrix(self, k):
-        """Matrix of the Hodge star from k-forms to (7-k)-forms, built on
-        each call (the flow's hot path applies ``star_coeffs`` instead)."""
-        mat = np.zeros((DIMS[DIM - k], DIMS[k]))
-        mat[COMPL_INDEX[k]] = self._star_scale(k)[:, None] * self.gram(k)
-        return mat
-
-    def _star_scale(self, k):
-        # (star a)_{I^c} = sign(I, I^c) * orientation * sqrt(det g) * (G_k a)_I.
-        self.require_spd()
-        return COMPL_SIGN[k] * (self.orientation * self.sqrt_det)
+        """Matrix of the Hodge star from k-forms to (7-k)-forms: ``star_coeffs``
+        applied to the identity, built on each call (the flow's hot path
+        applies ``star_coeffs`` instead)."""
+        return self.star_coeffs(k, np.eye(DIMS[k])).T
 
 
 def wedge(a, b):

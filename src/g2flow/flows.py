@@ -15,10 +15,13 @@ along V^i = c1 g^{pq} T^i_{pq} + c2 g^{ki} T^j_{jk}, where T is the
 a reference connection.
 
 Integrators: classic fixed-step rk4 (default dt 1e-3) and adaptive
-Fehlberg rkf45 (default rel_tol 1e-8).  Trajectories halt - never project -
-when closedness drifts, positivity or recovery fails, a step
-underflows, or values stop being finite; the termination record carries the
-cause.
+Fehlberg rkf45 (default rel_tol 1e-8), which accepts a step when its error
+estimate is below rel_tol * max(1, |y|) and sizes the next step from that
+same scale.  Trajectories halt - never project - when closedness drifts,
+positivity or recovery fails, a step underflows, or values stop being
+finite; the termination record carries the cause, and a halt between
+records still ends the trajectory on a record of the state at the halt
+time.
 
 A Trajectory is a list of FlowState records and the termination record.
 Each snapshot takes what the output needs at record time, while the
@@ -456,7 +459,7 @@ def integrate(L, config, state0, reference=None):
                     termination = end("step_underflow", f"step size fell to {h:.3e}")
                     break
                 if accepted:
-                    dt = h * min(5.0, max(0.2, 0.9 * (cfg_int.rel_tol / max(err, 1e-300)) ** 0.2))
+                    dt = h * min(5.0, max(0.2, 0.9 * (scale / max(err, 1e-300)) ** 0.2))
             if not np.all(np.isfinite(y_new)):
                 termination = end("nonfinite", "state left the finite range")
                 break
@@ -482,6 +485,13 @@ def integrate(L, config, state0, reference=None):
         except (PositivityError, RecoveryError) as exc:
             reason = "positivity" if isinstance(exc, PositivityError) else "newton"
             termination = end(reason, str(exc))
+    if states[-1].t != t:
+        # A halt between records ends on a record of the state at the halt
+        # time (the last accepted step), unless its own recovery failed.
+        try:
+            snapshot(evaluator.state_of(y), _diagnostics(evaluator, config, y, ref_vec))
+        except (PositivityError, RecoveryError):
+            pass
     return Trajectory(flow_kind=config.flow_kind, states=states, termination=termination)
 
 

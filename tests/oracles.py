@@ -4,7 +4,9 @@ Everything here is written against sparse dictionaries keyed by increasing
 index tuples, with its own sign bookkeeping, so it shares no code path with
 the package's dense table-driven kernels.  Tests compare the two.  The
 slot-by-slot Laplace recursion for exterior powers builds its own index
-lists and is the bitwise reference for the package's gather kernel.  The one
+lists and is the bitwise reference for the gather kernel ``exterior_powers``,
+its batched form, which ``_dual_batch`` uses.  ``ExactMetric`` computes the
+Gram matrices and the star in exact rational arithmetic.  The one
 exception is the Newton recovery at the end: it is the reference for the
 inverse map psi -> phi, so it iterates the package's forward map
 phi -> star_{g(phi)} phi.
@@ -12,7 +14,9 @@ phi -> star_{g(phi)} phi.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 import numpy as np
 
@@ -118,6 +122,61 @@ def laplace_exterior_powers(matrix):
     return powers
 
 
+def _gather_tables():
+    # Laplace expansion of each k x k minor along its first column: entry
+    # (r, c) of the k-th power is the sum over the k slots s of row monomial
+    # r of (-1)^s m[r_s, c_1] P_{k-1}[r without r_s, c without c_1].  Per
+    # degree, two flat (k, C(7,k)^2) index tables: one into the 98 entries
+    # of [m, -m] (odd slots read the negated half), one into P_{k-1}.
+    bases = [oracle_basis(k) for k in range(DIM + 1)]
+    pos = [{idx: p for p, idx in enumerate(b)} for b in bases]
+    from_m, from_prev = [None, None], [None, None]
+    for k in range(2, DIM + 1):
+        rows = bases[k]
+        slot_row = np.array([[idx[s] - 1 for idx in rows] for s in range(k)], dtype=np.intp)
+        slot_rest = np.array(
+            [[pos[k - 1][idx[:s] + idx[s + 1 :]] for idx in rows] for s in range(k)],
+            dtype=np.intp,
+        )
+        col_first = np.array([idx[0] - 1 for idx in rows], dtype=np.intp)
+        col_rest = np.array([pos[k - 1][idx[1:]] for idx in rows], dtype=np.intp)
+        half = (np.arange(k) % 2 * DIM * DIM)[:, None, None]
+        from_m.append((half + slot_row[:, :, None] * DIM + col_first).reshape(k, -1))
+        from_prev.append((slot_rest[:, :, None] * len(bases[k - 1]) + col_rest).reshape(k, -1))
+    return from_m, from_prev
+
+
+_GATHER_M, _GATHER_PREV = _gather_tables()
+
+
+def exterior_powers(matrix):
+    """Matrices of the induced maps on all exterior powers, by gathers.
+
+    ``matrix`` sends e^j to sum_i matrix[i, j] e^i; entry [I, J] of the k-th
+    output is the minor det(matrix[I, J]).  Takes one 7x7 matrix or an
+    (N, 7, 7) stack and returns a list indexed by degree whose entry k has
+    shape (C(7,k), C(7,k)), after the leading N axis for a stack.  Degree k
+    is one gather from [m, -m], one from degree k-1, a product and a sum
+    over the k slots of the Laplace expansion: the same signed products in
+    the same order as ``laplace_exterior_powers``, batched.  The k-th power
+    of g^{-1} is the Gram matrix on k-forms; ``_dual_batch`` takes it for a
+    stack of metrics.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim not in (2, 3) or matrix.shape[-2:] != (DIM, DIM):
+        raise ValueError(f"expected a {DIM}x{DIM} matrix or a stack of them, got {matrix.shape}")
+    flat = matrix.reshape(-1, DIM * DIM)
+    signed = np.concatenate([flat, -flat], axis=1)
+    powers = [np.ones((len(flat), 1)), signed[:, : DIM * DIM]]
+    for k in range(2, DIM + 1):
+        # mode="clip" only skips the bounds check: the tables are in range.
+        terms = signed.take(_GATHER_M[k], axis=1, mode="clip")
+        terms *= powers[k - 1].take(_GATHER_PREV[k], axis=1, mode="clip")
+        powers.append(terms.sum(axis=1))
+    lead = matrix.shape[:-2]
+    return [p.reshape(lead + (isqrt(p.shape[-1]),) * 2) for p in powers]
+
+
 def star_oracle(g, k, coeffs):
     """Hodge star from the pairing beta ^ star(alpha) = <beta, alpha> vol.
 
@@ -136,6 +195,72 @@ def star_oracle(g, k, coeffs):
         sign = perm_parity(list(I + comp))
         out[basis_c.index(comp)] = sign * sqrt_det * weighted[i]
     return out
+
+
+def _exact_inverse(m):
+    """Inverse and determinant of a square matrix of Fractions by
+    Gauss-Jordan elimination with exact pivots."""
+    n = len(m)
+    rows = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(m)]
+    det = Fraction(1)
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c] != 0)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        pivot = rows[c][c]
+        det *= pivot
+        rows[c] = [x / pivot for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [r[n:] for r in rows], det
+
+
+class ExactMetric:
+    """A metric's inverse, determinant and Gram matrices in exact rational
+    arithmetic (``fractions.Fraction`` on the float entries of g).
+
+    The Gram matrix on k-forms holds the k x k minors of the exact inverse,
+    each expanded along its first column from the minors one degree down.
+    Only sqrt(det g) is taken in floating point, at the end of ``star``.
+    """
+
+    def __init__(self, g):
+        exact = [[Fraction(float(x)) for x in row] for row in np.asarray(g)]
+        inv, self.det = _exact_inverse(exact)
+        minors = [{((), ()): Fraction(1)}]
+        for k in range(1, DIM + 1):
+            prev, cur = minors[-1], {}
+            for rows in oracle_basis(k):
+                for cols in oracle_basis(k):
+                    total = Fraction(0)
+                    for s, r in enumerate(rows):
+                        term = inv[r - 1][cols[0] - 1] * prev[rows[:s] + rows[s + 1 :], cols[1:]]
+                        total += -term if s % 2 else term
+                    cur[rows, cols] = total
+            minors.append(cur)
+        self.grams = [
+            [[minors[k][r, c] for c in oracle_basis(k)] for r in oracle_basis(k)]
+            for k in range(DIM + 1)
+        ]
+
+    def gram(self, k):
+        return np.array([[float(x) for x in row] for row in self.grams[k]])
+
+    def star(self, k, coeffs, orientation=1):
+        """Coefficients of star(a) for the k-form a with float coefficients
+        ``coeffs``: sign(I, I^c) * orientation * sqrt(det g) * (G_k a)_I at I^c."""
+        a = [Fraction(float(x)) for x in coeffs]
+        weighted = [sum((x * y for x, y in zip(row, a)), Fraction(0)) for row in self.grams[k]]
+        vol = orientation * float(np.sqrt(float(self.det)))
+        basis_c = oracle_basis(DIM - k)
+        out = np.zeros(len(basis_c))
+        for I, w in zip(oracle_basis(k), weighted):
+            comp = tuple(sorted(set(range(1, DIM + 1)) - set(I)))
+            out[basis_c.index(comp)] = perm_parity(list(I + comp)) * vol * float(w)
+        return out
 
 
 def b_matrix_oracle(phi_dict):
@@ -267,7 +392,7 @@ def _dual_batch(xs):
     fall back to the checked scalar path.
     """
     from g2flow.conventions import METRIC_KAPPA
-    from g2flow.exterior import COMPL_INDEX, COMPL_SIGN, CONTRACT, DIMS, exterior_powers
+    from g2flow.exterior import COMPL_INDEX, COMPL_SIGN, CONTRACT, DIMS
     from g2flow.g2core import _P223
 
     u = np.tensordot(xs, CONTRACT[3], axes=(1, 1))  # (n, 7, D2)

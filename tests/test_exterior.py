@@ -13,7 +13,6 @@ from g2flow.exterior import (
     Metric,
     contract,
     derivation_matrix,
-    exterior_powers,
     form_norm,
     inner,
     merge_sign,
@@ -24,10 +23,12 @@ from g2flow.exterior import (
 
 from .conftest import conditioned_spd, random_form, random_spd
 from .oracles import (
+    ExactMetric,
     coeffs_of_dict,
     dict_contract,
     dict_of_coeffs,
     dict_wedge,
+    exterior_powers,
     gram_minors,
     laplace_exterior_powers,
     oracle_basis,
@@ -205,20 +206,26 @@ class TestMetric:
         with pytest.raises(MetricError, match="not positive definite"):
             g.require_spd()
 
-    def test_gram_caches_only_the_eight_gram_matrices(self, rng):
+    def test_caches_only_inverse_volume_and_second_powers(self, rng):
         g = Metric(random_spd(rng))
-        g.gram(3)
-        assert sorted(g._gram) == list(range(DIM + 1))
-        for k, mat in g._gram.items():
-            assert mat.shape == (DIMS[k], DIMS[k]) and not mat.flags.writeable
-            assert np.array_equal(mat, mat.T)
-        # No star cache: the star is applied from the Gram matrices.
-        assert set(vars(g)) == {"g", "orientation", "_gram", "_spd_checked", "inv"}
+        for k in range(DIM + 1):
+            star(g, random_form(rng, k))
+            gram = g.gram(k)
+            assert gram is not g.gram(k) and np.array_equal(gram, gram.T)
+        # No Gram or star cache: the star transforms at most three indices,
+        # by g^{-1} or by g, with the second compounds of both kept.
+        assert set(vars(g)) == {
+            "g", "orientation", "_spd_checked", "min_eigenvalue",
+            "inv", "det", "sqrt_det", "_inv2t", "_g2t",
+        }
+        for cached, m in ((g._inv2t, g.inv), (g._g2t, g.g)):
+            assert cached.shape == (DIMS[2], DIMS[2]) and not cached.flags.writeable
+            assert np.allclose(cached.T, gram_minors(m, 2), atol=1e-12)
 
 
 class TestStar:
     def test_matrix_free_star_matches_star_matrix(self):
-        # star applies the scaled Gram product without forming star_matrix.
+        # star on one vector against star_matrix, the same kernel on the identity.
         for seed in range(3):
             rng = np.random.default_rng(seed)
             for cond in (1.0, 1e2, 1e4):
@@ -229,6 +236,28 @@ class TestStar:
                         want = g.star_matrix(k) @ a.coeffs
                         got = star(g, a).coeffs
                         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_matches_exact_rational_star(self):
+        """Star and Gram against exact rational arithmetic on the float
+        metric, in every degree and both orientations, up to cond 1e4."""
+        rng = np.random.default_rng(11)
+        misses = []
+        for cond in (1.0, 1e2, 1e4):
+            g = Metric(conditioned_spd(rng, cond))
+            exact = ExactMetric(g.g)
+            for k in range(DIM + 1):
+                want = exact.gram(k)
+                err = np.linalg.norm(g.gram(k) - want) / np.linalg.norm(want)
+                if err > 1e-12:
+                    misses.append(("gram", cond, k, err))
+                for orientation in (1, -1):
+                    a = random_form(rng, k)
+                    want = exact.star(k, a.coeffs, orientation)
+                    got = star(Metric(g.g, orientation), a).coeffs
+                    err = np.linalg.norm(got - want) / np.linalg.norm(want)
+                    if err > 1e-12:
+                        misses.append(("star", cond, k, orientation, err))
+        assert misses == []
 
     def test_matches_pairing_oracle_identity_metric(self, rng):
         g = Metric.identity()

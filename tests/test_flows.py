@@ -56,6 +56,19 @@ def _rhs0(L, state):
     return coflow_rhs(L, state, 0.0)
 
 
+def ee2_flow_run(tmp_path, A, integrator, magnitude, seed):
+    """Result of an ee2_flow experiment run; unnamed fields keep their defaults."""
+    raw = {
+        "schema_version": 1,
+        "experiment": "ee2_flow",
+        "flow": {"A": A, "integrator": integrator},
+        "perturbation": {"seed": seed, "magnitude": magnitude},
+    }
+    cfg, violations = config_from_dict(raw)
+    assert violations == []
+    return run_experiment(cfg, output_dir=tmp_path)
+
+
 class TestFlowConfig:
     def test_default_is_valid(self):
         assert FlowConfig().violations() == []
@@ -374,8 +387,8 @@ class TestIntegrate:
 
     def test_rk4_runs_build_no_operator_matrices(self, ee2, n2, monkeypatch):
         """The right-hand sides and records apply the star and the Laplacian
-        matrix-free: 5 rk4 steps of either flow form no star matrix and no
-        Laplacian matrix."""
+        matrix-free: 5 rk4 steps of either flow form no star matrix, no Gram
+        matrix and no Laplacian matrix."""
         import g2flow.liealg
 
         coflow_start = coclosed_sample(ee2, np.random.default_rng(0), magnitude=0.1)
@@ -390,6 +403,7 @@ class TestIntegrate:
             return wrapped
 
         monkeypatch.setattr(Metric, "star_matrix", counting("star", Metric.star_matrix))
+        monkeypatch.setattr(Metric, "gram", counting("gram", Metric.gram))
         lap_matrix = counting("laplacian", g2flow.liealg.hodge_laplacian_matrix)
         for name, module in list(sys.modules.items()):
             if name.startswith("g2flow") and hasattr(module, "hodge_laplacian_matrix"):
@@ -408,6 +422,9 @@ class TestIntegrate:
         # The counters see the matrix path when it is taken.
         g2flow.liealg.hodge_laplacian_matrix(ee2, Metric.identity(), 3)
         assert calls[0] == "laplacian" and "star" in calls
+        calls.clear()
+        Metric.identity().gram(3)
+        assert calls[0] == "gram"
 
     def test_recorded_states_hold_no_structure_or_metric(self, ee2, n2):
         def held(obj):
@@ -431,6 +448,14 @@ class TestIntegrate:
                     isinstance(v, (G2Structure, CoclosedState, Metric)) for v in held(state)
                 )
                 assert state.psi.degree == 4
+
+    def test_rkf45_proposes_steps_from_its_acceptance_scale(self, tmp_path):
+        # A step is accepted when err <= rel_tol * max(1, |y|), and the next
+        # step is sized from the same scale (|psi| is about 2.6 here; sizing
+        # from rel_tol alone took 13 steps).
+        summary = ee2_flow_run(tmp_path, 0.0, {"method": "rkf45", "t_end": 1.0}, 0.05, 1).summary
+        assert summary["termination"]["reason"] == "t_end"
+        assert summary["termination"]["steps"] == 12
 
     def test_rkf45_error_estimate_is_fifth_order(self, ee2):
         """Halving the step divides the embedded error estimate by about
@@ -495,29 +520,27 @@ class TestHalts:
 
     @staticmethod
     def _halting_ee2_run(tmp_path, method):
-        raw = {
-            "schema_version": 1,
-            "experiment": "ee2_flow",
-            "flow": {"A": 0.5, "integrator": {"method": method, "dt": 0.01, "t_end": 1.0}},
-            "perturbation": {"seed": 0, "magnitude": 0.2},
-        }
-        cfg, violations = config_from_dict(raw)
-        assert violations == []
-        return run_experiment(cfg, output_dir=tmp_path).summary["termination"]
+        return ee2_flow_run(tmp_path, 0.5, {"method": method, "dt": 0.01, "t_end": 1.0}, 0.2, 0)
 
     def test_rkf45_recovery_stall_names_its_residual(self, tmp_path):
         # NEWTON_TOL is an absolute gate: this run stalls at the forward
         # map's rounding floor, just above it.
-        term = self._halting_ee2_run(tmp_path, "rkf45")
+        term = self._halting_ee2_run(tmp_path, "rkf45").summary["termination"]
         assert term["status"] == "halted" and term["reason"] == "newton"
         match = re.fullmatch(r"recovery correction stalled \(residual (\S+)\)", term["detail"])
         assert match, term["detail"]
         assert NEWTON_TOL < float(match.group(1)) <= 1e-10
 
     def test_rk4_halts_when_the_dual_3_form_stops_being_positive(self, tmp_path):
-        term = self._halting_ee2_run(tmp_path, "rk4")
+        result = self._halting_ee2_run(tmp_path, "rk4")
+        summary, term = result.summary, result.summary["termination"]
         assert term["status"] == "halted" and term["reason"] == "newton"
         assert term["steps"] == 55
+        # The halt falls between records (every 10 steps); the trajectory
+        # still ends on the last accepted state.
+        assert summary["final_t"] == term["t"]
+        last = json.loads(Path(result.files[0]).read_text().splitlines()[-1])
+        assert last["t"] == term["t"]
         assert term["detail"].startswith("4-form is not positive (its dual 3-form: ")
 
     def test_recovery_failure_on_huge_step(self, ee2, rng):
