@@ -34,7 +34,6 @@ import copy
 import csv
 import functools
 import json
-import sys
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -42,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, G2FlowError, PositivityError, RecoveryError
-from .exterior import BASIS, DIMS, Form
+from .exterior import BASIS, DIMS, Form, _is_finite_number
 from .fixtures import ee2_diagonal_phi, load_algebra, load_form
 from .flows import (
     FINITE,
@@ -168,15 +167,6 @@ _LEAF_TYPES = {
     bool: ((bool,), "must be true or false"),
     str: ((str,), "must be a string"),
 }
-
-
-def _is_finite_number(value):
-    """A JSON number that a float holds: no bool, NaN, inf or huge integer."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    )
 
 
 def _read_initial(value, label, violations):

@@ -27,11 +27,17 @@ Conventions
   applies the star to a vector or to a stack of them; ``star_matrix`` (the
   star of the identity) and ``gram`` (read off it by the defining pairing)
   are built on each call, for the callers that need a matrix.
+* Operators of the form a -> sum_j K_j ^ iota_{e_{j+1}} a, for seven 1- or
+  2-forms K_j, are built by ``insertion_matrix`` from the wedge and
+  contraction tables.  With 1-forms K_j = A(e^{j+1}) it is the derivation
+  extending a linear map A of 1-forms (``derivation_matrix``); with 2-forms
+  K_j = d e^{j+1} it is the differential of a Lie algebra.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -417,6 +423,37 @@ class Metric:
         return self.star_coeffs(k, np.eye(DIMS[k])).T
 
 
+def _is_finite_number(value):
+    """A JSON number that a float holds: no bool, NaN, inf or huge integer."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def form_from_json(degree, terms):
+    """Form of a fixture term list ``[{"idx": [i, ...], "coef": c}, ...]``;
+    repeated multi-indices add up.  Raises ValueError unless ``degree`` and
+    every index are plain integers (a bool or float is not), each term is an
+    object with ``degree`` indices, and each coef is a finite number."""
+    if type(degree) is not int or not 0 <= degree <= DIM:
+        raise ValueError(f"degree must be an integer in 0..{DIM}, got {degree!r}")
+    if not isinstance(terms, list):
+        raise ValueError(f"terms must be a list, got {terms!r}")
+    coeffs = {}
+    for term in terms:
+        if not isinstance(term, dict):
+            raise ValueError(f"each term must be an object, got {term!r}")
+        idx, coef = term.get("idx"), term.get("coef")
+        if not (isinstance(idx, list) and len(idx) == degree and all(type(i) is int for i in idx)):
+            raise ValueError(f"idx must list {degree} integers, got {idx!r}")
+        if not _is_finite_number(coef):
+            raise ValueError(f"coef must be a finite number, got {coef!r}")
+        coeffs[tuple(idx)] = coeffs.get(tuple(idx), 0.0) + coef
+    return Form.from_terms(degree, coeffs)
+
+
 def wedge(a, b):
     """Exterior product; raises DegreeError when the degrees sum past 7."""
     k, l = a.degree, b.degree
@@ -454,25 +491,26 @@ def form_norm(g, a):
     return float(np.sqrt(max(inner(g, a, a), 0.0)))
 
 
+def insertion_matrix(K, k):
+    """Matrix on k-forms of a -> sum_j K_j ^ iota_{e_{j+1}} a, where row j of
+    ``K`` holds the coefficients of the 1- or 2-form K_j.  The insertions are
+    added one by one in order of j, the slot order of the Leibniz rule, so
+    each entry rounds as the slot-by-slot sum does.  At k = 0, or where the
+    degree would pass 7, the matrix is zero with the shape the degrees give."""
+    K = np.asarray(K, dtype=float)
+    p = DIMS.index(K.shape[1])  # 7 coefficients for 1-forms, 21 for 2-forms
+    n = k + p - 1
+    if k == 0 or n > DIM:
+        return np.zeros((DIMS[n] if n <= DIM else 0, DIMS[k]))
+    wedged = np.tensordot(K, WEDGE[p, k - 1], axes=(1, 0))  # [j, b, c]
+    return np.einsum("jab,jbc->jca", CONTRACT[k], wedged).sum(axis=0)
+
+
 def derivation_matrix(action, k):
     """Extend a linear action on 1-forms to k-forms as a derivation.
 
     ``action[i, j]`` is the coefficient of e^{i+1} in the image of e^{j+1}.
     Returns the matrix of sum_s  e^{j_1} ^ .. ^ action(e^{j_s}) ^ .. ^ e^{j_k}
-    on the degree-k basis.
+    on the degree-k basis, which is the insertion of the images K = action^T.
     """
-    action = np.asarray(action, dtype=float)
-    if k == 0:
-        return np.zeros((1, 1))
-    out = np.zeros((DIMS[k], DIMS[k]))
-    for col, idx in enumerate(BASIS[k]):
-        for slot, j in enumerate(idx):
-            for i in range(1, DIM + 1):
-                coef = action[i - 1, j - 1]
-                if coef == 0.0:
-                    continue
-                replaced = idx[:slot] + (i,) + idx[slot + 1 :]
-                sign, sorted_idx = sort_sign(replaced)
-                if sign:
-                    out[BASIS_POS[k][sorted_idx], col] += sign * coef
-    return out
+    return insertion_matrix(np.transpose(action), k)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exterior import Form
+from .exterior import Form, form_from_json
 from .liealg import LieAlgebraStructure
 
 ENV_VAR = "G2FLOW_FIXTURES"
@@ -52,11 +52,9 @@ def load_form(name_or_path):
     """Load a form fixture ({"degree": k, "terms": [{"idx": .., "coef": ..}]})."""
     with open(_resolve(name_or_path, "form"), "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    terms = {}
-    for term in data["terms"]:
-        idx = tuple(term["idx"])
-        terms[idx] = terms.get(idx, 0.0) + float(term["coef"])
-    return Form.from_terms(int(data["degree"]), terms)
+    if not isinstance(data, dict):
+        raise ValueError(f"a form fixture must be a JSON object, got {type(data).__name__}")
+    return form_from_json(data.get("degree"), data.get("terms"))
 
 
 _STANDARD_SIGNS = {

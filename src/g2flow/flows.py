@@ -49,6 +49,7 @@ from .g2core import (
     CoclosedState,
     G2Structure,
     _structure_of,
+    _torsion_trace,
     full_torsion,
     hodge_laplacian,
     torsion_trace,
@@ -202,8 +203,8 @@ def coflow_rhs(L, state, A=0.0):
     s = _structure_of(state)
     psi = state.psi if isinstance(state, CoclosedState) else s.psi
     lap = hodge_laplacian(L, s.metric, psi)
-    trT = torsion_trace(L, s)
-    return lap + (2.0 * (A - trT)) * differential(L, s.phi)
+    dphi = differential(L, s.phi)
+    return lap + (2.0 * (A - _torsion_trace(s, dphi))) * dphi
 
 
 def laplacian_flow_rhs(L, state):

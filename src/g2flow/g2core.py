@@ -59,7 +59,7 @@ def b_matrix(phi):
 
 
 def metric_from_phi(phi):
-    """Metric and volume induced by a positive 3-form.
+    """Metric induced by a positive 3-form (its volume is ``Metric.vol``).
 
     Raises PositivityError when phi is not positively oriented or the
     candidate metric fails to be positive definite.
@@ -78,21 +78,19 @@ def metric_from_phi(phi):
         raise PositivityError("induced bilinear form is not positive definite") from None
     metric = Metric(g)
     metric._spd_checked = True  # Cholesky above is the definiteness witness
-    return metric, metric.vol
+    return metric
 
 
 @dataclass(eq=False)
 class G2Structure:
-    """Positive 3-form with its induced metric and volume; treat as immutable."""
+    """Positive 3-form with its induced metric; treat as immutable."""
 
     phi: Form
     metric: Metric
-    vol: Form
 
     @classmethod
     def from_phi(cls, phi):
-        metric, vol = metric_from_phi(phi)
-        return cls(phi=phi, metric=metric, vol=vol)
+        return cls(phi=phi, metric=metric_from_phi(phi))
 
     @cached_property
     def psi(self):
@@ -137,7 +135,7 @@ def phi_of_psi(psi, seed=None, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
     if psi.degree != 4:
         raise DegreeError(f"expected a 4-form, got degree {psi.degree}")
     try:
-        g_chi, _ = metric_from_phi(Form(3, COMPL_SIGN[3] * psi.coeffs[COMPL_INDEX[3]]))
+        g_chi = metric_from_phi(Form(3, COMPL_SIGN[3] * psi.coeffs[COMPL_INDEX[3]]))
     except PositivityError as exc:
         raise RecoveryError(f"4-form is not positive (its dual 3-form: {exc})") from exc
     s = g_chi.det**0.375
@@ -214,9 +212,12 @@ def _structure_of(state):
 def torsion_trace(L, state):
     """Scalar torsion trace (1/4) star(d phi ^ phi) of a structure or state."""
     s = _structure_of(state)
-    dphi = differential(L, s.phi)
-    top = wedge(dphi, s.phi)
-    return 0.25 * float(star(s.metric, top).coeffs[0])
+    return _torsion_trace(s, differential(L, s.phi))
+
+
+def _torsion_trace(s, dphi):
+    """``torsion_trace`` of the structure s given its d phi."""
+    return 0.25 * float(star(s.metric, wedge(dphi, s.phi)).coeffs[0])
 
 
 @dataclass(eq=False)

@@ -1,11 +1,12 @@
 """Left-invariant Cartan calculus on a 7-dimensional Lie algebra.
 
 A Lie algebra enters as the differentials of the basis 1-forms (seven
-2-forms).  The exterior differential extends to all degrees by the graded
-Leibniz rule; d^2 = 0 is equivalent to the Jacobi identity and is checked,
-never assumed.  The codifferential, Levi-Civita connection and Hodge
-Laplacian act on invariant forms with constant coefficients, so the whole
-complex is finite dimensional.
+2-forms).  The exterior differential of every degree is
+d = sum_j de^j ^ iota_{e_j}, the graded-Leibniz extension of d on 1-forms,
+built by ``exterior.insertion_matrix``; d^2 = 0 is equivalent to the Jacobi
+identity and is checked, never assumed.  The codifferential, Levi-Civita
+connection and Hodge Laplacian act on invariant forms with constant
+coefficients, so the whole complex is finite dimensional.
 
 Algebra files use the JSON schema::
 
@@ -20,13 +21,24 @@ strictly increasing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .conventions import CODIFF_SIGN, PINV_RCOND
 from .errors import DegreeError, UnimodularityError
-from .exterior import BASIS, DIM, DIMS, Form, contract, wedge
+from .exterior import (
+    CONTRACT,
+    DIM,
+    DIMS,
+    Form,
+    contract,
+    derivation_matrix,
+    form_from_json,
+    insertion_matrix,
+    star,
+)
 
 
 @dataclass(eq=False)
@@ -34,12 +46,13 @@ class LieAlgebraStructure:
     """Structure equations: ``d1[i]`` is the differential of e^{i+1}.
 
     The bracket follows d(alpha)(X, Y) = -alpha([X, Y]); a coefficient +1 of
-    e^{ij} in d1[k] therefore means [e_i, e_j] = -e_{k+1}.
+    e^{ij} in d1[k] therefore means [e_i, e_j] = -e_{k+1}.  The matrices of d,
+    the structure constants and the largest adjoint trace are built on first
+    use; treat instances as immutable.
     """
 
     d1: tuple
     name: str = ""
-    _dmat: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         d1 = tuple(self.d1)
@@ -54,24 +67,22 @@ class LieAlgebraStructure:
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data, dict) or not isinstance(data.get("d", []), list):
+            raise ValueError("an algebra must be a JSON object whose d is a list of entries")
         if data.get("dim") != DIM:
             raise ValueError(f"algebra dimension must be {DIM}, got {data.get('dim')!r}")
         d1 = [Form.zero(2) for _ in range(DIM)]
         seen = set()
         for entry in data.get("d", []):
+            if not isinstance(entry, dict):
+                raise ValueError(f"each entry of d must be an object, got {entry!r}")
             i = entry.get("one_form")
-            if not isinstance(i, int) or not 1 <= i <= DIM:
+            if type(i) is not int or not 1 <= i <= DIM:
                 raise ValueError(f"one_form must be an integer in 1..{DIM}, got {i!r}")
             if i in seen:
                 raise ValueError(f"duplicate entry for one_form {i}")
             seen.add(i)
-            terms = {}
-            for term in entry.get("terms", []):
-                idx = tuple(term["idx"])
-                if len(idx) != 2:
-                    raise ValueError(f"idx must have two entries, got {idx}")
-                terms[idx] = terms.get(idx, 0.0) + float(term["coef"])
-            d1[i - 1] = Form.from_terms(2, terms)
+            d1[i - 1] = form_from_json(2, entry.get("terms", []))
         return cls(d1=tuple(d1), name=str(data.get("name", "")))
 
     @classmethod
@@ -82,10 +93,7 @@ class LieAlgebraStructure:
     def to_dict(self):
         entries = []
         for i, form in enumerate(self.d1, start=1):
-            terms = [
-                {"idx": list(idx), "coef": coef}
-                for idx, coef in form.terms()
-            ]
+            terms = [{"idx": list(idx), "coef": coef} for idx, coef in form.terms()]
             if terms:
                 entries.append({"one_form": i, "terms": terms})
         data = {"dim": DIM, "d": entries}
@@ -95,19 +103,22 @@ class LieAlgebraStructure:
 
     # ------------------------------------------------------------- structure
 
-    @property
+    @cached_property
+    def _differentials(self):
+        d1 = np.array([form.coeffs for form in self.d1])
+        mats = tuple(insertion_matrix(d1, k) for k in range(DIM + 1))
+        for mat in mats:
+            mat.flags.writeable = False
+        return mats
+
+    @cached_property
     def structure_constants(self):
         """c[i, j, k] with [e_{i+1}, e_{j+1}] = sum_k c[i, j, k] e_{k+1}."""
-        if not hasattr(self, "_cc"):
-            c = np.zeros((DIM, DIM, DIM))
-            for k in range(DIM):
-                for pos, (i, j) in enumerate(BASIS[2]):
-                    coef = self.d1[k].coeffs[pos]
-                    c[i - 1, j - 1, k] = -coef
-                    c[j - 1, i - 1, k] = coef
-            c.flags.writeable = False
-            self._cc = c
-        return self._cc
+        # -d e^{k+1}(e_{i+1}, e_{j+1}), contracting e_{i+1} first, then e_{j+1}
+        d1 = np.array([form.coeffs for form in self.d1])
+        c = -np.tensordot(CONTRACT[2], d1, axes=(1, 1))
+        c.flags.writeable = False
+        return c
 
     def bracket(self, u, v):
         """Bracket of two vectors given by frame components."""
@@ -115,36 +126,14 @@ class LieAlgebraStructure:
 
     def differential_matrix(self, k):
         """Matrix of d from k-forms to (k+1)-forms (zero-width for k = 7)."""
-        if k not in self._dmat:
-            if k >= DIM:
-                mat = np.zeros((0, DIMS[DIM]))
-            elif k == 0:
-                # invariant functions are constant
-                mat = np.zeros((DIMS[1], DIMS[0]))
-            else:
-                mat = np.zeros((DIMS[k + 1], DIMS[k]))
-                for col, idx in enumerate(BASIS[k]):
-                    image = Form.zero(k + 1)
-                    for slot, j in enumerate(idx):
-                        # graded Leibniz: d passes slot 1-forms, sign (-1)^slot
-                        head = Form.monomial(idx[:slot]) if slot else None
-                        tail = Form.monomial(idx[slot + 1 :]) if slot < k - 1 else None
-                        piece = self.d1[j - 1]
-                        if head is not None:
-                            piece = wedge(head, piece)
-                        if tail is not None:
-                            piece = wedge(piece, tail)
-                        image = image + (-1.0) ** slot * piece
-                    mat[:, col] = image.coeffs
-            mat.flags.writeable = False
-            self._dmat[k] = mat
-        return self._dmat[k]
+        return self._differentials[k]
+
+    @cached_property
+    def _max_trace(self):
+        return float(np.max(np.abs(np.einsum("ikk->i", self.structure_constants))))
 
     def is_unimodular(self, tol=1e-12):
         """True when every adjoint map is traceless."""
-        if not hasattr(self, "_max_trace"):
-            traces = np.einsum("ikk->i", self.structure_constants)
-            self._max_trace = float(np.max(np.abs(traces)))
         return self._max_trace <= tol
 
 
@@ -168,12 +157,9 @@ def differential(L, a):
 
 def jacobi_check(L, tol=1e-12):
     """Check d(d e^i) = 0 for every generator; equivalent to Jacobi."""
-    residuals = []
-    for i in range(DIM):
-        dd = differential(L, L.d1[i])
-        residuals.append(float(np.max(np.abs(dd.coeffs))))
+    residuals = tuple(float(np.max(np.abs(differential(L, form).coeffs))) for form in L.d1)
     worst = max(residuals)
-    return JacobiReport(ok=worst <= tol, max_residual=worst, per_generator=tuple(residuals))
+    return JacobiReport(ok=worst <= tol, max_residual=worst, per_generator=residuals)
 
 
 def _require_unimodular(L):
@@ -188,8 +174,6 @@ def codifferential(L, g, a):
     if a.degree == 0:
         raise DegreeError("codifferential requires degree >= 1")
     _require_unimodular(L)
-    from .exterior import star  # local import keeps module surface tidy
-
     return CODIFF_SIGN[a.degree] * star(g, differential(L, star(g, a)))
 
 
@@ -220,7 +204,6 @@ class Connection:
     coefficient of e_{k+1} in nabla_{e_{i+1}} e_{j+1}."""
 
     gamma: np.ndarray
-    _form_action: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         gamma = np.array(self.gamma, dtype=float)
@@ -230,21 +213,13 @@ class Connection:
         self.gamma = gamma
 
     def form_action(self, k):
-        """Stack of matrices: entry i is nabla_{e_{i+1}} on k-forms."""
-        if k not in self._form_action:
-            from .exterior import derivation_matrix
-
-            stack = np.empty((DIM, DIMS[k], DIMS[k]))
-            for i in range(DIM):
-                # nabla_{e_i} e^j = -Gamma^j_{im} e^m
-                stack[i] = derivation_matrix(-self.gamma[i], k)
-            stack.flags.writeable = False
-            self._form_action[k] = stack
-        return self._form_action[k]
+        """Stack of matrices, built on each call: entry i is nabla_{e_{i+1}} on
+        k-forms, extending nabla_{e_i} e^j = -Gamma^j_{im} e^m as a derivation."""
+        return np.stack([derivation_matrix(-gamma_i, k) for gamma_i in self.gamma])
 
     def covariant_derivative(self, i, a):
         """nabla along the i-th frame vector (i in 0..6) of an invariant form."""
-        return Form(a.degree, self.form_action(a.degree)[i] @ a.coeffs)
+        return Form(a.degree, derivation_matrix(-self.gamma[i], a.degree) @ a.coeffs)
 
 
 def levi_civita(L, g):
@@ -278,15 +253,11 @@ class GreenReport:
     image_dim: int
 
 
-def _gram_cholesky(g, k):
-    return np.linalg.cholesky(g.gram(k))
-
-
 def _green_operator(L, g, k, rcond):
     """Pseudo-inverse of the Laplacian on k-forms, correct for the Gram
     inner product (the Laplacian is self-adjoint there, not in coefficients)."""
     lap = hodge_laplacian_matrix(L, g, k)
-    chol = _gram_cholesky(g, k)
+    chol = np.linalg.cholesky(g.gram(k))
     chol_inv_t = np.linalg.inv(chol).T
     sym = chol.T @ lap @ chol_inv_t
     sym = 0.5 * (sym + sym.T)

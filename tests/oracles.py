@@ -303,6 +303,26 @@ def d_oracle(d1_dicts, a_dict, k):
     return {k2: v for k2, v in out.items() if v != 0.0}
 
 
+def derivation_oracle(action, a_dict):
+    """Derivation extending a linear map of 1-forms to a sparse form.
+
+    ``action[i, j]`` is the coefficient of e^{i+1} in the image of e^{j+1}.
+    Each slot of each monomial is replaced in turn by every e^i the action
+    sends it to, and the result is sorted with its parity.
+    """
+    out = {}
+    for idx, c in a_dict.items():
+        for slot, j in enumerate(idx):
+            for i in range(1, DIM + 1):
+                coef = action[i - 1, j - 1]
+                replaced = idx[:slot] + (i,) + idx[slot + 1 :]
+                if coef == 0.0 or len(set(replaced)) != len(replaced):
+                    continue
+                key = tuple(sorted(replaced))
+                out[key] = out.get(key, 0.0) + perm_parity(replaced) * c * coef
+    return out
+
+
 def koszul_oracle(structure_constants, g):
     """Levi-Civita connection coefficients on a Lie algebra with a
     left-invariant metric: 2 g(nabla_i e_j, e_k) =

@@ -107,7 +107,8 @@ def _timed(fn):
 
 def test_criterion_02_metric_calibration(announce):
     with gate(announce, 2, "metric calibration"):
-        metric, vol = metric_from_phi(standard_phi())
+        metric = metric_from_phi(standard_phi())
+        vol = metric.vol
         assert np.max(np.abs(metric.g - np.eye(7))) <= 1e-14
         assert abs(vol.coeffs[0] - 1.0) <= 1e-14
         assert vol.degree == 7

@@ -52,6 +52,68 @@ class TestCheck:
         assert json.loads(out)["algebras"][0]["ok"] is True
 
 
+def _algebra(term=None, entry=None):
+    term = {"idx": [1, 7], "coef": 1.0} if term is None else term
+    entry = {"one_form": 6, "terms": [term]} if entry is None else entry
+    return {"dim": 7, "d": [entry]}
+
+
+def _form(term=None, degree=4):
+    term = {"idx": [4, 5, 6, 7], "coef": 1.0} if term is None else term
+    return {"degree": degree, "terms": [term]}
+
+
+# Fixture files whose JSON shape is wrong, by kind; each must end in a
+# config error, never a traceback or a silently different structure.
+MALFORMED_FIXTURES = {
+    "algebra-null-coef": ("algebra", _algebra(term={"idx": [1, 7], "coef": None})),
+    "algebra-scalar-idx": ("algebra", _algebra(term={"idx": 5, "coef": 1.0})),
+    "algebra-float-index": ("algebra", _algebra(term={"idx": [1, 7.9], "coef": 1.0})),
+    "algebra-list-entry": ("algebra", _algebra(entry=[6, [1, 7], 1.0])),
+    "algebra-bool-generator": ("algebra", _algebra(entry={"one_form": True, "terms": []})),
+    "algebra-list-file": ("algebra", [_algebra()]),
+    "form-null-coef": ("form", _form(term={"idx": [4, 5, 6, 7], "coef": None})),
+    "form-scalar-idx": ("form", _form(term={"idx": 5, "coef": 1.0})),
+    "form-float-index": ("form", _form(term={"idx": [4, 5, 6, 7.5], "coef": 1.0})),
+    "form-list-term": ("form", _form(term=[4, 5, 6, 7])),
+    "form-null-degree": ("form", _form(degree=None)),
+    "form-list-file": ("form", [_form()]),
+}
+
+
+class TestMalformedFixtures:
+    @pytest.mark.parametrize(
+        "kind, payload", MALFORMED_FIXTURES.values(), ids=MALFORMED_FIXTURES.keys()
+    )
+    def test_exit_config_from_run_and_check(self, capsys, tmp_path, monkeypatch, kind, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        cfg = {"schema_version": 1, "experiment": "custom", "algebra_file": "ee1",
+               "initial": "psi_standard"}
+        if kind == "algebra":
+            cfg["algebra_file"] = str(bad)
+            message = "config error: algebra_file: malformed algebra file ("
+            check = ["check", str(bad)]
+        else:
+            cfg["initial"] = str(bad)
+            message = "config error: initial: malformed form fixture ("
+            check = ["check", "torus"]
+        code, _, err = _run(capsys, ["run", _config(tmp_path, cfg), "--validate-only"])
+        assert code == EXIT_CONFIG
+        assert message in err
+        if kind == "form":
+            # check reads the reference forms from the fixture directory
+            override = tmp_path / "fx"
+            override.mkdir()
+            for name in ("torus.json", "psi_standard.json"):
+                shutil.copy(fixtures_dir() / name, override / name)
+            shutil.copy(bad, override / "phi_standard.json")
+            monkeypatch.setenv("G2FLOW_FIXTURES", str(override))
+        code, out, _ = _run(capsys, check)
+        assert code == EXIT_CONFIG
+        assert json.loads(out)["ok"] is False
+
+
 class TestRunVerb:
     def test_minimal_static_experiment(self, capsys, tmp_path):
         cfg = _config(tmp_path, {"schema_version": 1, "experiment": "ee1_static", "samples": 3})

@@ -25,6 +25,7 @@ from .conftest import conditioned_spd, random_form, random_spd
 from .oracles import (
     ExactMetric,
     coeffs_of_dict,
+    derivation_oracle,
     dict_contract,
     dict_of_coeffs,
     dict_wedge,
@@ -366,6 +367,16 @@ class TestDerivationMatrix:
         lhs = d3 @ wedge(a, b).coeffs
         rhs = (wedge(Form(1, d1 @ a.coeffs), b) + wedge(a, Form(2, d2 @ b.coeffs))).coeffs
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+    @pytest.mark.parametrize("k", range(DIM + 1))
+    def test_matches_slot_replacement_oracle(self, rng, k):
+        sparse = rng.standard_normal((DIM, DIM)) * (rng.random((DIM, DIM)) < 0.5)
+        for action in (rng.standard_normal((DIM, DIM)), -sparse):
+            mat = derivation_matrix(action, k)
+            assert mat.shape == (DIMS[k], DIMS[k])
+            for col, idx in enumerate(oracle_basis(k)):
+                want = coeffs_of_dict(k, derivation_oracle(action, {idx: 1.0}))
+                assert np.array_equal(mat[:, col], want)
 
     def test_identity_action_scales_by_degree(self):
         for k in range(1, DIM + 1):

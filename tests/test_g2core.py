@@ -65,23 +65,23 @@ class TestBMatrix:
 
 class TestMetricFromPhi:
     def test_reference_metric_is_identity(self, phi_bar):
-        g, vol = metric_from_phi(phi_bar)
+        g = metric_from_phi(phi_bar)
         assert np.max(np.abs(g.g - np.eye(DIM))) <= 1e-14
-        assert abs(vol.coeffs[0] - 1.0) <= 1e-14
+        assert abs(g.vol.coeffs[0] - 1.0) <= 1e-14
 
     def test_matches_normalized_oracle(self, rng):
         for _ in range(5):
             phi = random_positive_phi(rng)
-            got = metric_from_phi(phi)[0].g
+            got = metric_from_phi(phi).g
             want = metric_oracle(dict_of_coeffs(3, phi.coeffs))
             assert np.allclose(got, want, atol=1e-10)
 
     def test_scaling_weight(self, phi_bar, rng):
         """phi -> s phi rescales the metric by s^{2/3}."""
         phi = random_positive_phi(rng)
-        g1 = metric_from_phi(phi)[0].g
+        g1 = metric_from_phi(phi).g
         for s in (0.5, 2.0, 3.0):
-            gs = metric_from_phi(Form(3, s * phi.coeffs))[0].g
+            gs = metric_from_phi(Form(3, s * phi.coeffs)).g
             assert np.allclose(gs, s ** (2.0 / 3.0) * g1, atol=1e-12)
 
     def test_negative_form_rejected(self, phi_bar):
@@ -99,7 +99,7 @@ class TestMetricFromPhi:
         for _ in range(4):
             c = rng.uniform(0.5, 2.0, size=7)
             lam = family_lambda_oracle(c)
-            g = metric_from_phi(ee2_diagonal_phi(c))[0].g
+            g = metric_from_phi(ee2_diagonal_phi(c)).g
             assert np.allclose(g, np.diag(lam**2), atol=1e-10)
 
 

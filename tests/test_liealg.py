@@ -19,7 +19,7 @@ from g2flow.liealg import (
 from g2flow import load_algebra
 
 from .conftest import random_form, random_spd
-from .oracles import coeffs_of_dict, d_oracle, dict_of_coeffs, koszul_oracle
+from .oracles import coeffs_of_dict, d_oracle, dict_of_coeffs, koszul_oracle, oracle_basis
 
 
 def _non_unimodular():
@@ -67,13 +67,20 @@ class TestDifferential:
         for k in range(1, DIM):
             assert np.max(np.abs(torus.differential_matrix(k))) == 0.0
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_matches_leibniz_oracle(self, ee1, ee2, rng, k):
-        for L in (ee1, ee2):
-            a = random_form(rng, k)
-            want = d_oracle(_d1_dicts(L), dict_of_coeffs(k, a.coeffs), k)
-            got = differential(L, a)
-            assert np.allclose(got.coeffs, coeffs_of_dict(k + 1, want), atol=1e-12)
+    @pytest.mark.parametrize("k", range(DIM + 1))
+    def test_matches_leibniz_oracle(self, torus, ee1, ee2, n2, rng, k):
+        seeded = LieAlgebraStructure(tuple(random_form(rng, 2) for _ in range(DIM)))
+        for L in (torus, ee1, ee2, load_algebra("ee1_corrupted"), n2, seeded):
+            mat = L.differential_matrix(k)
+            assert mat.shape == (DIMS[k + 1] if k < DIM else 0, DIMS[k])
+            for col, idx in enumerate(oracle_basis(k)):
+                want = d_oracle(_d1_dicts(L), {idx: 1.0}, k)
+                assert np.array_equal(mat[:, col], coeffs_of_dict(k + 1, want))
+            if k < DIM:
+                a = random_form(rng, k)
+                want = d_oracle(_d1_dicts(L), dict_of_coeffs(k, a.coeffs), k)
+                got = differential(L, a)
+                assert np.allclose(got.coeffs, coeffs_of_dict(k + 1, want), atol=1e-12)
 
     def test_d_squared_is_zero_as_matrices(self, torus, ee1, ee2):
         for L in (torus, ee1, ee2):
@@ -227,6 +234,15 @@ class TestConnection:
                 a, nabla.covariant_derivative(i, b)
             )
             assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-10)
+
+    def test_form_action_is_the_covariant_derivative(self, ee2, rng):
+        nabla = levi_civita(ee2, Metric(random_spd(rng)))
+        for k in range(DIM + 1):
+            stack = nabla.form_action(k)
+            assert stack.shape == (DIM, DIMS[k], DIMS[k])
+            for i in range(DIM):
+                cols = [nabla.covariant_derivative(i, Form(k, e)).coeffs for e in np.eye(DIMS[k])]
+                assert np.array_equal(stack[i], np.transpose(cols))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
