@@ -21,6 +21,7 @@ output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -42,6 +43,9 @@ EXIT_NUMERICAL = 3
 _DEFAULT_CHECK = ("torus", "ee1", "ee2")
 
 
+# Built once per process: a parser is a web of reference cycles, so one per
+# call would leave ~320 objects per in-process run to the cyclic collector.
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="g2flow",

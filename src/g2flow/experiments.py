@@ -26,6 +26,11 @@ Experiments:
 * ``sweep``        — a cartesian grid of overrides on top of a base
   experiment, run one cell after another, one output file per cell plus a
   manifest.
+
+``ee1_static`` and ``ee2_family`` evaluate their samples as stacks of up to
+``_STACK_ROWS`` rows: one recovery (``g2core.stack_from_psi`` or
+``stack_from_phi``) and one right-hand side per stack, redoing one by one
+only the rows that fail a check there.
 """
 
 from __future__ import annotations
@@ -53,13 +58,21 @@ from .flows import (
     FlowConfig,
     coclosed_directions,
     coflow_rhs,
+    coflow_rhs_stack,
     exact_directions,
     integrate,
     linearize,
     one_of,
     rule_violations,
 )
-from .g2core import CoclosedState, G2Structure
+from .g2core import (
+    CoclosedState,
+    G2Structure,
+    StructureStack,
+    _norms,
+    stack_from_phi,
+    stack_from_psi,
+)
 from .liealg import jacobi_check
 from .nearly_parallel import NPParams, np_solve
 
@@ -84,6 +97,10 @@ SUBSPACES = ("coclosed", "exact", "full")
 OUTPUT_FORMATS = ("jsonl", "csv")
 
 _MAX_SWEEP_CELLS = 1000
+# Rows per stacked evaluation of sampled states.  The temporaries of a
+# stack grow by about 20 KB a row; at 25 rows they leave the peak memory of
+# a run where one-by-one evaluation has it, and larger stacks are no faster.
+_STACK_ROWS = 25
 _PSI_COLUMNS = [f"psi_{i:02d}" for i in range(DIMS[4])]
 
 
@@ -637,12 +654,9 @@ def sample_initial(
         return base, 0.0, 0, state_of(base)
     if basis is None:
         basis = _perturbation_basis(L, pcfg.subspace, flow_kind)
-    z = rng.standard_normal(basis.shape[1])
-    direction = basis @ z
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
+    direction = _unit_directions(basis, rng.standard_normal(basis.shape[1]))
+    if not direction.any():
         return base, 0.0, 0, state_of(base)
-    direction /= norm
     scale = pcfg.magnitude
     for halvings in range(max_halvings + 1):
         candidate = Form(base.degree, base.coeffs + scale * direction)
@@ -654,6 +668,70 @@ def sample_initial(
         f"could not find a positive perturbation within {max_halvings} halvings "
         f"of magnitude {pcfg.magnitude}"
     )
+
+
+def _unit_directions(basis, z):
+    """The directions basis @ z (one, or one per row of z) scaled to unit
+    length; a zero direction stays zero."""
+    direction = z @ basis.T
+    norm = _norms(direction)[..., None]
+    return np.divide(direction, norm, out=np.zeros_like(direction), where=norm != 0.0)
+
+
+def _sample_directions(L, pcfg, rng, n):
+    """The unit directions of ``n`` coflow draws of ``sample_initial``, as
+    one (n, k) block of the same random stream (zero rows where it draws
+    none)."""
+    if pcfg.magnitude == 0.0:
+        return np.zeros((n, DIMS[4]))
+    basis = _perturbation_basis(L, pcfg.subspace, "modified_coflow")
+    return _unit_directions(basis, rng.standard_normal((n, basis.shape[1])))
+
+
+def _sample_stack(base, direction, magnitude, max_halvings=40):
+    """The coflow samples of ``sample_initial`` along the unit direction
+    rows, evaluated as stacks.
+
+    All candidates are recovered in one pass (``g2core.stack_from_psi``).
+    A row that fails a check there is redone on its own, with
+    ``CoclosedState.from_psi``: where that fails too, its scale is halved
+    and the halved rows are recovered again as one stack, so the halvings
+    are those of ``sample_initial``.  Returns (scales, halvings, stack) with
+    the ``g2core.StructureStack`` of the accepted forms.
+    """
+    n = len(direction)
+    scales = np.where(direction.any(axis=1), float(magnitude), 0.0)
+    halvings = [0] * n
+    stack, bad = stack_from_psi(base.coeffs + scales[:, None] * direction)
+    while bad.any():
+        redone, retry = {}, []
+        for i in np.flatnonzero(bad):
+            try:
+                redone[i] = CoclosedState.from_psi(Form(4, base.coeffs + scales[i] * direction[i]))
+            except (PositivityError, RecoveryError):
+                if scales[i] == 0.0:  # the base form itself, as sample_initial recovers it
+                    raise
+                if halvings[i] == max_halvings:
+                    raise G2FlowError(
+                        f"could not find a positive perturbation within {max_halvings} "
+                        f"halvings of magnitude {magnitude}"
+                    ) from None
+                scales[i] *= 0.5
+                halvings[i] += 1
+                retry.append(i)
+        if redone:
+            stack = stack.with_rows(list(redone), StructureStack.of(list(redone.values())))
+        bad = np.zeros(n, dtype=bool)
+        if retry:
+            again, again_bad = stack_from_psi(base.coeffs + scales[retry, None] * direction[retry])
+            stack = stack.with_rows(retry, again)
+            bad[retry] = again_bad
+    return scales, halvings, stack
+
+
+def _row_blocks(n):
+    """Slices of at most ``_STACK_ROWS`` rows that cover n rows in order."""
+    return [slice(start, start + _STACK_ROWS) for start in range(0, n, _STACK_ROWS)]
 
 
 def _initial_form(cfg, degree):
@@ -683,19 +761,16 @@ def _run_ee1_static(cfg, path):
         }
     ]
     n = cfg.samples
+    direction = _sample_directions(L, cfg.perturbation, rng, n)
     max_rhs = 0.0
-    basis = None
-    if cfg.perturbation.magnitude:
-        basis = _perturbation_basis(L, cfg.perturbation.subspace, "modified_coflow")
-    for i in range(n):
-        _, scale, halvings, sample_state = sample_initial(
-            L, base, cfg.perturbation, rng, basis=basis
-        )
-        rhs = float(np.linalg.norm(coflow_rhs(L, sample_state, cfg.flow.A).coeffs))
-        max_rhs = max(max_rhs, rhs)
-        records.append(
-            {"record": "sample", "index": i, "rhs_norm": rhs, "scale": scale, "halvings": halvings}
-        )
+    for rows in _row_blocks(n):
+        scales, halvings, stack = _sample_stack(base, direction[rows], cfg.perturbation.magnitude)
+        rhs = _norms(coflow_rhs_stack(L, stack, cfg.flow.A)).tolist()
+        for i, (r, scale, h) in enumerate(zip(rhs, scales, halvings), start=rows.start):
+            max_rhs = max(max_rhs, r)
+            records.append(
+                {"record": "sample", "index": i, "rhs_norm": r, "scale": float(scale), "halvings": h}
+            )
     tolerance = 1e-8
     passed = standard_rhs <= 1e-10 and max_rhs <= tolerance
     records.append(
@@ -744,10 +819,17 @@ def _run_ee2_family(cfg, path):
     max_law_err = 0.0
     max_off = 0.0
     direct_agrees = 0
-    for i in range(n):
-        c = np.ones(7) if i == 0 else rng.uniform(0.5, 2.0, size=7)
-        state = G2Structure.from_phi(ee2_diagonal_phi(c))
-        rhs = coflow_rhs(L, state, 0.0).coeffs
+    cs = np.vstack([np.ones(7), rng.uniform(0.5, 2.0, size=(n - 1, 7))])
+    phis = [ee2_diagonal_phi(c) for c in cs]
+    rhss = []
+    for rows in _row_blocks(n):
+        stack, bad = stack_from_phi(np.array([phi.coeffs for phi in phis[rows]]))
+        if bad.any():
+            redo = np.flatnonzero(bad)
+            states = [G2Structure.from_phi(phis[rows][i]) for i in redo]
+            stack = stack.with_rows(redo, StructureStack.of(states))
+        rhss.extend(coflow_rhs_stack(L, stack, 0.0))
+    for i, (c, rhs) in enumerate(zip(cs, rhss)):
         computed = float(rhs[_E1357])
         off = float(np.max(np.abs(np.delete(rhs, _E1357))))
         lam = family_stretch_factors(c)

@@ -27,6 +27,10 @@ Conventions
   applies the star to a vector or to a stack of them; ``star_matrix`` (the
   star of the identity) and ``gram`` (read off it by the defining pairing)
   are built on each call, for the callers that need a matrix.
+* A Metric may also hold a stack of metrics, g of shape (n, 7, 7), one per
+  row of the coefficient stacks it stars: the index transforms, the second
+  compounds, inverse and determinant all broadcast over that leading axis,
+  so independent states share each call (``g2core.stack_from_psi``).
 * Operators of the form a -> sum_j K_j ^ iota_{e_{j+1}} a, for seven 1- or
   2-forms K_j, are built by ``insertion_matrix`` from the wedge and
   contraction tables.  With 1-forms K_j = A(e^{j+1}) it is the derivation
@@ -286,30 +290,48 @@ def _transform(j, m, m2t, u):
     """Transform every index of degree-j layouts (j <= 3, the last axis of
     ``u``) by the symmetric matrix m: m on the contracted index i and the
     (j-1)-th power on the rest.  ``m2t`` is the transposed second power of
-    m, needed for j = 3 only."""
+    m, needed for j = 3 only.  Leading axes broadcast: one matrix for every
+    layout, or one per row of a stack (m of shape (n, 7, 7))."""
     if j == 0:
         return u
     if j == 1:
-        return u @ m
-    lead = u.shape[:-1]
-    u = u.reshape(lead + (DIM, DIMS[j - 1]))
-    return (m @ (u @ (m if j == 2 else m2t))).reshape(lead + (-1,))
+        return (u[..., None, :] @ m)[..., 0, :]
+    u = u.reshape(u.shape[:-1] + (DIM, DIMS[j - 1]))
+    out = m @ (u @ (m if j == 2 else m2t))
+    return out.reshape(out.shape[:-2] + (-1,))
 
 
 def _second_power_t(m):
-    """Transposed second exterior power of the symmetric m as a (21, 21)
-    matrix (read-only): row a holds the transformed basis 2-form a."""
-    mat = _transform(2, m, None, _BASIS2_LAYOUT).take(_LAYOUT[2][2], axis=1)
+    """Transposed second exterior power of the symmetric m (one matrix, or
+    a stack of them) as (21, 21) matrices (read-only): row a holds the
+    transformed basis 2-form a."""
+    mat = _transform(2, m[..., None, :, :], None, _BASIS2_LAYOUT).take(_LAYOUT[2][2], axis=-1)
     mat.flags.writeable = False
     return mat
+
+
+def _scalar_or_rows(x):
+    """A float for one metric, the array of row values for a stack."""
+    return float(x) if x.ndim == 0 else x
+
+
+def _per_row(values, axes=1):
+    """Values of a stack (an array, one per row) shaped to scale the rows,
+    which have ``axes`` more axes; one value stays as it is."""
+    return values.reshape(values.shape + (1,) * axes) if isinstance(values, np.ndarray) else values
 
 
 @dataclass(eq=False)
 class Metric:
     """Symmetric positive-definite inner product on the 7-dimensional space.
 
-    Instances cache derived data (inverse, determinant, the second
-    compounds of g and g^{-1}); treat them as immutable after construction.
+    ``g`` is one 7 x 7 matrix, or a stack of shape (n, 7, 7): one metric per
+    row of the coefficient stacks it stars, with one orientation for all.
+    On a stack, ``det``, ``sqrt_det`` and ``min_eigenvalue`` are arrays of
+    row values and ``star_coeffs`` stars row i by metric i; ``vol``,
+    ``gram`` and ``star_matrix`` need one metric.  Instances cache derived
+    data (inverse, determinant, the second compounds of g and g^{-1});
+    treat them as immutable after construction.
     """
 
     g: np.ndarray
@@ -318,15 +340,16 @@ class Metric:
 
     def __post_init__(self):
         g = np.array(self.g, dtype=float)
-        if g.shape != (DIM, DIM):
-            raise MetricError(f"metric must be {DIM}x{DIM}, got {g.shape}")
+        if g.ndim not in (2, 3) or g.shape[-2:] != (DIM, DIM):
+            raise MetricError(f"metric must be {DIM}x{DIM} or a stack of them, got {g.shape}")
         if not np.isfinite(g).all():
             raise MetricError("metric entries must be finite")
-        if np.abs(g - g.T).max() > 1e-12:
+        gt = g.swapaxes(-1, -2)
+        if np.abs(g - gt).max() > 1e-12:
             raise MetricError("metric must be symmetric")
         if self.orientation not in (1, -1):
             raise MetricError(f"orientation must be +1 or -1, got {self.orientation}")
-        g = 0.5 * (g + g.T)
+        g = 0.5 * (g + gt)
         g.flags.writeable = False
         self.g = g
 
@@ -341,31 +364,30 @@ class Metric:
     def require_spd(self):
         if self._spd_checked:
             return
-        if not self.min_eigenvalue > 0.0:  # also catches NaN
-            raise MetricError(
-                f"metric is not positive definite (min eigenvalue {self.min_eigenvalue:.3e})"
-            )
+        lowest = np.min(self.min_eigenvalue)
+        if not lowest > 0.0:  # also catches NaN
+            raise MetricError(f"metric is not positive definite (min eigenvalue {lowest:.3e})")
         self._spd_checked = True
 
     @cached_property
     def min_eigenvalue(self):
-        return float(np.linalg.eigvalsh(self.g)[0])
+        return _scalar_or_rows(np.linalg.eigvalsh(self.g)[..., 0])
 
     @cached_property
     def inv(self):
         inv = np.linalg.inv(self.g)
-        inv = 0.5 * (inv + inv.T)
+        inv = 0.5 * (inv + inv.swapaxes(-1, -2))
         inv.flags.writeable = False
         return inv
 
     @cached_property
     def det(self):
-        return float(np.linalg.det(self.g))
+        return _scalar_or_rows(np.linalg.det(self.g))
 
     @cached_property
     def sqrt_det(self):
         self.require_spd()
-        return float(np.sqrt(self.det))
+        return _scalar_or_rows(np.sqrt(self.det))
 
     @cached_property
     def vol(self):
@@ -395,7 +417,8 @@ class Metric:
 
     def star_coeffs(self, k, coeffs):
         """Hodge star of k-form coefficients (a vector, or a stack in rows),
-        as the coefficients of a (7-k)-form.
+        as the coefficients of a (7-k)-form; a stacked metric stars each
+        row by its own metric.
 
         For k <= 3: (star a)_{I^c} = sign(I, I^c) * orientation * sqrt(det g)
         * (G_k a)_I, with G_k a the raised coefficients.  For k >= 4, since
@@ -411,7 +434,7 @@ class Metric:
         else:
             m, m2t, scale = self.g, self._g2t if k == 4 else None, 1.0 / vol
         u = coeffs.take(src, axis=-1)
-        u *= sign * scale
+        u *= sign * _per_row(scale)
         out = _transform(min(k, DIM - k), m, m2t, u).take(pick, axis=-1)
         out *= out_sign
         return out
@@ -459,8 +482,14 @@ def wedge(a, b):
     k, l = a.degree, b.degree
     if k + l > DIM:
         raise DegreeError(f"wedge of degrees {k} and {l} exceeds dimension {DIM}")
-    partial = (a.coeffs @ _WEDGE_FLAT[k, l]).reshape(DIMS[l], DIMS[k + l])
-    return Form(k + l, b.coeffs @ partial)
+    return Form(k + l, _wedge(k, l, a.coeffs, b.coeffs))
+
+
+def _wedge(k, l, a, b):
+    """``wedge`` on coefficients: one k-form and one l-form, or stacks of
+    them wedged row by row."""
+    partial = (a @ _WEDGE_FLAT[k, l]).reshape(a.shape[:-1] + (DIMS[l], DIMS[k + l]))
+    return (b[..., None, :] @ partial)[..., 0, :]
 
 
 def contract(v, a):

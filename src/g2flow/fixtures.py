@@ -31,10 +31,10 @@ def fixtures_dir():
 
 def _resolve(name_or_path, kind):
     path = Path(name_or_path)
-    if path.suffix == ".json" and path.exists():
+    if path.suffix == ".json" and path.is_file():
         return path
     candidate = fixtures_dir() / f"{name_or_path}.json"
-    if candidate.exists():
+    if candidate.is_file():
         return candidate
     known = ALGEBRA_NAMES if kind == "algebra" else FORM_NAMES
     raise FileNotFoundError(

@@ -44,17 +44,19 @@ from dataclasses import dataclass, field, fields, is_dataclass
 import numpy as np
 
 from .errors import ConfigError, G2FlowError, PositivityError, RecoveryError
-from .exterior import DIM, Form
+from .exterior import DIM, Form, _per_row
 from .g2core import (
     CoclosedState,
     G2Structure,
+    _d,
+    _laplacian,
     _structure_of,
     _torsion_trace,
     full_torsion,
     hodge_laplacian,
     torsion_trace,
 )
-from .liealg import Connection, differential, lie_derivative
+from .liealg import Connection, lie_derivative
 
 __all__ = [
     "FlowConfig",
@@ -66,6 +68,7 @@ __all__ = [
     "Trajectory",
     "SpectrumReport",
     "coflow_rhs",
+    "coflow_rhs_stack",
     "laplacian_flow_rhs",
     "deturck_vector",
     "deturck_term",
@@ -201,10 +204,24 @@ def coflow_rhs(L, state, A=0.0):
     Affine in A: the A-dependence is exactly 2 A d(phi).
     """
     s = _structure_of(state)
-    psi = state.psi if isinstance(state, CoclosedState) else s.psi
-    lap = hodge_laplacian(L, s.metric, psi)
-    dphi = differential(L, s.phi)
-    return lap + (2.0 * (A - _torsion_trace(s, dphi))) * dphi
+    return Form(4, _coflow_rhs(L, s.metric, s.phi.coeffs, state.psi.coeffs, A))
+
+
+def coflow_rhs_stack(L, stack, A=0.0):
+    """``coflow_rhs`` of every row of a ``g2core.StructureStack`` in one
+    pass: the (n, 35) array of right-hand-side coefficients.  Raises the
+    ValueError of ``coflow_rhs`` when a row is not finite."""
+    rhs = _coflow_rhs(L, stack.metric, stack.phi, stack.psi, A)
+    if not np.isfinite(rhs).all():
+        raise ValueError("coefficients must be finite")  # as the Form of that row raises
+    return rhs
+
+
+def _coflow_rhs(L, metric, phi, psi, A):
+    """``coflow_rhs`` of coefficients: one structure, or stacks in rows."""
+    lap = _laplacian(L, metric, 4, psi)
+    dphi = _d(L, 3, phi)
+    return lap + _per_row(2.0 * (A - _torsion_trace(metric, phi, dphi))) * dphi
 
 
 def laplacian_flow_rhs(L, state):
@@ -296,6 +313,10 @@ class Trajectory:
         return [s.record() for s in self.states]
 
 
+class _NonFiniteStage(G2FlowError):
+    """A Runge-Kutta stage left the finite range before its evaluation."""
+
+
 class _Evaluator:
     """Shared right-hand-side evaluator.
 
@@ -317,6 +338,8 @@ class _Evaluator:
     def state_of(self, y):
         key = y.tobytes()
         if key != self._key:
+            if not np.isfinite(y).all():
+                raise _NonFiniteStage
             if self.coflow:
                 state = CoclosedState.from_psi(Form(4, y))
             else:
@@ -486,6 +509,8 @@ def integrate(L, config, state0, reference=None):
         except (PositivityError, RecoveryError) as exc:
             reason = "positivity" if isinstance(exc, PositivityError) else "newton"
             termination = end(reason, str(exc))
+        except _NonFiniteStage:
+            termination = end("nonfinite", "a stage of the step left the finite range")
     if states[-1].t != t:
         # A halt between records ends on a record of the state at the halt
         # time (the last accepted step), unless its own recovery failed.

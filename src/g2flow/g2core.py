@@ -10,6 +10,16 @@ this gives exactly the identity metric and volume e^{1234567}.  The dual
 4-form is psi = star phi.  Flows evolve psi, so the inverse map (recovering
 phi from psi) is needed on every step; a positive 4-form fixes its metric
 algebraically, so it is a closed form with an optional Newton correction.
+
+The kernels (B, the induced metric, the closed-form recovery, the torsion
+trace, the Hodge Laplacian) take the coefficients of one form or a stack of
+forms in rows, with one metric per row.  ``stack_from_psi`` and
+``stack_from_phi`` evaluate independent states in one pass: every check of
+one evaluation runs over the whole stack, and a row that fails one comes
+back marked, to be redone one by one by ``CoclosedState.from_psi`` or
+``G2Structure.from_phi`` (Newton corrections, errors and messages are
+theirs).  Scalar powers are taken per row as for one form, so a stacked row
+gets the arithmetic of its one-form evaluation.
 """
 
 from __future__ import annotations
@@ -36,10 +46,11 @@ from .exterior import (
     WEDGE,
     Form,
     Metric,
+    _per_row,
+    _wedge,
     star,
-    wedge,
 )
-from .liealg import _require_unimodular, differential, levi_civita
+from .liealg import _require_unimodular, levi_civita
 
 # _P223[(a, b), c]: coefficient of e^{1..7} in (2-form basis a) ^ (2-form
 # basis b) ^ (3-form basis c); _IOTA3[(i, a), c]: coefficient of 2-form basis
@@ -47,15 +58,69 @@ from .liealg import _require_unimodular, differential, levi_civita
 # matrix-vector and two small matrix products.
 _P223 = np.einsum("abd,dce->abc", WEDGE[2, 2], WEDGE[4, 3]).reshape(DIMS[2] ** 2, DIMS[3])
 _IOTA3 = np.ascontiguousarray(CONTRACT[3].transpose(0, 2, 1)).reshape(DIM * DIMS[2], DIMS[3])
+_IDENTITY = np.eye(DIM)
 
 
 def b_matrix(phi):
     """Bilinear form B with (iota_i phi) ^ (iota_j phi) ^ phi = B_ij e^{1..7}."""
     if phi.degree != 3:
         raise DegreeError(f"expected a 3-form, got degree {phi.degree}")
-    u = (_IOTA3 @ phi.coeffs).reshape(DIM, DIMS[2])  # u[i] = iota_i phi
-    p = (_P223 @ phi.coeffs).reshape(DIMS[2], DIMS[2])
-    return u @ p @ u.T
+    return _b(phi.coeffs)
+
+
+def _b(x):
+    """``b_matrix`` of 3-form coefficients: one form, or a stack in rows."""
+    lead = x.shape[:-1]
+    u = (x @ _IOTA3.T).reshape(lead + (DIM, DIMS[2]))  # u[..., i, :] = iota_i phi
+    p = (x @ _P223.T).reshape(lead + (DIMS[2], DIMS[2]))
+    return u @ p @ u.swapaxes(-1, -2)
+
+
+def _power(x, p):
+    """x ** p of one value, or of each value of a stack by the same scalar
+    power: numpy's vectorised power can differ from it in the last bit, and
+    a row of a stack is to get the bits it gets alone."""
+    if isinstance(x, np.ndarray):
+        return np.array([v**p for v in x.tolist()])
+    return x**p
+
+
+def _norms(x):
+    """Euclidean norm of a vector or of each row of a stack, as
+    np.linalg.norm takes it of one vector: the square root of one dot
+    product (an axis norm sums the squares in another order)."""
+    return np.sqrt(x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
+def _screen(ok, bad, value, safe):
+    """A check on a stack of rows: mark the rows where ``ok`` fails in the
+    boolean array ``bad`` and put ``safe`` in their entries of ``value``, so
+    that the rest of the stack evaluates on harmless data; the caller redoes
+    those rows one by one.  Returns value."""
+    if not np.all(ok):
+        ok = np.asarray(ok)
+        bad |= ~ok
+        value = np.where(ok.reshape(ok.shape + (1,) * (value.ndim - ok.ndim)), value, safe)
+    return value
+
+
+def _finite(x, bad, safe):
+    """The finiteness check that building a Form or Metric of x makes, on
+    each row of a stack (one row, with ``bad`` None, is checked where its
+    Form or Metric is built)."""
+    if bad is None:
+        return x
+    return _screen(np.isfinite(x).all(axis=tuple(range(1, x.ndim))), bad, x, safe)
+
+
+def _has_cholesky(g):
+    """Whether each matrix of the stack g has a Cholesky factor: one
+    factorisation of the stack, and one per matrix where that fails."""
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return False if len(g) == 1 else np.array([_has_cholesky(m[None]) for m in g])
+    return True
 
 
 def metric_from_phi(phi):
@@ -64,20 +129,34 @@ def metric_from_phi(phi):
     Raises PositivityError when phi is not positively oriented or the
     candidate metric fails to be positive definite.
     """
-    b = b_matrix(phi)
-    det_b = float(np.linalg.det(b))
-    if det_b <= 0.0:
-        raise PositivityError(
-            f"3-form is not positively oriented (det B = {det_b:.3e})"
-        )
-    g = METRIC_KAPPA * b * det_b ** (-1.0 / 9.0)
-    g = 0.5 * (g + g.T)
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise PositivityError("induced bilinear form is not positive definite") from None
+    if phi.degree != 3:
+        raise DegreeError(f"expected a 3-form, got degree {phi.degree}")
+    return _induced_metric(phi.coeffs)
+
+
+def _induced_metric(x, bad=None):
+    """``metric_from_phi`` of 3-form coefficients: one form, raising as it
+    does, or a stack in rows with one metric per row, whose failing rows
+    are marked in ``bad`` instead (see ``_screen``)."""
+    b = _b(x)
+    det_b = np.linalg.det(b)
+    if bad is None:
+        det_b = float(det_b)
+        if not det_b > 0.0:  # also catches NaN
+            raise PositivityError(f"3-form is not positively oriented (det B = {det_b:.3e})")
+    else:
+        det_b = _screen(det_b > 0.0, bad, det_b, 1.0)
+    g = METRIC_KAPPA * b * _per_row(_power(det_b, -1.0 / 9.0), 2)
+    g = _finite(0.5 * (g + g.swapaxes(-1, -2)), bad, _IDENTITY)
+    if bad is None:
+        try:
+            np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            raise PositivityError("induced bilinear form is not positive definite") from None
+    else:
+        g = _screen(_has_cholesky(g), bad, g, _IDENTITY)
     metric = Metric(g)
-    metric._spd_checked = True  # Cholesky above is the definiteness witness
+    metric._spd_checked = True  # the Cholesky factorisation is the definiteness witness
     return metric
 
 
@@ -126,25 +205,16 @@ def phi_of_psi(psi, seed=None, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
     Closed form: read psi through the inverse volume as a 3-form chi on the
     dual space; its induced metric is g_chi = s^{2/3} g^{-1} with
     s = sqrt(det g), so s = det(g_chi)^{3/8}, g = s^{2/3} g_chi^{-1} and
-    phi = star_g psi.  The result is rebuilt with ``G2Structure.from_phi``,
-    which rechecks positivity, and ``star phi`` must match psi to ``tol``;
-    otherwise up to ``max_iter`` Newton corrections with the analytic
-    Jacobian ``dual_jacobian`` are applied, each halved until it lowers the
+    phi = star_g psi.  The metric of phi is induced again, which rechecks
+    positivity, and ``star phi`` must match psi to ``tol``; otherwise up
+    to ``max_iter`` Newton corrections with the analytic Jacobian
+    ``dual_jacobian`` are applied, each halved until it lowers the
     residual.  ``seed`` is accepted for compatibility and ignored.
     """
     if psi.degree != 4:
         raise DegreeError(f"expected a 4-form, got degree {psi.degree}")
-    try:
-        g_chi = metric_from_phi(Form(3, COMPL_SIGN[3] * psi.coeffs[COMPL_INDEX[3]]))
-    except PositivityError as exc:
-        raise RecoveryError(f"4-form is not positive (its dual 3-form: {exc})") from exc
-    s = g_chi.det**0.375
-    metric = Metric(s ** (2.0 / 3.0) * g_chi.inv)
-    metric._spd_checked = True  # a positive multiple of an SPD inverse
-    try:
-        structure = G2Structure.from_phi(star(metric, psi))
-    except PositivityError as exc:
-        raise RecoveryError(f"recovered 3-form is not positive: {exc}") from exc
+    phi, metric = _closed_form(psi.coeffs)
+    structure = G2Structure(phi=Form(3, phi), metric=metric)
     f = structure.psi.coeffs - psi.coeffs
     res = float(np.linalg.norm(f))
     for _ in range(max_iter):
@@ -176,6 +246,84 @@ def phi_of_psi(psi, seed=None, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
         f"recovery residual {res:.3e} above tolerance {tol:.1e} after {max_iter} corrections",
         residual=res,
     )
+
+
+def _closed_form(psi, bad=None):
+    """The closed form of ``phi_of_psi`` on 4-form coefficients: one form,
+    raising as phi_of_psi does, or a stack in rows (see ``_screen``).
+    Returns the 3-form coefficients and their induced metric."""
+    chi = COMPL_SIGN[3] * psi.take(COMPL_INDEX[3], axis=-1)
+    try:
+        g_chi = _induced_metric(chi, bad)
+    except PositivityError as exc:
+        raise RecoveryError(f"4-form is not positive (its dual 3-form: {exc})") from exc
+    s = _power(g_chi.det, 0.375)
+    metric = Metric(_finite(_per_row(_power(s, 2.0 / 3.0), 2) * g_chi.inv, bad, _IDENTITY))
+    metric._spd_checked = True  # a positive multiple of an SPD inverse
+    phi = _finite(metric.star_coeffs(4, psi), bad, 0.0)
+    try:
+        return phi, _induced_metric(phi, bad)
+    except PositivityError as exc:
+        raise RecoveryError(f"recovered 3-form is not positive: {exc}") from exc
+
+
+@dataclass(eq=False)
+class StructureStack:
+    """G2 structures stacked in rows: 3-forms ``phi`` (n, 35), their 4-forms
+    ``psi`` (n, 35) and one ``metric`` holding the n induced metrics.
+    ``psi`` is the flowing 4-form of a recovered state and star phi
+    otherwise, as ``CoclosedState.psi`` and ``G2Structure.psi`` are.  Treat
+    as immutable."""
+
+    phi: np.ndarray
+    psi: np.ndarray
+    metric: Metric
+
+    @classmethod
+    def of(cls, states):
+        """The stack of a sequence of CoclosedStates or G2Structures."""
+        structures = [_structure_of(state) for state in states]
+        metric = Metric(np.array([s.metric.g for s in structures]))
+        metric._spd_checked = True  # each metric was witnessed where it was built
+        return cls(
+            phi=np.array([s.phi.coeffs for s in structures]),
+            psi=np.array([state.psi.coeffs for state in states]),
+            metric=metric,
+        )
+
+    def with_rows(self, rows, other):
+        """This stack with its rows ``rows`` replaced by the rows of ``other``."""
+        phi, psi, g = self.phi.copy(), self.psi.copy(), self.metric.g.copy()
+        phi[rows], psi[rows], g[rows] = other.phi, other.psi, other.metric.g
+        metric = Metric(g)
+        metric._spd_checked = True  # each row was witnessed in its own stack
+        return StructureStack(phi=phi, psi=psi, metric=metric)
+
+
+def stack_from_phi(phi):
+    """``G2Structure.from_phi`` for each 3-form row of ``phi`` (n, 35), in
+    one pass.  Returns (stack, bad): ``bad`` marks the rows that fail a
+    check; they hold placeholders, and ``G2Structure.from_phi`` on such a
+    row raises what it raises for one form."""
+    bad = np.zeros(len(phi), dtype=bool)
+    phi = _finite(phi, bad, 0.0)
+    metric = _induced_metric(phi, bad)
+    psi = _finite(metric.star_coeffs(3, phi), bad, 0.0)
+    return StructureStack(phi=phi, psi=psi, metric=metric), bad
+
+
+def stack_from_psi(psi, tol=NEWTON_TOL):
+    """``CoclosedState.from_psi`` for each 4-form row of ``psi`` (n, 35), by
+    the closed form in one pass.  Returns (stack, bad): ``bad`` marks the
+    rows that fail a check or whose residual exceeds ``tol``; they hold
+    placeholders, and ``CoclosedState.from_psi`` on such a row applies the
+    Newton corrections or raises as it does for one form."""
+    bad = np.zeros(len(psi), dtype=bool)
+    psi = _finite(psi, bad, 0.0)
+    phi, metric = _closed_form(psi, bad)
+    back = _finite(metric.star_coeffs(3, phi), bad, 0.0)
+    bad |= ~(_norms(back - psi) <= tol)  # the residual gate of phi_of_psi
+    return StructureStack(phi=phi, psi=psi, metric=metric), bad
 
 
 @dataclass(eq=False)
@@ -212,12 +360,19 @@ def _structure_of(state):
 def torsion_trace(L, state):
     """Scalar torsion trace (1/4) star(d phi ^ phi) of a structure or state."""
     s = _structure_of(state)
-    return _torsion_trace(s, differential(L, s.phi))
+    phi = s.phi.coeffs
+    return float(_torsion_trace(s.metric, phi, _d(L, 3, phi)))
 
 
-def _torsion_trace(s, dphi):
-    """``torsion_trace`` of the structure s given its d phi."""
-    return 0.25 * float(star(s.metric, wedge(dphi, s.phi)).coeffs[0])
+def _torsion_trace(metric, phi, dphi):
+    """``torsion_trace`` of 3-form coefficients phi with their d phi and
+    metric: one form, or stacks in rows (one value per row)."""
+    return 0.25 * metric.star_coeffs(DIM, _wedge(4, 3, dphi, phi))[..., 0]
+
+
+def _d(L, k, x):
+    """The differential of k-form coefficients: one form, or a stack in rows."""
+    return x @ L.differential_matrix(k).T
 
 
 @dataclass(eq=False)
@@ -261,13 +416,18 @@ def hodge_laplacian(L, g, a):
     """Hodge Laplacian (d delta + delta d) of an invariant form, applied as
     four stars and four differentials with delta = CODIFF_SIGN star d star
     (``liealg.hodge_laplacian_matrix`` is the same operator as a matrix)."""
+    return Form(a.degree, _laplacian(L, g, a.degree, a.coeffs))
+
+
+def _laplacian(L, g, k, x):
+    """``hodge_laplacian`` of k-form coefficients: one form, or a stack in
+    rows with one metric per row."""
     _require_unimodular(L)
-    k, d = a.degree, L.differential_matrix
-    out = np.zeros(DIMS[k])
+    out = np.zeros(x.shape)
     if k >= 1:  # d delta a
-        delta_a = g.star_coeffs(DIM - k + 1, d(DIM - k) @ g.star_coeffs(k, a.coeffs))
-        out += CODIFF_SIGN[k] * (d(k - 1) @ delta_a)
+        delta_a = g.star_coeffs(DIM - k + 1, _d(L, DIM - k, g.star_coeffs(k, x)))
+        out += CODIFF_SIGN[k] * _d(L, k - 1, delta_a)
     if k < DIM:  # delta d a
-        star_da = g.star_coeffs(k + 1, d(k) @ a.coeffs)
-        out += CODIFF_SIGN[k + 1] * g.star_coeffs(DIM - k, d(DIM - k - 1) @ star_da)
-    return Form(k, out)
+        star_da = g.star_coeffs(k + 1, _d(L, k, x))
+        out += CODIFF_SIGN[k + 1] * g.star_coeffs(DIM - k, _d(L, DIM - k - 1, star_da))
+    return out

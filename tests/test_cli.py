@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from g2flow.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from g2flow.fixtures import fixtures_dir
 
 from .oracles import np_closed_form_oracle
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _run(capsys, argv):
@@ -22,6 +25,12 @@ def _config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def test_main_builds_its_parser_once():
+    from g2flow import cli
+
+    assert cli._build_parser() is cli._build_parser()
 
 
 class TestCheck:
@@ -112,6 +121,25 @@ class TestMalformedFixtures:
         code, out, _ = _run(capsys, check)
         assert code == EXIT_CONFIG
         assert json.loads(out)["ok"] is False
+
+
+    @pytest.mark.parametrize("kind", ["algebra", "form"])
+    def test_directory_named_like_a_fixture_is_unknown(self, capsys, tmp_path, kind):
+        folder = tmp_path / "dir.json"
+        folder.mkdir()
+        cfg = {"schema_version": 1, "experiment": "custom", "algebra_file": "ee1",
+               "initial": "psi_standard"}
+        cfg["algebra_file" if kind == "algebra" else "initial"] = str(folder)
+        code, out, err = _run(capsys, ["run", _config(tmp_path, cfg), "--validate-only"])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"unknown {kind} fixture" in err
+        if kind == "algebra":
+            code, out, _ = _run(capsys, ["check", str(folder)])
+            assert code == EXIT_CONFIG
+            report = json.loads(out)
+            assert report["ok"] is False
+            assert "unknown algebra fixture" in report["algebras"][0]["error"]
 
 
 class TestRunVerb:
@@ -315,6 +343,48 @@ class TestRunVerb:
             assert code == EXIT_CONFIG
             assert out == ""
             assert "config error: output directory " in err and "is not a directory" in err
+
+
+# A step so large that the first stage overflows: (a) the Laplacian flow's
+# B matrix goes non-finite, (b) the coflow's stage vector itself does.
+OVERFLOWING_FLOWS = {
+    "laplacian-n2": (
+        {"algebra_file": "perfbench/n2.json", "initial": "phi_standard",
+         "flow": {"flow_kind": "laplacian_flow"}},
+        "positivity",
+    ),
+    "coflow-ee1": (
+        {"algebra_file": "ee1", "initial": "psi_standard", "flow": {"A": 3.0}},
+        "nonfinite",
+    ),
+}
+
+
+class TestOverflowingStep:
+    @pytest.mark.parametrize(
+        "overrides, reason", OVERFLOWING_FLOWS.values(), ids=OVERFLOWING_FLOWS.keys()
+    )
+    def test_ends_in_a_halt_with_summary_and_record(self, capsys, tmp_path, overrides, reason):
+        cfg = {"schema_version": 1, "experiment": "custom",
+               "perturbation": {"magnitude": 0.0}, "output": {"format": "jsonl"}}
+        cfg.update(overrides)
+        if cfg["algebra_file"].endswith(".json"):
+            cfg["algebra_file"] = str(ROOT / cfg["algebra_file"])
+        cfg["flow"] = dict(cfg["flow"], integrator={"method": "rk4", "dt": 1.7e308,
+                                                     "t_end": 1.7e308})
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = _run(capsys, ["run", _config(tmp_path, cfg),
+                                           "--output-dir", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        payload = json.loads(out)
+        assert payload["status"] == "halted"
+        term = payload["summary"]["termination"]
+        assert (term["reason"], term["steps"], term["t"]) == (reason, 0, 0.0)
+        assert payload["summary"]["records"] >= 1
+        (path,) = payload["files"]
+        records = [json.loads(line) for line in open(path)]
+        assert len(records) == payload["summary"]["records"]
+        assert records[0]["t"] == 0.0
 
 
 class TestNpVerb:

@@ -461,20 +461,75 @@ class TestRunExperiment:
         assert kinds[1:-1] == ["sample"] * 3
 
     def test_ee1_static_recovers_each_sample_once(self, tmp_path, monkeypatch):
-        from g2flow import g2core
+        from g2flow import experiments, g2core
 
-        calls = []
-        recover = g2core.phi_of_psi
+        calls, rows = [], []
+        recover, recover_stack = g2core.phi_of_psi, experiments.stack_from_psi
 
         def counting(*args, **kwargs):
             calls.append(1)
             return recover(*args, **kwargs)
 
+        def counting_rows(psi, *args, **kwargs):
+            rows.append(len(psi))
+            return recover_stack(psi, *args, **kwargs)
+
         monkeypatch.setattr(g2core, "phi_of_psi", counting)
+        monkeypatch.setattr(experiments, "stack_from_psi", counting_rows)
         cfg, _ = config_from_dict(_minimal("ee1_static", samples=3))
         result = run_experiment(cfg, output_dir=tmp_path)
         assert result.summary["passed"] is True
-        assert len(calls) == 1 + 3  # the reference plus one per accepted sample
+        # The reference alone; the three samples are one stacked recovery.
+        assert len(calls) == 1
+        assert rows == [3]
+
+    @pytest.mark.parametrize("magnitude", [0.25, 3.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ee1_static_samples_match_one_by_one(self, tmp_path, ee1, seed, magnitude):
+        from g2flow import standard_psi
+        from g2flow.experiments import _perturbation_basis
+
+        raw = _minimal("ee1_static", samples=30,
+                       perturbation={"seed": seed, "magnitude": magnitude})
+        cfg, _ = config_from_dict(raw)
+        result = run_experiment(cfg, output_dir=tmp_path)
+        samples = [r for r in map(json.loads, open(result.files[0])) if r["record"] == "sample"]
+        # The same draws one by one, as sample_initial makes them.
+        rng = np.random.default_rng(seed)
+        basis = _perturbation_basis(ee1, "coclosed", "modified_coflow")
+        halvings = []
+        for rec in samples:
+            _, scale, h, state = sample_initial(ee1, standard_psi(), cfg.perturbation, rng,
+                                                basis=basis)
+            assert (rec["scale"], rec["halvings"]) == (scale, h)
+            want = float(np.linalg.norm(coflow_rhs(ee1, state).coeffs))
+            # rounding-level values; the larger states of magnitude 3 round more
+            assert rec["rhs_norm"] == pytest.approx(want, rel=1e-12,
+                                                    abs=1e-14 if magnitude < 1 else 1e-12)
+            halvings.append(h)
+        if magnitude > 1:
+            assert max(halvings) >= 1
+
+    def test_ee1_static_linear_algebra_calls_grow_with_stacks_not_samples(self, tmp_path,
+                                                                          monkeypatch):
+        from g2flow.experiments import _STACK_ROWS
+
+        counts = {}
+        for name in ("det", "inv", "cholesky"):
+            def counting(*args, _call=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        for n in (1, _STACK_ROWS, 100):
+            counts.clear()
+            cfg, _ = config_from_dict(_minimal("ee1_static", samples=n))
+            assert run_experiment(cfg, output_dir=tmp_path).summary["passed"] is True
+            # The reference state on its own, then each stack of samples:
+            # five determinants, two inverses and two factorisations apiece.
+            # One by one, 100 samples took 505 det, 202 inv and 202 cholesky.
+            calls = 1 + -(-n // _STACK_ROWS)
+            assert counts == {"det": 5 * calls, "inv": 2 * calls, "cholesky": 2 * calls}
 
     def test_ee1_static_builds_the_subspace_basis_once(self, tmp_path, monkeypatch):
         from g2flow import experiments

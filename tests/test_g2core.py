@@ -282,3 +282,100 @@ class TestLaplacian:
     def test_torus_harmonic(self, torus, phi_bar):
         s = G2Structure.from_phi(phi_bar)
         assert np.max(np.abs(hodge_laplacian(torus, s.metric, s.phi).coeffs)) == 0.0
+
+
+def _coclosed_stack(L, magnitude, n=40, seed=5):
+    """n rows of the reference 4-form plus seeded unit coclosed directions."""
+    from g2flow.flows import coclosed_directions
+
+    basis = np.column_stack([f.coeffs for f in coclosed_directions(L)])
+    direction = np.random.default_rng(seed).standard_normal((n, basis.shape[1])) @ basis.T
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    return standard_psi().coeffs + magnitude * direction
+
+
+def _assert_rows_close(got, want, rtol=1e-14):
+    scale = max(1.0, float(np.linalg.norm(want)))
+    assert float(np.linalg.norm(np.asarray(got) - want)) <= rtol * scale
+
+
+class TestStackedRecovery:
+    """The stacked recovery and right-hand side against the per-state path."""
+
+    @pytest.mark.parametrize("tol", [NEWTON_TOL, 1e-15], ids=["newton-tol", "tight"])
+    @pytest.mark.parametrize("magnitude", [0.05, 0.3])
+    @pytest.mark.parametrize("name", ["ee1", "ee2"])
+    def test_matches_per_state(self, request, name, magnitude, tol):
+        from g2flow.flows import coflow_rhs, coflow_rhs_stack
+        from g2flow.g2core import StructureStack, stack_from_psi
+
+        L = request.getfixturevalue(name)
+        psi = _coclosed_stack(L, magnitude)
+        stack, bad = stack_from_psi(psi, tol=tol)
+        if tol < NEWTON_TOL:
+            # Closed-form residuals sit at about 1e-15, so a tighter gate
+            # sends rows through the Newton corrections of the per-state path.
+            assert 0 < bad.sum() < len(psi)
+        states = [CoclosedState.from_psi(Form(4, row), tol=tol) for row in psi]
+        rows = np.flatnonzero(bad)
+        if rows.size:
+            stack = stack.with_rows(rows, StructureStack.of([states[i] for i in rows]))
+        residual = np.linalg.norm(stack.metric.star_coeffs(3, stack.phi) - psi, axis=1)
+        rhs = coflow_rhs_stack(L, stack, 0.5)
+        for i, state in enumerate(states):
+            s = state.recovered
+            _assert_rows_close(stack.phi[i], s.phi.coeffs)
+            _assert_rows_close(stack.metric.g[i], s.metric.g)
+            assert stack.psi[i] is not psi[i] and np.array_equal(stack.psi[i], psi[i])
+            assert abs(residual[i] - state.residual) <= 1e-14
+            _assert_rows_close(rhs[i], coflow_rhs(L, state, 0.5).coeffs)
+
+    def test_from_phi_matches_per_state(self, ee2):
+        from g2flow.flows import coflow_rhs, coflow_rhs_stack
+        from g2flow.g2core import stack_from_phi
+
+        cs = np.random.default_rng(2).uniform(0.5, 2.0, size=(12, 7))
+        structures = [G2Structure.from_phi(ee2_diagonal_phi(c)) for c in cs]
+        stack, bad = stack_from_phi(np.array([s.phi.coeffs for s in structures]))
+        assert not bad.any()
+        rhs = coflow_rhs_stack(ee2, stack)
+        for i, s in enumerate(structures):
+            _assert_rows_close(stack.metric.g[i], s.metric.g)
+            _assert_rows_close(stack.psi[i], s.psi.coeffs)
+            _assert_rows_close(rhs[i], coflow_rhs(ee2, s).coeffs)
+
+    def test_a_non_positive_row_is_marked_and_the_others_kept(self, ee1):
+        from g2flow.g2core import stack_from_phi, stack_from_psi
+
+        psi = _coclosed_stack(ee1, 0.05, n=5)
+        mixed = psi.copy()
+        mixed[2] = -psi[2]  # its dual 3-form has det B < 0
+        stack, bad = stack_from_psi(mixed)
+        assert bad.tolist() == [False, False, True, False, False]
+        kept, kept_bad = stack_from_psi(np.delete(psi, 2, axis=0))
+        assert not kept_bad.any()
+        for got, want in ((stack.phi, kept.phi), (stack.metric.g, kept.metric.g)):
+            np.testing.assert_allclose(np.delete(got, 2, axis=0), want, rtol=1e-14, atol=0)
+        # Redone on its own, the row raises what one recovery raises.
+        with pytest.raises(RecoveryError, match=r"^4-form is not positive \(its dual 3-form: "
+                           r"3-form is not positively oriented \(det B = -"):
+            CoclosedState.from_psi(Form(4, mixed[2]))
+
+        phis = np.array([random_positive_phi(np.random.default_rng(i)).coeffs for i in range(4)])
+        phis[1] *= -1.0
+        _, bad = stack_from_phi(phis)
+        assert bad.tolist() == [False, True, False, False]
+        with pytest.raises(PositivityError, match=r"^3-form is not positively oriented"):
+            G2Structure.from_phi(Form(3, phis[1]))
+
+    def test_a_non_finite_right_hand_side_raises_as_one_row_does(self, ee2):
+        from g2flow.flows import coflow_rhs, coflow_rhs_stack
+        from g2flow.g2core import StructureStack
+
+        s = G2Structure.from_phi(ee2_diagonal_phi(np.full(7, 1.2)))
+        huge = G2Structure(phi=Form(3, 1e300 * s.phi.coeffs), metric=s.metric)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                coflow_rhs(ee2, huge)
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                coflow_rhs_stack(ee2, StructureStack.of([s, huge]))
