@@ -27,10 +27,9 @@ Experiments:
   experiment, run one cell after another, one output file per cell plus a
   manifest.
 
-``ee1_static`` and ``ee2_family`` evaluate their samples as stacks of up to
-``_STACK_ROWS`` rows: one recovery (``g2core.stack_from_psi`` or
-``stack_from_phi``) and one right-hand side per stack, redoing one by one
-only the rows that fail a check there.
+``ee1_static`` evaluates its samples as stacks of up to ``_STACK_ROWS``
+rows: one recovery (``g2core.stack_from_psi``) and one right-hand side per
+stack, redoing one by one only the rows that fail a check there.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ from .g2core import (
     G2Structure,
     StructureStack,
     _norms,
-    stack_from_phi,
     stack_from_psi,
 )
 from .liealg import jacobi_check
@@ -101,6 +99,8 @@ _MAX_SWEEP_CELLS = 1000
 # stack grow by about 20 KB a row; at 25 rows they leave the peak memory of
 # a run where one-by-one evaluation has it, and larger stacks are no faster.
 _STACK_ROWS = 25
+# Halvings of a sampled perturbation's scale before sampling gives up.
+_MAX_HALVINGS = 40
 _PSI_COLUMNS = [f"psi_{i:02d}" for i in range(DIMS[4])]
 
 
@@ -635,9 +635,7 @@ def _perturbation_basis(L, subspace, flow_kind):
     return np.column_stack(columns) if columns else np.zeros((DIMS[4], 0))
 
 
-def sample_initial(
-    L, base, pcfg, rng, flow_kind="modified_coflow", max_halvings=40, basis=None
-):
+def sample_initial(L, base, pcfg, rng, flow_kind="modified_coflow"):
     """One positivity-validated random perturbation of the base form.
 
     Draws a unit direction in the configured subspace, scales it by
@@ -645,28 +643,29 @@ def sample_initial(
     a positive structure (3-form check for the Laplacian flow, 4-form
     recovery for the coflow).  Returns (form, scale_used, halvings, state)
     with ``state`` the structure the check built (a CoclosedState or a
-    G2Structure), so callers need not recover the form again.  ``basis``
-    spans the subspace (built from ``L`` when None); a caller drawing many
-    samples builds it once.
+    G2Structure), so callers need not recover the form again.
     """
     state_of = CoclosedState.from_psi if flow_kind == "modified_coflow" else G2Structure.from_phi
     if pcfg.magnitude == 0.0:
         return base, 0.0, 0, state_of(base)
-    if basis is None:
-        basis = _perturbation_basis(L, pcfg.subspace, flow_kind)
+    basis = _perturbation_basis(L, pcfg.subspace, flow_kind)
     direction = _unit_directions(basis, rng.standard_normal(basis.shape[1]))
     if not direction.any():
         return base, 0.0, 0, state_of(base)
     scale = pcfg.magnitude
-    for halvings in range(max_halvings + 1):
+    for halvings in range(_MAX_HALVINGS + 1):
         candidate = Form(base.degree, base.coeffs + scale * direction)
         try:
             return candidate, scale, halvings, state_of(candidate)
         except (PositivityError, RecoveryError):
             scale *= 0.5
-    raise G2FlowError(
-        f"could not find a positive perturbation within {max_halvings} halvings "
-        f"of magnitude {pcfg.magnitude}"
+    raise _no_positive_perturbation(pcfg.magnitude)
+
+
+def _no_positive_perturbation(magnitude):
+    return G2FlowError(
+        f"could not find a positive perturbation within {_MAX_HALVINGS} halvings "
+        f"of magnitude {magnitude}"
     )
 
 
@@ -688,7 +687,7 @@ def _sample_directions(L, pcfg, rng, n):
     return _unit_directions(basis, rng.standard_normal((n, basis.shape[1])))
 
 
-def _sample_stack(base, direction, magnitude, max_halvings=40):
+def _sample_stack(base, direction, magnitude):
     """The coflow samples of ``sample_initial`` along the unit direction
     rows, evaluated as stacks.
 
@@ -711,11 +710,8 @@ def _sample_stack(base, direction, magnitude, max_halvings=40):
             except (PositivityError, RecoveryError):
                 if scales[i] == 0.0:  # the base form itself, as sample_initial recovers it
                     raise
-                if halvings[i] == max_halvings:
-                    raise G2FlowError(
-                        f"could not find a positive perturbation within {max_halvings} "
-                        f"halvings of magnitude {magnitude}"
-                    ) from None
+                if halvings[i] == _MAX_HALVINGS:
+                    raise _no_positive_perturbation(magnitude) from None
                 scales[i] *= 0.5
                 halvings[i] += 1
                 retry.append(i)
@@ -819,17 +815,10 @@ def _run_ee2_family(cfg, path):
     max_law_err = 0.0
     max_off = 0.0
     direct_agrees = 0
-    cs = np.vstack([np.ones(7), rng.uniform(0.5, 2.0, size=(n - 1, 7))])
-    phis = [ee2_diagonal_phi(c) for c in cs]
-    rhss = []
-    for rows in _row_blocks(n):
-        stack, bad = stack_from_phi(np.array([phi.coeffs for phi in phis[rows]]))
-        if bad.any():
-            redo = np.flatnonzero(bad)
-            states = [G2Structure.from_phi(phis[rows][i]) for i in redo]
-            stack = stack.with_rows(redo, StructureStack.of(states))
-        rhss.extend(coflow_rhs_stack(L, stack, 0.0))
-    for i, (c, rhs) in enumerate(zip(cs, rhss)):
+    for i in range(n):
+        c = np.ones(7) if i == 0 else rng.uniform(0.5, 2.0, size=7)
+        state = G2Structure.from_phi(ee2_diagonal_phi(c))
+        rhs = coflow_rhs(L, state, 0.0).coeffs
         computed = float(rhs[_E1357])
         off = float(np.max(np.abs(np.delete(rhs, _E1357))))
         lam = family_stretch_factors(c)

@@ -13,13 +13,12 @@ algebraically, so it is a closed form with an optional Newton correction.
 
 The kernels (B, the induced metric, the closed-form recovery, the torsion
 trace, the Hodge Laplacian) take the coefficients of one form or a stack of
-forms in rows, with one metric per row.  ``stack_from_psi`` and
-``stack_from_phi`` evaluate independent states in one pass: every check of
-one evaluation runs over the whole stack, and a row that fails one comes
-back marked, to be redone one by one by ``CoclosedState.from_psi`` or
-``G2Structure.from_phi`` (Newton corrections, errors and messages are
-theirs).  Scalar powers are taken per row as for one form, so a stacked row
-gets the arithmetic of its one-form evaluation.
+forms in rows, with one metric per row.  ``stack_from_psi`` recovers
+independent 4-forms in one pass: every check of one recovery runs over the
+whole stack, and a row that fails one comes back marked, to be redone one
+by one by ``CoclosedState.from_psi`` (Newton corrections, errors and
+messages are its own).  Scalar powers are taken per row as for one form,
+so a stacked row gets the arithmetic of its one-form evaluation.
 """
 
 from __future__ import annotations
@@ -154,6 +153,10 @@ def _induced_metric(x, bad=None):
         except np.linalg.LinAlgError:
             raise PositivityError("induced bilinear form is not positive definite") from None
     else:
+        # Rows already marked get the identity first: their indefinite
+        # placeholder would fail the stacked factorisation and send it row
+        # by row.
+        g = np.where(bad[:, None, None], _IDENTITY, g)
         g = _screen(_has_cholesky(g), bad, g, _IDENTITY)
     metric = Metric(g)
     metric._spd_checked = True  # the Cholesky factorisation is the definiteness witness
@@ -300,29 +303,17 @@ class StructureStack:
         return StructureStack(phi=phi, psi=psi, metric=metric)
 
 
-def stack_from_phi(phi):
-    """``G2Structure.from_phi`` for each 3-form row of ``phi`` (n, 35), in
-    one pass.  Returns (stack, bad): ``bad`` marks the rows that fail a
-    check; they hold placeholders, and ``G2Structure.from_phi`` on such a
-    row raises what it raises for one form."""
-    bad = np.zeros(len(phi), dtype=bool)
-    phi = _finite(phi, bad, 0.0)
-    metric = _induced_metric(phi, bad)
-    psi = _finite(metric.star_coeffs(3, phi), bad, 0.0)
-    return StructureStack(phi=phi, psi=psi, metric=metric), bad
-
-
-def stack_from_psi(psi, tol=NEWTON_TOL):
+def stack_from_psi(psi):
     """``CoclosedState.from_psi`` for each 4-form row of ``psi`` (n, 35), by
     the closed form in one pass.  Returns (stack, bad): ``bad`` marks the
-    rows that fail a check or whose residual exceeds ``tol``; they hold
+    rows that fail a check or whose residual exceeds ``NEWTON_TOL``; they hold
     placeholders, and ``CoclosedState.from_psi`` on such a row applies the
     Newton corrections or raises as it does for one form."""
     bad = np.zeros(len(psi), dtype=bool)
     psi = _finite(psi, bad, 0.0)
     phi, metric = _closed_form(psi, bad)
     back = _finite(metric.star_coeffs(3, phi), bad, 0.0)
-    bad |= ~(_norms(back - psi) <= tol)  # the residual gate of phi_of_psi
+    bad |= ~(_norms(back - psi) <= NEWTON_TOL)  # the residual gate of phi_of_psi
     return StructureStack(phi=phi, psi=psi, metric=metric), bad
 
 

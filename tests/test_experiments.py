@@ -487,7 +487,6 @@ class TestRunExperiment:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_ee1_static_samples_match_one_by_one(self, tmp_path, ee1, seed, magnitude):
         from g2flow import standard_psi
-        from g2flow.experiments import _perturbation_basis
 
         raw = _minimal("ee1_static", samples=30,
                        perturbation={"seed": seed, "magnitude": magnitude})
@@ -496,11 +495,9 @@ class TestRunExperiment:
         samples = [r for r in map(json.loads, open(result.files[0])) if r["record"] == "sample"]
         # The same draws one by one, as sample_initial makes them.
         rng = np.random.default_rng(seed)
-        basis = _perturbation_basis(ee1, "coclosed", "modified_coflow")
         halvings = []
         for rec in samples:
-            _, scale, h, state = sample_initial(ee1, standard_psi(), cfg.perturbation, rng,
-                                                basis=basis)
+            _, scale, h, state = sample_initial(ee1, standard_psi(), cfg.perturbation, rng)
             assert (rec["scale"], rec["halvings"]) == (scale, h)
             want = float(np.linalg.norm(coflow_rhs(ee1, state).coeffs))
             # rounding-level values; the larger states of magnitude 3 round more
@@ -511,7 +508,8 @@ class TestRunExperiment:
             assert max(halvings) >= 1
 
     def test_ee1_static_linear_algebra_calls_grow_with_stacks_not_samples(self, tmp_path,
-                                                                          monkeypatch):
+                                                                          monkeypatch, ee1):
+        from g2flow import standard_psi
         from g2flow.experiments import _STACK_ROWS
 
         counts = {}
@@ -530,6 +528,18 @@ class TestRunExperiment:
             # One by one, 100 samples took 505 det, 202 inv and 202 cholesky.
             calls = 1 + -(-n // _STACK_ROWS)
             assert counts == {"det": 5 * calls, "inv": 2 * calls, "cholesky": 2 * calls}
+        # At magnitude 3 most samples are redone one by one and halved; the
+        # stacks still factorise fewer matrices than one-by-one sampling.
+        counts.clear()
+        raw = _minimal("ee1_static", samples=100, perturbation={"seed": 0, "magnitude": 3.0})
+        cfg, _ = config_from_dict(raw)
+        run_experiment(cfg, output_dir=tmp_path)
+        stacked = counts["cholesky"]
+        counts.clear()
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            sample_initial(ee1, standard_psi(), cfg.perturbation, rng)
+        assert stacked < counts["cholesky"]
 
     def test_ee1_static_builds_the_subspace_basis_once(self, tmp_path, monkeypatch):
         from g2flow import experiments

@@ -305,13 +305,15 @@ class TestStackedRecovery:
     @pytest.mark.parametrize("tol", [NEWTON_TOL, 1e-15], ids=["newton-tol", "tight"])
     @pytest.mark.parametrize("magnitude", [0.05, 0.3])
     @pytest.mark.parametrize("name", ["ee1", "ee2"])
-    def test_matches_per_state(self, request, name, magnitude, tol):
+    def test_matches_per_state(self, request, monkeypatch, name, magnitude, tol):
+        from g2flow import g2core
         from g2flow.flows import coflow_rhs, coflow_rhs_stack
         from g2flow.g2core import StructureStack, stack_from_psi
 
         L = request.getfixturevalue(name)
         psi = _coclosed_stack(L, magnitude)
-        stack, bad = stack_from_psi(psi, tol=tol)
+        monkeypatch.setattr(g2core, "NEWTON_TOL", tol)
+        stack, bad = stack_from_psi(psi)
         if tol < NEWTON_TOL:
             # Closed-form residuals sit at about 1e-15, so a tighter gate
             # sends rows through the Newton corrections of the per-state path.
@@ -330,22 +332,8 @@ class TestStackedRecovery:
             assert abs(residual[i] - state.residual) <= 1e-14
             _assert_rows_close(rhs[i], coflow_rhs(L, state, 0.5).coeffs)
 
-    def test_from_phi_matches_per_state(self, ee2):
-        from g2flow.flows import coflow_rhs, coflow_rhs_stack
-        from g2flow.g2core import stack_from_phi
-
-        cs = np.random.default_rng(2).uniform(0.5, 2.0, size=(12, 7))
-        structures = [G2Structure.from_phi(ee2_diagonal_phi(c)) for c in cs]
-        stack, bad = stack_from_phi(np.array([s.phi.coeffs for s in structures]))
-        assert not bad.any()
-        rhs = coflow_rhs_stack(ee2, stack)
-        for i, s in enumerate(structures):
-            _assert_rows_close(stack.metric.g[i], s.metric.g)
-            _assert_rows_close(stack.psi[i], s.psi.coeffs)
-            _assert_rows_close(rhs[i], coflow_rhs(ee2, s).coeffs)
-
     def test_a_non_positive_row_is_marked_and_the_others_kept(self, ee1):
-        from g2flow.g2core import stack_from_phi, stack_from_psi
+        from g2flow.g2core import stack_from_psi
 
         psi = _coclosed_stack(ee1, 0.05, n=5)
         mixed = psi.copy()
@@ -361,12 +349,24 @@ class TestStackedRecovery:
                            r"3-form is not positively oriented \(det B = -"):
             CoclosedState.from_psi(Form(4, mixed[2]))
 
-        phis = np.array([random_positive_phi(np.random.default_rng(i)).coeffs for i in range(4)])
-        phis[1] *= -1.0
-        _, bad = stack_from_phi(phis)
-        assert bad.tolist() == [False, True, False, False]
-        with pytest.raises(PositivityError, match=r"^3-form is not positively oriented"):
-            G2Structure.from_phi(Form(3, phis[1]))
+    def test_rows_marked_before_the_witness_leave_it_one_factorisation(self, monkeypatch):
+        from g2flow.g2core import _induced_metric
+
+        phis = np.array([random_positive_phi(np.random.default_rng(i)).coeffs for i in range(6)])
+        phis[[1, 4]] *= -1.0  # det B < 0
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(g):
+            calls.append(len(g))
+            return cholesky(g)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        bad = np.zeros(len(phis), dtype=bool)
+        metric = _induced_metric(phis, bad)
+        assert bad.tolist() == [False, True, False, False, True, False]
+        assert calls == [6]
+        assert np.array_equal(metric.g[[1, 4]], [np.eye(7)] * 2)
 
     def test_a_non_finite_right_hand_side_raises_as_one_row_does(self, ee2):
         from g2flow.flows import coflow_rhs, coflow_rhs_stack
