@@ -29,7 +29,8 @@ Experiments:
 
 ``ee1_static`` evaluates its samples as stacks of up to ``_STACK_ROWS``
 rows: one recovery (``g2core.stack_from_psi``) and one right-hand side per
-stack, redoing one by one only the rows that fail a check there.
+stack.  A row that fails a check there is sampled on its own, through the
+halving loop of ``sample_initial``, and takes its right-hand side on its own.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 import copy
 import csv
 import functools
+import itertools
 import json
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -64,13 +66,7 @@ from .flows import (
     one_of,
     rule_violations,
 )
-from .g2core import (
-    CoclosedState,
-    G2Structure,
-    StructureStack,
-    _norms,
-    stack_from_psi,
-)
+from .g2core import CoclosedState, G2Structure, _norms, stack_from_psi
 from .liealg import jacobi_check
 from .nearly_parallel import NPParams, np_solve
 
@@ -392,6 +388,11 @@ def _semantic_violations(cfg):
         return out
     if experiment == "np":
         return out
+    if (
+        experiment in ("ee1_static", "ee2_family", "linearize")
+        and cfg.flow.flow_kind != "modified_coflow"
+    ):
+        out.append(f"{experiment} requires flow.flow_kind = modified_coflow")
     if experiment == "ee2_family":
         if cfg.flow.A != 0.0:
             out.append("ee2_family requires flow.A = 0 (the coefficient law is the A=0 one)")
@@ -453,8 +454,6 @@ def _semantic_violations(cfg):
             "perturbation.subspace must be 'full' for laplacian_flow "
             "(coclosed/exact sample 4-form directions)"
         )
-    if experiment == "linearize" and cfg.flow.flow_kind != "modified_coflow":
-        out.append("linearize requires flow.flow_kind = modified_coflow")
     return out
 
 
@@ -541,17 +540,8 @@ def expand_sweep(cfg):
     keys = sorted(cfg.sweep_section.axes)
     grids = [cfg.sweep_section.axes[k] for k in keys]
     cells = []
-    indices = [0] * len(keys)
-    total = 1
-    for g in grids:
-        total *= len(g)
-    for n in range(total):
-        rem, combo = n, []
-        for g in reversed(grids):
-            rem, pos = divmod(rem, len(g))
-            combo.append(pos)
-        combo.reverse()
-        overrides = {k: grids[i][combo[i]] for i, k in enumerate(keys)}
+    for n, combo in enumerate(itertools.product(*grids)):
+        overrides = dict(zip(keys, combo))
         cell_raw = copy.deepcopy(base)
         for key, value in overrides.items():
             _set_dotted(cell_raw, key, value)
@@ -652,18 +642,20 @@ def sample_initial(L, base, pcfg, rng, flow_kind="modified_coflow"):
     direction = _unit_directions(basis, rng.standard_normal(basis.shape[1]))
     if not direction.any():
         return base, 0.0, 0, state_of(base)
-    scale = pcfg.magnitude
+    return _halve_until_positive(base, direction, pcfg.magnitude, state_of)
+
+
+def _halve_until_positive(base, direction, magnitude, state_of):
+    """The first of base + scale * direction, scale = magnitude, magnitude/2,
+    ..., on which ``state_of`` succeeds: (form, scale, halvings, state)."""
+    scale = magnitude
     for halvings in range(_MAX_HALVINGS + 1):
         candidate = Form(base.degree, base.coeffs + scale * direction)
         try:
             return candidate, scale, halvings, state_of(candidate)
         except (PositivityError, RecoveryError):
             scale *= 0.5
-    raise _no_positive_perturbation(pcfg.magnitude)
-
-
-def _no_positive_perturbation(magnitude):
-    return G2FlowError(
+    raise G2FlowError(
         f"could not find a positive perturbation within {_MAX_HALVINGS} halvings "
         f"of magnitude {magnitude}"
     )
@@ -685,44 +677,6 @@ def _sample_directions(L, pcfg, rng, n):
         return np.zeros((n, DIMS[4]))
     basis = _perturbation_basis(L, pcfg.subspace, "modified_coflow")
     return _unit_directions(basis, rng.standard_normal((n, basis.shape[1])))
-
-
-def _sample_stack(base, direction, magnitude):
-    """The coflow samples of ``sample_initial`` along the unit direction
-    rows, evaluated as stacks.
-
-    All candidates are recovered in one pass (``g2core.stack_from_psi``).
-    A row that fails a check there is redone on its own, with
-    ``CoclosedState.from_psi``: where that fails too, its scale is halved
-    and the halved rows are recovered again as one stack, so the halvings
-    are those of ``sample_initial``.  Returns (scales, halvings, stack) with
-    the ``g2core.StructureStack`` of the accepted forms.
-    """
-    n = len(direction)
-    scales = np.where(direction.any(axis=1), float(magnitude), 0.0)
-    halvings = [0] * n
-    stack, bad = stack_from_psi(base.coeffs + scales[:, None] * direction)
-    while bad.any():
-        redone, retry = {}, []
-        for i in np.flatnonzero(bad):
-            try:
-                redone[i] = CoclosedState.from_psi(Form(4, base.coeffs + scales[i] * direction[i]))
-            except (PositivityError, RecoveryError):
-                if scales[i] == 0.0:  # the base form itself, as sample_initial recovers it
-                    raise
-                if halvings[i] == _MAX_HALVINGS:
-                    raise _no_positive_perturbation(magnitude) from None
-                scales[i] *= 0.5
-                halvings[i] += 1
-                retry.append(i)
-        if redone:
-            stack = stack.with_rows(list(redone), StructureStack.of(list(redone.values())))
-        bad = np.zeros(n, dtype=bool)
-        if retry:
-            again, again_bad = stack_from_psi(base.coeffs + scales[retry, None] * direction[retry])
-            stack = stack.with_rows(retry, again)
-            bad[retry] = again_bad
-    return scales, halvings, stack
 
 
 def _row_blocks(n):
@@ -758,11 +712,22 @@ def _run_ee1_static(cfg, path):
     ]
     n = cfg.samples
     direction = _sample_directions(L, cfg.perturbation, rng, n)
+    scales = np.where(direction.any(axis=1), cfg.perturbation.magnitude, 0.0)
     max_rhs = 0.0
     for rows in _row_blocks(n):
-        scales, halvings, stack = _sample_stack(base, direction[rows], cfg.perturbation.magnitude)
+        stack, bad = stack_from_psi(base.coeffs + scales[rows, None] * direction[rows])
+        # A row that fails a check of the stack is sampled as sample_initial
+        # samples it; its right-hand side is taken on its own too.
+        redone = {
+            i: _halve_until_positive(base, direction[i], scales[i], CoclosedState.from_psi)
+            for i in (rows.start + np.flatnonzero(bad)).tolist()
+        }
         rhs = _norms(coflow_rhs_stack(L, stack, cfg.flow.A)).tolist()
-        for i, (r, scale, h) in enumerate(zip(rhs, scales, halvings), start=rows.start):
+        for i, r in enumerate(rhs, start=rows.start):
+            scale, h = scales[i], 0
+            if i in redone:
+                _, scale, h, state = redone[i]
+                r = float(np.linalg.norm(coflow_rhs(L, state, cfg.flow.A).coeffs))
             max_rhs = max(max_rhs, r)
             records.append(
                 {"record": "sample", "index": i, "rhs_norm": r, "scale": float(scale), "halvings": h}

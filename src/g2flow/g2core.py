@@ -272,35 +272,14 @@ def _closed_form(psi, bad=None):
 
 @dataclass(eq=False)
 class StructureStack:
-    """G2 structures stacked in rows: 3-forms ``phi`` (n, 35), their 4-forms
-    ``psi`` (n, 35) and one ``metric`` holding the n induced metrics.
-    ``psi`` is the flowing 4-form of a recovered state and star phi
-    otherwise, as ``CoclosedState.psi`` and ``G2Structure.psi`` are.  Treat
-    as immutable."""
+    """G2 structures stacked in rows: 3-forms ``phi`` (n, 35), the 4-forms
+    ``psi`` (n, 35) they were recovered from, as ``CoclosedState.psi`` is,
+    and one ``metric`` holding the n induced metrics.  The rows that
+    ``stack_from_psi`` marks hold finite placeholders.  Treat as immutable."""
 
     phi: np.ndarray
     psi: np.ndarray
     metric: Metric
-
-    @classmethod
-    def of(cls, states):
-        """The stack of a sequence of CoclosedStates or G2Structures."""
-        structures = [_structure_of(state) for state in states]
-        metric = Metric(np.array([s.metric.g for s in structures]))
-        metric._spd_checked = True  # each metric was witnessed where it was built
-        return cls(
-            phi=np.array([s.phi.coeffs for s in structures]),
-            psi=np.array([state.psi.coeffs for state in states]),
-            metric=metric,
-        )
-
-    def with_rows(self, rows, other):
-        """This stack with its rows ``rows`` replaced by the rows of ``other``."""
-        phi, psi, g = self.phi.copy(), self.psi.copy(), self.metric.g.copy()
-        phi[rows], psi[rows], g[rows] = other.phi, other.psi, other.metric.g
-        metric = Metric(g)
-        metric._spd_checked = True  # each row was witnessed in its own stack
-        return StructureStack(phi=phi, psi=psi, metric=metric)
 
 
 def stack_from_psi(psi):

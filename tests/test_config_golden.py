@@ -131,6 +131,18 @@ CASES = {
         perturbation={"magnitude": 0.1},
     ),
     "linearize_needs_coflow": _cfg("linearize", flow={"flow_kind": "laplacian_flow"}),
+    "static_needs_coflow": _cfg(
+        "ee1_static",
+        flow={"flow_kind": "laplacian_flow"},
+        perturbation={"magnitude": 0.1, "subspace": "full"},
+    ),
+    "static_phi_needs_coflow": _cfg(
+        "ee1_static",
+        initial="phi_standard",
+        flow={"flow_kind": "laplacian_flow"},
+        perturbation={"magnitude": 0.0},
+    ),
+    "family_needs_coflow": _cfg("ee2_family", flow={"flow_kind": "laplacian_flow"}),
     # Sweeps.
     "sweep_ee2_flow": _cfg(
         "sweep",

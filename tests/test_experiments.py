@@ -508,8 +508,8 @@ class TestRunExperiment:
             assert max(halvings) >= 1
 
     def test_ee1_static_linear_algebra_calls_grow_with_stacks_not_samples(self, tmp_path,
-                                                                          monkeypatch, ee1):
-        from g2flow import standard_psi
+                                                                          monkeypatch):
+        from g2flow import experiments
         from g2flow.experiments import _STACK_ROWS
 
         counts = {}
@@ -528,18 +528,20 @@ class TestRunExperiment:
             # One by one, 100 samples took 505 det, 202 inv and 202 cholesky.
             calls = 1 + -(-n // _STACK_ROWS)
             assert counts == {"det": 5 * calls, "inv": 2 * calls, "cholesky": 2 * calls}
-        # At magnitude 3 most samples are redone one by one and halved; the
-        # stacks still factorise fewer matrices than one-by-one sampling.
-        counts.clear()
+        # At magnitude 3 most samples are halved one by one, and the stacked
+        # recovery still runs once per stack: halved rows are not restacked.
+        stacks = []
+        recover_stack = experiments.stack_from_psi
+
+        def counting_stacks(psi):
+            stacks.append(len(psi))
+            return recover_stack(psi)
+
+        monkeypatch.setattr(experiments, "stack_from_psi", counting_stacks)
         raw = _minimal("ee1_static", samples=100, perturbation={"seed": 0, "magnitude": 3.0})
         cfg, _ = config_from_dict(raw)
         run_experiment(cfg, output_dir=tmp_path)
-        stacked = counts["cholesky"]
-        counts.clear()
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            sample_initial(ee1, standard_psi(), cfg.perturbation, rng)
-        assert stacked < counts["cholesky"]
+        assert stacks == [_STACK_ROWS] * 4
 
     def test_ee1_static_builds_the_subspace_basis_once(self, tmp_path, monkeypatch):
         from g2flow import experiments

@@ -308,23 +308,31 @@ class TestStackedRecovery:
     def test_matches_per_state(self, request, monkeypatch, name, magnitude, tol):
         from g2flow import g2core
         from g2flow.flows import coflow_rhs, coflow_rhs_stack
-        from g2flow.g2core import StructureStack, stack_from_psi
+        from g2flow.g2core import stack_from_psi
 
         L = request.getfixturevalue(name)
         psi = _coclosed_stack(L, magnitude)
         monkeypatch.setattr(g2core, "NEWTON_TOL", tol)
         stack, bad = stack_from_psi(psi)
+
+        def closed_form_misses(row):
+            try:
+                phi_of_psi(Form(4, row), tol=tol, max_iter=0)
+            except RecoveryError:
+                return True
+            return False
+
+        # A row is marked exactly when the per-state closed form misses the
+        # gate, i.e. when the per-state path needs a Newton correction.
+        assert bad.tolist() == [closed_form_misses(row) for row in psi]
         if tol < NEWTON_TOL:
             # Closed-form residuals sit at about 1e-15, so a tighter gate
-            # sends rows through the Newton corrections of the per-state path.
+            # marks some rows and keeps others.
             assert 0 < bad.sum() < len(psi)
-        states = [CoclosedState.from_psi(Form(4, row), tol=tol) for row in psi]
-        rows = np.flatnonzero(bad)
-        if rows.size:
-            stack = stack.with_rows(rows, StructureStack.of([states[i] for i in rows]))
         residual = np.linalg.norm(stack.metric.star_coeffs(3, stack.phi) - psi, axis=1)
         rhs = coflow_rhs_stack(L, stack, 0.5)
-        for i, state in enumerate(states):
+        for i in np.flatnonzero(~bad):
+            state = CoclosedState.from_psi(Form(4, psi[i]), tol=tol)
             s = state.recovered
             _assert_rows_close(stack.phi[i], s.phi.coeffs)
             _assert_rows_close(stack.metric.g[i], s.metric.g)
@@ -374,8 +382,13 @@ class TestStackedRecovery:
 
         s = G2Structure.from_phi(ee2_diagonal_phi(np.full(7, 1.2)))
         huge = G2Structure(phi=Form(3, 1e300 * s.phi.coeffs), metric=s.metric)
+        stack = StructureStack(
+            phi=np.array([s.phi.coeffs, huge.phi.coeffs]),
+            psi=np.array([s.psi.coeffs, huge.psi.coeffs]),
+            metric=Metric(np.array([s.metric.g, huge.metric.g])),
+        )
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="coefficients must be finite"):
                 coflow_rhs(ee2, huge)
             with pytest.raises(ValueError, match="coefficients must be finite"):
-                coflow_rhs_stack(ee2, StructureStack.of([s, huge]))
+                coflow_rhs_stack(ee2, stack)
