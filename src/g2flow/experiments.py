@@ -454,6 +454,15 @@ def _semantic_violations(cfg):
             "perturbation.subspace must be 'full' for laplacian_flow "
             "(coclosed/exact sample 4-form directions)"
         )
+    if (
+        cfg.flow.flow_kind == "modified_coflow"
+        and cfg.perturbation.subspace == "full"
+        and (cfg.perturbation.magnitude > 0 or experiment == "linearize")
+    ):
+        out.append(
+            "perturbation.subspace must be 'coclosed' or 'exact' for modified_coflow "
+            "(full directions leave the closed 4-forms)"
+        )
     return out
 
 
@@ -693,12 +702,24 @@ def _initial_form(cfg, degree):
     return Form(degree, np.asarray(cfg.initial, dtype=float))
 
 
+def _require_closed(L, form, tol):
+    """Halt on a base form that is not closed to ``tol``: the right-hand
+    sides are exact forms, which equal the flow only on closed input."""
+    residual = float(np.linalg.norm(L.differential_matrix(form.degree) @ form.coeffs))
+    if residual > tol:
+        raise G2FlowError(
+            f"closedness: the initial {form.degree}-form is not closed "
+            f"(|d| = {residual:.3e} exceeds halt.closedness_tol = {tol:.1e})"
+        )
+
+
 def _run_ee1_static(cfg, path):
     """Reference structure plus ``samples`` random coclosed perturbations,
     each checked for a vanishing coflow right-hand side."""
     L = load_algebra(cfg.algebra_file)
     rng = np.random.default_rng(cfg.perturbation.seed)
     base = _initial_form(cfg, 4)
+    _require_closed(L, base, cfg.flow.halt.closedness_tol)
     state = CoclosedState.from_psi(base)
     standard_rhs = float(np.linalg.norm(coflow_rhs(L, state, cfg.flow.A).coeffs))
     records = [
@@ -892,6 +913,7 @@ def _run_linearize(cfg, path):
     """Finite-difference spectrum at a static point; writes a JSON report."""
     L = load_algebra(cfg.algebra_file)
     base = _initial_form(cfg, 4)
+    _require_closed(L, base, cfg.flow.halt.closedness_tol)
     state = CoclosedState.from_psi(base)
     subspace = cfg.perturbation.subspace
     report = linearize(

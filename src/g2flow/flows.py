@@ -6,13 +6,17 @@ Two flows are supported on left-invariant data:
 * ``modified_coflow``:   d psi / dt = Laplacian(psi) + 2 d((A - trT) phi),
   flowing the dual 4-form, with real parameter A (A = 0 is the plain case).
 
-The flow variable is the coefficient vector of the flowing form.  For the
-coflow, each right-hand-side evaluation recovers phi from psi in closed
-form, so every step revalidates positivity and checks the recovery
-residual.  An optional DeTurck correction adds the Lie derivative
-along V^i = c1 g^{pq} T^i_{pq} + c2 g^{ki} T^j_{jk}, where T is the
-(lower-index symmetrized) difference between the Levi-Civita connection and
-a reference connection.
+Both flows move a closed form inside its cohomology class, where the
+Laplacian is d delta, so each right-hand side is evaluated as the
+differential of one form (see ``coflow_rhs`` and ``laplacian_flow_rhs``);
+that equals the flow only on closed input, and ``integrate`` halts a start
+that is not closed.  The flow variable is the coefficient vector of the
+flowing form.  For the coflow, each right-hand-side evaluation recovers phi
+from psi in closed form, so every step revalidates positivity and checks
+the recovery residual.  An optional DeTurck correction adds the Lie
+derivative along V^i = c1 g^{pq} T^i_{pq} + c2 g^{ki} T^j_{jk}, where T is
+the (lower-index symmetrized) difference between the Levi-Civita connection
+and a reference connection.
 
 Integrators: classic fixed-step rk4 (default dt 1e-3) and adaptive
 Fehlberg rkf45 (default rel_tol 1e-8), which accepts a step when its error
@@ -43,20 +47,19 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
+from .conventions import CODIFF_SIGN
 from .errors import ConfigError, G2FlowError, PositivityError, RecoveryError
 from .exterior import DIM, Form, _per_row
 from .g2core import (
     CoclosedState,
     G2Structure,
     _d,
-    _laplacian,
     _structure_of,
     _torsion_trace,
     full_torsion,
-    hodge_laplacian,
     torsion_trace,
 )
-from .liealg import Connection, lie_derivative
+from .liealg import Connection, _require_unimodular, lie_derivative
 
 __all__ = [
     "FlowConfig",
@@ -199,35 +202,48 @@ class FlowConfig:
 
 
 def coflow_rhs(L, state, A=0.0):
-    """Modified coflow right-hand side Laplacian(psi) + 2 (A - trT) d(phi).
+    """Modified coflow right-hand side d(delta psi + 2 (A - trT) phi).
 
-    Affine in A: the A-dependence is exactly 2 A d(phi).
+    On a closed psi this is Laplacian(psi) + 2 (A - trT) d(phi), and it is
+    affine in A: the A-dependence is exactly 2 A d(phi).
     """
     s = _structure_of(state)
-    return Form(4, _coflow_rhs(L, s.metric, s.phi.coeffs, state.psi.coeffs, A))
+    return Form(4, _coflow_rhs(L, s.metric, s.phi.coeffs, A))
 
 
 def coflow_rhs_stack(L, stack, A=0.0):
     """``coflow_rhs`` of every row of a ``g2core.StructureStack`` in one
     pass: the (n, 35) array of right-hand-side coefficients.  Raises the
     ValueError of ``coflow_rhs`` when a row is not finite."""
-    rhs = _coflow_rhs(L, stack.metric, stack.phi, stack.psi, A)
+    rhs = _coflow_rhs(L, stack.metric, stack.phi, A)
     if not np.isfinite(rhs).all():
         raise ValueError("coefficients must be finite")  # as the Form of that row raises
     return rhs
 
 
-def _coflow_rhs(L, metric, phi, psi, A):
-    """``coflow_rhs`` of coefficients: one structure, or stacks in rows."""
-    lap = _laplacian(L, metric, 4, psi)
+def _coflow_rhs(L, metric, phi, A):
+    """``coflow_rhs`` of coefficients: one structure, or stacks in rows.
+
+    On a closed psi = star phi, delta d psi = 0 and delta psi =
+    CODIFF_SIGN[4] star d phi, so the right-hand side is d chi with
+    chi = CODIFF_SIGN[4] star d phi + 2 (A - trT) phi: two stars (d phi and
+    the torsion trace) in place of the four of the Hodge Laplacian.
+    """
+    _require_unimodular(L)
     dphi = _d(L, 3, phi)
-    return lap + _per_row(2.0 * (A - _torsion_trace(metric, phi, dphi))) * dphi
+    trace = _torsion_trace(metric, phi, dphi)
+    chi = CODIFF_SIGN[4] * metric.star_coeffs(4, dphi) + _per_row(2.0 * (A - trace)) * phi
+    return _d(L, 3, chi)
 
 
 def laplacian_flow_rhs(L, state):
-    """Laplacian flow right-hand side: the Hodge Laplacian of phi."""
+    """Laplacian flow right-hand side: on a closed phi its Hodge Laplacian
+    d delta phi = CODIFF_SIGN[3] d star d psi, with psi = star phi the
+    structure's cached dual 4-form (one star besides it)."""
+    _require_unimodular(L)
     s = _structure_of(state)
-    return hodge_laplacian(L, s.metric, s.phi)
+    star_dpsi = s.metric.star_coeffs(5, _d(L, 4, s.psi.coeffs))
+    return Form(3, CODIFF_SIGN[3] * _d(L, 2, star_dpsi))
 
 
 def deturck_vector(L, state, nabla0, c1, c2):
@@ -455,10 +471,10 @@ def integrate(L, config, state0, reference=None):
         return {"status": status, "reason": reason, "t": t, "steps": steps, "detail": detail}
 
     snapshot(state0, _diagnostics(evaluator, config, y, ref_vec))
-    if (
-        config.monitors.closedness
-        and states[0].diagnostics["closedness"] > config.halt.closedness_tol
-    ):
+    # The right-hand sides are exact forms that equal the flows only on
+    # closed input, so a start that is not closed halts whatever the
+    # closedness monitor says.
+    if evaluator.closedness(y) > config.halt.closedness_tol:
         termination = end("closedness", "initial state violates the closedness tolerance")
 
     while termination is None:

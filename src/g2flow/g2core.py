@@ -12,12 +12,12 @@ phi from psi) is needed on every step; a positive 4-form fixes its metric
 algebraically, so it is a closed form with an optional Newton correction.
 
 The kernels (B, the induced metric, the closed-form recovery, the torsion
-trace, the Hodge Laplacian) take the coefficients of one form or a stack of
-forms in rows, with one metric per row.  ``stack_from_psi`` recovers
-independent 4-forms in one pass: every check of one recovery runs over the
-whole stack, and a row that fails one comes back marked, to be redone one
-by one by ``CoclosedState.from_psi`` (Newton corrections, errors and
-messages are its own).  Scalar powers are taken per row as for one form,
+trace) take the coefficients of one form or a stack of forms in rows, with
+one metric per row.  ``stack_from_psi`` recovers independent 4-forms in one
+pass: every check of one recovery runs over the whole stack, and a row that
+fails one comes back marked, to be redone one by one by
+``CoclosedState.from_psi`` (Newton corrections, errors and messages are its
+own).  Scalar powers are taken per row as for one form,
 so a stacked row gets the arithmetic of its one-form evaluation.
 """
 
@@ -114,12 +114,16 @@ def _finite(x, bad, safe):
 
 def _has_cholesky(g):
     """Whether each matrix of the stack g has a Cholesky factor: one
-    factorisation of the stack, and one per matrix where that fails."""
+    factorisation of the stack, and where that fails, of each half in turn,
+    so one matrix without a factor costs about 2 log2(n) factorisations."""
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        return False if len(g) == 1 else np.array([_has_cholesky(m[None]) for m in g])
-    return True
+        if len(g) == 1:
+            return np.zeros(1, dtype=bool)
+        half = len(g) // 2
+        return np.concatenate([_has_cholesky(g[:half]), _has_cholesky(g[half:])])
+    return np.ones(len(g), dtype=bool)
 
 
 def metric_from_phi(phi):
@@ -272,13 +276,11 @@ def _closed_form(psi, bad=None):
 
 @dataclass(eq=False)
 class StructureStack:
-    """G2 structures stacked in rows: 3-forms ``phi`` (n, 35), the 4-forms
-    ``psi`` (n, 35) they were recovered from, as ``CoclosedState.psi`` is,
-    and one ``metric`` holding the n induced metrics.  The rows that
+    """G2 structures stacked in rows: 3-forms ``phi`` (n, 35) and one
+    ``metric`` holding the n induced metrics.  The rows that
     ``stack_from_psi`` marks hold finite placeholders.  Treat as immutable."""
 
     phi: np.ndarray
-    psi: np.ndarray
     metric: Metric
 
 
@@ -293,7 +295,7 @@ def stack_from_psi(psi):
     phi, metric = _closed_form(psi, bad)
     back = _finite(metric.star_coeffs(3, phi), bad, 0.0)
     bad |= ~(_norms(back - psi) <= NEWTON_TOL)  # the residual gate of phi_of_psi
-    return StructureStack(phi=phi, psi=psi, metric=metric), bad
+    return StructureStack(phi=phi, metric=metric), bad
 
 
 @dataclass(eq=False)
@@ -385,19 +387,16 @@ def full_torsion(L, state):
 def hodge_laplacian(L, g, a):
     """Hodge Laplacian (d delta + delta d) of an invariant form, applied as
     four stars and four differentials with delta = CODIFF_SIGN star d star
-    (``liealg.hodge_laplacian_matrix`` is the same operator as a matrix)."""
-    return Form(a.degree, _laplacian(L, g, a.degree, a.coeffs))
-
-
-def _laplacian(L, g, k, x):
-    """``hodge_laplacian`` of k-form coefficients: one form, or a stack in
-    rows with one metric per row."""
+    (``liealg.hodge_laplacian_matrix`` is the same operator as a matrix).
+    The flows evaluate it on closed forms as d delta alone; this full
+    operator is their oracle."""
     _require_unimodular(L)
-    out = np.zeros(x.shape)
+    k, x = a.degree, a.coeffs
+    out = np.zeros(DIMS[k])
     if k >= 1:  # d delta a
         delta_a = g.star_coeffs(DIM - k + 1, _d(L, DIM - k, g.star_coeffs(k, x)))
         out += CODIFF_SIGN[k] * _d(L, k - 1, delta_a)
     if k < DIM:  # delta d a
         star_da = g.star_coeffs(k + 1, _d(L, k, x))
         out += CODIFF_SIGN[k + 1] * g.star_coeffs(DIM - k, _d(L, DIM - k - 1, star_da))
-    return out
+    return Form(k, out)

@@ -100,6 +100,22 @@ def random_positive_phi(rng, scale=0.1):
     return Form(3, standard_phi().coeffs + scale * rng.standard_normal(35))
 
 
+def closed_n2_phi(rng):
+    """Seeded closed positive 3-form on the n2 algebra (de6 = e12,
+    de7 = e13): each term of the standard form scaled by a factor in
+    [0.8, 1.25], which keeps it positive.  Only e257 and e356 have a nonzero
+    differential there (both terms carry the sign -1), and they cancel while
+    their factors are equal."""
+    from g2flow.exterior import BASIS
+
+    coeffs = standard_phi().coeffs.copy()
+    terms = np.flatnonzero(coeffs)
+    coeffs[terms] *= rng.uniform(0.8, 1.25, size=len(terms))
+    e257, e356 = BASIS[3].index((2, 5, 7)), BASIS[3].index((3, 5, 6))
+    coeffs[e356] = coeffs[e257]
+    return Form(3, coeffs)
+
+
 def random_form(rng, degree, scale=1.0):
     from g2flow.exterior import DIMS
 

@@ -552,6 +552,24 @@ class TestLinearizeVerb:
         assert "not static" in err
 
 
+class TestClosedBase:
+    @pytest.mark.parametrize(
+        "verb, experiment", [("run", "ee1_static"), ("linearize", "linearize")]
+    )
+    def test_base_that_is_not_closed_exits_numerical(self, capsys, tmp_path, verb, experiment):
+        # The coflow right-hand side is an exact form, which equals the flow
+        # only on a closed 4-form: any other base halts, naming closedness.
+        from g2flow import standard_psi
+
+        psi = standard_psi().coeffs + 1e-3 * np.arange(35)
+        payload = {"schema_version": 1, "experiment": experiment, "initial": psi.tolist()}
+        cfg = _config(tmp_path, payload)
+        code, _, err = _run(capsys, [verb, cfg, "--output-dir", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        assert err.startswith("numerical halt: closedness: the initial 4-form is not closed")
+        assert not list(tmp_path.glob(f"{experiment}.*"))
+
+
 class TestFixtureOverride:
     def test_env_var_redirects_fixture_lookup(self, capsys, tmp_path, monkeypatch):
         override = tmp_path / "fx"

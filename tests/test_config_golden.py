@@ -143,6 +143,15 @@ CASES = {
         perturbation={"magnitude": 0.0},
     ),
     "family_needs_coflow": _cfg("ee2_family", flow={"flow_kind": "laplacian_flow"}),
+    # The coflow right-hand side holds on closed 4-forms only: drawn or
+    # probed directions stay in a closed subspace.
+    "coflow_draws_need_closed_subspace": _cfg(
+        "ee2_flow", perturbation={"magnitude": 0.1, "subspace": "full"}
+    ),
+    "linearize_needs_closed_subspace": _cfg("linearize", perturbation={"subspace": "full"}),
+    "static_full_subspace_draws_nothing": _cfg(
+        "ee1_static", perturbation={"magnitude": 0.0, "subspace": "full"}
+    ),
     # Sweeps.
     "sweep_ee2_flow": _cfg(
         "sweep",

@@ -44,10 +44,12 @@ from g2flow.flows import (
     HaltConfig,
     MonitorConfig,
     _rkf45_attempt,
+    coflow_rhs_stack,
 )
+from g2flow.g2core import stack_from_psi
 from g2flow.liealg import Connection, levi_civita
 
-from .conftest import coclosed_sample
+from .conftest import closed_n2_phi, coclosed_sample
 
 STATIC_MEMBER = np.array([np.sqrt(2.0), 1.0, np.sqrt(2.0), 1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0)])
 
@@ -153,14 +155,68 @@ class TestCoflowRhs:
         via_struct = coflow_rhs(ee2, state.recovered, 0.7)
         assert np.max(np.abs(via_state.coeffs - via_struct.coeffs)) <= 1e-12
 
+    @pytest.mark.parametrize("subspace", ["coclosed", "exact"])
+    def test_exact_form_matches_the_laplacian_on_closed_samples(self, ee1, ee2, subspace):
+        # On a closed psi the right-hand side d(delta psi + 2 (A - trT) phi)
+        # is the four-star Hodge Laplacian of psi plus 2 (A - trT) d(phi),
+        # one state at a time and as one stack.
+        pcfg = PerturbationConfig(seed=0, magnitude=0.25, subspace=subspace)
+        for L in (ee1, ee2):
+            rng = np.random.default_rng(11)
+            states = [sample_initial(L, standard_psi(), pcfg, rng)[3] for _ in range(50)]
+            stack, bad = stack_from_psi(np.array([st.psi.coeffs for st in states]))
+            assert not bad.any()
+            for A in (0.0, 0.5):
+                rows = coflow_rhs_stack(L, stack, A)
+                for st, row in zip(states, rows):
+                    s = st.recovered
+                    dphi = differential(L, s.phi).coeffs
+                    want = hodge_laplacian(L, s.metric, st.psi).coeffs
+                    want = want + 2.0 * (A - torsion_trace(L, s)) * dphi
+                    scale = 1e-12 * max(1.0, float(np.linalg.norm(want)))
+                    assert np.linalg.norm(coflow_rhs(L, st, A).coeffs - want) <= scale
+                    assert np.linalg.norm(row - want) <= scale
+
+    def test_takes_two_stars(self, ee2, rng, monkeypatch):
+        # One star of d(phi) and one of the 7-form in the torsion trace.
+        state = coclosed_sample(ee2, rng, magnitude=0.2)
+        stars = _count_stars(monkeypatch)
+        coflow_rhs(ee2, state, 0.5)
+        assert sorted(stars) == [4, 7]
+
+
+def _count_stars(monkeypatch):
+    """Record the degree of every Metric.star_coeffs call from now on."""
+    stars = []
+    star_coeffs = Metric.star_coeffs
+
+    def counting(self, k, coeffs):
+        stars.append(k)
+        return star_coeffs(self, k, coeffs)
+
+    monkeypatch.setattr(Metric, "star_coeffs", counting)
+    return stars
+
 
 class TestLaplacianFlowRhs:
-    def test_matches_laplacian_of_phi(self, ee2, rng):
-        state = coclosed_sample(ee2, rng, magnitude=0.2)
-        s = state.recovered
-        got = laplacian_flow_rhs(ee2, s)
-        want = hodge_laplacian(ee2, s.metric, s.phi)
-        assert np.array_equal(got.coeffs, want.coeffs)
+    def test_matches_laplacian_of_phi(self, n2):
+        # On a closed phi the right-hand side d delta phi is its full
+        # Hodge Laplacian; the n2 forms are closed positive 3-forms.
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            s = G2Structure.from_phi(closed_n2_phi(rng))
+            assert np.linalg.norm(differential(n2, s.phi).coeffs) == 0.0
+            got = laplacian_flow_rhs(n2, s).coeffs
+            want = hodge_laplacian(n2, s.metric, s.phi).coeffs
+            assert np.linalg.norm(want) > 0.1
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_takes_one_star_besides_the_cached_psi(self, n2, monkeypatch):
+        s = G2Structure.from_phi(closed_n2_phi(np.random.default_rng(0)))
+        s.psi  # the record needs psi anyway; the first rk4 stage shares it
+        stars = _count_stars(monkeypatch)
+        laplacian_flow_rhs(n2, s)
+        assert stars == [5]
 
     def test_torus_is_static(self, torus):
         s = G2Structure.from_phi(standard_phi())
@@ -481,6 +537,17 @@ class TestHalts:
         assert term["t"] == 0.0
         assert term["detail"] == "initial state violates the closedness tolerance"
         assert len(traj.states) == 1
+
+    def test_closed_start_is_checked_with_the_monitor_off(self, ee1):
+        # The right-hand side equals the flow only on closed forms, so the
+        # t = 0 check does not hang on the closedness monitor.
+        psi = Form(4, standard_psi().coeffs + 1e-3 * np.arange(35, dtype=float))
+        cfg = FlowConfig(monitors=MonitorConfig(closedness=False))
+        traj = integrate(ee1, cfg, CoclosedState.from_psi(psi))
+        term = traj.termination
+        assert (term["status"], term["reason"], term["t"]) == ("halted", "closedness", 0.0)
+        assert len(traj.states) == 1
+        assert traj.final.record()["closedness"] is None
 
     def test_laplacian_flow_requires_closed_start(self, ee1):
         # The standard 3-form is not closed on this algebra, so the closed-form

@@ -336,7 +336,6 @@ class TestStackedRecovery:
             s = state.recovered
             _assert_rows_close(stack.phi[i], s.phi.coeffs)
             _assert_rows_close(stack.metric.g[i], s.metric.g)
-            assert stack.psi[i] is not psi[i] and np.array_equal(stack.psi[i], psi[i])
             assert abs(residual[i] - state.residual) <= 1e-14
             _assert_rows_close(rhs[i], coflow_rhs(L, state, 0.5).coeffs)
 
@@ -376,6 +375,25 @@ class TestStackedRecovery:
         assert calls == [6]
         assert np.array_equal(metric.g[[1, 4]], [np.eye(7)] * 2)
 
+    def test_one_indefinite_row_costs_a_bisection_not_a_row_loop(self, monkeypatch):
+        # A row with det > 0 that is not positive definite fails the stacked
+        # factorisation; halving the stack finds it in 1 + 2 log2(n) tries
+        # (one by one took 1 + n).
+        from g2flow.g2core import _has_cholesky
+
+        g = np.array([np.eye(7)] * 32)
+        g[19] = np.diag([-1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(m):
+            calls.append(len(m))
+            return cholesky(m)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        assert np.flatnonzero(~_has_cholesky(g)).tolist() == [19]
+        assert sorted(calls, reverse=True) == [32, 16, 16, 8, 8, 4, 4, 2, 2, 1, 1]
+
     def test_a_non_finite_right_hand_side_raises_as_one_row_does(self, ee2):
         from g2flow.flows import coflow_rhs, coflow_rhs_stack
         from g2flow.g2core import StructureStack
@@ -384,7 +402,6 @@ class TestStackedRecovery:
         huge = G2Structure(phi=Form(3, 1e300 * s.phi.coeffs), metric=s.metric)
         stack = StructureStack(
             phi=np.array([s.phi.coeffs, huge.phi.coeffs]),
-            psi=np.array([s.psi.coeffs, huge.psi.coeffs]),
             metric=Metric(np.array([s.metric.g, huge.metric.g])),
         )
         with np.errstate(over="ignore", invalid="ignore"):
