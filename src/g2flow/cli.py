@@ -74,7 +74,7 @@ def _build_parser():
             "--jobs",
             type=int,
             default=1,
-            help="accepted and ignored: sweep cells run one after another",
+            help="accepted and ignored: a sweep runs in one thread",
         )
         p.add_argument("--seed", type=int, default=None, help="override perturbation.seed")
         p.add_argument(

@@ -24,8 +24,9 @@ Experiments:
 * ``linearize``    — finite-difference spectrum at a static point;
 * ``custom``       — integrate the configured flow on any algebra/initial;
 * ``sweep``        — a cartesian grid of overrides on top of a base
-  experiment, run one cell after another, one output file per cell plus a
-  manifest.
+  experiment, one output file per cell plus a manifest.  Flow cells that
+  can share a time grid (``_lockstep_groups``) step together as the rows of
+  one ``integrate`` ensemble; the other cells run one after another.
 
 ``ee1_static`` evaluates its samples as stacks of up to ``_STACK_ROWS``
 rows: one recovery (``g2core.stack_from_psi``) and one right-hand side per
@@ -847,15 +848,85 @@ def _run_ee2_family(cfg, path):
     )
 
 
-def _run_flow(cfg, path, experiment):
-    """Integrate the configured flow (ee2_flow and custom)."""
+@dataclass(eq=False)
+class _FlowStart:
+    """What a flow run needs before it steps: its output path, algebra,
+    base form and sampled initial state (with the sampling's scale and
+    halvings)."""
+
+    path: Path
+    L: object
+    base: Form
+    scale: float
+    halvings: int
+    state: object
+
+
+def _flow_start(cfg, output_dir):
+    path = _resolve_output(cfg, output_dir, f"{cfg.experiment}.{cfg.output.format}")
     L = load_algebra(cfg.algebra_file)
     base = _initial_form(cfg, 4 if cfg.flow.flow_kind == "modified_coflow" else 3)
     rng = np.random.default_rng(cfg.perturbation.seed)
-    _, scale, halvings, state0 = sample_initial(
-        L, base, cfg.perturbation, rng, cfg.flow.flow_kind
-    )
-    trajectory = integrate(L, cfg.flow, state0, reference=base)
+    _, scale, halvings, state = sample_initial(L, base, cfg.perturbation, rng, cfg.flow.flow_kind)
+    return _FlowStart(path, L, base, scale, halvings, state)
+
+
+def _lockstep_key(cfg):
+    """The key of the cells that can step as one ensemble (``integrate``
+    with a list of starts), or None for a cell that steps alone: rk4
+    modified-coflow runs without DeTurck on the same algebra, whose flow
+    sections agree apart from flow.A."""
+    flow = cfg.flow
+    if (
+        cfg.experiment not in ("ee2_flow", "custom")
+        or flow.flow_kind != "modified_coflow"
+        or flow.integrator.method != "rk4"
+        or flow.deturck.enabled
+    ):
+        return None
+    section = _echo(flow)
+    del section["A"]
+    return json.dumps([cfg.algebra_file, section], sort_keys=True)
+
+
+def _lockstep_groups(cfgs):
+    """The indices of ``cfgs`` grouped by ``_lockstep_key``, in order of
+    their first member; a config without a key is a group of its own."""
+    groups, by_key = [], {}
+    for i, cfg in enumerate(cfgs):
+        key = _lockstep_key(cfg)
+        if key is not None and key in by_key:
+            by_key[key].append(i)
+        else:
+            groups.append([i])
+            if key is not None:
+                by_key[key] = groups[-1]
+    return groups
+
+
+def _run_flows(cfgs, output_dir, groups):
+    """Integrate the configured flow of each config (ee2_flow and custom).
+
+    Every start is sampled first, in order; then the configs of each group
+    step as one ensemble, and each writes its own file.  Returns one
+    result per config.
+    """
+    starts = [_flow_start(cfg, output_dir) for cfg in cfgs]
+    results = [None] * len(cfgs)
+    for group in groups:
+        trajectories = integrate(
+            starts[group[0]].L,
+            cfgs[group[0]].flow,
+            [starts[i].state for i in group],
+            reference=[starts[i].base for i in group],
+            A=[cfgs[i].flow.A for i in group],
+        )
+        for i, trajectory in zip(group, trajectories):
+            results[i] = _write_flow(cfgs[i], starts[i], trajectory)
+    return results
+
+
+def _write_flow(cfg, start, trajectory):
     records = trajectory.records()
     fieldnames = list(RECORD_FIELDS)
     if cfg.output.format == "csv":
@@ -863,20 +934,20 @@ def _run_flow(cfg, path, experiment):
         for rec in records:
             rec.update(zip(_PSI_COLUMNS, rec.pop("psi")))
         fieldnames[1:2] = _PSI_COLUMNS
-    _write_records(path, cfg.output.format, records, fieldnames)
+    _write_records(start.path, cfg.output.format, records, fieldnames)
     term = trajectory.termination
     summary = {
         "termination": term,
-        "perturbation_scale": scale,
-        "perturbation_halvings": halvings,
+        "perturbation_scale": start.scale,
+        "perturbation_halvings": start.halvings,
         "records": len(trajectory.states),
         "final_t": trajectory.final.t,
     }
     return ExperimentResult(
-        experiment=experiment,
+        experiment=cfg.experiment,
         status="ok" if term["status"] == "completed" else "halted",
         summary=summary,
-        files=[str(path)],
+        files=[str(start.path)],
     )
 
 
@@ -947,8 +1018,10 @@ def _run_linearize(cfg, path):
 
 
 def _run_sweep(cfg, output_dir):
-    """Run the grid cell by cell; every cell writes its own file, and a
-    manifest records the override-to-file mapping with per-cell outcomes."""
+    """Run the grid; every cell writes its own file, and a manifest records
+    the override-to-file mapping with per-cell outcomes.  Flow cells that
+    ``_lockstep_groups`` groups step as one ensemble; the others run one
+    after another."""
     cells = expand_sweep(cfg)
     sweep_dir = _output_path(cfg, output_dir, "sweep_out")
     _make_dir(sweep_dir)
@@ -956,10 +1029,15 @@ def _run_sweep(cfg, output_dir):
     base_exp = cfg.sweep_section.experiment
     if base_exp == "linearize":
         ext = "json"
-    outcomes = []
-    for index, (overrides, cell_cfg) in enumerate(cells):
+    cfgs = [cell_cfg for _, cell_cfg in cells]
+    for index, cell_cfg in enumerate(cfgs):
         cell_cfg.output.path = str(sweep_dir / f"cell_{index:03d}.{ext}")
-        outcomes.append((overrides, _dispatch(cell_cfg, None)))
+    groups = _lockstep_groups(cfgs)
+    if base_exp in ("ee2_flow", "custom"):
+        results = _run_flows(cfgs, None, groups)
+    else:
+        results = [_dispatch(cell_cfg, None) for cell_cfg in cfgs]
+    outcomes = [(overrides, result) for (overrides, _), result in zip(cells, results)]
     manifest = {
         "experiment": base_exp,
         "axes": cfg.sweep_section.axes,
@@ -983,6 +1061,7 @@ def _run_sweep(cfg, output_dir):
         "cells": len(cells),
         "halted_cells": sum(1 for _, r in outcomes if r.status != "ok"),
         "manifest": str(manifest_path),
+        "lockstep_groups": groups,
     }
     files = [str(manifest_path)] + [r.files[0] for _, r in outcomes]
     return ExperimentResult(
@@ -1000,9 +1079,7 @@ def _dispatch(cfg, output_dir):
     if cfg.experiment == "ee2_family":
         return _run_ee2_family(cfg, _resolve_output(cfg, output_dir, f"ee2_family.{ext}"))
     if cfg.experiment in ("ee2_flow", "custom"):
-        return _run_flow(
-            cfg, _resolve_output(cfg, output_dir, f"{cfg.experiment}.{ext}"), cfg.experiment
-        )
+        return _run_flows([cfg], output_dir, [[0]])[0]
     if cfg.experiment == "np":
         return _run_np(cfg, _resolve_output(cfg, output_dir, f"np.{ext}"))
     if cfg.experiment == "linearize":

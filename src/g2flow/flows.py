@@ -10,13 +10,13 @@ Both flows move a closed form inside its cohomology class, where the
 Laplacian is d delta, so each right-hand side is evaluated as the
 differential of one form (see ``coflow_rhs`` and ``laplacian_flow_rhs``);
 that equals the flow only on closed input, and ``integrate`` halts a start
-that is not closed.  The flow variable is the coefficient vector of the
-flowing form.  For the coflow, each right-hand-side evaluation recovers phi
-from psi in closed form, so every step revalidates positivity and checks
-the recovery residual.  An optional DeTurck correction adds the Lie
-derivative along V^i = c1 g^{pq} T^i_{pq} + c2 g^{ki} T^j_{jk}, where T is
-the (lower-index symmetrized) difference between the Levi-Civita connection
-and a reference connection.
+that is not closed before evaluating any.  The flow variable is the
+coefficient vector of the flowing form.  For the coflow, each
+right-hand-side evaluation recovers phi from psi in closed form, so every
+step revalidates positivity and checks the recovery residual.  An optional
+DeTurck correction adds the Lie derivative along V^i = c1 g^{pq} T^i_{pq}
++ c2 g^{ki} T^j_{jk}, where T is the (lower-index symmetrized) difference
+between the Levi-Civita connection and a reference connection.
 
 Integrators: classic fixed-step rk4 (default dt 1e-3) and adaptive
 Fehlberg rkf45 (default rel_tol 1e-8), which accepts a step when its error
@@ -26,6 +26,16 @@ positivity or recovery fails, a step underflows, or values stop being
 finite; the termination record carries the cause, and a halt between
 records still ends the trajectory on a record of the state at the halt
 time.
+
+``integrate`` also takes a list of starts: an ensemble whose rows share
+the config apart from A (one per row) and step in lockstep on one rk4 time
+grid.  The rows of a coflow stage are recovered and evaluated as one stack
+(``g2core.stack_from_psi`` and ``coflow_rhs_stack``); a single row, and
+each row the stack marks, takes the one-form path.  Rows are independent,
+so a row that halts freezes with the records it gets alone while the
+others step on, and every row's trajectory is bit for bit the one its
+start gets alone.  One start is an ensemble of one row: there is one time
+loop.
 
 A Trajectory is a list of FlowState records and the termination record.
 Each snapshot takes what the output needs at record time, while the
@@ -42,6 +52,7 @@ eigenvalues of its symmetrization, and the asymmetry norm.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
@@ -49,7 +60,7 @@ import numpy as np
 
 from .conventions import CODIFF_SIGN
 from .errors import ConfigError, G2FlowError, PositivityError, RecoveryError
-from .exterior import DIM, Form, _per_row
+from .exterior import DIM, Form, Metric, _per_row
 from .g2core import (
     CoclosedState,
     G2Structure,
@@ -57,6 +68,7 @@ from .g2core import (
     _structure_of,
     _torsion_trace,
     full_torsion,
+    stack_from_psi,
     torsion_trace,
 )
 from .liealg import Connection, _require_unimodular, lie_derivative
@@ -329,55 +341,105 @@ class Trajectory:
         return [s.record() for s in self.states]
 
 
-class _NonFiniteStage(G2FlowError):
-    """A Runge-Kutta stage left the finite range before its evaluation."""
-
-
 class _Evaluator:
-    """Shared right-hand-side evaluator.
+    """Shared right-hand-side evaluator of the rows of an ensemble.
 
-    The state is a pure function of the flowing coefficients, so the last
-    (coefficients -> state, rhs) pair is kept: a record time, the next
-    step's first stage and every retried rkf45 attempt share one recovery
-    and one right-hand side.  It starts out holding ``state`` at ``y``.
+    The state of a row is a pure function of its flowing coefficients, so
+    each row keeps its last (coefficients -> state, rhs) triple: a record
+    time, the next step's first stage and every retried rkf45 attempt share
+    one recovery and one right-hand side.  Row i starts out holding
+    ``states[i]`` at ``y[i]``.
+
+    A coflow ensemble of two or more rows without DeTurck evaluates the rows
+    of a call as one stack (``stack_from_psi`` and ``coflow_rhs_stack``).
+    A single row, and every row the stack marks, takes the one-form path
+    (``CoclosedState.from_psi`` and ``coflow_rhs``), so a row gets the
+    bits, Newton corrections and errors of its one-form evaluation.  A row
+    whose evaluation fails is entered in ``failed`` with its halt reason and
+    detail; calls skip it, with zero entries, until the caller takes it out.
     """
 
-    def __init__(self, L, config, y, state):
+    def __init__(self, L, config, A, y, states):
         self.L = L
         self.config = config
+        self.A = A
         self.coflow = config.flow_kind == "modified_coflow"
+        self.stacked = self.coflow and not config.deturck.enabled and len(states) > 1
         self.nabla0 = Connection(np.zeros((DIM, DIM, DIM)))
-        k = 4 if self.coflow else 3
-        self.dmat = L.differential_matrix(k)
-        self._key, self._state, self._rhs = y.tobytes(), state, None
+        self.dmat = L.differential_matrix(4 if self.coflow else 3)
+        # Per row [key, state, rhs]; the state of a stacked row is its
+        # (stack, index) until ``structure`` reads it.
+        self._rows = [[row.tobytes(), state, None] for row, state in zip(y, states)]
+        self.failed = {}
 
-    def state_of(self, y):
-        key = y.tobytes()
-        if key != self._key:
-            if not np.isfinite(y).all():
-                raise _NonFiniteStage
+    def f(self, rows, y):
+        """Right-hand sides of the ``rows`` at ``y`` (one row of y each)."""
+        out = np.zeros(y.shape)
+        todo = []
+        for j, i in enumerate(rows):
+            if i in self.failed:
+                continue
+            key, _, rhs = self._rows[i]
+            row = y[j]
+            if row.tobytes() == key:
+                out[j] = self._state_rhs(i) if rhs is None else rhs
+            elif np.isfinite(row).all():
+                todo.append(j)
+            else:
+                self.failed[i] = ("nonfinite", "a stage of the step left the finite range")
+        if self.stacked and len(todo) > 1:
+            stack, bad = stack_from_psi(y[todo])
+            rhs = coflow_rhs_stack(self.L, stack, np.array([self.A[rows[j]] for j in todo]))
+            for r, j in enumerate(todo):
+                if bad[r]:
+                    self._one(rows[j], y[j], out[j])
+                else:
+                    self._rows[rows[j]] = [y[j].tobytes(), (stack, r), rhs[r]]
+                    out[j] = rhs[r]
+        else:
+            for j in todo:
+                self._one(rows[j], y[j], out[j])
+        return out
+
+    def _one(self, i, y, out):
+        """Evaluate row i at y by the one-form path into ``out``."""
+        try:
             if self.coflow:
                 state = CoclosedState.from_psi(Form(4, y))
             else:
                 state = G2Structure.from_phi(Form(3, y))
-            self._key, self._state, self._rhs = key, state, None
-        return self._state
+        except (PositivityError, RecoveryError) as exc:
+            reason = "positivity" if isinstance(exc, PositivityError) else "newton"
+            self.failed[i] = (reason, str(exc))
+            return
+        self._rows[i] = [y.tobytes(), state, None]
+        out[:] = self._state_rhs(i)
 
-    def rhs_form(self, state):
+    def _state_rhs(self, i):
+        """The right-hand side of row i's one-form state, kept for reuse."""
+        entry = self._rows[i]
         cfg = self.config
         if self.coflow:
-            rhs = coflow_rhs(self.L, state, cfg.A)
+            rhs = coflow_rhs(self.L, entry[1], self.A[i])
         else:
-            rhs = laplacian_flow_rhs(self.L, state)
+            rhs = laplacian_flow_rhs(self.L, entry[1])
         if cfg.deturck.enabled:
-            rhs = rhs + deturck_term(self.L, state, self.nabla0, cfg.deturck.c1, cfg.deturck.c2)
-        return rhs
+            rhs = rhs + deturck_term(self.L, entry[1], self.nabla0, cfg.deturck.c1, cfg.deturck.c2)
+        entry[2] = rhs.coeffs
+        return entry[2]
 
-    def f(self, y):
-        state = self.state_of(y)
-        if self._rhs is None:
-            self._rhs = self.rhs_form(state).coeffs
-        return self._rhs
+    def rhs(self, i):
+        """The right-hand side of row i at its last evaluated coefficients."""
+        return self._rows[i][2]
+
+    def structure(self, i):
+        """The G2 structure of row i at its last evaluated coefficients."""
+        entry = self._rows[i]
+        if isinstance(entry[1], tuple):
+            stack, r = entry[1]
+            metric = Metric(stack.metric.g[r], _spd_checked=True)
+            entry[1] = G2Structure(phi=Form(3, stack.phi[r]), metric=metric)
+        return _structure_of(entry[1])
 
     def closedness(self, y):
         return float(np.linalg.norm(self.dmat @ y))
@@ -420,121 +482,158 @@ def _rkf45_attempt(f, y, h):
     return y5, float(np.linalg.norm(err))
 
 
-def _diagnostics(evaluator, config, y, ref_vec):
-    mon = config.monitors
-    s = _structure_of(evaluator.state_of(y))
-    diag = {}
-    diag["trT"] = torsion_trace(evaluator.L, s) if mon.trT else None
-    diag["volume"] = s.volume if mon.volume else None
-    diag["closedness"] = evaluator.closedness(y) if mon.closedness else None
-    diag["rhs_norm"] = float(np.linalg.norm(evaluator.f(y))) if mon.rhs_norm else None
-    diag["dist_ref"] = float(np.linalg.norm(y - ref_vec)) if mon.dist_ref else None
-    return diag
-
-
-def integrate(L, config, state0, reference=None):
+def integrate(L, config, state0, reference=None, A=None):
     """Integrate the configured flow from ``state0``.
 
     ``state0`` is a CoclosedState for the coflow or a G2Structure for the
     Laplacian flow; ``reference`` (a form, defaults to the initial one)
-    anchors the dist_ref diagnostic.  Returns a Trajectory whose
-    termination record distinguishes a completed run from halts caused by
-    closedness drift, positivity loss, recovery failure, step underflow, or
-    non-finite values.
+    anchors the dist_ref diagnostic, and ``A`` (defaults to ``config.A``)
+    is the coflow parameter.  Returns a Trajectory whose termination record
+    distinguishes a completed run from halts caused by closedness drift,
+    positivity loss, recovery failure, step underflow, or non-finite values.
+
+    A list ``state0`` is an ensemble of rows stepped in lockstep on one
+    time grid (rk4 only: rkf45 sizes each row's steps from its own error);
+    ``reference`` and ``A`` are then lists with one entry per row, and a
+    list of Trajectories comes back.  Each row's trajectory is the one
+    ``integrate`` gives its start alone, bit for bit: a row that halts
+    freezes, and the others step on unchanged.
     """
+    if isinstance(state0, list):
+        n = len(state0)
+        A = [config.A] * n if A is None else A
+        return _integrate_rows(L, config, state0, reference or [None] * n, A)
+    return _integrate_rows(L, config, [state0], [reference], [config.A if A is None else A])[0]
+
+
+def _integrate_rows(L, config, starts, references, A):
+    """The time loop of ``integrate`` over the rows of an ensemble."""
     config.ensure_valid()
     coflow = config.flow_kind == "modified_coflow"
-    if coflow:
-        if not isinstance(state0, CoclosedState):
-            raise G2FlowError("modified_coflow expects a CoclosedState initial state")
-        y = state0.psi.coeffs.copy()
-    else:
-        state0 = _structure_of(state0)
-        y = state0.phi.coeffs.copy()
-    evaluator = _Evaluator(L, config, y, state0)
-    ref_vec = (reference.coeffs if reference is not None else y).copy()
-
     cfg_int = config.integrator
+    n = len(starts)
+    if n > 1 and cfg_int.method != "rk4":
+        raise G2FlowError("only rk4 steps an ensemble (rkf45 sizes each row's steps)")
+    if coflow and not all(isinstance(s, CoclosedState) for s in starts):
+        raise G2FlowError("modified_coflow expects a CoclosedState initial state")
+    if not coflow:
+        starts = [_structure_of(s) for s in starts]
+    y = np.array([(s.psi if coflow else s.phi).coeffs for s in starts])
+    ref = np.array([y[i] if r is None else r.coeffs for i, r in enumerate(references)])
+    evaluator = _Evaluator(L, config, [float(a) for a in A], y, starts)
+
     t_end = cfg_int.t_end
     t_stop = t_end - 1e-12 * max(1.0, t_end)  # end of the horizon up to rounding
     t = 0.0
     steps = 0
     dt = cfg_int.dt
-    states = []
-    termination = None
+    states = [[] for _ in range(n)]
+    ends = [None] * n
+    mon = config.monitors
+    tol = config.halt.closedness_tol
+    max_rhs = config.halt.max_rhs_norm
 
-    def snapshot(state_obj, diag):
-        form = state_obj.psi if coflow else state_obj.phi
-        states.append(FlowState(t=t, form=form, psi=state_obj.psi, diagnostics=diag))
+    def snapshot(i, t, rhs_norm=True):
+        """Record row i at time t with the monitor values; ``rhs_norm``
+        False leaves its right-hand side unread (and the value null)."""
+        s = evaluator.structure(i)
+        rhs = evaluator.rhs(i) if mon.rhs_norm and rhs_norm else None
+        diag = {
+            "trT": torsion_trace(L, s) if mon.trT else None,
+            "volume": s.volume if mon.volume else None,
+            "closedness": evaluator.closedness(y[i]) if mon.closedness else None,
+            "rhs_norm": None if rhs is None else float(np.linalg.norm(rhs)),
+            "dist_ref": float(np.linalg.norm(y[i] - ref[i])) if mon.dist_ref else None,
+        }
+        psi = Form(4, y[i]) if coflow else s.psi
+        states[i].append(FlowState(t=t, form=psi if coflow else s.phi, psi=psi, diagnostics=diag))
 
-    def end(reason, detail="", status="halted"):
-        return {"status": status, "reason": reason, "t": t, "steps": steps, "detail": detail}
+    def end(i, reason, detail="", status="halted"):
+        ends[i] = {"status": status, "reason": reason, "t": t, "steps": steps, "detail": detail}
 
-    snapshot(state0, _diagnostics(evaluator, config, y, ref_vec))
+    def record(rows):
+        """Snapshot the rows at t; returns those that go on (a row whose
+        recovery fails halts)."""
+        evaluator.f(rows, y if len(rows) == n else y[rows])
+        going = []
+        for i in rows:
+            if i in evaluator.failed:
+                end(i, *evaluator.failed.pop(i))
+            else:
+                snapshot(i, t)
+                going.append(i)
+        return going
+
     # The right-hand sides are exact forms that equal the flows only on
-    # closed input, so a start that is not closed halts whatever the
-    # closedness monitor says.
-    if evaluator.closedness(y) > config.halt.closedness_tol:
-        termination = end("closedness", "initial state violates the closedness tolerance")
+    # closed input, so a start that is not closed halts, whatever the
+    # closedness monitor says, before a right-hand side is evaluated.
+    for i in range(n):
+        if evaluator.closedness(y[i]) > tol:
+            snapshot(i, t, rhs_norm=False)
+            end(i, "closedness", "initial state violates the closedness tolerance")
+    active = record([i for i in range(n) if ends[i] is None])
 
-    while termination is None:
+    while active:
         if t >= t_stop:
-            termination = end("t_end", status="completed")
+            for i in active:
+                end(i, "t_end", status="completed")
             break
         h = min(dt, t_end - t)
-        try:
-            if cfg_int.method == "rk4":
-                y_new = _rk4_step(evaluator.f, y, h)
-            else:
-                scale = cfg_int.rel_tol * max(1.0, float(np.linalg.norm(y)))
-                while True:
-                    y_new, err = _rkf45_attempt(evaluator.f, y, h)
-                    accepted = err <= scale
-                    if accepted or not np.isfinite(err):
-                        break
-                    h *= max(0.2, 0.9 * (scale / err) ** 0.2)
-                    if h < 1e-14 * max(1.0, t):
-                        break
-                if h < 1e-14 * max(1.0, t):
-                    termination = end("step_underflow", f"step size fell to {h:.3e}")
+        f = functools.partial(evaluator.f, active)
+        if cfg_int.method == "rk4":
+            y_new = _rk4_step(f, y if len(active) == n else y[active], h)
+        else:  # one row
+            scale = cfg_int.rel_tol * max(1.0, float(np.linalg.norm(y)))
+            while True:
+                y_new, err = _rkf45_attempt(f, y, h)
+                accepted = err <= scale
+                if evaluator.failed or accepted or not np.isfinite(err):
                     break
-                if accepted:
-                    dt = h * min(5.0, max(0.2, 0.9 * (scale / max(err, 1e-300)) ** 0.2))
-            if not np.all(np.isfinite(y_new)):
-                termination = end("nonfinite", "state left the finite range")
+                h *= max(0.2, 0.9 * (scale / err) ** 0.2)
+                if h < 1e-14 * max(1.0, t):
+                    break
+            if not evaluator.failed and h < 1e-14 * max(1.0, t):
+                end(0, "step_underflow", f"step size fell to {h:.3e}")
                 break
-            y = y_new
-            t += h
-            steps += 1
-            closed_res = evaluator.closedness(y)
-            if closed_res > config.halt.closedness_tol:
-                termination = end(
-                    "closedness", f"closedness residual {closed_res:.3e} exceeded tolerance"
-                )
-                break
-            if steps % config.monitors.record_every == 0 or t >= t_stop:
-                state_obj = evaluator.state_of(y)
-                diag = _diagnostics(evaluator, config, y, ref_vec)
-                snapshot(state_obj, diag)
-                if (
-                    config.halt.max_rhs_norm is not None
-                    and diag["rhs_norm"] is not None
-                    and diag["rhs_norm"] > config.halt.max_rhs_norm
-                ):
-                    termination = end("rhs_blowup", f"rhs_norm {diag['rhs_norm']:.3e}")
-        except (PositivityError, RecoveryError) as exc:
-            reason = "positivity" if isinstance(exc, PositivityError) else "newton"
-            termination = end(reason, str(exc))
-        except _NonFiniteStage:
-            termination = end("nonfinite", "a stage of the step left the finite range")
-    if states[-1].t != t:
-        # A halt between records ends on a record of the state at the halt
-        # time (the last accepted step), unless its own recovery failed.
-        try:
-            snapshot(evaluator.state_of(y), _diagnostics(evaluator, config, y, ref_vec))
-        except (PositivityError, RecoveryError):
-            pass
-    return Trajectory(flow_kind=config.flow_kind, states=states, termination=termination)
+            if accepted:
+                dt = h * min(5.0, max(0.2, 0.9 * (scale / max(err, 1e-300)) ** 0.2))
+        going = []
+        for i, row in zip(active, y_new):
+            if i in evaluator.failed:
+                end(i, *evaluator.failed.pop(i))
+            elif not np.all(np.isfinite(row)):
+                end(i, "nonfinite", "state left the finite range")
+            else:
+                going.append((i, row))
+        t += h
+        steps += 1
+        active = []
+        for i, row in going:
+            y[i] = row
+            closed_res = evaluator.closedness(y[i])
+            if closed_res > tol:
+                end(i, "closedness", f"closedness residual {closed_res:.3e} exceeded tolerance")
+            else:
+                active.append(i)
+        if active and (steps % mon.record_every == 0 or t >= t_stop):
+            active = record(active)
+            for i in active[:]:
+                norm = states[i][-1].diagnostics["rhs_norm"]
+                if max_rhs is not None and norm is not None and norm > max_rhs:
+                    end(i, "rhs_blowup", f"rhs_norm {norm:.3e}")
+                    active.remove(i)
+    for i in range(n):
+        if states[i][-1].t != ends[i]["t"]:
+            # A halt between records ends on a record of the state at the
+            # halt time (the last accepted step), unless its own recovery
+            # failed.
+            evaluator.f([i], y[[i]])
+            if evaluator.failed.pop(i, None) is None:
+                snapshot(i, ends[i]["t"])
+    return [
+        Trajectory(flow_kind=config.flow_kind, states=states[i], termination=ends[i])
+        for i in range(n)
+    ]
 
 
 # --------------------------------------------------------------------------

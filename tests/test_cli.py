@@ -516,6 +516,64 @@ class TestSweepVerb:
             ]
         assert blobs["serial"] == blobs["parallel"]
 
+    def test_ee2_flow_sweep_is_deterministic_across_job_counts(self, capsys, tmp_path):
+        cfg = _config(
+            tmp_path,
+            {
+                "schema_version": 1,
+                "experiment": "sweep",
+                "algebra_file": "ee2",
+                "flow": {"integrator": {"t_end": 0.1, "dt": 0.01}},
+                "perturbation": {"magnitude": 0.05},
+                "sweep": {
+                    "experiment": "ee2_flow",
+                    "axes": {"flow.A": [0.0, 0.5], "perturbation.seed": [0, 1]},
+                },
+            },
+        )
+        blobs = {}
+        for tag, jobs in (("serial", "1"), ("parallel", "3")):
+            outdir = tmp_path / tag
+            code, out, _ = _run(
+                capsys, ["sweep", cfg, "--output-dir", str(outdir), "--jobs", jobs]
+            )
+            assert code == EXIT_OK
+            assert json.loads(out)["summary"]["lockstep_groups"] == [[0, 1, 2, 3]]
+            blobs[tag] = [
+                (outdir / "sweep_out" / name).read_bytes()
+                for name in ("manifest.json", *(f"cell_{i:03d}.jsonl" for i in range(4)))
+            ]
+        manifest = json.loads(blobs["serial"][0])
+        assert [c["status"] for c in manifest["cells"]] == ["ok"] * 4
+        # The manifest names the cell files under each run's own directory.
+        blobs["serial"][0] = blobs["serial"][0].replace(b"serial", b"parallel")
+        assert blobs["serial"] == blobs["parallel"]
+
+    def test_sweep_that_fails_to_sample_a_start_halts_as_its_cell_does(self, capsys, tmp_path):
+        # Every start is sampled before any cell steps, so no cell file is
+        # written; the message and exit code are those of the cell alone.
+        from g2flow import standard_psi
+
+        starts = [list(standard_psi().coeffs), [0.0] * 35]  # the zero form is not positive
+        sweep = {
+            "schema_version": 1,
+            "experiment": "sweep",
+            "algebra_file": "ee2",
+            "flow": {"integrator": {"t_end": 0.1, "dt": 0.05}},
+            "sweep": {"experiment": "ee2_flow", "axes": {"initial": starts}},
+        }
+        code, out, err = _run(
+            capsys, ["sweep", _config(tmp_path, sweep), "--output-dir", str(tmp_path / "s")]
+        )
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err.startswith("numerical halt: 4-form is not positive")
+        assert not list((tmp_path / "s" / "sweep_out").iterdir())
+        cell = {**sweep, "experiment": "ee2_flow", "initial": starts[1]}
+        del cell["sweep"]
+        alone = _run(capsys, ["run", _config(tmp_path, cell, "cell.json"),
+                              "--output-dir", str(tmp_path / "a")])
+        assert alone == (code, out, err)
+
 
 class TestLinearizeVerb:
     def test_verb_requires_linearize_experiment(self, capsys, tmp_path):

@@ -611,3 +611,106 @@ class TestRunExperiment:
         for i, cell in enumerate(manifest["cells"]):
             assert cell["path"].endswith(f"cell_{i:03d}.jsonl")
             assert (tmp_path / "sweep_out" / f"cell_{i:03d}.jsonl").exists()
+
+
+# The sweep of the sweep_ee2 benchmark workload at seed 0.
+SWEEP_EE2 = _minimal(
+    "sweep",
+    algebra_file="ee2",
+    flow={"integrator": {"method": "rk4", "dt": 0.01, "t_end": 0.2}},
+    perturbation={"seed": 0, "magnitude": 0.05},
+    sweep={"experiment": "ee2_flow",
+           "axes": {"flow.A": [0.0, 0.5], "perturbation.seed": [0, 1, 2, 3]}},
+)
+# Its A = 0.5 rows halt in recovery at steps 55 and 60, between records.
+HALTING_SWEEP = _minimal(
+    "sweep",
+    algebra_file="ee2",
+    flow={"integrator": {"method": "rk4", "dt": 0.01, "t_end": 1.0}},
+    perturbation={"magnitude": 0.2},
+    sweep={"experiment": "ee2_flow", "axes": {"flow.A": [0.0, 0.5], "perturbation.seed": [0, 1]}},
+)
+
+
+class TestLockstepSweeps:
+    """Sweep cells that share a time grid step as one ensemble and write
+    what each cell's config writes when it runs alone."""
+
+    @staticmethod
+    def _sweep_matches_cells_alone(tmp_path, raw):
+        cfg, violations = config_from_dict(raw)
+        assert violations == []
+        result = run_experiment(cfg, output_dir=tmp_path / "sweep")
+        manifest = json.loads((tmp_path / "sweep" / "sweep_out" / "manifest.json").read_text())
+        for i, (_, cell_cfg) in enumerate(expand_sweep(cfg)):
+            cell_cfg.output.path = str(tmp_path / "alone" / f"cell_{i:03d}.jsonl")
+            alone = run_experiment(cell_cfg)
+            assert manifest["cells"][i]["summary"] == json.loads(json.dumps(alone.summary))
+            with open(alone.files[0], "rb") as a, open(manifest["cells"][i]["path"], "rb") as b:
+                assert a.read() == b.read(), i
+        return result, manifest
+
+    def test_sweep_ee2_cells_match_runs_alone(self, tmp_path):
+        result, _ = self._sweep_matches_cells_alone(tmp_path, SWEEP_EE2)
+        assert result.summary["lockstep_groups"] == [list(range(8))]
+        assert result.status == "ok"
+
+    def test_halting_rows_match_runs_alone(self, tmp_path):
+        result, manifest = self._sweep_matches_cells_alone(tmp_path, HALTING_SWEEP)
+        assert result.summary["lockstep_groups"] == [[0, 1, 2, 3]]
+        terms = [cell["summary"]["termination"] for cell in manifest["cells"]]
+        assert [(t["reason"], t["steps"]) for t in terms] == [
+            ("t_end", 100), ("t_end", 100), ("newton", 55), ("newton", 60)
+        ]
+
+    def test_cells_that_differ_in_method_or_deturck_step_alone(self, tmp_path):
+        raw = _minimal(
+            "sweep",
+            algebra_file="ee2",
+            flow={"integrator": {"dt": 0.02, "t_end": 0.1}},
+            perturbation={"magnitude": 0.05},
+            sweep={"experiment": "ee2_flow", "axes": {
+                "flow.A": [0.0, 0.5],
+                "flow.deturck.enabled": [False, True],
+                "flow.integrator.method": ["rk4", "rkf45"],
+            }},
+        )
+        result, _ = self._sweep_matches_cells_alone(tmp_path, raw)
+        # Only the rk4 cells without DeTurck share a group.
+        assert result.summary["lockstep_groups"] == [[0, 4], [1], [2], [3], [5], [6], [7]]
+
+    def test_cells_that_differ_in_flow_kind_step_alone(self, tmp_path):
+        raw = _minimal(
+            "sweep",
+            algebra_file="ee1",
+            flow={"integrator": {"dt": 0.05, "t_end": 0.1}},
+            perturbation={"magnitude": 0.0, "subspace": "full"},
+            sweep={"experiment": "custom", "axes": {
+                "flow.A": [0.0, 0.5], "flow.flow_kind": ["modified_coflow", "laplacian_flow"]
+            }},
+        )
+        result, _ = self._sweep_matches_cells_alone(tmp_path, raw)
+        assert result.summary["lockstep_groups"] == [[0, 2], [1], [3]]
+
+    def test_sweep_ee2_recovers_in_stacks_of_eight(self, tmp_path, monkeypatch):
+        from g2flow import experiments, flows
+
+        rows, after_sampling = [], []
+        stack, recover, run = flows.stack_from_psi, CoclosedState.from_psi, experiments.integrate
+
+        def integrating(*args, **kwargs):
+            monkeypatch.setattr(
+                CoclosedState,
+                "from_psi",
+                classmethod(lambda cls, psi: after_sampling.append(1) or recover(psi)),
+            )
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(flows, "stack_from_psi", lambda y: rows.append(len(y)) or stack(y))
+        monkeypatch.setattr(experiments, "integrate", integrating)
+        cfg, _ = config_from_dict(SWEEP_EE2)
+        assert run_experiment(cfg, output_dir=tmp_path).status == "ok"
+        # 20 steps of four stages and two records, one stacked recovery
+        # each, less the first stages that reuse a record or the starts.
+        assert 0 < len(rows) <= 81 and set(rows) == {8}
+        assert after_sampling == []

@@ -1,5 +1,6 @@
 """Tests for flow right-hand sides, integration, halts, and linearization."""
 
+import dataclasses
 import json
 import re
 import sys
@@ -526,10 +527,17 @@ class TestIntegrate:
 
 
 class TestHalts:
-    def test_initial_closedness_violation(self, ee1):
-        # A generic 4-form is not closed; the run must stop before stepping.
+    def test_initial_closedness_violation(self, ee1, monkeypatch):
+        # A generic 4-form is not closed; the run must stop before stepping,
+        # and before any right-hand side: d chi is the flow only on closed
+        # forms, so the record's rhs_norm is null.
+        from g2flow import flows
+
         psi = Form(4, standard_psi().coeffs + 1e-3 * np.arange(35, dtype=float))
         state = CoclosedState.from_psi(psi)
+        calls = []
+        rhs = flows.coflow_rhs
+        monkeypatch.setattr(flows, "coflow_rhs", lambda *a: calls.append(1) or rhs(*a))
         traj = integrate(ee1, FlowConfig(), state)
         term = traj.termination
         assert term["status"] == "halted"
@@ -537,6 +545,10 @@ class TestHalts:
         assert term["t"] == 0.0
         assert term["detail"] == "initial state violates the closedness tolerance"
         assert len(traj.states) == 1
+        record = traj.final.record()
+        assert record["rhs_norm"] is None
+        assert record["closedness"] > FlowConfig().halt.closedness_tol
+        assert calls == []
 
     def test_closed_start_is_checked_with_the_monitor_off(self, ee1):
         # The right-hand side equals the flow only on closed forms, so the
@@ -618,6 +630,95 @@ class TestHalts:
         assert term["status"] == "halted"
         assert term["reason"] in ("newton", "positivity")
         assert term["detail"] != ""
+
+
+def _alone(L, cfg, starts, A):
+    """Each start integrated on its own, with its own A."""
+    return [
+        integrate(L, dataclasses.replace(cfg, A=a), start) for start, a in zip(starts, A)
+    ]
+
+
+class TestEnsembles:
+    """``integrate`` over a list of starts steps them in lockstep; each row's
+    trajectory is the one its start gets alone."""
+
+    CFG = FlowConfig(
+        integrator=IntegratorConfig(dt=0.02, t_end=0.3),
+        monitors=MonitorConfig(record_every=4),
+    )
+
+    @staticmethod
+    def _starts(L, seeds, magnitude):
+        out = []
+        for seed in seeds:
+            pcfg = PerturbationConfig(magnitude=magnitude, seed=seed)
+            out.append(sample_initial(L, standard_psi(), pcfg, np.random.default_rng(seed))[3])
+        return out
+
+    def test_rows_match_their_runs_alone(self, ee2):
+        # At A = 1 the rows lose positivity at steps 13 and 12, between
+        # records; the other rows step on to t_end.
+        starts = self._starts(ee2, (2, 5, 2, 5), 0.1)
+        A = [0.0, 0.0, 1.0, 1.0]
+        rows = integrate(ee2, self.CFG, starts, A=A)
+        alone = _alone(ee2, self.CFG, starts, A)
+        assert [t.termination["reason"] for t in rows] == ["t_end", "t_end", "newton", "newton"]
+        assert [t.termination["steps"] for t in rows] == [15, 15, 13, 12]
+        for row, want in zip(rows, alone):
+            assert row.termination == want.termination
+            assert row.records() == want.records()
+            # the halt-time record of a halt between records
+            assert row.final.t == want.termination["t"]
+
+    def test_rows_are_stacked(self, ee2, monkeypatch):
+        from g2flow import flows
+
+        rows, one_form = [], []
+        stack, recover = flows.stack_from_psi, CoclosedState.from_psi
+        monkeypatch.setattr(flows, "stack_from_psi", lambda y: rows.append(len(y)) or stack(y))
+        starts = self._starts(ee2, (0, 1, 2), 0.05)
+        counting = classmethod(lambda cls, psi: one_form.append(1) or recover(psi))
+        monkeypatch.setattr(CoclosedState, "from_psi", counting)
+        trajectories = integrate(ee2, self.CFG, starts, A=[0.0, 0.5, 0.25])
+        assert [t.termination["reason"] for t in trajectories] == ["t_end"] * 3
+        # Four stages in each of 15 steps, less the first stages of steps 1,
+        # 5, 9 and 13 (they reuse the starts and the records), plus the
+        # records at steps 4, 8, 12 and 15.
+        assert rows == [3] * (15 * 4 - 4 + 4)
+        assert one_form == []
+        # One row takes the one-form path.
+        rows.clear()
+        (single,) = integrate(ee2, self.CFG, starts[:1])
+        assert rows == [] and len(one_form) == 15 * 4 - 4 + 4
+        assert single.records() == integrate(ee2, self.CFG, starts[0]).records()
+
+    def test_a_start_that_is_not_closed_halts_alone(self, ee2, monkeypatch):
+        from g2flow import flows
+
+        psi = Form(4, standard_psi().coeffs + 1e-3 * np.arange(35, dtype=float))
+        starts = [CoclosedState.from_psi(psi)] + self._starts(ee2, (0, 1), 0.05)
+        seen = []
+        rhs, stack = flows.coflow_rhs, flows.stack_from_psi
+        monkeypatch.setattr(
+            flows, "coflow_rhs", lambda L, s, A: seen.append(s.psi.coeffs) or rhs(L, s, A)
+        )
+        monkeypatch.setattr(flows, "stack_from_psi", lambda y: seen.extend(y) or stack(y))
+        rows = integrate(ee2, self.CFG, starts)
+        assert not any(np.array_equal(y, psi.coeffs) for y in seen)
+        term = rows[0].termination
+        assert (term["reason"], term["t"], len(rows[0].states)) == ("closedness", 0.0, 1)
+        assert rows[0].final.record()["rhs_norm"] is None
+        for row, want in zip(rows, _alone(ee2, self.CFG, starts, [0.0] * 3)):
+            assert row.records() == want.records()
+            assert row.termination == want.termination
+
+    def test_rkf45_does_not_step_rows_in_lockstep(self, ee2):
+        cfg = FlowConfig(integrator=IntegratorConfig(method="rkf45", t_end=0.1))
+        starts = self._starts(ee2, (0, 1), 0.05)
+        with pytest.raises(G2FlowError, match="only rk4"):
+            integrate(ee2, cfg, starts)
+        assert len(integrate(ee2, cfg, starts[:1])) == 1
 
 
 class TestTrajectoryIO:
