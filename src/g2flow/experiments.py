@@ -66,6 +66,7 @@ from .flows import (
     linearize,
     one_of,
     rule_violations,
+    steps_in_lockstep,
 )
 from .g2core import CoclosedState, G2Structure, _norms, stack_from_psi
 from .liealg import jacobi_check
@@ -873,16 +874,11 @@ def _flow_start(cfg, output_dir):
 
 def _lockstep_key(cfg):
     """The key of the cells that can step as one ensemble (``integrate``
-    with a list of starts), or None for a cell that steps alone: rk4
-    modified-coflow runs without DeTurck on the same algebra, whose flow
+    with a list of starts), or None for a cell that steps alone: flow
+    runs that ``steps_in_lockstep`` on the same algebra, whose flow
     sections agree apart from flow.A."""
     flow = cfg.flow
-    if (
-        cfg.experiment not in ("ee2_flow", "custom")
-        or flow.flow_kind != "modified_coflow"
-        or flow.integrator.method != "rk4"
-        or flow.deturck.enabled
-    ):
+    if cfg.experiment not in ("ee2_flow", "custom") or not steps_in_lockstep(flow):
         return None
     section = _echo(flow)
     del section["A"]

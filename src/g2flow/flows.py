@@ -28,14 +28,17 @@ records still ends the trajectory on a record of the state at the halt
 time.
 
 ``integrate`` also takes a list of starts: an ensemble whose rows share
-the config apart from A (one per row) and step in lockstep on one rk4 time
-grid.  The rows of a coflow stage are recovered and evaluated as one stack
-(``g2core.stack_from_psi`` and ``coflow_rhs_stack``); a single row, and
-each row the stack marks, takes the one-form path.  Rows are independent,
-so a row that halts freezes with the records it gets alone while the
-others step on, and every row's trajectory is bit for bit the one its
-start gets alone.  One start is an ensemble of one row: there is one time
-loop.
+the config apart from A (one per row) and step in lockstep on one time
+grid.  Several rows need an rk4 coflow config without DeTurck
+(``steps_in_lockstep``, the one rule the sweep groups cells by): the rows
+of a stage are recovered and evaluated as one stack
+(``g2core.stack_from_psi`` and ``coflow_rhs_stack``), and a single row, or
+a row the stack marks, takes the one-form path.  The stacked kernels round
+each row as the one-form path does, d included on any structure
+constants.  Rows are independent, so a row that halts freezes with the
+records it gets alone while the others step on, and every row's trajectory
+is bit for bit the one its start gets alone.  One start is an ensemble of
+one row: there is one time loop.
 
 A Trajectory is a list of FlowState records and the termination record.
 Each snapshot takes what the output needs at record time, while the
@@ -88,6 +91,7 @@ __all__ = [
     "deturck_vector",
     "deturck_term",
     "integrate",
+    "steps_in_lockstep",
     "linearize",
     "exact_directions",
     "coclosed_directions",
@@ -350,8 +354,9 @@ class _Evaluator:
     one recovery and one right-hand side.  Row i starts out holding
     ``states[i]`` at ``y[i]``.
 
-    A coflow ensemble of two or more rows without DeTurck evaluates the rows
-    of a call as one stack (``stack_from_psi`` and ``coflow_rhs_stack``).
+    An ensemble of two or more rows (see ``steps_in_lockstep``) evaluates
+    the rows of a call as one stack (``stack_from_psi`` and
+    ``coflow_rhs_stack``).
     A single row, and every row the stack marks, takes the one-form path
     (``CoclosedState.from_psi`` and ``coflow_rhs``), so a row gets the
     bits, Newton corrections and errors of its one-form evaluation.  A row
@@ -364,7 +369,7 @@ class _Evaluator:
         self.config = config
         self.A = A
         self.coflow = config.flow_kind == "modified_coflow"
-        self.stacked = self.coflow and not config.deturck.enabled and len(states) > 1
+        self.stacked = len(states) > 1
         self.nabla0 = Connection(np.zeros((DIM, DIM, DIM)))
         self.dmat = L.differential_matrix(4 if self.coflow else 3)
         # Per row [key, state, rhs]; the state of a stacked row is its
@@ -482,38 +487,52 @@ def _rkf45_attempt(f, y, h):
     return y5, float(np.linalg.norm(err))
 
 
+def steps_in_lockstep(config):
+    """Whether starts under ``config`` may step as one ensemble: rk4
+    modified-coflow runs without DeTurck, whose stages are evaluated as one
+    stack (rkf45 sizes each row's steps from its own error)."""
+    return (
+        config.flow_kind == "modified_coflow"
+        and config.integrator.method == "rk4"
+        and not config.deturck.enabled
+    )
+
+
 def integrate(L, config, state0, reference=None, A=None):
     """Integrate the configured flow from ``state0``.
 
     ``state0`` is a CoclosedState for the coflow or a G2Structure for the
     Laplacian flow; ``reference`` (a form, defaults to the initial one)
-    anchors the dist_ref diagnostic, and ``A`` (defaults to ``config.A``)
-    is the coflow parameter.  Returns a Trajectory whose termination record
-    distinguishes a completed run from halts caused by closedness drift,
-    positivity loss, recovery failure, step underflow, or non-finite values.
+    anchors the dist_ref diagnostic.  Returns a Trajectory whose termination
+    record distinguishes a completed run from halts caused by closedness
+    drift, positivity loss, recovery failure, step underflow, or non-finite
+    values.
 
     A list ``state0`` is an ensemble of rows stepped in lockstep on one
-    time grid (rk4 only: rkf45 sizes each row's steps from its own error);
-    ``reference`` and ``A`` are then lists with one entry per row, and a
-    list of Trajectories comes back.  Each row's trajectory is the one
-    ``integrate`` gives its start alone, bit for bit: a row that halts
-    freezes, and the others step on unchanged.
+    time grid; two or more rows need a config that ``steps_in_lockstep``.
+    ``reference`` and ``A`` are then lists with one entry per row (``A``
+    defaults to ``config.A`` for every row; a single start reads
+    ``config.A`` only), and a list of Trajectories comes back.  Each row's
+    trajectory is the one ``integrate`` gives its start alone, bit for bit:
+    a row that halts freezes, and the others step on unchanged.
     """
-    if isinstance(state0, list):
-        n = len(state0)
-        A = [config.A] * n if A is None else A
-        return _integrate_rows(L, config, state0, reference or [None] * n, A)
-    return _integrate_rows(L, config, [state0], [reference], [config.A if A is None else A])[0]
+    if not isinstance(state0, list):
+        if A is not None:
+            raise G2FlowError("A= takes one value per row of a list of starts")
+        return _integrate_rows(L, config, [state0], [reference], [config.A])[0]
+    n = len(state0)
+    A = [config.A] * n if A is None else A
+    return _integrate_rows(L, config, state0, reference or [None] * n, A)
 
 
 def _integrate_rows(L, config, starts, references, A):
     """The time loop of ``integrate`` over the rows of an ensemble."""
     config.ensure_valid()
+    n = len(starts)
+    if n > 1 and not steps_in_lockstep(config):
+        raise G2FlowError("only rk4 modified-coflow runs without DeTurck step as an ensemble")
     coflow = config.flow_kind == "modified_coflow"
     cfg_int = config.integrator
-    n = len(starts)
-    if n > 1 and cfg_int.method != "rk4":
-        raise G2FlowError("only rk4 steps an ensemble (rkf45 sizes each row's steps)")
     if coflow and not all(isinstance(s, CoclosedState) for s in starts):
         raise G2FlowError("modified_coflow expects a CoclosedState initial state")
     if not coflow:

@@ -343,8 +343,13 @@ def _torsion_trace(metric, phi, dphi):
 
 
 def _d(L, k, x):
-    """The differential of k-form coefficients: one form, or a stack in rows."""
-    return x @ L.differential_matrix(k).T
+    """The differential of k-form coefficients: one form, or a stack in rows.
+
+    Each row is its own vector-matrix product: one matrix product over the
+    stack sums each row's terms in another order, so on an algebra whose
+    differential rows add several non-integer terms a stacked row would not
+    round as the form alone does."""
+    return (x[..., None, :] @ L.differential_matrix(k).T)[..., 0, :]
 
 
 @dataclass(eq=False)

@@ -37,7 +37,7 @@ from g2flow import (
 )
 from g2flow.conventions import NEWTON_TOL
 from g2flow.experiments import PerturbationConfig, sample_initial
-from g2flow.exterior import Metric
+from g2flow.exterior import BASIS, DIMS, Metric
 from g2flow.fixtures import ee2_diagonal_phi
 from g2flow.flows import (
     RECORD_FIELDS,
@@ -46,9 +46,10 @@ from g2flow.flows import (
     MonitorConfig,
     _rkf45_attempt,
     coflow_rhs_stack,
+    steps_in_lockstep,
 )
 from g2flow.g2core import stack_from_psi
-from g2flow.liealg import Connection, levi_civita
+from g2flow.liealg import Connection, LieAlgebraStructure, levi_civita
 
 from .conftest import closed_n2_phi, coclosed_sample
 
@@ -639,6 +640,28 @@ def _alone(L, cfg, starts, A):
     ]
 
 
+def _coframe_change(N, k):
+    """Matrix taking the k-form coefficients in the coframe e to those in
+    the coframe f with e^i = sum_a N[i, a] f^a: the k x k minors of N."""
+    out = np.empty((DIMS[k], DIMS[k]))
+    for p, J in enumerate(BASIS[k]):
+        cols = [j - 1 for j in J]
+        for q, I in enumerate(BASIS[k]):
+            out[p, q] = np.linalg.det(N[np.ix_([i - 1 for i in I], cols)])
+    return out
+
+
+def _changed_coframe(L, psi, seed):
+    """The algebra L and the 4-form psi written in the generic coframe
+    f = M e, M = 1 + 0.3 R: the same flow, with dense, non-integer
+    structure constants."""
+    M = np.eye(DIM) + 0.3 * np.random.default_rng(seed).standard_normal((DIM, DIM))
+    N = np.linalg.inv(M)
+    two = _coframe_change(N, 2)
+    d1 = [Form(2, two @ sum(M[a, k] * L.d1[k].coeffs for k in range(DIM))) for a in range(DIM)]
+    return LieAlgebraStructure(d1=tuple(d1)), Form(4, _coframe_change(N, 4) @ psi.coeffs)
+
+
 class TestEnsembles:
     """``integrate`` over a list of starts steps them in lockstep; each row's
     trajectory is the one its start gets alone."""
@@ -670,6 +693,24 @@ class TestEnsembles:
             assert row.records() == want.records()
             # the halt-time record of a halt between records
             assert row.final.t == want.termination["t"]
+
+    def test_rows_match_on_dense_structure_constants(self, ee2):
+        # The rows of d each sum many non-integer terms here, so a stacked
+        # d must round every row as the form alone does.
+        L, psi = _changed_coframe(ee2, standard_psi(), seed=4)
+        assert (np.abs(L.differential_matrix(3)) > 1e-3).sum(axis=1).min() >= 3
+        assert (np.abs(L.differential_matrix(4)) > 1e-3).sum(axis=1).min() >= 3
+        assert np.abs(L.d1[0].coeffs - np.round(L.d1[0].coeffs)).max() > 0.1
+        starts = []
+        for seed in (0, 1, 2):
+            pcfg = PerturbationConfig(magnitude=0.1, seed=seed)
+            starts.append(sample_initial(L, psi, pcfg, np.random.default_rng(seed))[3])
+        A = [0.0, 0.25, 0.5]
+        rows = integrate(L, self.CFG, starts, A=A)
+        assert [t.termination["reason"] for t in rows] == ["t_end"] * 3
+        for row, want in zip(rows, _alone(L, self.CFG, starts, A)):
+            assert row.termination == want.termination
+            assert row.records() == want.records()
 
     def test_rows_are_stacked(self, ee2, monkeypatch):
         from g2flow import flows
@@ -713,12 +754,30 @@ class TestEnsembles:
             assert row.records() == want.records()
             assert row.termination == want.termination
 
-    def test_rkf45_does_not_step_rows_in_lockstep(self, ee2):
-        cfg = FlowConfig(integrator=IntegratorConfig(method="rkf45", t_end=0.1))
+    def test_only_lockstep_configs_step_as_ensembles(self, ee2):
+        # rkf45 sizes each row's steps, and DeTurck and Laplacian-flow rows
+        # have no stacked evaluation; one row of each still integrates.
         starts = self._starts(ee2, (0, 1), 0.05)
-        with pytest.raises(G2FlowError, match="only rk4"):
-            integrate(ee2, cfg, starts)
-        assert len(integrate(ee2, cfg, starts[:1])) == 1
+        short = IntegratorConfig(t_end=0.01)
+        for cfg in (
+            FlowConfig(integrator=IntegratorConfig(method="rkf45", t_end=0.01)),
+            FlowConfig(integrator=short, deturck=DeTurckConfig(enabled=True)),
+            FlowConfig(integrator=short, flow_kind="laplacian_flow"),
+        ):
+            assert not steps_in_lockstep(cfg)
+            with pytest.raises(G2FlowError, match="only rk4 modified-coflow runs"):
+                integrate(ee2, cfg, starts)
+            (row,) = integrate(ee2, cfg, starts[:1])
+            assert row.records() == integrate(ee2, cfg, starts[0]).records()
+        assert steps_in_lockstep(self.CFG)
+
+    def test_a_single_start_reads_A_from_its_config(self, ee2):
+        (start,) = self._starts(ee2, (0,), 0.05)
+        with pytest.raises(G2FlowError, match="one value per row"):
+            integrate(ee2, self.CFG, start, A=0.5)
+        (row,) = integrate(ee2, self.CFG, [start], A=[0.5])
+        alone = integrate(ee2, dataclasses.replace(self.CFG, A=0.5), start)
+        assert row.records() == alone.records()
 
 
 class TestTrajectoryIO:
