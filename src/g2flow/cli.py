@@ -111,6 +111,20 @@ def _fail(violations):
     return EXIT_CONFIG
 
 
+def _run(cfg, output_dir):
+    """Run a validated config and print its result; returns the exit code."""
+    result = run_experiment(cfg, output_dir=output_dir)
+    _emit(
+        {
+            "experiment": result.experiment,
+            "status": result.status,
+            "summary": result.summary,
+            "files": result.files,
+        }
+    )
+    return EXIT_OK if result.status == "ok" else EXIT_NUMERICAL
+
+
 def _cmd_check(args):
     reports = [check_fixture(name) for name in args.fixtures]
     all_ok = all(r["ok"] for r in reports)
@@ -145,16 +159,7 @@ def _cmd_run(args, require=None):
     if args.validate_only:
         _emit({"ok": True, "normalized": cfg.to_dict()})
         return EXIT_OK
-    result = run_experiment(cfg, output_dir=args.output_dir)
-    _emit(
-        {
-            "experiment": result.experiment,
-            "status": result.status,
-            "summary": result.summary,
-            "files": result.files,
-        }
-    )
-    return EXIT_OK if result.status == "ok" else EXIT_NUMERICAL
+    return _run(cfg, args.output_dir)
 
 
 def _cmd_np(args):
@@ -168,16 +173,7 @@ def _cmd_np(args):
     cfg, violations = config_from_dict(raw)
     if violations:
         return _fail(violations)
-    result = run_experiment(cfg, output_dir=args.output_dir)
-    _emit(
-        {
-            "experiment": result.experiment,
-            "status": result.status,
-            "summary": result.summary,
-            "files": result.files,
-        }
-    )
-    return EXIT_OK if result.status == "ok" else EXIT_NUMERICAL
+    return _run(cfg, args.output_dir)
 
 
 def main(argv=None):

@@ -24,9 +24,12 @@ Experiments:
 * ``linearize``    — finite-difference spectrum at a static point;
 * ``custom``       — integrate the configured flow on any algebra/initial;
 * ``sweep``        — a cartesian grid of overrides on top of a base
-  experiment, one output file per cell plus a manifest.  Flow cells that
-  can share a time grid (``_lockstep_groups``) step together as the rows of
-  one ``integrate`` ensemble; the other cells run one after another.
+  experiment, one output file per cell plus a manifest.
+
+A single run is a sweep of one cell: both go through ``_run_cells``, which
+loads each distinct algebra once per run.  Flow cells that can share a time
+grid (``_lockstep_groups``) step together as the rows of one ``integrate``
+ensemble; the other cells run one after another through ``_RUNNERS``.
 
 ``ee1_static`` evaluates its samples as stacks of up to ``_STACK_ROWS``
 rows: one recovery (``g2core.stack_from_psi``) and one right-hand side per
@@ -41,6 +44,7 @@ import csv
 import functools
 import itertools
 import json
+import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -413,18 +417,17 @@ def _semantic_violations(cfg):
         # The cells are expanded only from a sound sweep section.
         if out or rule_violations(cfg.sweep_section):
             return out
+        # The limit is checked on the axis lengths, before any cell is built.
+        n_cells = math.prod(map(len, axes.values()))
         if not axes:
             out.append("sweep.axes must define at least one axis")
+        elif n_cells > _MAX_SWEEP_CELLS:
+            out.append(f"sweep has {n_cells} cells, exceeding the {_MAX_SWEEP_CELLS} limit")
         else:
             try:
-                cells = expand_sweep(cfg)
+                expand_sweep(cfg)
             except ConfigError as exc:
                 out += exc.violations
-            else:
-                if len(cells) > _MAX_SWEEP_CELLS:
-                    out.append(
-                        f"sweep has {len(cells)} cells, exceeding the {_MAX_SWEEP_CELLS} limit"
-                    )
         return out
     if cfg.algebra_file is None:
         out.append(f"algebra_file is required for experiment {experiment!r}")
@@ -468,13 +471,22 @@ def _semantic_violations(cfg):
     return out
 
 
+def _load_algebra(name_or_path):
+    """``load_algebra``, with a missing or malformed file raised as a
+    ConfigError."""
+    try:
+        return load_algebra(name_or_path)
+    except FileNotFoundError as exc:
+        raise ConfigError([f"algebra_file: {exc}"]) from None
+    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        raise ConfigError([f"algebra_file: malformed algebra file ({exc})"]) from None
+
+
 def _check_algebra(name_or_path):
     try:
-        load_algebra(name_or_path)
-    except FileNotFoundError as exc:
-        return [f"algebra_file: {exc}"]
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        return [f"algebra_file: malformed algebra file ({exc})"]
+        _load_algebra(name_or_path)
+    except ConfigError as exc:
+        return exc.violations
     return []
 
 
@@ -574,6 +586,14 @@ class ExperimentResult:
     status: str  # "ok" | "halted"
     summary: dict
     files: list
+
+
+def _output_name(cfg, index=None):
+    """Default output file name: ``<experiment>.<format>`` for a run and
+    ``cell_NNN.<format>`` for cell ``index`` of a sweep (``linearize``
+    writes a JSON report whatever the format)."""
+    stem = cfg.experiment if index is None else f"cell_{index:03d}"
+    return f"{stem}.{'json' if cfg.experiment == 'linearize' else cfg.output.format}"
 
 
 def _output_path(cfg, output_dir, default_name):
@@ -715,10 +735,9 @@ def _require_closed(L, form, tol):
         )
 
 
-def _run_ee1_static(cfg, path):
+def _run_ee1_static(cfg, L, path):
     """Reference structure plus ``samples`` random coclosed perturbations,
     each checked for a vanishing coflow right-hand side."""
-    L = load_algebra(cfg.algebra_file)
     rng = np.random.default_rng(cfg.perturbation.seed)
     base = _initial_form(cfg, 4)
     _require_closed(L, base, cfg.flow.halt.closedness_tol)
@@ -779,15 +798,10 @@ def _run_ee1_static(cfg, path):
         "tolerance": tolerance,
         "passed": passed,
     }
-    return ExperimentResult(
-        experiment="ee1_static",
-        status="ok" if passed else "halted",
-        summary=summary,
-        files=[str(path)],
-    )
+    return passed, summary
 
 
-def _run_ee2_family(cfg, path):
+def _run_ee2_family(cfg, L, path):
     """Tabulate the diagonal-family right-hand-side coefficient.
 
     Per row: family coefficients c, the computed e^{1357} component of the
@@ -796,7 +810,6 @@ def _run_ee2_family(cfg, path):
     off-component.  The first row is the unit point; the rest are uniform
     draws from [0.5, 2]^7.
     """
-    L = load_algebra(cfg.algebra_file)
     rng = np.random.default_rng(cfg.perturbation.seed)
     n = cfg.samples
     records = []
@@ -841,35 +854,25 @@ def _run_ee2_family(cfg, path):
         "direct_pattern_agreements": direct_agrees,
         "passed": max_law_err <= 1e-8 and max_off <= 1e-8,
     }
-    return ExperimentResult(
-        experiment="ee2_family",
-        status="ok" if summary["passed"] else "halted",
-        summary=summary,
-        files=[str(path)],
-    )
+    return summary["passed"], summary
 
 
 @dataclass(eq=False)
 class _FlowStart:
-    """What a flow run needs before it steps: its output path, algebra,
-    base form and sampled initial state (with the sampling's scale and
-    halvings)."""
+    """What a flow run needs before it steps: its base form and sampled
+    initial state (with the sampling's scale and halvings)."""
 
-    path: Path
-    L: object
     base: Form
     scale: float
     halvings: int
     state: object
 
 
-def _flow_start(cfg, output_dir):
-    path = _resolve_output(cfg, output_dir, f"{cfg.experiment}.{cfg.output.format}")
-    L = load_algebra(cfg.algebra_file)
+def _flow_start(cfg, L):
     base = _initial_form(cfg, 4 if cfg.flow.flow_kind == "modified_coflow" else 3)
     rng = np.random.default_rng(cfg.perturbation.seed)
     _, scale, halvings, state = sample_initial(L, base, cfg.perturbation, rng, cfg.flow.flow_kind)
-    return _FlowStart(path, L, base, scale, halvings, state)
+    return _FlowStart(base, scale, halvings, state)
 
 
 def _lockstep_key(cfg):
@@ -878,7 +881,7 @@ def _lockstep_key(cfg):
     runs that ``steps_in_lockstep`` on the same algebra, whose flow
     sections agree apart from flow.A."""
     flow = cfg.flow
-    if cfg.experiment not in ("ee2_flow", "custom") or not steps_in_lockstep(flow):
+    if cfg.experiment not in _FLOWS or not steps_in_lockstep(flow):
         return None
     section = _echo(flow)
     del section["A"]
@@ -900,29 +903,7 @@ def _lockstep_groups(cfgs):
     return groups
 
 
-def _run_flows(cfgs, output_dir, groups):
-    """Integrate the configured flow of each config (ee2_flow and custom).
-
-    Every start is sampled first, in order; then the configs of each group
-    step as one ensemble, and each writes its own file.  Returns one
-    result per config.
-    """
-    starts = [_flow_start(cfg, output_dir) for cfg in cfgs]
-    results = [None] * len(cfgs)
-    for group in groups:
-        trajectories = integrate(
-            starts[group[0]].L,
-            cfgs[group[0]].flow,
-            [starts[i].state for i in group],
-            reference=[starts[i].base for i in group],
-            A=[cfgs[i].flow.A for i in group],
-        )
-        for i, trajectory in zip(group, trajectories):
-            results[i] = _write_flow(cfgs[i], starts[i], trajectory)
-    return results
-
-
-def _write_flow(cfg, start, trajectory):
+def _write_flow(cfg, start, trajectory, path):
     records = trajectory.records()
     fieldnames = list(RECORD_FIELDS)
     if cfg.output.format == "csv":
@@ -930,7 +911,7 @@ def _write_flow(cfg, start, trajectory):
         for rec in records:
             rec.update(zip(_PSI_COLUMNS, rec.pop("psi")))
         fieldnames[1:2] = _PSI_COLUMNS
-    _write_records(start.path, cfg.output.format, records, fieldnames)
+    _write_records(path, cfg.output.format, records, fieldnames)
     term = trajectory.termination
     summary = {
         "termination": term,
@@ -939,15 +920,10 @@ def _write_flow(cfg, start, trajectory):
         "records": len(trajectory.states),
         "final_t": trajectory.final.t,
     }
-    return ExperimentResult(
-        experiment=cfg.experiment,
-        status="ok" if term["status"] == "completed" else "halted",
-        summary=summary,
-        files=[str(start.path)],
-    )
+    return term["status"] == "completed", summary
 
 
-def _run_np(cfg, path):
+def _run_np(cfg, L, path):
     """Nearly-parallel scalar reduction run."""
     params = NPParams(tau0=cfg.np_section.tau0, A=cfg.flow.A, c0=cfg.np_section.c0)
     traj = np_solve(
@@ -968,17 +944,11 @@ def _run_np(cfg, path):
         "t_final": float(traj.t[-1]),
         "c_final": float(traj.c[-1]),
     }
-    return ExperimentResult(
-        experiment="np",
-        status="ok" if traj.status == "completed" else "halted",
-        summary=summary,
-        files=[str(path)],
-    )
+    return traj.status == "completed", summary
 
 
-def _run_linearize(cfg, path):
+def _run_linearize(cfg, L, path):
     """Finite-difference spectrum at a static point; writes a JSON report."""
-    L = load_algebra(cfg.algebra_file)
     base = _initial_form(cfg, 4)
     _require_closed(L, base, cfg.flow.halt.closedness_tol)
     state = CoclosedState.from_psi(base)
@@ -1010,32 +980,85 @@ def _run_linearize(cfg, path):
         "eigenvalue_max": max(payload["eigenvalues"]),
         "asymmetry_norm": payload["asymmetry_norm"],
     }
-    return ExperimentResult(experiment="linearize", status="ok", summary=summary, files=[str(path)])
+    return True, summary
+
+
+# The experiments that integrate a flow, and the runners of the others:
+# runner(cfg, L, path) writes the output file and returns (ok, summary).
+_FLOWS = ("ee2_flow", "custom")
+_RUNNERS = {
+    "ee1_static": _run_ee1_static,
+    "ee2_family": _run_ee2_family,
+    "np": _run_np,
+    "linearize": _run_linearize,
+}
+
+
+def _result(experiment, ok, summary, files):
+    return ExperimentResult(
+        experiment=experiment,
+        status="ok" if ok else "halted",
+        summary=summary,
+        files=[str(f) for f in files],
+    )
+
+
+def _run_cells(cfgs, output_dir):
+    """Run configs that are not sweeps: the one config of a run, or the
+    cells of a sweep.
+
+    Each distinct algebra is loaded once.  The starts of the flow configs
+    (ee2_flow and custom) are sampled first, in order; then the configs of
+    each ``_lockstep_groups`` group step as one ensemble.  The other configs
+    run one after another.  Returns (one result per config, the groups).
+    """
+    paths = [_resolve_output(cfg, output_dir, _output_name(cfg)) for cfg in cfgs]
+    algebras = {}
+    for cfg in cfgs:
+        # np reduces the flow to a scalar ODE and reads no algebra.
+        if cfg.experiment != "np" and cfg.algebra_file not in algebras:
+            algebras[cfg.algebra_file] = _load_algebra(cfg.algebra_file)
+    starts = {
+        i: _flow_start(cfg, algebras[cfg.algebra_file])
+        for i, cfg in enumerate(cfgs)
+        if cfg.experiment in _FLOWS
+    }
+    groups = _lockstep_groups(cfgs)
+    outcomes = {}
+    for group in groups:
+        cfg = cfgs[group[0]]
+        L = algebras.get(cfg.algebra_file)
+        if cfg.experiment not in _FLOWS:  # a group of one
+            outcomes[group[0]] = _RUNNERS[cfg.experiment](cfg, L, paths[group[0]])
+            continue
+        trajectories = integrate(
+            L,
+            cfg.flow,
+            [starts[i].state for i in group],
+            reference=[starts[i].base for i in group],
+            A=[cfgs[i].flow.A for i in group],
+        )
+        for i, trajectory in zip(group, trajectories):
+            outcomes[i] = _write_flow(cfgs[i], starts[i], trajectory, paths[i])
+    results = [
+        _result(cfg.experiment, *outcomes[i], [path])
+        for i, (cfg, path) in enumerate(zip(cfgs, paths))
+    ]
+    return results, groups
 
 
 def _run_sweep(cfg, output_dir):
     """Run the grid; every cell writes its own file, and a manifest records
-    the override-to-file mapping with per-cell outcomes.  Flow cells that
-    ``_lockstep_groups`` groups step as one ensemble; the others run one
-    after another."""
+    the override-to-file mapping with per-cell outcomes."""
     cells = expand_sweep(cfg)
     sweep_dir = _output_path(cfg, output_dir, "sweep_out")
     _make_dir(sweep_dir)
-    ext = "jsonl" if cfg.output.format == "jsonl" else "csv"
-    base_exp = cfg.sweep_section.experiment
-    if base_exp == "linearize":
-        ext = "json"
     cfgs = [cell_cfg for _, cell_cfg in cells]
     for index, cell_cfg in enumerate(cfgs):
-        cell_cfg.output.path = str(sweep_dir / f"cell_{index:03d}.{ext}")
-    groups = _lockstep_groups(cfgs)
-    if base_exp in ("ee2_flow", "custom"):
-        results = _run_flows(cfgs, None, groups)
-    else:
-        results = [_dispatch(cell_cfg, None) for cell_cfg in cfgs]
-    outcomes = [(overrides, result) for (overrides, _), result in zip(cells, results)]
+        cell_cfg.output.path = str(sweep_dir / _output_name(cell_cfg, index))
+    results, groups = _run_cells(cfgs, None)
     manifest = {
-        "experiment": base_exp,
+        "experiment": cfg.sweep_section.experiment,
         "axes": cfg.sweep_section.axes,
         "cells": [
             {
@@ -1045,44 +1068,22 @@ def _run_sweep(cfg, output_dir):
                 "status": result.status,
                 "summary": result.summary,
             }
-            for i, (overrides, result) in enumerate(outcomes)
+            for i, ((overrides, _), result) in enumerate(zip(cells, results))
         ],
     }
     manifest_path = sweep_dir / "manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    any_halted = any(result.status != "ok" for _, result in outcomes)
+    halted = sum(1 for r in results if r.status != "ok")
     summary = {
         "cells": len(cells),
-        "halted_cells": sum(1 for _, r in outcomes if r.status != "ok"),
+        "halted_cells": halted,
         "manifest": str(manifest_path),
         "lockstep_groups": groups,
     }
-    files = [str(manifest_path)] + [r.files[0] for _, r in outcomes]
-    return ExperimentResult(
-        experiment="sweep",
-        status="halted" if any_halted else "ok",
-        summary=summary,
-        files=files,
-    )
-
-
-def _dispatch(cfg, output_dir):
-    ext = cfg.output.format
-    if cfg.experiment == "ee1_static":
-        return _run_ee1_static(cfg, _resolve_output(cfg, output_dir, f"ee1_static.{ext}"))
-    if cfg.experiment == "ee2_family":
-        return _run_ee2_family(cfg, _resolve_output(cfg, output_dir, f"ee2_family.{ext}"))
-    if cfg.experiment in ("ee2_flow", "custom"):
-        return _run_flows([cfg], output_dir, [[0]])[0]
-    if cfg.experiment == "np":
-        return _run_np(cfg, _resolve_output(cfg, output_dir, f"np.{ext}"))
-    if cfg.experiment == "linearize":
-        return _run_linearize(cfg, _resolve_output(cfg, output_dir, "linearize.json"))
-    if cfg.experiment == "sweep":
-        return _run_sweep(cfg, output_dir)
-    raise ConfigError([f"experiment must be one of {'|'.join(EXPERIMENTS)}"])
+    files = [manifest_path] + [r.files[0] for r in results]
+    return _result("sweep", halted == 0, summary, files)
 
 
 def run_experiment(cfg, output_dir=None):
@@ -1096,7 +1097,12 @@ def run_experiment(cfg, output_dir=None):
     violations = rule_violations(cfg)
     if violations:
         raise ConfigError(violations)
-    return _dispatch(cfg, output_dir)
+    if cfg.experiment not in EXPERIMENTS:
+        raise ConfigError([f"experiment must be one of {'|'.join(EXPERIMENTS)}"])
+    if cfg.experiment == "sweep":
+        return _run_sweep(cfg, output_dir)
+    (result,), _ = _run_cells([cfg], output_dir)
+    return result
 
 
 def check_fixture(name_or_path):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .conventions import BLOWDOWN_THRESHOLD
 from .errors import ConfigError, G2FlowError
-from .flows import FINITE, POSITIVE, rule_violations
+from .flows import FINITE, POSITIVE, _rk4_step, rule_violations
 
 __all__ = ["NPParams", "NPTrajectory", "np_rhs", "np_closed_form", "np_solve"]
 
@@ -107,14 +107,10 @@ def np_solve(params, t_end, dt=1e-4, vol0=1.0):
     while t < t_end - 1e-12 * max(1.0, t_end):
         h = min(dt, t_end - t)
         try:
-            k1 = f(c)
-            k2 = f(c + 0.5 * h * k1)
-            k3 = f(c + 0.5 * h * k2)
-            k4 = f(c + h * k3)
+            c_new = _rk4_step(f, c, h)
         except G2FlowError:
             status, blow_time = "blow_down", t
             break
-        c_new = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
         if c_new <= BLOWDOWN_THRESHOLD:
             status, blow_time = "blow_down", t

@@ -360,11 +360,27 @@ class TestExpandSweep:
         assert cfg is None
         assert violations == ["sweep cell 1: np.tau0 must be finite"]
 
-    def test_cell_count_limit(self):
-        axes = {f"np.tau0": [float(i) for i in range(1, 1002)]}
-        raw = _minimal("sweep", sweep={"experiment": "np", "axes": axes})
-        _, violations = config_from_dict(raw)
-        assert violations == ["sweep has 1001 cells, exceeding the 1000 limit"]
+    def test_cell_count_limit(self, monkeypatch):
+        from g2flow import experiments
+
+        reads = []
+        read = experiments.config_from_dict
+        monkeypatch.setattr(
+            experiments, "config_from_dict", lambda raw: reads.append(1) or read(raw)
+        )
+        # The limit is found from the axis lengths, before any cell config
+        # is read, so a bad cell of an oversized grid is not reported.
+        for axes in (
+            {"np.tau0": [float(i) for i in range(1, 1002)]},
+            {
+                "np.tau0": [-1e400] + [float(i) for i in range(1, 7)],
+                "np.c0": [float(i) for i in range(1, 12)],
+                "np.vol0": [float(i) for i in range(1, 14)],
+            },
+        ):
+            _, violations = read(_minimal("sweep", sweep={"experiment": "np", "axes": axes}))
+            assert violations == ["sweep has 1001 cells, exceeding the 1000 limit"]
+        assert reads == []
 
     def test_nested_sweep_rejected(self):
         raw = _minimal("sweep", sweep={"experiment": "sweep", "axes": {"np.tau0": [1.0]}})
@@ -594,6 +610,16 @@ class TestRunExperiment:
         assert max(abs(e) for e in report["eigenvalues"]) <= 1e-6
         assert report["asymmetry_norm"] <= 1e-6
 
+    def test_bad_algebra_in_a_hand_built_config_is_a_config_error(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        for name in ("no_such_algebra", str(bad)):
+            (message,) = config_from_dict(_minimal("ee2_flow", algebra_file=name))[1]
+            cfg = ExperimentConfig(experiment="ee2_flow", algebra_file=name)
+            with pytest.raises(ConfigError) as exc:
+                run_experiment(cfg, output_dir=tmp_path)
+            assert exc.value.violations == [message]
+
     def test_sweep_driver_writes_manifest(self, tmp_path):
         raw = _minimal(
             "sweep",
@@ -691,6 +717,26 @@ class TestLockstepSweeps:
         )
         result, _ = self._sweep_matches_cells_alone(tmp_path, raw)
         assert result.summary["lockstep_groups"] == [[0, 2], [1], [3]]
+
+    def test_sweep_ee2_loads_its_algebra_once(self, tmp_path, monkeypatch):
+        from g2flow import experiments
+
+        cfg, _ = config_from_dict(SWEEP_EE2)
+        loads, expanded = [], []
+        load, expand = experiments.load_algebra, experiments.expand_sweep
+
+        def expanding(cfg):
+            cells = expand(cfg)  # validates every cell, loading its algebra
+            expanded.append(1)
+            return cells
+
+        monkeypatch.setattr(
+            experiments, "load_algebra", lambda name: loads.append(bool(expanded)) or load(name)
+        )
+        monkeypatch.setattr(experiments, "expand_sweep", expanding)
+        assert run_experiment(cfg, output_dir=tmp_path).status == "ok"
+        assert expanded == [1]
+        assert loads.count(True) == 1
 
     def test_sweep_ee2_recovers_in_stacks_of_eight(self, tmp_path, monkeypatch):
         from g2flow import experiments, flows
