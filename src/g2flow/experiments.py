@@ -46,6 +46,7 @@ import itertools
 import json
 import math
 import typing
+import weakref
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -647,13 +648,27 @@ def _subspace_directions(L, subspace):
     return [Form(4, row) for row in np.eye(DIMS[4])]
 
 
+# The perturbation bases of each algebra by (subspace, flow kind), kept while
+# the algebra lives: a run loads each algebra once, so it computes each
+# basis once, not once per cell or per sample.
+_BASES = weakref.WeakKeyDictionary()
+
+
 def _perturbation_basis(L, subspace, flow_kind):
-    """Columns spanning the directions a perturbation is drawn from."""
-    if flow_kind != "modified_coflow":
-        return np.eye(DIMS[3])
-    columns = [f.coeffs for f in _subspace_directions(L, subspace)]
-    # An empty subspace (the exact 4-forms of an abelian algebra) has no columns.
-    return np.column_stack(columns) if columns else np.zeros((DIMS[4], 0))
+    """Columns spanning the directions a perturbation is drawn from
+    (read-only, shared by every draw on the algebra L)."""
+    bases = _BASES.setdefault(L, {})
+    key = (subspace, flow_kind)
+    if key not in bases:
+        if flow_kind != "modified_coflow":
+            basis = np.eye(DIMS[3])
+        else:
+            columns = [f.coeffs for f in _subspace_directions(L, subspace)]
+            # An empty subspace (the exact 4-forms of an abelian algebra) has no columns.
+            basis = np.column_stack(columns) if columns else np.zeros((DIMS[4], 0))
+        basis.flags.writeable = False
+        bases[key] = basis
+    return bases[key]
 
 
 def sample_initial(L, base, pcfg, rng, flow_kind="modified_coflow"):
@@ -715,13 +730,20 @@ def _row_blocks(n):
     return [slice(start, start + _STACK_ROWS) for start in range(0, n, _STACK_ROWS)]
 
 
-def _initial_form(cfg, degree):
-    if cfg.initial is None:
+def _initial_form(cfg, degree, loaded=None):
+    """The configured initial form: a fixture (the standard psi or phi by
+    default) or an inline coefficient list.  A fixture already in
+    ``loaded`` (name -> Form) is not read again; one read is entered there."""
+    if isinstance(cfg.initial, list):
+        return Form(degree, np.asarray(cfg.initial, dtype=float))
+    name = cfg.initial
+    if name is None:
         name = "psi_standard" if degree == 4 else "phi_standard"
+    if loaded is None:
         return load_form(name)
-    if isinstance(cfg.initial, str):
-        return load_form(cfg.initial)
-    return Form(degree, np.asarray(cfg.initial, dtype=float))
+    if name not in loaded:
+        loaded[name] = load_form(name)
+    return loaded[name]
 
 
 def _require_closed(L, form, tol):
@@ -868,8 +890,10 @@ class _FlowStart:
     state: object
 
 
-def _flow_start(cfg, L):
-    base = _initial_form(cfg, 4 if cfg.flow.flow_kind == "modified_coflow" else 3)
+def _flow_start(cfg, L, loaded):
+    """Sample the start of a flow config; ``loaded`` holds the form
+    fixtures already read (see ``_initial_form``)."""
+    base = _initial_form(cfg, 4 if cfg.flow.flow_kind == "modified_coflow" else 3, loaded)
     rng = np.random.default_rng(cfg.perturbation.seed)
     _, scale, halvings, state = sample_initial(L, base, cfg.perturbation, rng, cfg.flow.flow_kind)
     return _FlowStart(base, scale, halvings, state)
@@ -1007,9 +1031,10 @@ def _run_cells(cfgs, output_dir):
     """Run configs that are not sweeps: the one config of a run, or the
     cells of a sweep.
 
-    Each distinct algebra is loaded once.  The starts of the flow configs
-    (ee2_flow and custom) are sampled first, in order; then the configs of
-    each ``_lockstep_groups`` group step as one ensemble.  The other configs
+    Each distinct algebra, and each form fixture that flow configs start
+    from, is loaded once.  The starts of the flow configs (ee2_flow and
+    custom) are sampled first, in order; then the configs of each
+    ``_lockstep_groups`` group step as one ensemble.  The other configs
     run one after another.  Returns (one result per config, the groups).
     """
     paths = [_resolve_output(cfg, output_dir, _output_name(cfg)) for cfg in cfgs]
@@ -1018,8 +1043,9 @@ def _run_cells(cfgs, output_dir):
         # np reduces the flow to a scalar ODE and reads no algebra.
         if cfg.experiment != "np" and cfg.algebra_file not in algebras:
             algebras[cfg.algebra_file] = _load_algebra(cfg.algebra_file)
+    loaded = {}
     starts = {
-        i: _flow_start(cfg, algebras[cfg.algebra_file])
+        i: _flow_start(cfg, algebras[cfg.algebra_file], loaded)
         for i, cfg in enumerate(cfgs)
         if cfg.experiment in _FLOWS
     }

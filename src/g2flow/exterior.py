@@ -23,10 +23,14 @@ Conventions
   m and b by the lower compound (m itself, or the 21 x 21 second compound,
   which a Metric caches for g and for g^{-1}).
 * A Metric caches its inverse, determinant, volume, smallest eigenvalue and
-  those two second compounds, and nothing else.  ``Metric.star_coeffs``
-  applies the star to a vector or to a stack of them; ``star_matrix`` (the
-  star of the identity) and ``gram`` (read off it by the defining pairing)
-  are built on each call, for the callers that need a matrix.
+  those two second compounds, and nothing else.  The caches are plain
+  instance attributes set on first access (``_cached``):
+  ``functools.cached_property`` takes a lock on every first access on
+  Python 3.10 and 3.11, which the flows would pay on each stage's metric.
+  ``Metric.star_coeffs`` applies the star to a vector or to a stack of
+  them; ``star_matrix`` (the star of the identity) and ``gram`` (read off
+  it by the defining pairing) are built on each call, for the callers that
+  need a matrix.
 * A Metric may also hold a stack of metrics, g of shape (n, 7, 7), one per
   row of the coefficient stacks it stars: the index transforms, the second
   compounds, inverse and determinant all broadcast over that leading axis,
@@ -43,7 +47,6 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -310,6 +313,25 @@ def _second_power_t(m):
     return mat
 
 
+class _cached:
+    """A property computed on first access and kept in the instance's
+    ``__dict__`` under its own name, which then shadows it: what
+    ``functools.cached_property`` does, without its lock."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 def _scalar_or_rows(x):
     """A float for one metric, the array of row values for a stack."""
     return float(x) if x.ndim == 0 else x
@@ -336,7 +358,7 @@ class Metric:
 
     g: np.ndarray
     orientation: int = 1
-    _spd_checked: bool = field(default=False, repr=False)
+    _spd_checked: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         g = np.array(self.g, dtype=float)
@@ -354,6 +376,19 @@ class Metric:
         self.g = g
 
     @classmethod
+    def _trusted(cls, g):
+        """The positively oriented Metric of g (one matrix or a stack) that
+        a kernel has already checked: finite, exactly symmetric, with a
+        Cholesky factor as the definiteness witness.  g is kept, not copied
+        or validated again, and becomes read-only."""
+        metric = cls.__new__(cls)
+        g.flags.writeable = False
+        metric.g = g
+        metric.orientation = 1
+        metric._spd_checked = True
+        return metric
+
+    @classmethod
     def identity(cls, orientation=1):
         return cls(np.eye(DIM), orientation)
 
@@ -369,36 +404,36 @@ class Metric:
             raise MetricError(f"metric is not positive definite (min eigenvalue {lowest:.3e})")
         self._spd_checked = True
 
-    @cached_property
+    @_cached
     def min_eigenvalue(self):
         return _scalar_or_rows(np.linalg.eigvalsh(self.g)[..., 0])
 
-    @cached_property
+    @_cached
     def inv(self):
         inv = np.linalg.inv(self.g)
         inv = 0.5 * (inv + inv.swapaxes(-1, -2))
         inv.flags.writeable = False
         return inv
 
-    @cached_property
+    @_cached
     def det(self):
         return _scalar_or_rows(np.linalg.det(self.g))
 
-    @cached_property
+    @_cached
     def sqrt_det(self):
         self.require_spd()
         return _scalar_or_rows(np.sqrt(self.det))
 
-    @cached_property
+    @_cached
     def vol(self):
         """Riemannian volume form, orientation sign included."""
         return Form(DIM, [self.orientation * self.sqrt_det])
 
-    @cached_property
+    @_cached
     def _inv2t(self):
         return _second_power_t(self.inv)
 
-    @cached_property
+    @_cached
     def _g2t(self):
         return _second_power_t(self.g)
 

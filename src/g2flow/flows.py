@@ -30,19 +30,30 @@ time.
 ``integrate`` also takes a list of starts: an ensemble whose rows share
 the config apart from A (one per row) and step in lockstep on one time
 grid.  Several rows need an rk4 coflow config without DeTurck
-(``steps_in_lockstep``, the one rule the sweep groups cells by): the rows
-of a stage are recovered and evaluated as one stack
-(``g2core.stack_from_psi`` and ``coflow_rhs_stack``), and a single row, or
-a row the stack marks, takes the one-form path.  The stacked kernels round
-each row as the one-form path does, d included on any structure
-constants.  Rows are independent, so a row that halts freezes with the
-records it gets alone while the others step on, and every row's trajectory
-is bit for bit the one its start gets alone.  One start is an ensemble of
-one row: there is one time loop.
+(``steps_in_lockstep``, the one rule the sweep groups cells by).  One start
+is an ensemble of one row: there is one time loop.
+
+Every row of a stage is evaluated on coefficient arrays: the evaluator
+keeps one kind of entry per row, its 3-form phi and checked metric (psi =
+star phi where known) and its right-hand side.  Several rows are recovered
+and evaluated as one stack (``g2core.stack_from_psi`` and
+``coflow_rhs_stack``); a single row goes through the kernels of one form
+(the closed form and residual gate of ``phi_of_psi`` for the coflow, the
+induced metric for the Laplacian flow, then the right-hand-side kernels
+that ``coflow_rhs`` and ``laplacian_flow_rhs`` wrap).  A coflow row that
+misses the gate, and a row the stack marks, is redone by
+``CoclosedState.from_psi``, with its Newton corrections and errors.  Every
+kernel rounds a row as the public functions do on the form alone, d
+included on any structure constants, so each row's trajectory is bit for
+bit the one its start gets alone and the one the public functions give.
+Rows are independent: a row that halts freezes with the records it gets
+alone while the others step on.
 
 A Trajectory is a list of FlowState records and the termination record.
-Each snapshot takes what the output needs at record time, while the
-step's metric is live: t, the flowing form, psi (star phi for the Laplacian
+Form and G2Structure objects are built only at record time (and for
+DeTurck); a stage's metric is built trusted by its kernel (see
+``g2core``).  Each snapshot takes what the output needs while the step's
+metric is live: t, the flowing form, psi (star phi for the Laplacian
 flow) and the diagnostics.  It keeps no structure or metric, so only the
 current step's operators are alive at any time.  The experiments write
 ``Trajectory.records()`` through their shared record writer.
@@ -61,13 +72,15 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .conventions import CODIFF_SIGN
+from .conventions import CODIFF_SIGN, NEWTON_TOL
 from .errors import ConfigError, G2FlowError, PositivityError, RecoveryError
 from .exterior import DIM, Form, Metric, _per_row
 from .g2core import (
     CoclosedState,
     G2Structure,
+    _closed_form,
     _d,
+    _induced_metric,
     _structure_of,
     _torsion_trace,
     full_torsion,
@@ -231,10 +244,15 @@ def coflow_rhs_stack(L, stack, A=0.0):
     """``coflow_rhs`` of every row of a ``g2core.StructureStack`` in one
     pass: the (n, 35) array of right-hand-side coefficients.  Raises the
     ValueError of ``coflow_rhs`` when a row is not finite."""
-    rhs = _coflow_rhs(L, stack.metric, stack.phi, A)
-    if not np.isfinite(rhs).all():
-        raise ValueError("coefficients must be finite")  # as the Form of that row raises
-    return rhs
+    return _finite_coeffs(_coflow_rhs(L, stack.metric, stack.phi, A))
+
+
+def _finite_coeffs(x):
+    """x, after the finiteness check that building a Form of each of its
+    rows makes (raising the same ValueError)."""
+    if not np.isfinite(x).all():
+        raise ValueError("coefficients must be finite")
+    return x
 
 
 def _coflow_rhs(L, metric, phi, A):
@@ -256,10 +274,15 @@ def laplacian_flow_rhs(L, state):
     """Laplacian flow right-hand side: on a closed phi its Hodge Laplacian
     d delta phi = CODIFF_SIGN[3] d star d psi, with psi = star phi the
     structure's cached dual 4-form (one star besides it)."""
-    _require_unimodular(L)
     s = _structure_of(state)
-    star_dpsi = s.metric.star_coeffs(5, _d(L, 4, s.psi.coeffs))
-    return Form(3, CODIFF_SIGN[3] * _d(L, 2, star_dpsi))
+    return Form(3, _laplacian_rhs(L, s.metric, s.psi.coeffs))
+
+
+def _laplacian_rhs(L, metric, psi):
+    """``laplacian_flow_rhs`` of the coefficients of psi = star phi and
+    the metric of phi."""
+    _require_unimodular(L)
+    return CODIFF_SIGN[3] * _d(L, 2, metric.star_coeffs(5, _d(L, 4, psi)))
 
 
 def deturck_vector(L, state, nabla0, c1, c2):
@@ -345,23 +368,55 @@ class Trajectory:
         return [s.record() for s in self.states]
 
 
+class _Row:
+    """What the evaluator keeps of one row at the flowing coefficients it
+    was last evaluated at (``key``, their bytes): the 3-form ``phi`` and
+    its checked ``metric``, ``psi`` = star phi where it is known, the
+    right-hand side ``rhs`` once evaluated, and the G2Structure once a
+    record or DeTurck asks for it."""
+
+    __slots__ = ("key", "phi", "metric", "psi", "rhs", "_structure")
+
+    def __init__(self, key, phi, metric, psi=None, rhs=None, structure=None):
+        self.key = key
+        self.phi = phi
+        self.metric = metric
+        self.psi = psi
+        self.rhs = rhs
+        self._structure = structure
+
+    def structure(self):
+        """The G2Structure of the row, built on first use."""
+        if self._structure is None:
+            self._structure = G2Structure(phi=Form(3, self.phi), metric=self.metric)
+            if self.psi is not None:
+                self._structure.psi = Form(4, self.psi)
+        return self._structure
+
+
 class _Evaluator:
     """Shared right-hand-side evaluator of the rows of an ensemble.
 
     The state of a row is a pure function of its flowing coefficients, so
-    each row keeps its last (coefficients -> state, rhs) triple: a record
-    time, the next step's first stage and every retried rkf45 attempt share
-    one recovery and one right-hand side.  Row i starts out holding
-    ``states[i]`` at ``y[i]``.
+    each row keeps a ``_Row`` of its last evaluation: a record time, the
+    next step's first stage and every retried rkf45 attempt share one
+    recovery and one right-hand side.  Row i starts out holding the
+    structure of ``states[i]`` at ``y[i]``.
 
-    An ensemble of two or more rows (see ``steps_in_lockstep``) evaluates
-    the rows of a call as one stack (``stack_from_psi`` and
-    ``coflow_rhs_stack``).
-    A single row, and every row the stack marks, takes the one-form path
-    (``CoclosedState.from_psi`` and ``coflow_rhs``), so a row gets the
-    bits, Newton corrections and errors of its one-form evaluation.  A row
-    whose evaluation fails is entered in ``failed`` with its halt reason and
-    detail; calls skip it, with zero entries, until the caller takes it out.
+    Every row is evaluated on coefficient arrays and trusted metrics; a
+    Form or G2Structure is built only when a record or DeTurck asks for the
+    row's structure.  An ensemble of two or more rows (see
+    ``steps_in_lockstep``) recovers and evaluates the rows of a call as
+    one stack (``stack_from_psi`` and ``coflow_rhs_stack``).  A single row
+    goes through the kernels of one form: the coflow through the closed
+    form and the residual gate of ``phi_of_psi``, then ``_coflow_rhs``; the
+    Laplacian flow through ``_induced_metric`` and ``_laplacian_rhs``.  A
+    coflow row that misses the gate or fails the closed form, and every
+    row the stack marks, falls back to ``CoclosedState.from_psi``, so a
+    row gets the bits, Newton corrections and errors of its public-API
+    evaluation.  A row whose evaluation fails is entered in ``failed`` with
+    its halt reason and detail; calls skip it, with zero entries, until the
+    caller takes it out.
     """
 
     def __init__(self, L, config, A, y, states):
@@ -372,9 +427,10 @@ class _Evaluator:
         self.stacked = len(states) > 1
         self.nabla0 = Connection(np.zeros((DIM, DIM, DIM)))
         self.dmat = L.differential_matrix(4 if self.coflow else 3)
-        # Per row [key, state, rhs]; the state of a stacked row is its
-        # (stack, index) until ``structure`` reads it.
-        self._rows = [[row.tobytes(), state, None] for row, state in zip(y, states)]
+        self._rows = []
+        for row, state in zip(y, states):
+            s = _structure_of(state)
+            self._rows.append(_Row(row.tobytes(), s.phi.coeffs, s.metric, structure=s))
         self.failed = {}
 
     def f(self, rows, y):
@@ -384,11 +440,10 @@ class _Evaluator:
         for j, i in enumerate(rows):
             if i in self.failed:
                 continue
-            key, _, rhs = self._rows[i]
-            row = y[j]
-            if row.tobytes() == key:
-                out[j] = self._state_rhs(i) if rhs is None else rhs
-            elif np.isfinite(row).all():
+            entry = self._rows[i]
+            if y[j].tobytes() == entry.key:
+                out[j] = self._rhs(i, y[j]) if entry.rhs is None else entry.rhs
+            elif np.isfinite(y[j]).all():
                 todo.append(j)
             else:
                 self.failed[i] = ("nonfinite", "a stage of the step left the finite range")
@@ -399,7 +454,8 @@ class _Evaluator:
                 if bad[r]:
                     self._one(rows[j], y[j], out[j])
                 else:
-                    self._rows[rows[j]] = [y[j].tobytes(), (stack, r), rhs[r]]
+                    metric = Metric._trusted(stack.metric.g[r])
+                    self._rows[rows[j]] = _Row(y[j].tobytes(), stack.phi[r], metric, rhs=rhs[r])
                     out[j] = rhs[r]
         else:
             for j in todo:
@@ -407,44 +463,64 @@ class _Evaluator:
         return out
 
     def _one(self, i, y, out):
-        """Evaluate row i at y by the one-form path into ``out``."""
+        """Evaluate row i at y by the kernels of one form into ``out``."""
         try:
-            if self.coflow:
-                state = CoclosedState.from_psi(Form(4, y))
-            else:
-                state = G2Structure.from_phi(Form(3, y))
+            self._rows[i] = self._recover(y) if self.coflow else self._induce(y)
         except (PositivityError, RecoveryError) as exc:
             reason = "positivity" if isinstance(exc, PositivityError) else "newton"
             self.failed[i] = (reason, str(exc))
             return
-        self._rows[i] = [y.tobytes(), state, None]
-        out[:] = self._state_rhs(i)
+        out[:] = self._rhs(i, y)
 
-    def _state_rhs(self, i):
-        """The right-hand side of row i's one-form state, kept for reuse."""
+    @staticmethod
+    def _recover(psi):
+        """The row of a 4-form: the closed form when it passes the residual
+        gate of ``phi_of_psi``, else ``CoclosedState.from_psi`` (its Newton
+        corrections, or its error)."""
+        try:
+            phi, metric = _closed_form(psi)
+        except RecoveryError:
+            pass
+        else:
+            back = metric.star_coeffs(3, phi)
+            if float(np.linalg.norm(back - psi)) <= NEWTON_TOL:
+                return _Row(psi.tobytes(), phi, metric, back)
+        s = CoclosedState.from_psi(Form(4, psi)).recovered
+        return _Row(psi.tobytes(), s.phi.coeffs, s.metric, structure=s)
+
+    @staticmethod
+    def _induce(phi):
+        """The row of a 3-form, with its induced metric and psi = star phi."""
+        phi = phi.copy()  # y is a stage array the integrator writes to
+        metric = _induced_metric(phi)
+        return _Row(phi.tobytes(), phi, metric, metric.star_coeffs(3, phi))
+
+    def _rhs(self, i, y):
+        """The right-hand side of row i at its coefficients y, kept for reuse."""
         entry = self._rows[i]
         cfg = self.config
         if self.coflow:
-            rhs = coflow_rhs(self.L, entry[1], self.A[i])
+            rhs = _coflow_rhs(self.L, entry.metric, entry.phi, self.A[i])
         else:
-            rhs = laplacian_flow_rhs(self.L, entry[1])
+            # A start's psi is read off its structure when first needed.
+            psi = entry.structure().psi.coeffs if entry.psi is None else entry.psi
+            rhs = _laplacian_rhs(self.L, entry.metric, psi)
+        rhs = _finite_coeffs(rhs)
         if cfg.deturck.enabled:
-            rhs = rhs + deturck_term(self.L, entry[1], self.nabla0, cfg.deturck.c1, cfg.deturck.c2)
-        entry[2] = rhs.coeffs
-        return entry[2]
+            s = entry.structure()
+            v = deturck_vector(self.L, s, self.nabla0, cfg.deturck.c1, cfg.deturck.c2)
+            form = Form(4, y) if self.coflow else s.phi
+            rhs = _finite_coeffs(rhs + lie_derivative(self.L, v, form).coeffs)
+        entry.rhs = rhs
+        return rhs
 
     def rhs(self, i):
         """The right-hand side of row i at its last evaluated coefficients."""
-        return self._rows[i][2]
+        return self._rows[i].rhs
 
     def structure(self, i):
         """The G2 structure of row i at its last evaluated coefficients."""
-        entry = self._rows[i]
-        if isinstance(entry[1], tuple):
-            stack, r = entry[1]
-            metric = Metric(stack.metric.g[r], _spd_checked=True)
-            entry[1] = G2Structure(phi=Form(3, stack.phi[r]), metric=metric)
-        return _structure_of(entry[1])
+        return self._rows[i].structure()
 
     def closedness(self, y):
         return float(np.linalg.norm(self.dmat @ y))
@@ -560,7 +636,7 @@ def _integrate_rows(L, config, starts, references, A):
         diag = {
             "trT": torsion_trace(L, s) if mon.trT else None,
             "volume": s.volume if mon.volume else None,
-            "closedness": evaluator.closedness(y[i]) if mon.closedness else None,
+            "closedness": closed[i] if mon.closedness else None,
             "rhs_norm": None if rhs is None else float(np.linalg.norm(rhs)),
             "dist_ref": float(np.linalg.norm(y[i] - ref[i])) if mon.dist_ref else None,
         }
@@ -586,8 +662,10 @@ def _integrate_rows(L, config, starts, references, A):
     # The right-hand sides are exact forms that equal the flows only on
     # closed input, so a start that is not closed halts, whatever the
     # closedness monitor says, before a right-hand side is evaluated.
+    # closed[i] is the closedness residual of y[i], kept as y[i] moves.
+    closed = [evaluator.closedness(row) for row in y]
     for i in range(n):
-        if evaluator.closedness(y[i]) > tol:
+        if closed[i] > tol:
             snapshot(i, t, rhs_norm=False)
             end(i, "closedness", "initial state violates the closedness tolerance")
     active = record([i for i in range(n) if ends[i] is None])
@@ -629,9 +707,9 @@ def _integrate_rows(L, config, starts, references, A):
         active = []
         for i, row in going:
             y[i] = row
-            closed_res = evaluator.closedness(y[i])
-            if closed_res > tol:
-                end(i, "closedness", f"closedness residual {closed_res:.3e} exceeded tolerance")
+            closed[i] = evaluator.closedness(y[i])
+            if closed[i] > tol:
+                end(i, "closedness", f"closedness residual {closed[i]:.3e} exceeded tolerance")
             else:
                 active.append(i)
         if active and (steps % mon.record_every == 0 or t >= t_stop):

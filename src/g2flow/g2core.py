@@ -19,12 +19,20 @@ fails one comes back marked, to be redone one by one by
 ``CoclosedState.from_psi`` (Newton corrections, errors and messages are its
 own).  Scalar powers are taken per row as for one form,
 so a stacked row gets the arithmetic of its one-form evaluation.
+
+The kernels build their metrics trusted (``Metric._trusted``): no copy and
+no second validation.  The rule is that a kernel may do so only for a
+matrix it has itself made finite, exactly symmetric and factorised by
+Cholesky.  ``_induced_metric`` symmetrizes B's multiple and factorises it;
+the closed form's metric is a positive multiple of such a metric's
+symmetrized inverse.  A stack is screened row by row, and one metric whose
+entries are not finite raises the MetricError that ``Metric`` raises.
+Every other Metric is validated when it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +43,7 @@ from .conventions import (
     NEWTON_TOL,
     TORSION_PAIRING,
 )
-from .errors import DegreeError, PositivityError, RecoveryError
+from .errors import DegreeError, MetricError, PositivityError, RecoveryError
 from .exterior import (
     COMPL_INDEX,
     COMPL_SIGN,
@@ -45,6 +53,7 @@ from .exterior import (
     WEDGE,
     Form,
     Metric,
+    _cached,
     _per_row,
     _wedge,
     star,
@@ -126,6 +135,15 @@ def _has_cholesky(g):
     return np.ones(len(g), dtype=bool)
 
 
+def _checked_metric(g, bad):
+    """The trusted Metric of a kernel's g: exactly symmetric, with a
+    Cholesky witness, and on a stack screened finite row by row; one metric
+    is checked for finite entries here, raising as ``Metric`` does."""
+    if bad is None and not np.isfinite(g).all():
+        raise MetricError("metric entries must be finite")
+    return Metric._trusted(g)
+
+
 def metric_from_phi(phi):
     """Metric induced by a positive 3-form (its volume is ``Metric.vol``).
 
@@ -162,9 +180,7 @@ def _induced_metric(x, bad=None):
         # by row.
         g = np.where(bad[:, None, None], _IDENTITY, g)
         g = _screen(_has_cholesky(g), bad, g, _IDENTITY)
-    metric = Metric(g)
-    metric._spd_checked = True  # the Cholesky factorisation is the definiteness witness
-    return metric
+    return _checked_metric(g, bad)
 
 
 @dataclass(eq=False)
@@ -178,7 +194,7 @@ class G2Structure:
     def from_phi(cls, phi):
         return cls(phi=phi, metric=metric_from_phi(phi))
 
-    @cached_property
+    @_cached
     def psi(self):
         """Dual 4-form star(phi)."""
         return star(self.metric, self.phi)
@@ -218,6 +234,11 @@ def phi_of_psi(psi, seed=None, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
     ``dual_jacobian`` are applied, each halved until it lowers the
     residual.  ``seed`` is accepted for compatibility and ignored.
     """
+    return _phi_of_psi(psi, tol, max_iter)[0]
+
+
+def _phi_of_psi(psi, tol, max_iter):
+    """``phi_of_psi`` with the residual |star phi - psi| it ends on."""
     if psi.degree != 4:
         raise DegreeError(f"expected a 4-form, got degree {psi.degree}")
     phi, metric = _closed_form(psi.coeffs)
@@ -226,7 +247,7 @@ def phi_of_psi(psi, seed=None, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
     res = float(np.linalg.norm(f))
     for _ in range(max_iter):
         if res <= tol:
-            return structure
+            return structure, res
         try:
             step = np.linalg.solve(dual_jacobian(structure), f)
         except np.linalg.LinAlgError:
@@ -248,7 +269,7 @@ def phi_of_psi(psi, seed=None, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
             raise RecoveryError(f"recovery correction stalled (residual {res:.2e})", residual=res)
         structure, f, res = trial, f_new, res_new
     if res <= tol:
-        return structure
+        return structure, res
     raise RecoveryError(
         f"recovery residual {res:.3e} above tolerance {tol:.1e} after {max_iter} corrections",
         residual=res,
@@ -265,8 +286,9 @@ def _closed_form(psi, bad=None):
     except PositivityError as exc:
         raise RecoveryError(f"4-form is not positive (its dual 3-form: {exc})") from exc
     s = _power(g_chi.det, 0.375)
-    metric = Metric(_finite(_per_row(_power(s, 2.0 / 3.0), 2) * g_chi.inv, bad, _IDENTITY))
-    metric._spd_checked = True  # a positive multiple of an SPD inverse
+    # A positive multiple of the symmetrized inverse of a checked metric.
+    g = _finite(_per_row(_power(s, 2.0 / 3.0), 2) * g_chi.inv, bad, _IDENTITY)
+    metric = _checked_metric(g, bad)
     phi = _finite(metric.star_coeffs(4, psi), bad, 0.0)
     try:
         return phi, _induced_metric(phi, bad)
@@ -314,8 +336,7 @@ class CoclosedState:
     @classmethod
     def from_psi(cls, psi, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
         """Recover the structure of psi in closed form (see ``phi_of_psi``)."""
-        structure = phi_of_psi(psi, tol=tol, max_iter=max_iter)
-        residual = float(np.linalg.norm(structure.psi.coeffs - psi.coeffs))
+        structure, residual = _phi_of_psi(psi, tol, max_iter)
         return cls(psi=psi, recovered=structure, residual=residual)
 
     @classmethod

@@ -480,7 +480,9 @@ class TestRunExperiment:
         from g2flow import experiments, g2core
 
         calls, rows = [], []
-        recover, recover_stack = g2core.phi_of_psi, experiments.stack_from_psi
+        # _phi_of_psi is the one-form recovery that phi_of_psi and
+        # CoclosedState.from_psi both run.
+        recover, recover_stack = g2core._phi_of_psi, experiments.stack_from_psi
 
         def counting(*args, **kwargs):
             calls.append(1)
@@ -490,7 +492,7 @@ class TestRunExperiment:
             rows.append(len(psi))
             return recover_stack(psi, *args, **kwargs)
 
-        monkeypatch.setattr(g2core, "phi_of_psi", counting)
+        monkeypatch.setattr(g2core, "_phi_of_psi", counting)
         monkeypatch.setattr(experiments, "stack_from_psi", counting_rows)
         cfg, _ = config_from_dict(_minimal("ee1_static", samples=3))
         result = run_experiment(cfg, output_dir=tmp_path)
@@ -737,6 +739,23 @@ class TestLockstepSweeps:
         assert run_experiment(cfg, output_dir=tmp_path).status == "ok"
         assert expanded == [1]
         assert loads.count(True) == 1
+
+    def test_sweep_ee2_loads_its_base_form_and_basis_once(self, tmp_path, monkeypatch):
+        # Eight cells share the standard psi and the coclosed directions of
+        # ee2: one fixture read and one SVD of d per run.
+        from g2flow import experiments
+
+        cfg, _ = config_from_dict(SWEEP_EE2)
+        forms, svds = [], []
+        load, svd = experiments.load_form, np.linalg.svd
+        monkeypatch.setattr(
+            experiments, "load_form", lambda name: forms.append(name) or load(name)
+        )
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+        result = run_experiment(cfg, output_dir=tmp_path)
+        assert result.status == "ok" and result.summary["cells"] == 8
+        assert forms == ["psi_standard"]
+        assert svds == [1]
 
     def test_sweep_ee2_recovers_in_stacks_of_eight(self, tmp_path, monkeypatch):
         from g2flow import experiments, flows

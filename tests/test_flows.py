@@ -349,9 +349,9 @@ class TestIntegrate:
         """With a record every step, rk4 costs four recoveries and four
         right-hand sides per step (plus the initial snapshot's right-hand
         side): a record and the next step's first stage share both, and the
-        initial state is not recovered again."""
+        initial state is not recovered again.  One row runs the kernels of
+        one form: the closed-form recovery and ``_coflow_rhs``."""
         import g2flow.flows
-        import g2flow.g2core
 
         state = coclosed_sample(ee2, rng, magnitude=0.2)
         counts = {"recoveries": 0, "rhs": 0}
@@ -364,9 +364,11 @@ class TestIntegrate:
             return wrapped
 
         monkeypatch.setattr(
-            g2flow.g2core, "phi_of_psi", counting("recoveries", g2flow.g2core.phi_of_psi)
+            g2flow.flows, "_closed_form", counting("recoveries", g2flow.flows._closed_form)
         )
-        monkeypatch.setattr(g2flow.flows, "coflow_rhs", counting("rhs", g2flow.flows.coflow_rhs))
+        monkeypatch.setattr(
+            g2flow.flows, "_coflow_rhs", counting("rhs", g2flow.flows._coflow_rhs)
+        )
         cfg = FlowConfig(
             integrator=IntegratorConfig(dt=1e-3, t_end=0.01),
             monitors=MonitorConfig(record_every=1),
@@ -537,8 +539,8 @@ class TestHalts:
         psi = Form(4, standard_psi().coeffs + 1e-3 * np.arange(35, dtype=float))
         state = CoclosedState.from_psi(psi)
         calls = []
-        rhs = flows.coflow_rhs
-        monkeypatch.setattr(flows, "coflow_rhs", lambda *a: calls.append(1) or rhs(*a))
+        rhs = flows._coflow_rhs  # the kernel of every coflow right-hand side
+        monkeypatch.setattr(flows, "_coflow_rhs", lambda *a: calls.append(1) or rhs(*a))
         traj = integrate(ee1, FlowConfig(), state)
         term = traj.termination
         assert term["status"] == "halted"
@@ -651,15 +653,16 @@ def _coframe_change(N, k):
     return out
 
 
-def _changed_coframe(L, psi, seed):
-    """The algebra L and the 4-form psi written in the generic coframe
+def _changed_coframe(L, form, seed):
+    """The algebra L and the 3- or 4-form written in the generic coframe
     f = M e, M = 1 + 0.3 R: the same flow, with dense, non-integer
     structure constants."""
     M = np.eye(DIM) + 0.3 * np.random.default_rng(seed).standard_normal((DIM, DIM))
     N = np.linalg.inv(M)
     two = _coframe_change(N, 2)
     d1 = [Form(2, two @ sum(M[a, k] * L.d1[k].coeffs for k in range(DIM))) for a in range(DIM)]
-    return LieAlgebraStructure(d1=tuple(d1)), Form(4, _coframe_change(N, 4) @ psi.coeffs)
+    changed = _coframe_change(N, form.degree) @ form.coeffs
+    return LieAlgebraStructure(d1=tuple(d1)), Form(form.degree, changed)
 
 
 class TestEnsembles:
@@ -728,10 +731,14 @@ class TestEnsembles:
         # records at steps 4, 8, 12 and 15.
         assert rows == [3] * (15 * 4 - 4 + 4)
         assert one_form == []
-        # One row takes the one-form path.
+        # One row takes the closed form of one form, and passes its gate.
         rows.clear()
+        closed_forms, closed_form = [], flows._closed_form
+        monkeypatch.setattr(
+            flows, "_closed_form", lambda psi: closed_forms.append(1) or closed_form(psi)
+        )
         (single,) = integrate(ee2, self.CFG, starts[:1])
-        assert rows == [] and len(one_form) == 15 * 4 - 4 + 4
+        assert rows == [] and one_form == [] and len(closed_forms) == 15 * 4 - 4 + 4
         assert single.records() == integrate(ee2, self.CFG, starts[0]).records()
 
     def test_a_start_that_is_not_closed_halts_alone(self, ee2, monkeypatch):
@@ -739,14 +746,20 @@ class TestEnsembles:
 
         psi = Form(4, standard_psi().coeffs + 1e-3 * np.arange(35, dtype=float))
         starts = [CoclosedState.from_psi(psi)] + self._starts(ee2, (0, 1), 0.05)
+        # Every 3-form whose right-hand side is evaluated, and every 4-form
+        # that is recovered, one by one or stacked.
         seen = []
-        rhs, stack = flows.coflow_rhs, flows.stack_from_psi
+        rhs, closed_form, stack = flows._coflow_rhs, flows._closed_form, flows.stack_from_psi
         monkeypatch.setattr(
-            flows, "coflow_rhs", lambda L, s, A: seen.append(s.psi.coeffs) or rhs(L, s, A)
+            flows,
+            "_coflow_rhs",
+            lambda L, g, phi, A: seen.extend(np.atleast_2d(phi)) or rhs(L, g, phi, A),
         )
+        monkeypatch.setattr(flows, "_closed_form", lambda y: seen.append(y) or closed_form(y))
         monkeypatch.setattr(flows, "stack_from_psi", lambda y: seen.extend(y) or stack(y))
         rows = integrate(ee2, self.CFG, starts)
-        assert not any(np.array_equal(y, psi.coeffs) for y in seen)
+        phi = starts[0].recovered.phi.coeffs
+        assert not any(np.array_equal(y, psi.coeffs) or np.array_equal(y, phi) for y in seen)
         term = rows[0].termination
         assert (term["reason"], term["t"], len(rows[0].states)) == ("closedness", 0.0, 1)
         assert rows[0].final.record()["rhs_norm"] is None
@@ -778,6 +791,193 @@ class TestEnsembles:
         (row,) = integrate(ee2, self.CFG, [start], A=[0.5])
         alone = integrate(ee2, dataclasses.replace(self.CFG, A=0.5), start)
         assert row.records() == alone.records()
+
+
+def _public_api_rows(monkeypatch):
+    """Make the evaluator build every one-form row through the public API:
+    the structure from ``CoclosedState.from_psi`` or ``G2Structure.from_phi``
+    and the right-hand side from ``coflow_rhs`` or ``laplacian_flow_rhs``
+    plus ``deturck_term``.  This is the oracle of the lean one-form path."""
+    from g2flow import flows
+    from g2flow.errors import PositivityError, RecoveryError
+
+    def rhs(self, i, y):
+        entry = self._rows[i]
+        s = entry.structure()
+        if self.coflow:
+            # coflow_rhs and deturck_term read no residual.
+            state = CoclosedState(psi=Form(4, y), recovered=s, residual=0.0)
+            out = coflow_rhs(self.L, state, self.A[i])
+        else:
+            state = s
+            out = laplacian_flow_rhs(self.L, s)
+        gauge = self.config.deturck
+        if gauge.enabled:
+            out = out + deturck_term(self.L, state, self.nabla0, gauge.c1, gauge.c2)
+        entry.rhs = out.coeffs
+        return entry.rhs
+
+    def one(self, i, y, out):
+        try:
+            if self.coflow:
+                s = CoclosedState.from_psi(Form(4, y)).recovered
+            else:
+                s = G2Structure.from_phi(Form(3, y))
+        except (PositivityError, RecoveryError) as exc:
+            reason = "positivity" if isinstance(exc, PositivityError) else "newton"
+            self.failed[i] = (reason, str(exc))
+            return
+        self._rows[i] = flows._Row(y.tobytes(), s.phi.coeffs, s.metric, structure=s)
+        out[:] = self._rhs(i, y)
+
+    monkeypatch.setattr(flows._Evaluator, "_rhs", rhs)
+    monkeypatch.setattr(flows._Evaluator, "_one", one)
+
+
+def _lean_and_public(monkeypatch, run):
+    """``run()`` on the lean one-form path, then on the public API."""
+    lean = run()
+    _public_api_rows(monkeypatch)
+    return lean, run()
+
+
+def _same_bits(a, b):
+    """Two trajectories with the same termination and the same records,
+    compared by the repr of every float."""
+    assert a.termination == b.termination
+    assert repr(a.records()) == repr(b.records())
+
+
+class TestLeanPath:
+    """A single row is evaluated on arrays, and its structure is built only
+    at record time; the public functions are its oracle, bit for bit."""
+
+    @staticmethod
+    def _coflow_start(L, psi, seed=1):
+        pcfg = PerturbationConfig(magnitude=0.1, seed=seed)
+        return sample_initial(L, psi, pcfg, np.random.default_rng(seed))[3]
+
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    @pytest.mark.parametrize(
+        "flow_kind, A",
+        [("modified_coflow", 0.0), ("modified_coflow", 0.7), ("laplacian_flow", 0.0)],
+    )
+    def test_matches_the_public_api_on_dense_structure_constants(
+        self, ee2, n2, monkeypatch, flow_kind, A, method
+    ):
+        if flow_kind == "modified_coflow":
+            L, psi = _changed_coframe(ee2, standard_psi(), seed=4)
+            start = self._coflow_start(L, psi)
+        else:
+            L, phi = _changed_coframe(n2, closed_n2_phi(np.random.default_rng(2)), seed=4)
+            start = G2Structure.from_phi(phi)
+        assert (np.abs(L.differential_matrix(3)) > 1e-3).sum(axis=1).min() >= 3
+        cfg = FlowConfig(
+            flow_kind=flow_kind,
+            A=A,
+            integrator=IntegratorConfig(method=method, dt=0.02, t_end=0.3),
+            monitors=MonitorConfig(record_every=4),
+        )
+        lean, public = _lean_and_public(monkeypatch, lambda: integrate(L, cfg, start))
+        assert lean.termination["reason"] == "t_end"
+        _same_bits(lean, public)
+
+    @pytest.mark.parametrize(
+        "flow_kind, method, dt, reason, detail",
+        [
+            ("laplacian_flow", "rk4", 1e307, "positivity",
+             "induced bilinear form is not positive definite"),
+            ("laplacian_flow", "rkf45", 1.7e308, "positivity",
+             "3-form is not positively oriented (det B = nan)"),
+            ("laplacian_flow", "rk4", 1.7e308, "nonfinite",
+             "a stage of the step left the finite range"),
+            ("modified_coflow", "rk4", 1.7e308, "nonfinite",
+             "a stage of the step left the finite range"),
+            ("modified_coflow", "rk4", 1e307, "newton",
+             "4-form is not positive (its dual 3-form: 3-form is not positively oriented "
+             "(det B = nan))"),
+        ],
+    )
+    def test_failed_stages_halt_as_through_the_public_api(
+        self, ee2, n2, monkeypatch, flow_kind, method, dt, reason, detail
+    ):
+        if flow_kind == "modified_coflow":
+            L, start = ee2, self._coflow_start(ee2, standard_psi())
+        else:
+            L, start = n2, G2Structure.from_phi(closed_n2_phi(np.random.default_rng(3)))
+        cfg = FlowConfig(
+            flow_kind=flow_kind, integrator=IntegratorConfig(method=method, dt=dt, t_end=1.79e308)
+        )
+
+        def run():
+            # The first stage overflows on purpose.
+            with np.errstate(over="ignore", invalid="ignore"):
+                return integrate(L, cfg, start)
+
+        lean, public = _lean_and_public(monkeypatch, run)
+        term = lean.termination
+        assert (term["reason"], term["detail"], term["steps"]) == (reason, detail, 0)
+        _same_bits(lean, public)
+
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    @pytest.mark.parametrize("flow_kind", ["modified_coflow", "laplacian_flow"])
+    def test_deturck_runs_match_the_public_api(self, ee2, n2, monkeypatch, flow_kind, method):
+        if flow_kind == "modified_coflow":
+            L, start = ee2, self._coflow_start(ee2, standard_psi())
+        else:
+            L, start = n2, G2Structure.from_phi(closed_n2_phi(np.random.default_rng(3)))
+        cfg = FlowConfig(
+            flow_kind=flow_kind,
+            A=0.3,
+            deturck=DeTurckConfig(enabled=True, c1=0.7, c2=-0.4),
+            integrator=IntegratorConfig(method=method, dt=0.02, t_end=0.3),
+            monitors=MonitorConfig(record_every=3),
+        )
+        lean, public = _lean_and_public(monkeypatch, lambda: integrate(L, cfg, start))
+        assert lean.termination["reason"] == "t_end"
+        _same_bits(lean, public)
+
+    def test_pinned_rkf45_newton_halt_matches_the_public_api(self, tmp_path, monkeypatch):
+        # rkf45 ee2_flow at A = 0.5, magnitude 0.2, dt 0.01, seed 0 stalls
+        # in Newton at step 41: its corrections run on the fallback path.
+        runs = []
+
+        def run():
+            out = tmp_path / str(len(runs))
+            result = ee2_flow_run(out, 0.5, {"method": "rkf45", "dt": 0.01, "t_end": 1.0}, 0.2, 0)
+            runs.append(Path(result.files[0]).read_bytes())
+            return result.summary
+
+        lean, public = _lean_and_public(monkeypatch, run)
+        term = lean["termination"]
+        assert (term["reason"], term["steps"]) == ("newton", 41)
+        assert term["detail"].startswith("recovery correction stalled (residual ")
+        assert lean == public and runs[0] == runs[1]
+
+    def test_structures_are_built_per_record_not_per_stage(self, n2, monkeypatch):
+        # The laplacian_n2 benchmark run over one time unit: 100 rk4 steps,
+        # 400 stages and 101 records.
+        counts = {"Form": 0, "Metric": 0}
+        for cls in (Form, Metric):
+            init = cls.__post_init__
+
+            def counting(self, init=init, name=cls.__name__):
+                counts[name] += 1
+                init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        start = G2Structure.from_phi(closed_n2_phi(np.random.default_rng(0)))
+        cfg = FlowConfig(
+            flow_kind="laplacian_flow",
+            integrator=IntegratorConfig(dt=0.01, t_end=1.0),
+            monitors=MonitorConfig(record_every=1),
+        )
+        counts.update(Form=0, Metric=0)
+        traj = integrate(n2, cfg, start)
+        records = len(traj.states)
+        assert (traj.termination["steps"], records) == (100, 101)
+        # phi and psi = star phi of each record's structure; no Metric.
+        assert counts == {"Form": 2 * records - 1, "Metric": 0}
 
 
 class TestTrajectoryIO:
