@@ -1041,6 +1041,50 @@ class TestTrajectoryIO:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+GOLDEN_FLOWS = json.loads((Path(__file__).parent / "golden_flows.json").read_text())
+GOLDEN_TOL = 1e-13  # |new - golden| / max(|golden|, 1), per record entry
+
+
+def golden_flow_deviation(name, tmp_path):
+    """Largest |x - x_golden| / max(|x_golden|, 1) over the records of the
+    seed-0 benchmark config ``name``, run afresh, against the records
+    ``tests/golden_flows.json`` keeps of it (written with a generic star and
+    one det/cholesky/inv set per metric)."""
+    case = GOLDEN_FLOWS[name]
+    raw = json.loads(json.dumps(case["config"]))
+    if "initial" in case:
+        (tmp_path / raw["initial"]).write_text(json.dumps(case["initial"]))
+        raw["initial"] = str(tmp_path / raw["initial"])
+        raw["algebra_file"] = str(Path(__file__).parents[1] / raw["algebra_file"])
+    raw["output"] = {"format": "jsonl"}
+    cfg, violations = config_from_dict(raw)
+    assert violations == []
+    result = run_experiment(cfg, output_dir=tmp_path)
+    assert result.status == "ok"
+    rows = []
+    for line in Path(result.files[0]).read_text().splitlines():
+        rec = json.loads(line)
+        rows.append([rec["t"]] + rec["psi"] + [rec[k] for k in RECORD_FIELDS[2:]])
+    golden = case["records"]
+    assert len(rows) == len(golden)
+    worst = 0.0
+    for row, gold in zip(rows, golden):
+        for x, x0 in zip(row, gold):
+            assert (x is None) == (x0 is None)
+            if x is not None:
+                worst = max(worst, abs(x - x0) / max(abs(x0), 1.0))
+    return worst
+
+
+class TestGoldenFlows:
+    """The seed-0 coflow and Laplacian benchmark runs stay within
+    ``GOLDEN_TOL`` of the records of their generic-star evaluation."""
+
+    @pytest.mark.parametrize("name", ["coflow_ee2", "laplacian_n2"])
+    def test_records_agree_with_the_golden_run(self, tmp_path, name):
+        assert golden_flow_deviation(name, tmp_path) <= GOLDEN_TOL
+
+
 class TestLinearize:
     def test_reference_point_has_zero_linearization(self, ee1):
         # Every nearby invariant coclosed structure is also static,
