@@ -425,8 +425,10 @@ def _semantic_violations(cfg):
         elif n_cells > _MAX_SWEEP_CELLS:
             out.append(f"sweep has {n_cells} cells, exceeding the {_MAX_SWEEP_CELLS} limit")
         else:
+            # The cells stay with the config, and a run of it runs them: a
+            # sweep is expanded, and its cells validated, once.
             try:
-                expand_sweep(cfg)
+                cfg._cells = expand_sweep(cfg)
             except ConfigError as exc:
                 out += exc.violations
         return out
@@ -1075,8 +1077,10 @@ def _run_cells(cfgs, output_dir):
 
 def _run_sweep(cfg, output_dir):
     """Run the grid; every cell writes its own file, and a manifest records
-    the override-to-file mapping with per-cell outcomes."""
-    cells = expand_sweep(cfg)
+    the override-to-file mapping with per-cell outcomes.  The cells are
+    those that validation expanded (``config_from_dict``); a config built
+    otherwise is expanded here."""
+    cells = getattr(cfg, "_cells", None) or expand_sweep(cfg)
     sweep_dir = _output_path(cfg, output_dir, "sweep_out")
     _make_dir(sweep_dir)
     cfgs = [cell_cfg for _, cell_cfg in cells]

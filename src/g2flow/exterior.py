@@ -27,6 +27,10 @@ Conventions
   instance attributes set on first access (``_cached``):
   ``functools.cached_property`` takes a lock on every first access on
   Python 3.10 and 3.11, which the flows would pay on each stage's metric.
+  A kernel that has factorised the metric itself may set three of them
+  when it builds the metric (``Metric._trusted``): ``inv`` (symmetric),
+  ``det`` and ``sqrt_det``, all from that one factorisation.  Every other
+  cache is computed from g on first access.
   ``Metric.star_coeffs`` applies the star to a vector or to a stack of
   them; ``star_matrix`` (the star of the identity) and ``gram`` (read off
   it by the defining pairing) are built on each call, for the callers that
@@ -376,17 +380,26 @@ class Metric:
         self.g = g
 
     @classmethod
-    def _trusted(cls, g):
+    def _trusted(cls, g, inv, det, sqrt_det):
         """The positively oriented Metric of g (one matrix or a stack) that
         a kernel has already checked: finite, exactly symmetric, with a
-        Cholesky factor as the definiteness witness.  g is kept, not copied
-        or validated again, and becomes read-only."""
+        Cholesky factor as the definiteness witness.  The kernel also gives
+        the symmetric inverse, det and sqrt(det) it has from that factor
+        (floats, or arrays of row values), which become the metric's caches.
+        Nothing is copied or validated again; the arrays become read-only."""
         metric = cls.__new__(cls)
         g.flags.writeable = False
+        inv.flags.writeable = False
         metric.g = g
         metric.orientation = 1
         metric._spd_checked = True
+        metric.inv, metric.det, metric.sqrt_det = inv, det, sqrt_det
         return metric
+
+    def _row(self, r):
+        """Row r of a stacked trusted metric as a trusted metric of its own,
+        sharing the row's caches."""
+        return Metric._trusted(self.g[r], self.inv[r], float(self.det[r]), float(self.sqrt_det[r]))
 
     @classmethod
     def identity(cls, orientation=1):

@@ -74,13 +74,13 @@ import numpy as np
 
 from .conventions import CODIFF_SIGN, NEWTON_TOL
 from .errors import ConfigError, G2FlowError, PositivityError, RecoveryError
-from .exterior import DIM, Form, Metric, _per_row
+from .exterior import DIM, Form, _per_row
 from .g2core import (
     CoclosedState,
     G2Structure,
     _closed_form,
     _d,
-    _induced_metric,
+    _induced,
     _structure_of,
     _torsion_trace,
     full_torsion,
@@ -410,8 +410,8 @@ class _Evaluator:
     one stack (``stack_from_psi`` and ``coflow_rhs_stack``).  A single row
     goes through the kernels of one form: the coflow through the closed
     form and the residual gate of ``phi_of_psi``, then ``_coflow_rhs``; the
-    Laplacian flow through ``_induced_metric`` and ``_laplacian_rhs``.  A
-    coflow row that misses the gate or fails the closed form, and every
+    Laplacian flow through ``_induced`` (its metric and psi = star phi) and
+    ``_laplacian_rhs``.  A coflow row that misses the gate or fails the closed form, and every
     row the stack marks, falls back to ``CoclosedState.from_psi``, so a
     row gets the bits, Newton corrections and errors of its public-API
     evaluation.  A row whose evaluation fails is entered in ``failed`` with
@@ -454,7 +454,7 @@ class _Evaluator:
                 if bad[r]:
                     self._one(rows[j], y[j], out[j])
                 else:
-                    metric = Metric._trusted(stack.metric.g[r])
+                    metric = stack.metric._row(r)
                     self._rows[rows[j]] = _Row(y[j].tobytes(), stack.phi[r], metric, rhs=rhs[r])
                     out[j] = rhs[r]
         else:
@@ -478,11 +478,10 @@ class _Evaluator:
         gate of ``phi_of_psi``, else ``CoclosedState.from_psi`` (its Newton
         corrections, or its error)."""
         try:
-            phi, metric = _closed_form(psi)
+            phi, metric, back = _closed_form(psi)
         except RecoveryError:
             pass
         else:
-            back = metric.star_coeffs(3, phi)
             if float(np.linalg.norm(back - psi)) <= NEWTON_TOL:
                 return _Row(psi.tobytes(), phi, metric, back)
         s = CoclosedState.from_psi(Form(4, psi)).recovered
@@ -492,8 +491,8 @@ class _Evaluator:
     def _induce(phi):
         """The row of a 3-form, with its induced metric and psi = star phi."""
         phi = phi.copy()  # y is a stage array the integrator writes to
-        metric = _induced_metric(phi)
-        return _Row(phi.tobytes(), phi, metric, metric.star_coeffs(3, phi))
+        metric, psi = _induced(phi)
+        return _Row(phi.tobytes(), phi, metric, psi)
 
     def _rhs(self, i, y):
         """The right-hand side of row i at its coefficients y, kept for reuse."""

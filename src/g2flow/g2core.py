@@ -11,28 +11,58 @@ this gives exactly the identity metric and volume e^{1234567}.  The dual
 phi from psi) is needed on every step; a positive 4-form fixes its metric
 algebraically, so it is a closed form with an optional Newton correction.
 
-The kernels (B, the induced metric, the closed-form recovery, the torsion
-trace) take the coefficients of one form or a stack of forms in rows, with
-one metric per row.  ``stack_from_psi`` recovers independent 4-forms in one
-pass: every check of one recovery runs over the whole stack, and a row that
-fails one comes back marked, to be redone one by one by
-``CoclosedState.from_psi`` (Newton corrections, errors and messages are its
-own).  Scalar powers are taken per row as for one form,
-so a stacked row gets the arithmetic of its one-form evaluation.
+No Hodge star is taken of a structure's own form.  B is formed from
+up[i, b], the pairing of (iota_i phi) ^ phi with the basis 2-form b, as
+B = up u^T (u[i, :] = iota_i phi).  Since iota_v phi lies in Lambda^2_7,
+(iota_v phi) ^ phi = 2 star(iota_v phi) = 2 v^flat ^ psi (Bryant, "Some
+remarks on G2-structures", 2005, section 2), so row k of g^{-1} up pairs
+2 e^k ^ psi with the basis 2-forms: psi_q = (1/2) s_q (g^{-1} up)[k_q, b_q]
+for a fixed split {k_q} + b_q of the complement of q and a fixed sign s_q
+(``_dual``).  The same identity gives the recovery in closed form: psi read
+as the 3-form chi on the dual space induces g_chi = s^{2/3} g^{-1} with
+s = sqrt(det g) = det(g_chi)^{3/8}, and phi = star_g psi is
+s^{-1/3} star_{g_chi} chi read back through the signed complement, so g
+itself, its inverse and its degree-4 star are never built
+(``_closed_form``).  The generic ``Metric.star_coeffs`` stays for every
+other form (d phi, d psi, the type decomposition, linearization) and is the
+identity's oracle in the tests.
+
+One factorisation per metric: one Cholesky factor L of the symmetrized B
+is the positivity witness, since kappa > 0; det B = prod L_ii^2, and with
+r = (det B)^{1/9}, g = (kappa / r) B, g^{-1} = (r / kappa) B^{-1} from one
+inverse of B, det g = kappa^7 r^2 and sqrt(det g) = kappa^{7/2} r
+(``_induced``).  A Laplacian-flow evaluation thus takes one ``cholesky``
+and one ``inv``, a coflow recovery two of each (the structures of chi and
+of phi), and neither takes a determinant: det B is taken only on the
+failure path, for the message that tells an orientation failure
+(det B <= 0) from an indefinite B, under ``np.errstate`` so an overflow
+there halts the flow instead of raising a RuntimeWarning.  A B whose
+entries are not finite is screened before it is factorised.
+
+The kernels (B, the induced metric and dual, the closed-form recovery, the
+torsion trace) take the coefficients of one form or a stack of forms in
+rows, with one metric per row.  ``stack_from_psi`` recovers independent
+4-forms in one pass: every check of one recovery runs over the whole
+stack, and a row that fails one comes back marked, to be redone one by one
+by ``CoclosedState.from_psi`` (Newton corrections, errors and messages are
+its own).  Scalar powers and the product of the factor's diagonal are taken
+per row as for one form, so a stacked row gets the arithmetic of its
+one-form evaluation.
 
 The kernels build their metrics trusted (``Metric._trusted``): no copy and
-no second validation.  The rule is that a kernel may do so only for a
-matrix it has itself made finite, exactly symmetric and factorised by
-Cholesky.  ``_induced_metric`` symmetrizes B's multiple and factorises it;
-the closed form's metric is a positive multiple of such a metric's
-symmetrized inverse.  A stack is screened row by row, and one metric whose
-entries are not finite raises the MetricError that ``Metric`` raises.
+no second validation, with the inverse, det and sqrt(det) of the same
+factorisation as the metric's caches.  The rule is that a kernel may do so
+only for a matrix it has itself made finite, exactly symmetric and
+factorised by Cholesky.  A stack is screened row by row, and one metric
+whose entries are not finite raises the MetricError that ``Metric`` raises.
 Every other Metric is validated when it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import math
 
 import numpy as np
 
@@ -45,6 +75,8 @@ from .conventions import (
 )
 from .errors import DegreeError, MetricError, PositivityError, RecoveryError
 from .exterior import (
+    BASIS,
+    BASIS_POS,
     COMPL_INDEX,
     COMPL_SIGN,
     CONTRACT,
@@ -56,6 +88,7 @@ from .exterior import (
     _cached,
     _per_row,
     _wedge,
+    merge_sign,
     star,
 )
 from .liealg import _require_unimodular, levi_civita
@@ -78,10 +111,49 @@ def b_matrix(phi):
 
 def _b(x):
     """``b_matrix`` of 3-form coefficients: one form, or a stack in rows."""
+    return _b_parts(x)[1]
+
+
+def _b_parts(x):
+    """(up, B) of 3-form coefficients: up[..., i, b] is the coefficient of
+    e^{1..7} in (iota_i phi) ^ phi ^ (2-form basis b), and B = up u^T with
+    u[..., i, :] = iota_i phi."""
     lead = x.shape[:-1]
-    u = (x @ _IOTA3.T).reshape(lead + (DIM, DIMS[2]))  # u[..., i, :] = iota_i phi
-    p = (x @ _P223.T).reshape(lead + (DIMS[2], DIMS[2]))
-    return u @ p @ u.swapaxes(-1, -2)
+    u = (x @ _IOTA3.T).reshape(lead + (DIM, DIMS[2]))
+    up = u @ (x @ _P223.T).reshape(lead + (DIMS[2], DIMS[2]))
+    return up, up @ u.swapaxes(-1, -2)
+
+
+def _build_dual_tables():
+    # psi_q = (1/2) s_q w[k, b], w = g^{-1} up, where {k} + b (k first) is
+    # the complement of the 4-index q and s_q the sign of e^k ^ e^q ^ e^b.
+    full = set(range(1, DIM + 1))
+    index, sign = [], []
+    for q in BASIS[4]:
+        k, *rest = sorted(full - set(q))
+        s1, kq = merge_sign((k,), q)
+        s2, _ = merge_sign(kq, tuple(rest))
+        index.append((k - 1) * DIMS[2] + BASIS_POS[2][tuple(rest)])
+        sign.append(0.5 * s1 * s2)
+    return np.array(index), np.array(sign)
+
+
+_DUAL_INDEX, _DUAL_SIGN = _build_dual_tables()
+# The B of the standard form and its Cholesky factor: the placeholder of a
+# marked row of a stack, whose metric is then exactly the identity.
+_B_STANDARD = 6.0 * _IDENTITY
+_FACTOR_STANDARD = np.sqrt(6.0) * _IDENTITY
+_KAPPA7 = METRIC_KAPPA**7
+_KAPPA7_SQRT = METRIC_KAPPA**3.5
+
+
+def _dual(up, ginv):
+    """psi = star phi of 3-form coefficients from their ``up`` (see
+    ``_b_parts``) and g^{-1}: one form, or stacks in rows.  By the identity
+    (iota_v phi) ^ phi = 2 v^flat ^ psi, row k of g^{-1} up pairs
+    2 e^k ^ psi with the basis 2-forms."""
+    w = ginv @ up
+    return w.reshape(w.shape[:-2] + (-1,)).take(_DUAL_INDEX, axis=-1) * _DUAL_SIGN
 
 
 def _power(x, p):
@@ -91,6 +163,19 @@ def _power(x, p):
     if isinstance(x, np.ndarray):
         return np.array([v**p for v in x.tolist()])
     return x**p
+
+
+def _det_of_factor(factor):
+    """det B = prod_i L_ii^2 of a Cholesky factor L, or of each factor of a
+    stack, multiplied in the same order for a row as for one matrix."""
+    diag = factor.reshape(factor.shape[:-2] + (-1,))[..., :: DIM + 1]
+    squares = (diag * diag).tolist()
+    if diag.ndim == 1:
+        return math.prod(squares)
+    return np.array([math.prod(row) for row in squares])
+
+
+_DET_STANDARD = _det_of_factor(_FACTOR_STANDARD)
 
 
 def _norms(x):
@@ -121,27 +206,29 @@ def _finite(x, bad, safe):
     return _screen(np.isfinite(x).all(axis=tuple(range(1, x.ndim))), bad, x, safe)
 
 
-def _has_cholesky(g):
-    """Whether each matrix of the stack g has a Cholesky factor: one
-    factorisation of the stack, and where that fails, of each half in turn,
-    so one matrix without a factor costs about 2 log2(n) factorisations."""
+def _cholesky_rows(b):
+    """Cholesky factors of a stack of matrices and a mask of those that
+    have one: one factorisation of the stack, and where that fails, of each
+    half in turn, so one matrix without a factor costs about 2 log2(n)
+    factorisations.  A matrix without one gets the standard form's factor."""
     try:
-        np.linalg.cholesky(g)
+        return np.linalg.cholesky(b), np.ones(len(b), dtype=bool)
     except np.linalg.LinAlgError:
-        if len(g) == 1:
-            return np.zeros(1, dtype=bool)
-        half = len(g) // 2
-        return np.concatenate([_has_cholesky(g[:half]), _has_cholesky(g[half:])])
-    return np.ones(len(g), dtype=bool)
+        if len(b) == 1:
+            return _FACTOR_STANDARD[None], np.zeros(1, dtype=bool)
+        (f1, ok1), (f2, ok2) = _cholesky_rows(b[: len(b) // 2]), _cholesky_rows(b[len(b) // 2 :])
+        return np.concatenate([f1, f2]), np.concatenate([ok1, ok2])
 
 
-def _checked_metric(g, bad):
-    """The trusted Metric of a kernel's g: exactly symmetric, with a
-    Cholesky witness, and on a stack screened finite row by row; one metric
-    is checked for finite entries here, raising as ``Metric`` does."""
-    if bad is None and not np.isfinite(g).all():
-        raise MetricError("metric entries must be finite")
-    return Metric._trusted(g)
+def _positivity_error(b):
+    """The PositivityError of a B with no usable Cholesky factor.  Only
+    here is det B taken, for the message: its sign tells an orientation
+    failure from an indefinite form."""
+    with np.errstate(all="ignore"):
+        det_b = float(np.linalg.det(b))
+    if not det_b > 0.0:  # also catches NaN
+        return PositivityError(f"3-form is not positively oriented (det B = {det_b:.3e})")
+    return PositivityError("induced bilinear form is not positive definite")
 
 
 def metric_from_phi(phi):
@@ -152,35 +239,59 @@ def metric_from_phi(phi):
     """
     if phi.degree != 3:
         raise DegreeError(f"expected a 3-form, got degree {phi.degree}")
-    return _induced_metric(phi.coeffs)
+    return _induced(phi.coeffs)[0]
 
 
-def _induced_metric(x, bad=None):
-    """``metric_from_phi`` of 3-form coefficients: one form, raising as it
-    does, or a stack in rows with one metric per row, whose failing rows
-    are marked in ``bad`` instead (see ``_screen``)."""
-    b = _b(x)
-    det_b = np.linalg.det(b)
+def _induced(x, bad=None):
+    """The induced metric of 3-form coefficients and their dual 4-form
+    psi = star phi: one form, raising as ``metric_from_phi`` does, or a
+    stack in rows with one metric per row, whose failing rows are marked in
+    ``bad`` instead (see ``_screen``) and hold the standard structure's
+    metric.
+
+    One Cholesky factor L of the symmetrized B is the positivity witness
+    (kappa > 0), and det B = prod L_ii^2; with r = (det B)^{1/9},
+    g = (kappa / r) B, g^{-1} = (r / kappa) B^{-1} from one inverse,
+    det g = kappa^7 r^2 and sqrt(det g) = kappa^{7/2} r become the metric's
+    caches, and psi is read off g^{-1} up (``_dual``)."""
+    up, b = _b_parts(x)
+    b = b + b.swapaxes(-1, -2)
+    b *= 0.5
     if bad is None:
-        det_b = float(det_b)
-        if not det_b > 0.0:  # also catches NaN
-            raise PositivityError(f"3-form is not positively oriented (det B = {det_b:.3e})")
-    else:
-        det_b = _screen(det_b > 0.0, bad, det_b, 1.0)
-    g = METRIC_KAPPA * b * _per_row(_power(det_b, -1.0 / 9.0), 2)
-    g = _finite(0.5 * (g + g.swapaxes(-1, -2)), bad, _IDENTITY)
-    if bad is None:
+        if not np.isfinite(b).all():
+            raise _positivity_error(b)
         try:
-            np.linalg.cholesky(g)
+            factor = np.linalg.cholesky(b)
         except np.linalg.LinAlgError:
-            raise PositivityError("induced bilinear form is not positive definite") from None
+            raise _positivity_error(b) from None
+        det_b = _det_of_factor(factor)
+        if not 0.0 < det_b < math.inf:
+            raise _positivity_error(b)
     else:
-        # Rows already marked get the identity first: their indefinite
-        # placeholder would fail the stacked factorisation and send it row
-        # by row.
-        g = np.where(bad[:, None, None], _IDENTITY, g)
-        g = _screen(_has_cholesky(g), bad, g, _IDENTITY)
-    return _checked_metric(g, bad)
+        # A row with a non-positive diagonal entry has no factor: marking it
+        # first leaves the stacked factorisation one call.
+        diag = np.diagonal(b, axis1=-2, axis2=-1)
+        ok = np.isfinite(b).all(axis=(-2, -1)) & (diag > 0.0).all(axis=-1) & ~bad
+        b = _screen(ok, bad, b, _B_STANDARD)
+        factor, ok = _cholesky_rows(b)
+        b = _screen(ok, bad, b, _B_STANDARD)
+        det_b = _det_of_factor(factor)
+        ok = (det_b > 0.0) & (det_b < math.inf)
+        b = _screen(ok, bad, b, _B_STANDARD)
+        det_b = _screen(ok, bad, det_b, _DET_STANDARD)
+    r = _power(det_b, 1.0 / 9.0)
+    g = b * _per_row(METRIC_KAPPA / r, 2)
+    ginv = np.linalg.inv(b)
+    ginv = (ginv + ginv.swapaxes(-1, -2)) * _per_row(0.5 * r / METRIC_KAPPA, 2)
+    if bad is None:
+        if not np.isfinite(g).all():
+            raise MetricError("metric entries must be finite")
+    else:
+        ok = np.isfinite(g).all(axis=(-2, -1)) & np.isfinite(ginv).all(axis=(-2, -1))
+        g = _screen(ok, bad, g, _IDENTITY)
+        ginv = _screen(ok, bad, ginv, _IDENTITY)
+    metric = Metric._trusted(g, ginv, _KAPPA7 * r * r, _KAPPA7_SQRT * r)
+    return metric, _finite(_dual(up, ginv), bad, 0.0)
 
 
 @dataclass(eq=False)
@@ -192,11 +303,19 @@ class G2Structure:
 
     @classmethod
     def from_phi(cls, phi):
-        return cls(phi=phi, metric=metric_from_phi(phi))
+        """The structure of a positive 3-form, with psi read off B (see
+        ``_induced``)."""
+        if phi.degree != 3:
+            raise DegreeError(f"expected a 3-form, got degree {phi.degree}")
+        metric, psi = _induced(phi.coeffs)
+        structure = cls(phi=phi, metric=metric)
+        structure.psi = Form(4, psi)
+        return structure
 
     @_cached
     def psi(self):
-        """Dual 4-form star(phi)."""
+        """Dual 4-form star(phi); set by the kernels that build a structure,
+        and starred by the metric for one built from a given (phi, metric)."""
         return star(self.metric, self.phi)
 
     @property
@@ -241,8 +360,9 @@ def _phi_of_psi(psi, tol, max_iter):
     """``phi_of_psi`` with the residual |star phi - psi| it ends on."""
     if psi.degree != 4:
         raise DegreeError(f"expected a 4-form, got degree {psi.degree}")
-    phi, metric = _closed_form(psi.coeffs)
+    phi, metric, back = _closed_form(psi.coeffs)
     structure = G2Structure(phi=Form(3, phi), metric=metric)
+    structure.psi = Form(4, back)
     f = structure.psi.coeffs - psi.coeffs
     res = float(np.linalg.norm(f))
     for _ in range(max_iter):
@@ -279,21 +399,26 @@ def _phi_of_psi(psi, tol, max_iter):
 def _closed_form(psi, bad=None):
     """The closed form of ``phi_of_psi`` on 4-form coefficients: one form,
     raising as phi_of_psi does, or a stack in rows (see ``_screen``).
-    Returns the 3-form coefficients and their induced metric."""
+    Returns the 3-form coefficients, their induced metric and their dual
+    4-form star phi, which the residual gate compares with psi.
+
+    With g = s^{2/3} g_chi^{-1} and s = det(g_chi)^{3/8}, phi = star_g psi
+    is s^{-1/3} = det(g_chi)^{-1/8} times star_{g_chi} chi read back
+    through the signed complement, so g itself is never built: the two
+    structures (of chi and of phi) cost one factorisation and one inverse
+    each."""
     chi = COMPL_SIGN[3] * psi.take(COMPL_INDEX[3], axis=-1)
     try:
-        g_chi = _induced_metric(chi, bad)
+        g_chi, star_chi = _induced(chi, bad)
     except PositivityError as exc:
         raise RecoveryError(f"4-form is not positive (its dual 3-form: {exc})") from exc
-    s = _power(g_chi.det, 0.375)
-    # A positive multiple of the symmetrized inverse of a checked metric.
-    g = _finite(_per_row(_power(s, 2.0 / 3.0), 2) * g_chi.inv, bad, _IDENTITY)
-    metric = _checked_metric(g, bad)
-    phi = _finite(metric.star_coeffs(4, psi), bad, 0.0)
+    phi = COMPL_SIGN[3] * star_chi.take(COMPL_INDEX[3], axis=-1)
+    phi = _finite(_per_row(_power(g_chi.det, -0.125)) * phi, bad, 0.0)
     try:
-        return phi, _induced_metric(phi, bad)
+        metric, back = _induced(phi, bad)
     except PositivityError as exc:
         raise RecoveryError(f"recovered 3-form is not positive: {exc}") from exc
+    return phi, metric, back
 
 
 @dataclass(eq=False)
@@ -314,8 +439,7 @@ def stack_from_psi(psi):
     Newton corrections or raises as it does for one form."""
     bad = np.zeros(len(psi), dtype=bool)
     psi = _finite(psi, bad, 0.0)
-    phi, metric = _closed_form(psi, bad)
-    back = _finite(metric.star_coeffs(3, phi), bad, 0.0)
+    phi, metric, back = _closed_form(psi, bad)
     bad |= ~(_norms(back - psi) <= NEWTON_TOL)  # the residual gate of phi_of_psi
     return StructureStack(phi=phi, metric=metric), bad
 

@@ -100,6 +100,16 @@ def random_positive_phi(rng, scale=0.1):
     return Form(3, standard_phi().coeffs + scale * rng.standard_normal(35))
 
 
+def conditioned_positive_phi(rng, cond):
+    """Random positive 3-form whose induced metric has condition number
+    ``cond``: the standard form pulled back by a conditioned_spd matrix a
+    of condition sqrt(cond) (its metric is a^2)."""
+    from .oracles import exterior_powers
+
+    a = conditioned_spd(rng, np.sqrt(cond))
+    return Form(3, exterior_powers(a)[3] @ standard_phi().coeffs)
+
+
 def closed_n2_phi(rng):
     """Seeded closed positive 3-form on the n2 algebra (de6 = e12,
     de7 = e13): each term of the standard form scaled by a factor in

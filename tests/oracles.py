@@ -6,10 +6,12 @@ the package's dense table-driven kernels.  Tests compare the two.  The
 slot-by-slot Laplace recursion for exterior powers builds its own index
 lists and is the bitwise reference for the gather kernel ``exterior_powers``,
 its batched form, which ``_dual_batch`` uses.  ``ExactMetric`` computes the
-Gram matrices and the star in exact rational arithmetic.  The one
-exception is the Newton recovery at the end: it is the reference for the
-inverse map psi -> phi, so it iterates the package's forward map
-phi -> star_{g(phi)} phi.
+Gram matrices and the star in exact rational arithmetic.  Two exceptions
+sit at the end.  ``closed_form_oracle`` is the closed-form recovery with a
+generic star (``Metric.star_coeffs``) and a determinant, factorisation and
+inverse per metric, the reference for the kernel that reads star phi off B.
+The Newton recovery is the reference for the inverse map psi -> phi, so it
+iterates the package's forward map phi -> star_{g(phi)} phi.
 """
 
 from __future__ import annotations
@@ -436,6 +438,37 @@ def _dual_batch(xs):
     duals = np.empty((xs.shape[0], DIMS[4]))
     duals[:, COMPL_INDEX[3]] = COMPL_SIGN[3][None, :] * np.sqrt(det_g)[:, None] * weighted
     return duals
+
+
+def closed_form_oracle(psi):
+    """Closed-form recovery of the 3-form whose dual is the 4-form psi
+    (coefficients), through metrics built as matrices: psi read as the
+    3-form chi on the dual space induces g_chi (B, det B, a Cholesky
+    witness), s = det(g_chi)^{3/8}, g = s^{2/3} g_chi^{-1} by an inverse,
+    and phi = star_g psi by ``Metric.star_coeffs``.  Returns (phi, g(phi)),
+    or raises ValueError where a metric is not positive."""
+    from g2flow.conventions import METRIC_KAPPA
+    from g2flow.exterior import COMPL_INDEX, COMPL_SIGN, Metric
+
+    def induced(x):
+        b = b_matrix_oracle(dict_of_coeffs(3, x))
+        det_b = np.linalg.det(b)
+        if not det_b > 0.0:
+            raise ValueError(f"not a positive 3-form (det B = {det_b:.3e})")
+        g = METRIC_KAPPA * b * det_b ** (-1.0 / 9.0)
+        g = 0.5 * (g + g.T)
+        try:
+            np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            raise ValueError("induced bilinear form is not positive definite") from None
+        return g
+
+    psi = np.asarray(psi, dtype=float)
+    g_chi = induced(COMPL_SIGN[3] * psi[COMPL_INDEX[3]])
+    s = np.linalg.det(g_chi) ** 0.375
+    g = s ** (2.0 / 3.0) * np.linalg.inv(g_chi)
+    phi = Metric(0.5 * (g + g.T)).star_coeffs(4, psi)
+    return phi, induced(phi)
 
 
 def _newton_residual(x, psi_coeffs):

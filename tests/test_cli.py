@@ -1,7 +1,10 @@
 """End-to-end tests of the command-line front end (in-process)."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -385,6 +388,27 @@ class TestOverflowingStep:
         records = [json.loads(line) for line in open(path)]
         assert len(records) == payload["summary"]["records"]
         assert records[0]["t"] == 0.0
+
+    def test_an_overflowing_recovery_halts_with_warnings_as_errors(self, tmp_path):
+        # The first stage's dual 3-form has a finite B whose determinant
+        # overflows.  No determinant is taken on the way to the halt but
+        # the one for its message, under np.errstate, so a run with
+        # RuntimeWarnings as errors halts as one with default warnings does.
+        cfg = {"schema_version": 1, "experiment": "ee2_flow",
+               "flow": {"A": 3, "integrator": {"method": "rk4", "dt": 1e150, "t_end": 1e160}},
+               "perturbation": {"seed": 1, "magnitude": 0.2}}
+        env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning",
+                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "g2flow.cli", "run", _config(tmp_path, cfg),
+             "--output-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_NUMERICAL, "")
+        term = json.loads(proc.stdout)["summary"]["termination"]
+        assert (term["reason"], term["steps"]) == ("newton", 0)
+        assert term["detail"] == ("4-form is not positive (its dual 3-form: 3-form is not "
+                                  "positively oriented (det B = -inf))")
 
 
 class TestNpVerb:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -542,10 +543,12 @@ class TestRunExperiment:
             cfg, _ = config_from_dict(_minimal("ee1_static", samples=n))
             assert run_experiment(cfg, output_dir=tmp_path).summary["passed"] is True
             # The reference state on its own, then each stack of samples:
-            # five determinants, two inverses and two factorisations apiece.
-            # One by one, 100 samples took 505 det, 202 inv and 202 cholesky.
+            # one factorisation and one inverse of B for each of the two
+            # structures of a recovery (of chi and of phi), and no
+            # determinant.  One by one, with a generic star, 100 samples
+            # took 505 det, 202 inv and 202 cholesky.
             calls = 1 + -(-n // _STACK_ROWS)
-            assert counts == {"det": 5 * calls, "inv": 2 * calls, "cholesky": 2 * calls}
+            assert counts == {"inv": 2 * calls, "cholesky": 2 * calls}
         # At magnitude 3 most samples are halved one by one, and the stacked
         # recovery still runs once per stack: halved rows are not restacked.
         stacks = []
@@ -721,9 +724,11 @@ class TestLockstepSweeps:
         assert result.summary["lockstep_groups"] == [[0, 2], [1], [3]]
 
     def test_sweep_ee2_loads_its_algebra_once(self, tmp_path, monkeypatch):
+        # Validation expands the sweep once, checking each cell's algebra
+        # (8 loads), and the run runs those cells with one more load.  When
+        # the run expanded the sweep again it took 2 expansions and 17 loads.
         from g2flow import experiments
 
-        cfg, _ = config_from_dict(SWEEP_EE2)
         loads, expanded = [], []
         load, expand = experiments.load_algebra, experiments.expand_sweep
 
@@ -736,9 +741,19 @@ class TestLockstepSweeps:
             experiments, "load_algebra", lambda name: loads.append(bool(expanded)) or load(name)
         )
         monkeypatch.setattr(experiments, "expand_sweep", expanding)
+        cfg, _ = config_from_dict(SWEEP_EE2)
         assert run_experiment(cfg, output_dir=tmp_path).status == "ok"
         assert expanded == [1]
-        assert loads.count(True) == 1
+        assert (loads.count(False), loads.count(True)) == (8, 1)
+
+    def test_a_hand_built_sweep_is_expanded_by_its_run(self, tmp_path):
+        cfg, _ = config_from_dict(SWEEP_EE2)
+        kept = run_experiment(cfg, output_dir=tmp_path / "kept")
+        built = dataclasses.replace(cfg)  # a new config that validation never saw
+        assert not hasattr(built, "_cells")
+        again = run_experiment(built, output_dir=tmp_path / "built")
+        for a, b in zip(kept.files, again.files):
+            assert Path(a).read_bytes().replace(b"kept", b"built") == Path(b).read_bytes()
 
     def test_sweep_ee2_loads_its_base_form_and_basis_once(self, tmp_path, monkeypatch):
         # Eight cells share the standard psi and the coclosed directions of

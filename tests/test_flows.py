@@ -377,6 +377,36 @@ class TestIntegrate:
         assert traj.termination["steps"] == 10
         assert counts == {"recoveries": 40, "rhs": 41}
 
+    @pytest.mark.parametrize("flow_kind, per_evaluation", [
+        ("modified_coflow", 2), ("laplacian_flow", 1),
+    ])
+    def test_each_metric_is_factorised_once(self, ee2, n2, rng, monkeypatch, flow_kind,
+                                            per_evaluation):
+        """A Laplacian evaluation factorises and inverts its B once; a coflow
+        recovery does so for the structures of chi and of phi.  No
+        determinant is taken, and records take no linear algebra: 10
+        recorded rk4 steps make 40 evaluations (see the test above)."""
+        if flow_kind == "modified_coflow":
+            L, start = ee2, coclosed_sample(ee2, rng, magnitude=0.2)
+        else:
+            L, start = n2, G2Structure.from_phi(closed_n2_phi(rng))
+        counts = {"det": 0, "inv": 0, "cholesky": 0}
+        for name in counts:
+            def counting(*args, _call=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        cfg = FlowConfig(
+            flow_kind=flow_kind,
+            integrator=IntegratorConfig(dt=1e-3, t_end=0.01),
+            monitors=MonitorConfig(record_every=1),
+        )
+        traj = integrate(L, cfg, start)
+        assert (traj.termination["steps"], len(traj.states)) == (10, 11)
+        n = 40 * per_evaluation
+        assert counts == {"det": 0, "inv": n, "cholesky": n}
+
     def test_rk4_and_rkf45_agree(self, ee2, rng):
         state = coclosed_sample(ee2, rng, magnitude=0.2)
         results = {}
@@ -939,7 +969,10 @@ class TestLeanPath:
 
     def test_pinned_rkf45_newton_halt_matches_the_public_api(self, tmp_path, monkeypatch):
         # rkf45 ee2_flow at A = 0.5, magnitude 0.2, dt 0.01, seed 0 stalls
-        # in Newton at step 41: its corrections run on the fallback path.
+        # in Newton at step 42: its corrections run on the fallback path.
+        # The stall sits at the recovery's rounding floor, just above
+        # NEWTON_TOL, so the step moves with the last bits of the recovery
+        # (step 41 with a generic star and one det/cholesky/inv set per metric).
         runs = []
 
         def run():
@@ -950,8 +983,9 @@ class TestLeanPath:
 
         lean, public = _lean_and_public(monkeypatch, run)
         term = lean["termination"]
-        assert (term["reason"], term["steps"]) == ("newton", 41)
-        assert term["detail"].startswith("recovery correction stalled (residual ")
+        assert (term["reason"], term["steps"]) == ("newton", 42)
+        residual = re.fullmatch(r"recovery correction stalled \(residual (.*)\)", term["detail"])
+        assert NEWTON_TOL < float(residual.group(1)) <= 1e-10
         assert lean == public and runs[0] == runs[1]
 
     def test_structures_are_built_per_record_not_per_stage(self, n2, monkeypatch):
@@ -976,8 +1010,9 @@ class TestLeanPath:
         traj = integrate(n2, cfg, start)
         records = len(traj.states)
         assert (traj.termination["steps"], records) == (100, 101)
-        # phi and psi = star phi of each record's structure; no Metric.
-        assert counts == {"Form": 2 * records - 1, "Metric": 0}
+        # phi and psi = star phi of each record's structure but the start's,
+        # which holds both already; no Metric.
+        assert counts == {"Form": 2 * records - 2, "Metric": 0}
 
 
 class TestTrajectoryIO:

@@ -23,9 +23,17 @@ from g2flow.exterior import DIM, Metric, star
 from g2flow.g2core import b_matrix, dual_jacobian
 from g2flow.fixtures import ee2_diagonal_phi
 
-from .conftest import coclosed_sample, conditioned_spd, random_form, random_positive_phi
+from .conftest import (
+    coclosed_sample,
+    conditioned_positive_phi,
+    conditioned_spd,
+    random_form,
+    random_positive_phi,
+)
 from .oracles import (
+    ExactMetric,
     b_matrix_oracle,
+    closed_form_oracle,
     dict_of_coeffs,
     family_lambda_oracle,
     fd_dual_jacobian,
@@ -122,6 +130,84 @@ class TestStructure:
         elapsed = time.perf_counter() - t0
         assert elapsed < 1e-3
         assert np.array_equal(psi.coeffs, standard_psi().coeffs)
+
+
+def _conditioned_structures(rng, n):
+    """n structures of random positive 3-forms whose metrics have condition
+    numbers spread log-uniformly over [1, 1e4], with those numbers."""
+    out = []
+    for _ in range(n):
+        s = G2Structure.from_phi(conditioned_positive_phi(rng, 10.0 ** rng.uniform(0.0, 4.0)))
+        out.append((s, np.linalg.cond(s.metric.g)))
+    return out
+
+
+def _same_metric_bits(a, b):
+    assert a.g.tobytes() == b.g.tobytes() and a.inv.tobytes() == b.inv.tobytes()
+    assert (a.det, a.sqrt_det) == (b.det, b.sqrt_det)
+
+
+class TestDualIdentity:
+    """star phi is read off B's factors by (iota_v phi) ^ phi = 2 v^flat ^ psi;
+    the generic star and the exact rational star are its oracles."""
+
+    def test_matches_the_generic_and_the_exact_star(self, rng):
+        # The forward error of either star grows with cond(g): about
+        # 2 cond(g) eps relative at worst over such samples.
+        for i, (s, cond) in enumerate(_conditioned_structures(rng, 40)):
+            phi = s.phi.coeffs
+            scale = 1e-15 * cond * np.abs(s.psi.coeffs).max()
+            assert np.abs(s.psi.coeffs - s.metric.star_coeffs(3, phi)).max() <= scale
+            if i < 3:
+                exact = ExactMetric(s.metric.g).star(3, phi)
+                assert np.abs(s.psi.coeffs - exact).max() <= scale
+
+    def test_metric_caches_match_the_matrix(self, rng):
+        for s, cond in _conditioned_structures(rng, 20):
+            g = s.metric.g
+            assert np.abs(s.metric.inv @ g - np.eye(DIM)).max() <= 1e-15 * cond
+            assert s.metric.det == pytest.approx(np.linalg.det(g), rel=1e-15 * cond)
+            assert s.metric.sqrt_det == pytest.approx(np.sqrt(s.metric.det), rel=1e-15)
+
+    def test_stacked_rows_get_the_bits_of_one_form(self, rng):
+        from g2flow.g2core import _induced
+
+        phis = np.array([s.phi.coeffs for s, _ in _conditioned_structures(rng, 9)])
+        bad = np.zeros(len(phis), dtype=bool)
+        metric, psi = _induced(phis, bad)
+        assert not bad.any()
+        for r, phi in enumerate(phis):
+            one, one_psi = _induced(phi)
+            _same_metric_bits(metric._row(r), one)
+            assert psi[r].tobytes() == one_psi.tobytes()
+
+    def test_closed_form_matches_the_generic_star_recovery(self, rng):
+        from g2flow.g2core import _closed_form
+
+        for s, cond in _conditioned_structures(rng, 15):
+            phi, metric, back = _closed_form(s.psi.coeffs)
+            want_phi, want_g = closed_form_oracle(s.psi.coeffs)
+            assert np.abs(phi - want_phi).max() <= 1e-15 * cond * np.abs(want_phi).max()
+            assert np.abs(metric.g - want_g).max() <= 1e-14 * cond * np.abs(want_g).max()
+            assert back.tobytes() == G2Structure.from_phi(Form(3, phi)).psi.coeffs.tobytes()
+
+    def test_stacked_recovery_rows_get_the_bits_of_one_form(self, rng):
+        from g2flow.g2core import _closed_form, stack_from_psi
+
+        psis = np.array([s.psi.coeffs for s, _ in _conditioned_structures(rng, 9)])
+        stack, bad = stack_from_psi(psis)
+        for r, psi in enumerate(psis):
+            phi, metric, _ = _closed_form(psi)
+            assert stack.phi[r].tobytes() == phi.tobytes()
+            _same_metric_bits(stack.metric._row(r), metric)
+
+    def test_the_standard_structure_is_exact(self, phi_bar, psi_bar):
+        s = G2Structure.from_phi(phi_bar)
+        assert np.array_equal(s.metric.g, np.eye(DIM))
+        assert np.array_equal(s.metric.inv, np.eye(DIM))
+        rec = CoclosedState.from_psi(psi_bar).recovered
+        assert np.array_equal(rec.phi.coeffs, phi_bar.coeffs)
+        assert np.array_equal(rec.psi.coeffs, psi_bar.coeffs)
 
 
 class TestRecovery:
@@ -357,7 +443,7 @@ class TestStackedRecovery:
             CoclosedState.from_psi(Form(4, mixed[2]))
 
     def test_rows_marked_before_the_witness_leave_it_one_factorisation(self, monkeypatch):
-        from g2flow.g2core import _induced_metric
+        from g2flow.g2core import _induced
 
         phis = np.array([random_positive_phi(np.random.default_rng(i)).coeffs for i in range(6)])
         phis[[1, 4]] *= -1.0  # det B < 0
@@ -370,7 +456,7 @@ class TestStackedRecovery:
 
         monkeypatch.setattr(np.linalg, "cholesky", counting)
         bad = np.zeros(len(phis), dtype=bool)
-        metric = _induced_metric(phis, bad)
+        metric, _ = _induced(phis, bad)
         assert bad.tolist() == [False, True, False, False, True, False]
         assert calls == [6]
         assert np.array_equal(metric.g[[1, 4]], [np.eye(7)] * 2)
@@ -379,7 +465,7 @@ class TestStackedRecovery:
         # A row with det > 0 that is not positive definite fails the stacked
         # factorisation; halving the stack finds it in 1 + 2 log2(n) tries
         # (one by one took 1 + n).
-        from g2flow.g2core import _has_cholesky
+        from g2flow.g2core import _cholesky_rows
 
         g = np.array([np.eye(7)] * 32)
         g[19] = np.diag([-1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
@@ -391,7 +477,7 @@ class TestStackedRecovery:
             return cholesky(m)
 
         monkeypatch.setattr(np.linalg, "cholesky", counting)
-        assert np.flatnonzero(~_has_cholesky(g)).tolist() == [19]
+        assert np.flatnonzero(~_cholesky_rows(g)[1]).tolist() == [19]
         assert sorted(calls, reverse=True) == [32, 16, 16, 8, 8, 4, 4, 2, 2, 1, 1]
 
     def test_a_non_finite_right_hand_side_raises_as_one_row_does(self, ee2):
