@@ -60,9 +60,8 @@ Every other Metric is validated when it is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,10 +94,14 @@ from .liealg import _require_unimodular, levi_civita
 
 # _P223[(a, b), c]: coefficient of e^{1..7} in (2-form basis a) ^ (2-form
 # basis b) ^ (3-form basis c); _IOTA3[(i, a), c]: coefficient of 2-form basis
-# a in iota_{e_{i+1}} (3-form basis c).  Flattened once, so B takes two
-# matrix-vector and two small matrix products.
+# a in iota_{e_{i+1}} (3-form basis c).  Each row holds at most one sign, so
+# B takes two signed gathers of the coefficients (_GATHER_*: the source
+# coefficient and its sign, 0 where the row is empty) and two small matrix
+# products.
 _P223 = np.einsum("abd,dce->abc", WEDGE[2, 2], WEDGE[4, 3]).reshape(DIMS[2] ** 2, DIMS[3])
 _IOTA3 = np.ascontiguousarray(CONTRACT[3].transpose(0, 2, 1)).reshape(DIM * DIMS[2], DIMS[3])
+_GATHER_P = (np.abs(_P223).argmax(axis=1), _P223.sum(axis=1))
+_GATHER_IOTA = (np.abs(_IOTA3).argmax(axis=1), _IOTA3.sum(axis=1))
 _IDENTITY = np.eye(DIM)
 
 
@@ -106,21 +109,18 @@ def b_matrix(phi):
     """Bilinear form B with (iota_i phi) ^ (iota_j phi) ^ phi = B_ij e^{1..7}."""
     if phi.degree != 3:
         raise DegreeError(f"expected a 3-form, got degree {phi.degree}")
-    return _b(phi.coeffs)
-
-
-def _b(x):
-    """``b_matrix`` of 3-form coefficients: one form, or a stack in rows."""
-    return _b_parts(x)[1]
+    return _b_parts(phi.coeffs)[1]
 
 
 def _b_parts(x):
-    """(up, B) of 3-form coefficients: up[..., i, b] is the coefficient of
-    e^{1..7} in (iota_i phi) ^ phi ^ (2-form basis b), and B = up u^T with
+    """(up, B) of 3-form coefficients, one form or a stack in rows:
+    up[..., i, b] is the coefficient of e^{1..7} in
+    (iota_i phi) ^ phi ^ (2-form basis b), and B = up u^T with
     u[..., i, :] = iota_i phi."""
     lead = x.shape[:-1]
-    u = (x @ _IOTA3.T).reshape(lead + (DIM, DIMS[2]))
-    up = u @ (x @ _P223.T).reshape(lead + (DIMS[2], DIMS[2]))
+    u = (x.take(_GATHER_IOTA[0], axis=-1) * _GATHER_IOTA[1]).reshape(lead + (DIM, DIMS[2]))
+    p = (x.take(_GATHER_P[0], axis=-1) * _GATHER_P[1]).reshape(lead + (DIMS[2], DIMS[2]))
+    up = u @ p
     return up, up @ u.swapaxes(-1, -2)
 
 
