@@ -33,29 +33,30 @@ grid.  Several rows need an rk4 coflow config without DeTurck
 (``steps_in_lockstep``, the one rule the sweep groups cells by).  One start
 is an ensemble of one row: there is one time loop.
 
-Every row of a stage is evaluated on coefficient arrays: the evaluator
-keeps one kind of entry per row, its 3-form phi and checked metric (psi =
-star phi where known) and its right-hand side.  Several rows are recovered
-and evaluated as one stack (``g2core.stack_from_psi`` and
-``coflow_rhs_stack``); a single row goes through the kernels of one form
-(the closed form and residual gate of ``phi_of_psi`` for the coflow, the
-induced metric for the Laplacian flow, then the right-hand-side kernels
-that ``coflow_rhs`` and ``laplacian_flow_rhs`` wrap).  A coflow row that
-misses the gate, and a row the stack marks, is redone by
+Every row of a stage is evaluated on coefficient arrays and kept as
+(key, G2Structure, rhs, trT).  Several rows are recovered and evaluated as
+one stack (``g2core.stack_from_psi`` into a structure with rows, then the
+right-hand-side kernel), and each keeps its row of it; a single row goes
+through the kernels of one form (the closed form and residual gate of
+``phi_of_psi`` for the coflow, the induced metric for the Laplacian flow,
+then the kernels that ``coflow_rhs`` and ``laplacian_flow_rhs`` wrap).  A
+coflow row that misses the gate, and a row the stack marks, is redone by
 ``CoclosedState.from_psi``, with its Newton corrections and errors.  Every
 kernel rounds a row as the public functions do on the form alone, d
 included on any structure constants, so each row's trajectory is bit for
 bit the one its start gets alone and the one the public functions give.
 Rows are independent: a row that halts freezes with the records it gets
-alone while the others step on.
+alone while the others step on.  An overflow in the arithmetic of a stage
+halts the row (``nonfinite``) also where RuntimeWarnings are errors.
 
 A Trajectory is a list of FlowState records and the termination record.
-Form and G2Structure objects are built only at record time (and for
-DeTurck); a stage's metric is built trusted by its kernel (see
-``g2core``).  Each snapshot takes what the output needs while the step's
-metric is live: t, the flowing form, psi (star phi for the Laplacian
-flow) and the diagnostics.  It keeps no structure or metric, so only the
-current step's operators are alive at any time.  The experiments write
+A stage builds no Form (but for DeTurck), and its metric is built trusted
+by its kernel (see ``g2core``).  A record builds the Forms of its
+FlowState and reads everything else off its row: the coflow's trT is the
+one its right-hand side took, the Laplacian flow's is taken on the row's
+arrays.  A FlowState holds t, the flowing form, psi (star phi for the
+Laplacian flow) and the diagnostics, and no structure or metric, so only
+the current step's operators are alive at any time.  The experiments write
 ``Trajectory.records()`` through their shared record writer.
 
 ``linearize`` probes a static point with central finite differences along a
@@ -237,14 +238,14 @@ def coflow_rhs(L, state, A=0.0):
     affine in A: the A-dependence is exactly 2 A d(phi).
     """
     s = _structure_of(state)
-    return Form(4, _coflow_rhs(L, s.metric, s.phi.coeffs, A))
+    return Form(4, _coflow_rhs(L, s.metric, s.phi_coeffs, A)[0])
 
 
-def coflow_rhs_stack(L, stack, A=0.0):
-    """``coflow_rhs`` of every row of a ``g2core.StructureStack`` in one
-    pass: the (n, 35) array of right-hand-side coefficients.  Raises the
+def coflow_rhs_stack(L, structure, A=0.0):
+    """``coflow_rhs`` of every row of a G2Structure with rows in one pass:
+    the (n, 35) array of right-hand-side coefficients.  Raises the
     ValueError of ``coflow_rhs`` when a row is not finite."""
-    return _finite_coeffs(_coflow_rhs(L, stack.metric, stack.phi, A))
+    return _finite_coeffs(_coflow_rhs(L, structure.metric, structure.phi_coeffs, A)[0])
 
 
 def _finite_coeffs(x):
@@ -256,7 +257,8 @@ def _finite_coeffs(x):
 
 
 def _coflow_rhs(L, metric, phi, A):
-    """``coflow_rhs`` of coefficients: one structure, or stacks in rows.
+    """``coflow_rhs`` of coefficients, one structure or stacks in rows, with
+    the torsion trace it takes on the way: (rhs, trT).
 
     On a closed psi = star phi, delta d psi = 0 and delta psi =
     CODIFF_SIGN[4] star d phi, so the right-hand side is d chi with
@@ -267,7 +269,7 @@ def _coflow_rhs(L, metric, phi, A):
     dphi = _d(L, 3, phi)
     trace = _torsion_trace(metric, phi, dphi)
     chi = CODIFF_SIGN[4] * metric.star_coeffs(4, dphi) + _per_row(2.0 * (A - trace)) * phi
-    return _d(L, 3, chi)
+    return _d(L, 3, chi), trace
 
 
 def laplacian_flow_rhs(L, state):
@@ -275,7 +277,7 @@ def laplacian_flow_rhs(L, state):
     d delta phi = CODIFF_SIGN[3] d star d psi, with psi = star phi the
     structure's cached dual 4-form (one star besides it)."""
     s = _structure_of(state)
-    return Form(3, _laplacian_rhs(L, s.metric, s.psi.coeffs))
+    return Form(3, _laplacian_rhs(L, s.metric, s.psi_coeffs))
 
 
 def _laplacian_rhs(L, metric, psi):
@@ -368,55 +370,32 @@ class Trajectory:
         return [s.record() for s in self.states]
 
 
-class _Row:
-    """What the evaluator keeps of one row at the flowing coefficients it
-    was last evaluated at (``key``, their bytes): the 3-form ``phi`` and
-    its checked ``metric``, ``psi`` = star phi where it is known, the
-    right-hand side ``rhs`` once evaluated, and the G2Structure once a
-    record or DeTurck asks for it."""
-
-    __slots__ = ("key", "phi", "metric", "psi", "rhs", "_structure")
-
-    def __init__(self, key, phi, metric, psi=None, rhs=None, structure=None):
-        self.key = key
-        self.phi = phi
-        self.metric = metric
-        self.psi = psi
-        self.rhs = rhs
-        self._structure = structure
-
-    def structure(self):
-        """The G2Structure of the row, built on first use."""
-        if self._structure is None:
-            self._structure = G2Structure(phi=Form(3, self.phi), metric=self.metric)
-            if self.psi is not None:
-                self._structure.psi = Form(4, self.psi)
-        return self._structure
-
-
 class _Evaluator:
     """Shared right-hand-side evaluator of the rows of an ensemble.
 
     The state of a row is a pure function of its flowing coefficients, so
-    each row keeps a ``_Row`` of its last evaluation: a record time, the
-    next step's first stage and every retried rkf45 attempt share one
-    recovery and one right-hand side.  Row i starts out holding the
+    ``rows[i]`` keeps row i's last evaluation as (key, structure, rhs, trT):
+    the bytes of the coefficients it was evaluated at, their G2Structure,
+    and the right-hand side and torsion trace once evaluated (trT is None
+    for the Laplacian flow, whose right-hand side takes none).  A record
+    time, the next step's first stage and every retried rkf45 attempt share
+    one recovery and one right-hand side.  Row i starts out holding the
     structure of ``states[i]`` at ``y[i]``.
 
-    Every row is evaluated on coefficient arrays and trusted metrics; a
-    Form or G2Structure is built only when a record or DeTurck asks for the
-    row's structure.  An ensemble of two or more rows (see
-    ``steps_in_lockstep``) recovers and evaluates the rows of a call as
-    one stack (``stack_from_psi`` and ``coflow_rhs_stack``).  A single row
-    goes through the kernels of one form: the coflow through the closed
-    form and the residual gate of ``phi_of_psi``, then ``_coflow_rhs``; the
-    Laplacian flow through ``_induced`` (its metric and psi = star phi) and
-    ``_laplacian_rhs``.  A coflow row that misses the gate or fails the closed form, and every
-    row the stack marks, falls back to ``CoclosedState.from_psi``, so a
-    row gets the bits, Newton corrections and errors of its public-API
-    evaluation.  A row whose evaluation fails is entered in ``failed`` with
-    its halt reason and detail; calls skip it, with zero entries, until the
-    caller takes it out.
+    Every row is evaluated on coefficient arrays and kernel-built metrics;
+    no Form is built but for DeTurck.  An ensemble of two or more rows (see
+    ``steps_in_lockstep``) recovers and evaluates the rows of a call as one
+    stack (``stack_from_psi`` and ``_coflow_rhs``), and each row keeps its
+    row of the stacked structure.  A single row goes through the kernels of
+    one form: the coflow through the closed form and the residual gate of
+    ``phi_of_psi``, then ``_coflow_rhs``; the Laplacian flow through
+    ``_induced`` (its metric and psi = star phi) and ``_laplacian_rhs``.  A
+    coflow row that misses the gate or fails the closed form, and every row
+    the stack marks, falls back to ``CoclosedState.from_psi``, so a row gets
+    the bits, Newton corrections and errors of its public-API evaluation.
+    A row whose evaluation fails is entered in ``failed`` with its halt
+    reason and detail; calls skip it, with zero entries, until the caller
+    takes it out.
     """
 
     def __init__(self, L, config, A, y, states):
@@ -427,10 +406,7 @@ class _Evaluator:
         self.stacked = len(states) > 1
         self.nabla0 = Connection(np.zeros((DIM, DIM, DIM)))
         self.dmat = L.differential_matrix(4 if self.coflow else 3)
-        self._rows = []
-        for row, state in zip(y, states):
-            s = _structure_of(state)
-            self._rows.append(_Row(row.tobytes(), s.phi.coeffs, s.metric, structure=s))
+        self.rows = [(row.tobytes(), _structure_of(s), None, None) for row, s in zip(y, states)]
         self.failed = {}
 
     def f(self, rows, y):
@@ -440,22 +416,23 @@ class _Evaluator:
         for j, i in enumerate(rows):
             if i in self.failed:
                 continue
-            entry = self._rows[i]
-            if y[j].tobytes() == entry.key:
-                out[j] = self._rhs(i, y[j]) if entry.rhs is None else entry.rhs
+            key, _, rhs, _ = self.rows[i]
+            if y[j].tobytes() == key:
+                out[j] = self._rhs(i, y[j]) if rhs is None else rhs
             elif np.isfinite(y[j]).all():
                 todo.append(j)
             else:
                 self.failed[i] = ("nonfinite", "a stage of the step left the finite range")
         if self.stacked and len(todo) > 1:
             stack, bad = stack_from_psi(y[todo])
-            rhs = coflow_rhs_stack(self.L, stack, np.array([self.A[rows[j]] for j in todo]))
+            A = np.array([self.A[rows[j]] for j in todo])
+            rhs, trT = _coflow_rhs(self.L, stack.metric, stack.phi_coeffs, A)
+            rhs = _finite_coeffs(rhs)
             for r, j in enumerate(todo):
                 if bad[r]:
                     self._one(rows[j], y[j], out[j])
                 else:
-                    metric = stack.metric._row(r)
-                    self._rows[rows[j]] = _Row(y[j].tobytes(), stack.phi[r], metric, rhs=rhs[r])
+                    self.rows[rows[j]] = (y[j].tobytes(), stack.row(r), rhs[r], trT[r])
                     out[j] = rhs[r]
         else:
             for j in todo:
@@ -465,72 +442,74 @@ class _Evaluator:
     def _one(self, i, y, out):
         """Evaluate row i at y by the kernels of one form into ``out``."""
         try:
-            self._rows[i] = self._recover(y) if self.coflow else self._induce(y)
+            s = self._recover(y) if self.coflow else self._induce(y)
         except (PositivityError, RecoveryError) as exc:
             reason = "positivity" if isinstance(exc, PositivityError) else "newton"
             self.failed[i] = (reason, str(exc))
             return
+        self.rows[i] = (y.tobytes(), s, None, None)
         out[:] = self._rhs(i, y)
 
     @staticmethod
     def _recover(psi):
-        """The row of a 4-form: the closed form when it passes the residual
-        gate of ``phi_of_psi``, else ``CoclosedState.from_psi`` (its Newton
-        corrections, or its error)."""
+        """The structure of a 4-form: the closed form when it passes the
+        residual gate of ``phi_of_psi``, else ``CoclosedState.from_psi``
+        (its Newton corrections, or its error)."""
         try:
             phi, metric, back = _closed_form(psi)
         except RecoveryError:
             pass
         else:
             if float(np.linalg.norm(back - psi)) <= NEWTON_TOL:
-                return _Row(psi.tobytes(), phi, metric, back)
-        s = CoclosedState.from_psi(Form(4, psi)).recovered
-        return _Row(psi.tobytes(), s.phi.coeffs, s.metric, structure=s)
+                return G2Structure(phi, metric, back)
+        return CoclosedState.from_psi(Form(4, psi)).recovered
 
     @staticmethod
     def _induce(phi):
-        """The row of a 3-form, with its induced metric and psi = star phi."""
+        """The structure of a 3-form, with its induced metric and psi = star phi."""
         phi = phi.copy()  # y is a stage array the integrator writes to
-        metric, psi = _induced(phi)
-        return _Row(phi.tobytes(), phi, metric, psi)
+        return G2Structure(phi, *_induced(phi))
 
     def _rhs(self, i, y):
-        """The right-hand side of row i at its coefficients y, kept for reuse."""
-        entry = self._rows[i]
+        """The right-hand side of row i at its coefficients y, kept for reuse
+        with the torsion trace of a coflow row."""
+        key, s, _, _ = self.rows[i]
         cfg = self.config
         if self.coflow:
-            rhs = _coflow_rhs(self.L, entry.metric, entry.phi, self.A[i])
+            rhs, trT = _coflow_rhs(self.L, s.metric, s.phi_coeffs, self.A[i])
         else:
-            # A start's psi is read off its structure when first needed.
-            psi = entry.structure().psi.coeffs if entry.psi is None else entry.psi
-            rhs = _laplacian_rhs(self.L, entry.metric, psi)
+            rhs, trT = _laplacian_rhs(self.L, s.metric, s.psi_coeffs), None
         rhs = _finite_coeffs(rhs)
         if cfg.deturck.enabled:
-            s = entry.structure()
             v = deturck_vector(self.L, s, self.nabla0, cfg.deturck.c1, cfg.deturck.c2)
             form = Form(4, y) if self.coflow else s.phi
             rhs = _finite_coeffs(rhs + lie_derivative(self.L, v, form).coeffs)
-        entry.rhs = rhs
+        self.rows[i] = (key, s, rhs, trT)
         return rhs
-
-    def rhs(self, i):
-        """The right-hand side of row i at its last evaluated coefficients."""
-        return self._rows[i].rhs
-
-    def structure(self, i):
-        """The G2 structure of row i at its last evaluated coefficients."""
-        return self._rows[i].structure()
 
     def closedness(self, y):
         return float(np.linalg.norm(self.dmat @ y))
 
 
+def _quietly(fn):
+    """fn(), the arithmetic of a stage or a step (y + h k).  Where
+    RuntimeWarnings are errors an overflow there raises; fn is then run
+    again under np.errstate, since the evaluator and the step check halt on
+    a non-finite stage or step (``nonfinite``).  Otherwise no errstate is
+    entered: each costs about a microsecond."""
+    try:
+        return fn()
+    except RuntimeWarning:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn()
+
+
 def _rk4_step(f, y, h):
     k1 = f(y)
-    k2 = f(y + (0.5 * h) * k1)
-    k3 = f(y + (0.5 * h) * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(_quietly(lambda: y + (0.5 * h) * k1))
+    k3 = f(_quietly(lambda: y + (0.5 * h) * k2))
+    k4 = f(_quietly(lambda: y + h * k3))
+    return _quietly(lambda: y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
 # Fehlberg 4(5) tableau; propagation uses the fifth-order weights.
@@ -545,21 +524,20 @@ _RKF_A = (
 )
 _RKF_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
 _RKF_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -0.2, 0.0)
+_RKF_ERR = tuple(b5 - b4 for b5, b4 in zip(_RKF_B5, _RKF_B4))
 
 
 def _rkf45_attempt(f, y, h):
+    def combine(start, weights):
+        for w, k in zip(weights, ks):
+            start = start + (h * w) * k
+        return start
+
     ks = []
     for row in _RKF_A:
-        yi = y.copy()
-        for a, k in zip(row, ks):
-            yi = yi + (h * a) * k
-        ks.append(f(yi))
-    y5 = y.copy()
-    err = np.zeros_like(y)
-    for b5, b4, k in zip(_RKF_B5, _RKF_B4, ks):
-        y5 = y5 + (h * b5) * k
-        err = err + (h * (b5 - b4)) * k
-    return y5, float(np.linalg.norm(err))
+        ks.append(f(_quietly(lambda: combine(y.copy(), row))))
+    err = _quietly(lambda: float(np.linalg.norm(combine(np.zeros_like(y), _RKF_ERR))))
+    return _quietly(lambda: combine(y.copy(), _RKF_B5)), err
 
 
 def steps_in_lockstep(config):
@@ -629,14 +607,17 @@ def _integrate_rows(L, config, starts, references, A):
 
     def snapshot(i, t, rhs_norm=True):
         """Record row i at time t with the monitor values; ``rhs_norm``
-        False leaves its right-hand side unread (and the value null)."""
-        s = evaluator.structure(i)
-        rhs = evaluator.rhs(i) if mon.rhs_norm and rhs_norm else None
+        False leaves its right-hand side unread (and the value null).  The
+        torsion trace is the one the coflow right-hand side took, else it is
+        taken here on the row's arrays."""
+        _, s, rhs, trT = evaluator.rows[i]
+        if mon.trT and trT is None:
+            trT = _torsion_trace(s.metric, s.phi_coeffs, _d(L, 3, s.phi_coeffs))
         diag = {
-            "trT": torsion_trace(L, s) if mon.trT else None,
+            "trT": float(trT) if mon.trT else None,
             "volume": s.volume if mon.volume else None,
             "closedness": closed[i] if mon.closedness else None,
-            "rhs_norm": None if rhs is None else float(np.linalg.norm(rhs)),
+            "rhs_norm": float(np.linalg.norm(rhs)) if mon.rhs_norm and rhs_norm else None,
             "dist_ref": float(np.linalg.norm(y[i] - ref[i])) if mon.dist_ref else None,
         }
         psi = Form(4, y[i]) if coflow else s.psi

@@ -41,13 +41,17 @@ entries are not finite is screened before it is factorised.
 
 The kernels (B, the induced metric and dual, the closed-form recovery, the
 torsion trace) take the coefficients of one form or a stack of forms in
-rows, with one metric per row.  ``stack_from_psi`` recovers independent
-4-forms in one pass: every check of one recovery runs over the whole
-stack, and a row that fails one comes back marked, to be redone one by one
-by ``CoclosedState.from_psi`` (Newton corrections, errors and messages are
-its own).  Scalar powers and the product of the factor's diagonal are taken
-per row as for one form, so a stacked row gets the arithmetic of its
-one-form evaluation.
+rows, with one metric per row, and ``G2Structure`` carries what they make:
+phi, its metric and psi as arrays, for one form or for rows, with Form
+views of one form built only when asked for.  ``stack_from_psi`` recovers
+independent 4-forms in one pass into a structure with rows: every check of
+one recovery runs over the whole stack, and a row that fails one comes back
+marked, to be redone one by one by ``CoclosedState.from_psi`` (Newton
+corrections, errors and messages are its own).  Scalar powers and the
+product of the factor's diagonal are taken per row as for one form, so a
+stacked row gets the arithmetic of its one-form evaluation.  An overflow in
+forming the B of one form leaves B non-finite, which ends in a
+PositivityError also where RuntimeWarnings are errors.
 
 The kernels build their metrics trusted (``Metric._trusted``): no copy and
 no second validation, with the inverse, det and sqrt(det) of the same
@@ -88,7 +92,6 @@ from .exterior import (
     _per_row,
     _wedge,
     merge_sign,
-    star,
 )
 from .liealg import _require_unimodular, levi_civita
 
@@ -254,8 +257,17 @@ def _induced(x, bad=None):
     g = (kappa / r) B, g^{-1} = (r / kappa) B^{-1} from one inverse,
     det g = kappa^7 r^2 and sqrt(det g) = kappa^{7/2} r become the metric's
     caches, and psi is read off g^{-1} up (``_dual``)."""
-    up, b = _b_parts(x)
-    b = b + b.swapaxes(-1, -2)
+    try:
+        up, b = _b_parts(x)
+        b = b + b.swapaxes(-1, -2)
+    except RuntimeWarning:  # raised where warnings are errors
+        if bad is not None:  # a stack keeps its warnings
+            raise
+        # The screen below turns the non-finite B of one form into a
+        # PositivityError, so its overflow is silenced.
+        with np.errstate(over="ignore", invalid="ignore"):
+            up, b = _b_parts(x)
+            b = b + b.swapaxes(-1, -2)
     b *= 0.5
     if bad is None:
         if not np.isfinite(b).all():
@@ -294,34 +306,43 @@ def _induced(x, bad=None):
     return metric, _finite(_dual(up, ginv), bad, 0.0)
 
 
-@dataclass(eq=False)
 class G2Structure:
-    """Positive 3-form with its induced metric; treat as immutable."""
+    """A G2 structure on coefficient arrays, of one positive 3-form or of a
+    stack of them in rows: ``phi_coeffs`` ((35,) or (n, 35)), its induced
+    ``metric`` (one Metric, or one holding the n metrics) and
+    ``psi_coeffs`` = star phi, which the kernels read off B and a structure
+    built from a given (phi, metric) pair stars on first access.  On one
+    structure ``phi`` and ``psi`` are Form views, built on first access;
+    ``row(r)`` is row r of a stack as a structure of its own, sharing the
+    row's arrays and metric caches.  Treat as immutable."""
 
-    phi: Form
-    metric: Metric
+    def __init__(self, phi, metric, psi=None):
+        self.phi_coeffs, self.metric = phi, metric
+        if psi is not None:
+            self.psi_coeffs = psi
 
     @classmethod
     def from_phi(cls, phi):
-        """The structure of a positive 3-form, with psi read off B (see
-        ``_induced``)."""
+        """The structure of a positive 3-form (see ``_induced``)."""
         if phi.degree != 3:
             raise DegreeError(f"expected a 3-form, got degree {phi.degree}")
-        metric, psi = _induced(phi.coeffs)
-        structure = cls(phi=phi, metric=metric)
-        structure.psi = Form(4, psi)
+        structure = cls(phi.coeffs, *_induced(phi.coeffs))
+        structure.phi = phi
         return structure
 
-    @_cached
-    def psi(self):
-        """Dual 4-form star(phi); set by the kernels that build a structure,
-        and starred by the metric for one built from a given (phi, metric)."""
-        return star(self.metric, self.phi)
+    psi_coeffs = _cached(lambda self: self.metric.star_coeffs(3, self.phi_coeffs))
+    phi = _cached(lambda self: Form(3, self.phi_coeffs))
+    psi = _cached(lambda self: Form(4, self.psi_coeffs))
 
     @property
     def volume(self):
-        """Scalar volume sqrt(det g) of the unit frame box."""
+        """Scalar volume sqrt(det g) of the unit frame box (per row of a stack)."""
         return self.metric.sqrt_det
+
+    def row(self, r):
+        """Row r of a stack as a structure of one form."""
+        psi = self.__dict__.get("psi_coeffs")
+        return G2Structure(self.phi_coeffs[r], self.metric._row(r), None if psi is None else psi[r])
 
 
 # Tries per correction step, halving it each time, before recovery stalls.
@@ -360,9 +381,7 @@ def _phi_of_psi(psi, tol, max_iter):
     """``phi_of_psi`` with the residual |star phi - psi| it ends on."""
     if psi.degree != 4:
         raise DegreeError(f"expected a 4-form, got degree {psi.degree}")
-    phi, metric, back = _closed_form(psi.coeffs)
-    structure = G2Structure(phi=Form(3, phi), metric=metric)
-    structure.psi = Form(4, back)
+    structure = G2Structure(*_closed_form(psi.coeffs))
     f = structure.psi.coeffs - psi.coeffs
     res = float(np.linalg.norm(f))
     for _ in range(max_iter):
@@ -376,7 +395,7 @@ def _phi_of_psi(psi, tol, max_iter):
             ) from None
         for _ in range(_CORRECTION_HALVINGS):
             try:
-                trial = G2Structure.from_phi(Form(3, structure.phi.coeffs - step))
+                trial = G2Structure.from_phi(Form(3, structure.phi_coeffs - step))
             except PositivityError:
                 step = 0.5 * step
                 continue
@@ -421,27 +440,18 @@ def _closed_form(psi, bad=None):
     return phi, metric, back
 
 
-@dataclass(eq=False)
-class StructureStack:
-    """G2 structures stacked in rows: 3-forms ``phi`` (n, 35) and one
-    ``metric`` holding the n induced metrics.  The rows that
-    ``stack_from_psi`` marks hold finite placeholders.  Treat as immutable."""
-
-    phi: np.ndarray
-    metric: Metric
-
-
 def stack_from_psi(psi):
     """``CoclosedState.from_psi`` for each 4-form row of ``psi`` (n, 35), by
-    the closed form in one pass.  Returns (stack, bad): ``bad`` marks the
-    rows that fail a check or whose residual exceeds ``NEWTON_TOL``; they hold
-    placeholders, and ``CoclosedState.from_psi`` on such a row applies the
-    Newton corrections or raises as it does for one form."""
+    the closed form in one pass.  Returns (structure, bad): a G2Structure
+    with a row per 4-form, and ``bad`` marking the rows that fail a check or
+    whose residual exceeds ``NEWTON_TOL``; they hold placeholders, and
+    ``CoclosedState.from_psi`` on such a row applies the Newton corrections
+    or raises as it does for one form."""
     bad = np.zeros(len(psi), dtype=bool)
     psi = _finite(psi, bad, 0.0)
-    phi, metric, back = _closed_form(psi, bad)
-    bad |= ~(_norms(back - psi) <= NEWTON_TOL)  # the residual gate of phi_of_psi
-    return StructureStack(phi=phi, metric=metric), bad
+    structure = G2Structure(*_closed_form(psi, bad))
+    bad |= ~(_norms(structure.psi_coeffs - psi) <= NEWTON_TOL)  # the residual gate of phi_of_psi
+    return structure, bad
 
 
 @dataclass(eq=False)
@@ -477,7 +487,7 @@ def _structure_of(state):
 def torsion_trace(L, state):
     """Scalar torsion trace (1/4) star(d phi ^ phi) of a structure or state."""
     s = _structure_of(state)
-    phi = s.phi.coeffs
+    phi = s.phi_coeffs
     return float(_torsion_trace(s.metric, phi, _d(L, 3, phi)))
 
 
@@ -527,8 +537,8 @@ def full_torsion(L, state):
     """
     s = _structure_of(state)
     conn = levi_civita(L, s.metric)
-    nabla_phi = np.einsum("iab,b->ia", conn.form_action(3), s.phi.coeffs)
-    iota_psi = np.einsum("iab,a->ib", CONTRACT[4], s.psi.coeffs)
+    nabla_phi = np.einsum("iab,b->ia", conn.form_action(3), s.phi_coeffs)
+    iota_psi = np.einsum("iab,a->ib", CONTRACT[4], s.psi_coeffs)
     gram3 = s.metric.gram(3)
     t = TORSION_PAIRING * (nabla_phi @ gram3 @ iota_psi.T)
     return TorsionTensor(t)

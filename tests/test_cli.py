@@ -363,18 +363,32 @@ OVERFLOWING_FLOWS = {
 }
 
 
+def _overflowing_config(overrides, method):
+    """A custom run of an OVERFLOWING_FLOWS case whose first step is 1.7e308."""
+    cfg = {"schema_version": 1, "experiment": "custom",
+           "perturbation": {"magnitude": 0.0}, "output": {"format": "jsonl"}}
+    cfg.update(overrides)
+    if cfg["algebra_file"].endswith(".json"):
+        cfg["algebra_file"] = str(ROOT / cfg["algebra_file"])
+    cfg["flow"] = dict(cfg["flow"], integrator={"method": method, "dt": 1.7e308,
+                                                 "t_end": 1.7e308})
+    return cfg
+
+
+def _run_with_warnings_as_errors(argv):
+    """The CLI in a subprocess with RuntimeWarnings as errors."""
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "g2flow.cli"] + argv,
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestOverflowingStep:
     @pytest.mark.parametrize(
         "overrides, reason", OVERFLOWING_FLOWS.values(), ids=OVERFLOWING_FLOWS.keys()
     )
     def test_ends_in_a_halt_with_summary_and_record(self, capsys, tmp_path, overrides, reason):
-        cfg = {"schema_version": 1, "experiment": "custom",
-               "perturbation": {"magnitude": 0.0}, "output": {"format": "jsonl"}}
-        cfg.update(overrides)
-        if cfg["algebra_file"].endswith(".json"):
-            cfg["algebra_file"] = str(ROOT / cfg["algebra_file"])
-        cfg["flow"] = dict(cfg["flow"], integrator={"method": "rk4", "dt": 1.7e308,
-                                                     "t_end": 1.7e308})
+        cfg = _overflowing_config(overrides, "rk4")
         with np.errstate(over="ignore", invalid="ignore"):
             code, out, err = _run(capsys, ["run", _config(tmp_path, cfg),
                                            "--output-dir", str(tmp_path)])
@@ -389,6 +403,25 @@ class TestOverflowingStep:
         assert len(records) == payload["summary"]["records"]
         assert records[0]["t"] == 0.0
 
+    @pytest.mark.parametrize(
+        "case, method",
+        [(case, "rk4") for case in OVERFLOWING_FLOWS] + [("coflow-ee1", "rkf45")],
+    )
+    def test_halts_alike_with_warnings_as_errors(self, capsys, tmp_path, case, method):
+        # The stage arithmetic (coflow-ee1) or the B of the first stage
+        # (laplacian-n2) overflows.  Where RuntimeWarnings are errors that
+        # raises, and the run must still end in the halt it reports with
+        # the overflow silenced.
+        cfg = _config(tmp_path, _overflowing_config(OVERFLOWING_FLOWS[case][0], method))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, _ = _run(capsys, ["run", cfg, "--output-dir", str(tmp_path / "quiet")])
+        assert code == EXIT_NUMERICAL
+        want = json.loads(out)["summary"]["termination"]
+        assert want["reason"] == OVERFLOWING_FLOWS[case][1]
+        proc = _run_with_warnings_as_errors(["run", cfg, "--output-dir", str(tmp_path / "loud")])
+        assert (proc.returncode, proc.stderr) == (EXIT_NUMERICAL, "")
+        assert json.loads(proc.stdout)["summary"]["termination"] == want
+
     def test_an_overflowing_recovery_halts_with_warnings_as_errors(self, tmp_path):
         # The first stage's dual 3-form has a finite B whose determinant
         # overflows.  No determinant is taken on the way to the halt but
@@ -397,12 +430,8 @@ class TestOverflowingStep:
         cfg = {"schema_version": 1, "experiment": "ee2_flow",
                "flow": {"A": 3, "integrator": {"method": "rk4", "dt": 1e150, "t_end": 1e160}},
                "perturbation": {"seed": 1, "magnitude": 0.2}}
-        env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning",
-                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "g2flow.cli", "run", _config(tmp_path, cfg),
-             "--output-dir", str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=60,
+        proc = _run_with_warnings_as_errors(
+            ["run", _config(tmp_path, cfg), "--output-dir", str(tmp_path)]
         )
         assert (proc.returncode, proc.stderr) == (EXIT_NUMERICAL, "")
         term = json.loads(proc.stdout)["summary"]["termination"]

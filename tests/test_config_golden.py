@@ -5,7 +5,8 @@ sweeps the expanded cells) is compared with ``tests/golden_config.json``
 through ``json.dumps`` without ``sort_keys``, so the order of violations
 and of echo keys is pinned too.  After a deliberate change of a message,
 regenerate the file with ``PYTHONPATH=src python -m tests.test_config_golden``
-and review the diff.
+and review the diff.  The README's block of config defaults is checked
+against the live echo, and its library quickstart is run as written.
 """
 
 import json
@@ -234,6 +235,16 @@ def test_readme_defaults_match_live_echo():
     assert violations == []
     assert json.dumps(documented) == json.dumps(cfg.to_dict())
 
+
+
+def test_readme_library_quickstart_runs_as_written(capsys):
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"## Quickstart \(library\)\n\n```python\n(.*?)\n```", text, re.S)
+    assert match, "README lost its library quickstart"
+    exec(compile(match.group(1), "README.md quickstart", "exec"), {})
+    static_norm, completed = capsys.readouterr().out.splitlines()
+    assert float(static_norm) <= 1e-10
+    assert completed == "completed 1.0"
 
 if __name__ == "__main__":
     GOLDEN.write_text(

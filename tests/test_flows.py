@@ -825,15 +825,15 @@ class TestEnsembles:
 
 def _public_api_rows(monkeypatch):
     """Make the evaluator build every one-form row through the public API:
-    the structure from ``CoclosedState.from_psi`` or ``G2Structure.from_phi``
-    and the right-hand side from ``coflow_rhs`` or ``laplacian_flow_rhs``
-    plus ``deturck_term``.  This is the oracle of the lean one-form path."""
+    the structure from ``CoclosedState.from_psi`` or ``G2Structure.from_phi``,
+    the right-hand side from ``coflow_rhs`` or ``laplacian_flow_rhs`` plus
+    ``deturck_term``, and the recorded torsion trace from ``torsion_trace``.
+    This is the oracle of the lean one-form path."""
     from g2flow import flows
     from g2flow.errors import PositivityError, RecoveryError
 
     def rhs(self, i, y):
-        entry = self._rows[i]
-        s = entry.structure()
+        key, s, _, _ = self.rows[i]
         if self.coflow:
             # coflow_rhs and deturck_term read no residual.
             state = CoclosedState(psi=Form(4, y), recovered=s, residual=0.0)
@@ -844,8 +844,8 @@ def _public_api_rows(monkeypatch):
         gauge = self.config.deturck
         if gauge.enabled:
             out = out + deturck_term(self.L, state, self.nabla0, gauge.c1, gauge.c2)
-        entry.rhs = out.coeffs
-        return entry.rhs
+        self.rows[i] = (key, s, out.coeffs, torsion_trace(self.L, s))
+        return out.coeffs
 
     def one(self, i, y, out):
         try:
@@ -857,7 +857,7 @@ def _public_api_rows(monkeypatch):
             reason = "positivity" if isinstance(exc, PositivityError) else "newton"
             self.failed[i] = (reason, str(exc))
             return
-        self._rows[i] = flows._Row(y.tobytes(), s.phi.coeffs, s.metric, structure=s)
+        self.rows[i] = (y.tobytes(), s, None, None)
         out[:] = self._rhs(i, y)
 
     monkeypatch.setattr(flows._Evaluator, "_rhs", rhs)
@@ -988,31 +988,119 @@ class TestLeanPath:
         assert NEWTON_TOL < float(residual.group(1)) <= 1e-10
         assert lean == public and runs[0] == runs[1]
 
-    def test_structures_are_built_per_record_not_per_stage(self, n2, monkeypatch):
-        # The laplacian_n2 benchmark run over one time unit: 100 rk4 steps,
-        # 400 stages and 101 records.
-        counts = {"Form": 0, "Metric": 0}
-        for cls in (Form, Metric):
-            init = cls.__post_init__
+    def test_structures_are_built_per_record_not_per_stage(self, ee2, n2, monkeypatch):
+        """Inside ``integrate``, after the start: no Metric is validated, no
+        G2Structure is built but the one each evaluation carries its row in
+        (as many with a record every step as with records at the ends only),
+        neither ``G2Structure.from_phi`` nor the public ``torsion_trace`` is
+        called, and the Forms built are those of the records: one per
+        coflow record and two per Laplacian record (the start's phi is the
+        Form it was built from).  One row of each flow, and a stack."""
+        from g2flow import flows
 
-            def counting(self, init=init, name=cls.__name__):
+        counts = {"Form": 0, "Metric": 0, "G2Structure": 0, "from_phi": 0, "torsion_trace": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
                 counts[name] += 1
-                init(self)
+                return fn(*args, **kwargs)
 
-            monkeypatch.setattr(cls, "__post_init__", counting)
-        start = G2Structure.from_phi(closed_n2_phi(np.random.default_rng(0)))
-        cfg = FlowConfig(
-            flow_kind="laplacian_flow",
-            integrator=IntegratorConfig(dt=0.01, t_end=1.0),
-            monitors=MonitorConfig(record_every=1),
+            return wrapped
+
+        for cls in (Form, Metric):
+            monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+        monkeypatch.setattr(G2Structure, "__init__", counting("G2Structure", G2Structure.__init__))
+        from_phi = G2Structure.from_phi
+        monkeypatch.setattr(
+            G2Structure, "from_phi", classmethod(lambda cls, phi: counting("from_phi", from_phi)(phi))
         )
-        counts.update(Form=0, Metric=0)
-        traj = integrate(n2, cfg, start)
-        records = len(traj.states)
-        assert (traj.termination["steps"], records) == (100, 101)
-        # phi and psi = star phi of each record's structure but the start's,
-        # which holds both already; no Metric.
-        assert counts == {"Form": 2 * records - 2, "Metric": 0}
+        monkeypatch.setattr(flows, "torsion_trace", counting("torsion_trace", flows.torsion_trace))
+        coflow_starts = TestEnsembles._starts(ee2, (0, 1, 2), 0.05)
+        phi = closed_n2_phi(np.random.default_rng(0))
+        # The laplacian_n2 benchmark run over one time unit, 100 rk4 steps,
+        # and 15 coflow steps of one row and of a stack of three.
+        laplacian = FlowConfig(flow_kind="laplacian_flow", integrator=IntegratorConfig(dt=0.01))
+        coflow = TestEnsembles.CFG
+        structures = []
+        for L, cfg, start, forms_per_record in (
+            (n2, laplacian, lambda: from_phi(phi), 2),
+            (ee2, coflow, lambda: coflow_starts[0], 1),
+            (ee2, coflow, lambda: coflow_starts, 1),
+        ):
+            for record_every in (1, 1000):
+                monitors = dataclasses.replace(cfg.monitors, record_every=record_every)
+                start_state = start()
+                for name in counts:
+                    counts[name] = 0
+                runs = integrate(L, dataclasses.replace(cfg, monitors=monitors), start_state)
+                runs = runs if isinstance(runs, list) else [runs]
+                assert all(run.termination["reason"] == "t_end" for run in runs)
+                records = sum(len(run.states) for run in runs)
+                steps = runs[0].termination["steps"]
+                assert records == len(runs) * (2 if record_every > 1 else steps + 1)
+                reused = 1 if cfg is laplacian else 0
+                assert counts["Form"] == forms_per_record * records - reused
+                assert counts["Metric"] == counts["from_phi"] == counts["torsion_trace"] == 0
+                structures.append(counts["G2Structure"])
+        assert structures[0::2] == structures[1::2]
+        assert structures[0] == 400  # one per rk4 stage
+
+
+class TestRecordedTorsionTrace:
+    """A coflow record reads trT off the right-hand side evaluated for its
+    row, and a Laplacian record takes it on the row's arrays; either equals
+    the public ``torsion_trace`` of the recorded state bit for bit."""
+
+    CFG = FlowConfig(
+        integrator=IntegratorConfig(dt=0.02, t_end=0.3),
+        monitors=MonitorConfig(record_every=2),
+    )
+
+    @staticmethod
+    def _assert_public_trT(L, trajectory, state_of):
+        assert trajectory.termination["reason"] == "t_end"
+        assert len(trajectory.states) == 9
+        for state in trajectory.states:
+            want = torsion_trace(L, state_of(state))
+            assert state.diagnostics["trT"].hex() == want.hex()
+
+    def test_one_coflow_row_and_one_laplacian_row(self, ee2, n2):
+        # Each on its algebra and on the algebra in a generic coframe, where
+        # the differential is dense.
+        for L, psi in ((ee2, standard_psi()), _changed_coframe(ee2, standard_psi(), seed=4)):
+            start = TestLeanPath._coflow_start(L, psi)
+            trajectory = integrate(L, dataclasses.replace(self.CFG, A=0.4), start)
+            self._assert_public_trT(L, trajectory, lambda s: CoclosedState.from_psi(s.psi))
+            assert all(s.diagnostics["trT"] != 0.0 for s in trajectory.states)
+        phi = closed_n2_phi(np.random.default_rng(2))
+        cfg = dataclasses.replace(self.CFG, flow_kind="laplacian_flow")
+        for L, phi in ((n2, phi), _changed_coframe(n2, phi, seed=4)):
+            trajectory = integrate(L, cfg, G2Structure.from_phi(phi))
+            self._assert_public_trT(L, trajectory, lambda s: G2Structure.from_phi(s.form))
+
+    def test_rows_of_a_stack_with_a_marked_row(self, ee2, monkeypatch):
+        # Eight rows in lockstep on ee2 in a generic coframe.  A residual
+        # gate inside the spread of the closed form's residuals (about 1e-14
+        # here) makes the stack mark some rows, which are then redone one by
+        # one (by the gate of CoclosedState.from_psi).
+        from g2flow import flows, g2core
+
+        L, psi = _changed_coframe(ee2, standard_psi(), seed=4)
+        monkeypatch.setattr(g2core, "NEWTON_TOL", 1.2e-14)
+        marked, stack = [], flows.stack_from_psi
+
+        def marking(y):
+            structure, bad = stack(y)
+            marked.append((len(y), int(bad.sum())))
+            return structure, bad
+
+        monkeypatch.setattr(flows, "stack_from_psi", marking)
+        starts = [TestLeanPath._coflow_start(L, psi, seed) for seed in range(8)]
+        rows = integrate(L, self.CFG, starts, A=[0.05 * i for i in range(8)])
+        assert {n for n, _ in marked} == {8}
+        assert any(0 < m < 8 for _, m in marked)
+        for trajectory in rows:
+            self._assert_public_trT(L, trajectory, lambda s: CoclosedState.from_psi(s.psi))
 
 
 class TestTrajectoryIO:

@@ -198,7 +198,7 @@ class TestDualIdentity:
         stack, bad = stack_from_psi(psis)
         for r, psi in enumerate(psis):
             phi, metric, _ = _closed_form(psi)
-            assert stack.phi[r].tobytes() == phi.tobytes()
+            assert stack.phi_coeffs[r].tobytes() == phi.tobytes()
             _same_metric_bits(stack.metric._row(r), metric)
 
     def test_the_standard_structure_is_exact(self, phi_bar, psi_bar):
@@ -415,12 +415,12 @@ class TestStackedRecovery:
             # Closed-form residuals sit at about 1e-15, so a tighter gate
             # marks some rows and keeps others.
             assert 0 < bad.sum() < len(psi)
-        residual = np.linalg.norm(stack.metric.star_coeffs(3, stack.phi) - psi, axis=1)
+        residual = np.linalg.norm(stack.metric.star_coeffs(3, stack.phi_coeffs) - psi, axis=1)
         rhs = coflow_rhs_stack(L, stack, 0.5)
         for i in np.flatnonzero(~bad):
             state = CoclosedState.from_psi(Form(4, psi[i]), tol=tol)
             s = state.recovered
-            _assert_rows_close(stack.phi[i], s.phi.coeffs)
+            _assert_rows_close(stack.phi_coeffs[i], s.phi.coeffs)
             _assert_rows_close(stack.metric.g[i], s.metric.g)
             assert abs(residual[i] - state.residual) <= 1e-14
             _assert_rows_close(rhs[i], coflow_rhs(L, state, 0.5).coeffs)
@@ -435,7 +435,7 @@ class TestStackedRecovery:
         assert bad.tolist() == [False, False, True, False, False]
         kept, kept_bad = stack_from_psi(np.delete(psi, 2, axis=0))
         assert not kept_bad.any()
-        for got, want in ((stack.phi, kept.phi), (stack.metric.g, kept.metric.g)):
+        for got, want in ((stack.phi_coeffs, kept.phi_coeffs), (stack.metric.g, kept.metric.g)):
             np.testing.assert_allclose(np.delete(got, 2, axis=0), want, rtol=1e-14, atol=0)
         # Redone on its own, the row raises what one recovery raises.
         with pytest.raises(RecoveryError, match=r"^4-form is not positive \(its dual 3-form: "
@@ -482,13 +482,12 @@ class TestStackedRecovery:
 
     def test_a_non_finite_right_hand_side_raises_as_one_row_does(self, ee2):
         from g2flow.flows import coflow_rhs, coflow_rhs_stack
-        from g2flow.g2core import StructureStack
 
         s = G2Structure.from_phi(ee2_diagonal_phi(np.full(7, 1.2)))
-        huge = G2Structure(phi=Form(3, 1e300 * s.phi.coeffs), metric=s.metric)
-        stack = StructureStack(
-            phi=np.array([s.phi.coeffs, huge.phi.coeffs]),
-            metric=Metric(np.array([s.metric.g, huge.metric.g])),
+        huge = G2Structure(1e300 * s.phi_coeffs, s.metric)
+        stack = G2Structure(
+            np.array([s.phi_coeffs, huge.phi_coeffs]),
+            Metric(np.array([s.metric.g, huge.metric.g])),
         )
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="coefficients must be finite"):
