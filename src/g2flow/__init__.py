@@ -11,8 +11,8 @@ Layered API, bottom up:
   closed-form recovery of phi from psi, torsion;
 * ``decomp``          — variation parametrization sigma = alpha ^ phi +
   (1/2) i_phi(h) and the irreducible 2-/3-form decompositions;
-* ``flows``           — flow right-hand sides, rk4/rkf45 integration (rk4
-  also of lockstep ensembles), DeTurck correction, finite-difference
+* ``flows``           — flow right-hand sides, rk4/rkf45 integration (also
+  of ensembles stepped as one stack), DeTurck correction, finite-difference
   linearization;
 * ``nearly_parallel`` — the scalar conformal-factor reduction;
 * ``experiments``     — JSON configs, named experiments, sweeps;

@@ -27,9 +27,10 @@ Experiments:
   experiment, one output file per cell plus a manifest.
 
 A single run is a sweep of one cell: both go through ``_run_cells``, which
-loads each distinct algebra once per run.  Flow cells that can share a time
-grid (``_lockstep_groups``) step together as the rows of one ``integrate``
-ensemble; the other cells run one after another through ``_RUNNERS``.
+loads each distinct algebra once per run.  Flow cells on the same algebra
+whose flow sections agree apart from flow.A (``_lockstep_groups``) step
+together as the rows of one ``integrate`` ensemble; the other cells run
+one after another through ``_RUNNERS``.
 
 ``ee1_static`` evaluates its samples as stacks of up to ``_STACK_ROWS``
 rows: one recovery (``g2core.stack_from_psi``) and one right-hand side per
@@ -71,7 +72,6 @@ from .flows import (
     linearize,
     one_of,
     rule_violations,
-    steps_in_lockstep,
 )
 from .g2core import CoclosedState, G2Structure, _norms, stack_from_psi
 from .liealg import jacobi_check
@@ -902,14 +902,12 @@ def _flow_start(cfg, L, loaded):
 
 
 def _lockstep_key(cfg):
-    """The key of the cells that can step as one ensemble (``integrate``
-    with a list of starts), or None for a cell that steps alone: flow
-    runs that ``steps_in_lockstep`` on the same algebra, whose flow
-    sections agree apart from flow.A."""
-    flow = cfg.flow
-    if cfg.experiment not in _FLOWS or not steps_in_lockstep(flow):
+    """The key of the cells that step as one ensemble (``integrate`` with a
+    list of starts), or None for a cell that is no flow run: flow runs on
+    the same algebra whose flow sections agree apart from flow.A."""
+    if cfg.experiment not in _FLOWS:
         return None
-    section = _echo(flow)
+    section = _echo(cfg.flow)
     del section["A"]
     return json.dumps([cfg.algebra_file, section], sort_keys=True)
 

@@ -22,25 +22,26 @@ Integrators: classic fixed-step rk4 (default dt 1e-3) and adaptive
 Fehlberg rkf45 (default rel_tol 1e-8), which accepts a step when its error
 estimate is below rel_tol * max(1, |y|) and sizes the next step from that
 same scale.  Trajectories halt - never project - when closedness drifts,
-positivity or recovery fails, a step underflows, or values stop being
-finite; the termination record carries the cause, and a halt between
-records still ends the trajectory on a record of the state at the halt
-time.
+positivity or recovery fails, a step of either method underflows
+(1e-14 max(1, t)), or values stop being finite; the termination record
+carries the cause, and a halt between records still ends the trajectory on
+a record of the state at the halt time.
 
 ``integrate`` also takes a list of starts: an ensemble whose rows share
-the config apart from A (one per row) and step in lockstep on one time
-grid.  Several rows need an rk4 coflow config without DeTurck
-(``steps_in_lockstep``, the one rule the sweep groups cells by).  One start
-is an ensemble of one row: there is one time loop.
+the config apart from A (one per row), under any flow, method and DeTurck
+setting.  One start is an ensemble of one row: there is one time loop, in
+which each row keeps its own t, step count and step size (rk4 rows stay
+on one grid, rkf45 rows drift apart).
 
 Every row of a stage is evaluated on coefficient arrays and kept as
 (key, G2Structure, rhs, trT).  Several rows are recovered and evaluated as
-one stack (``g2core.stack_from_psi`` into a structure with rows, then the
-right-hand-side kernel), and each keeps its row of it; a single row goes
-through the kernels of one form (the closed form and residual gate of
-``phi_of_psi`` for the coflow, the induced metric for the Laplacian flow,
-then the kernels that ``coflow_rhs`` and ``laplacian_flow_rhs`` wrap).  A
-coflow row that misses the gate, and a row the stack marks, is redone by
+one stack (``g2core.stack_from_psi`` or ``g2core._induced`` into a
+structure with rows, then the right-hand-side kernel), and each keeps its
+row of it, adding its DeTurck term; a single row goes through the kernels
+of one form (the closed form and residual gate of ``phi_of_psi`` for the
+coflow, the induced metric for the Laplacian flow, then the kernels that
+``coflow_rhs`` and ``laplacian_flow_rhs`` wrap).  A row the stack marks is
+redone alone, and a coflow row that misses the gate there by
 ``CoclosedState.from_psi``, with its Newton corrections and errors.  Every
 kernel rounds a row as the public functions do on the form alone, d
 included on any structure constants, so each row's trajectory is bit for
@@ -82,6 +83,7 @@ from .g2core import (
     _closed_form,
     _d,
     _induced,
+    _norms,
     _structure_of,
     _torsion_trace,
     full_torsion,
@@ -105,7 +107,6 @@ __all__ = [
     "deturck_vector",
     "deturck_term",
     "integrate",
-    "steps_in_lockstep",
     "linearize",
     "exact_directions",
     "coclosed_directions",
@@ -378,24 +379,23 @@ class _Evaluator:
     the bytes of the coefficients it was evaluated at, their G2Structure,
     and the right-hand side and torsion trace once evaluated (trT is None
     for the Laplacian flow, whose right-hand side takes none).  A record
-    time, the next step's first stage and every retried rkf45 attempt share
-    one recovery and one right-hand side.  Row i starts out holding the
-    structure of ``states[i]`` at ``y[i]``.
+    time and the next step's first stage share one evaluation; a retried
+    rkf45 attempt evaluates its first stage again, since the row keeps only
+    its last stage.  Row i starts out holding the structure of
+    ``states[i]`` at ``y[i]``.
 
     Every row is evaluated on coefficient arrays and kernel-built metrics;
-    no Form is built but for DeTurck.  An ensemble of two or more rows (see
-    ``steps_in_lockstep``) recovers and evaluates the rows of a call as one
-    stack (``stack_from_psi`` and ``_coflow_rhs``), and each row keeps its
-    row of the stacked structure.  A single row goes through the kernels of
-    one form: the coflow through the closed form and the residual gate of
-    ``phi_of_psi``, then ``_coflow_rhs``; the Laplacian flow through
-    ``_induced`` (its metric and psi = star phi) and ``_laplacian_rhs``.  A
-    coflow row that misses the gate or fails the closed form, and every row
-    the stack marks, falls back to ``CoclosedState.from_psi``, so a row gets
-    the bits, Newton corrections and errors of its public-API evaluation.
-    A row whose evaluation fails is entered in ``failed`` with its halt
-    reason and detail; calls skip it, with zero entries, until the caller
-    takes it out.
+    no Form is built but for DeTurck.  The rows a call evaluates are one
+    stack when there are two or more: the coflow through ``stack_from_psi``,
+    the Laplacian flow through ``_induced`` (its metric and psi = star phi),
+    then ``_coflow_rhs`` or ``_laplacian_rhs``, and a DeTurck row adds its
+    Lie derivative to its row.  A single row, and a row the stack marks,
+    goes through the kernels of one form: the closed form and residual gate
+    of ``phi_of_psi``, falling back to ``CoclosedState.from_psi`` (so a row
+    gets the bits, Newton corrections and errors of its public-API
+    evaluation), or ``_induced``.  A row whose evaluation fails is entered
+    in ``failed`` with its halt reason and detail; calls skip it, with zero
+    entries, until the caller takes it out.
     """
 
     def __init__(self, L, config, A, y, states):
@@ -403,7 +403,6 @@ class _Evaluator:
         self.config = config
         self.A = A
         self.coflow = config.flow_kind == "modified_coflow"
-        self.stacked = len(states) > 1
         self.nabla0 = Connection(np.zeros((DIM, DIM, DIM)))
         self.dmat = L.differential_matrix(4 if self.coflow else 3)
         self.rows = [(row.tobytes(), _structure_of(s), None, None) for row, s in zip(y, states)]
@@ -423,20 +422,28 @@ class _Evaluator:
                 todo.append(j)
             else:
                 self.failed[i] = ("nonfinite", "a stage of the step left the finite range")
-        if self.stacked and len(todo) > 1:
-            stack, bad = stack_from_psi(y[todo])
-            A = np.array([self.A[rows[j]] for j in todo])
-            rhs, trT = _coflow_rhs(self.L, stack.metric, stack.phi_coeffs, A)
+        if len(todo) == 1:
+            self._one(rows[todo[0]], y[todo[0]], out[todo[0]])
+        elif todo:
+            x = y[todo]
+            if self.coflow:
+                stack, bad = _quietly(lambda: stack_from_psi(x))
+                # A marked row is redone alone; zeros keep its row of the
+                # stacked right-hand side from overflowing.
+                stack.phi_coeffs[bad] = 0.0
+                A = np.array([self.A[rows[j]] for j in todo])
+                rhs, trT = _coflow_rhs(self.L, stack.metric, stack.phi_coeffs, A)
+            else:
+                bad = np.zeros(len(todo), dtype=bool)
+                stack = G2Structure(x, *_quietly(lambda: _induced(x, bad)))
+                stack.psi_coeffs[bad] = 0.0
+                rhs, trT = _laplacian_rhs(self.L, stack.metric, stack.psi_coeffs), [None] * len(x)
             rhs = _finite_coeffs(rhs)
             for r, j in enumerate(todo):
                 if bad[r]:
                     self._one(rows[j], y[j], out[j])
                 else:
-                    self.rows[rows[j]] = (y[j].tobytes(), stack.row(r), rhs[r], trT[r])
-                    out[j] = rhs[r]
-        else:
-            for j in todo:
-                self._one(rows[j], y[j], out[j])
+                    out[j] = self._keep(rows[j], y[j], stack.row(r), rhs[r], trT[r])
         return out
 
     def _one(self, i, y, out):
@@ -473,18 +480,22 @@ class _Evaluator:
     def _rhs(self, i, y):
         """The right-hand side of row i at its coefficients y, kept for reuse
         with the torsion trace of a coflow row."""
-        key, s, _, _ = self.rows[i]
-        cfg = self.config
+        s = self.rows[i][1]
         if self.coflow:
             rhs, trT = _coflow_rhs(self.L, s.metric, s.phi_coeffs, self.A[i])
         else:
             rhs, trT = _laplacian_rhs(self.L, s.metric, s.psi_coeffs), None
-        rhs = _finite_coeffs(rhs)
-        if cfg.deturck.enabled:
-            v = deturck_vector(self.L, s, self.nabla0, cfg.deturck.c1, cfg.deturck.c2)
+        return self._keep(i, y, s, _finite_coeffs(rhs), trT)
+
+    def _keep(self, i, y, s, rhs, trT):
+        """Keep row i's evaluation at y: its structure s, the base right-hand
+        side rhs plus the DeTurck term when enabled, and trT."""
+        gauge = self.config.deturck
+        if gauge.enabled:
+            v = deturck_vector(self.L, s, self.nabla0, gauge.c1, gauge.c2)
             form = Form(4, y) if self.coflow else s.phi
             rhs = _finite_coeffs(rhs + lie_derivative(self.L, v, form).coeffs)
-        self.rows[i] = (key, s, rhs, trT)
+        self.rows[i] = (y.tobytes(), s, rhs, trT)
         return rhs
 
     def closedness(self, y):
@@ -492,11 +503,12 @@ class _Evaluator:
 
 
 def _quietly(fn):
-    """fn(), the arithmetic of a stage or a step (y + h k).  Where
-    RuntimeWarnings are errors an overflow there raises; fn is then run
-    again under np.errstate, since the evaluator and the step check halt on
-    a non-finite stage or step (``nonfinite``).  Otherwise no errstate is
-    entered: each costs about a microsecond."""
+    """fn(), the arithmetic of a stage or a step (y + h k), or a stacked
+    structure.  Where RuntimeWarnings are errors an overflow there raises;
+    fn is then run again under np.errstate, since the evaluator and the step
+    check halt on a non-finite stage or step (``nonfinite``), and a stack
+    marks a row it overflows on and redoes it alone.  Otherwise no errstate
+    is entered: each costs about a microsecond."""
     try:
         return fn()
     except RuntimeWarning:
@@ -528,6 +540,9 @@ _RKF_ERR = tuple(b5 - b4 for b5, b4 in zip(_RKF_B5, _RKF_B4))
 
 
 def _rkf45_attempt(f, y, h):
+    """One Fehlberg attempt from the rows of y with step h (a number or a
+    column): the fifth-order rows and each row's error estimate norm."""
+
     def combine(start, weights):
         for w, k in zip(weights, ks):
             start = start + (h * w) * k
@@ -536,19 +551,8 @@ def _rkf45_attempt(f, y, h):
     ks = []
     for row in _RKF_A:
         ks.append(f(_quietly(lambda: combine(y.copy(), row))))
-    err = _quietly(lambda: float(np.linalg.norm(combine(np.zeros_like(y), _RKF_ERR))))
+    err = _quietly(lambda: _norms(combine(np.zeros_like(y), _RKF_ERR)))
     return _quietly(lambda: combine(y.copy(), _RKF_B5)), err
-
-
-def steps_in_lockstep(config):
-    """Whether starts under ``config`` may step as one ensemble: rk4
-    modified-coflow runs without DeTurck, whose stages are evaluated as one
-    stack (rkf45 sizes each row's steps from its own error)."""
-    return (
-        config.flow_kind == "modified_coflow"
-        and config.integrator.method == "rk4"
-        and not config.deturck.enabled
-    )
 
 
 def integrate(L, config, state0, reference=None, A=None):
@@ -561,13 +565,14 @@ def integrate(L, config, state0, reference=None, A=None):
     drift, positivity loss, recovery failure, step underflow, or non-finite
     values.
 
-    A list ``state0`` is an ensemble of rows stepped in lockstep on one
-    time grid; two or more rows need a config that ``steps_in_lockstep``.
-    ``reference`` and ``A`` are then lists with one entry per row (``A``
-    defaults to ``config.A`` for every row; a single start reads
-    ``config.A`` only), and a list of Trajectories comes back.  Each row's
-    trajectory is the one ``integrate`` gives its start alone, bit for bit:
-    a row that halts freezes, and the others step on unchanged.
+    A list ``state0`` is an ensemble of rows, under any config, whose
+    stages are evaluated as one stack.  ``reference`` and ``A`` are then
+    lists with one entry per row (``A`` defaults to ``config.A`` for every
+    row; a single start reads ``config.A`` only), and a list of
+    Trajectories comes back.  Each row's trajectory is the one ``integrate``
+    gives its start alone, bit for bit: rk4 rows share one time grid,
+    rkf45 rows size their own steps and drift apart in t, and a row that
+    halts freezes while the others step on unchanged.
     """
     if not isinstance(state0, list):
         if A is not None:
@@ -579,13 +584,14 @@ def integrate(L, config, state0, reference=None, A=None):
 
 
 def _integrate_rows(L, config, starts, references, A):
-    """The time loop of ``integrate`` over the rows of an ensemble."""
+    """The time loop of ``integrate`` over the rows of an ensemble: each
+    pass makes one step attempt for every active row, and an rkf45 row
+    whose attempt is rejected stays at its t with a smaller step."""
     config.ensure_valid()
     n = len(starts)
-    if n > 1 and not steps_in_lockstep(config):
-        raise G2FlowError("only rk4 modified-coflow runs without DeTurck step as an ensemble")
     coflow = config.flow_kind == "modified_coflow"
     cfg_int = config.integrator
+    rkf45 = cfg_int.method == "rkf45"
     if coflow and not all(isinstance(s, CoclosedState) for s in starts):
         raise G2FlowError("modified_coflow expects a CoclosedState initial state")
     if not coflow:
@@ -596,17 +602,17 @@ def _integrate_rows(L, config, starts, references, A):
 
     t_end = cfg_int.t_end
     t_stop = t_end - 1e-12 * max(1.0, t_end)  # end of the horizon up to rounding
-    t = 0.0
-    steps = 0
-    dt = cfg_int.dt
+    t = [0.0] * n
+    steps = [0] * n
+    dt = [cfg_int.dt] * n
     states = [[] for _ in range(n)]
     ends = [None] * n
     mon = config.monitors
     tol = config.halt.closedness_tol
     max_rhs = config.halt.max_rhs_norm
 
-    def snapshot(i, t, rhs_norm=True):
-        """Record row i at time t with the monitor values; ``rhs_norm``
+    def snapshot(i, rhs_norm=True):
+        """Record row i at its t with the monitor values; ``rhs_norm``
         False leaves its right-hand side unread (and the value null).  The
         torsion trace is the one the coflow right-hand side took, else it is
         taken here on the row's arrays."""
@@ -621,23 +627,19 @@ def _integrate_rows(L, config, starts, references, A):
             "dist_ref": float(np.linalg.norm(y[i] - ref[i])) if mon.dist_ref else None,
         }
         psi = Form(4, y[i]) if coflow else s.psi
-        states[i].append(FlowState(t=t, form=psi if coflow else s.phi, psi=psi, diagnostics=diag))
+        states[i].append(FlowState(t[i], psi if coflow else s.phi, psi, diag))
 
     def end(i, reason, detail="", status="halted"):
-        ends[i] = {"status": status, "reason": reason, "t": t, "steps": steps, "detail": detail}
+        ends[i] = dict(status=status, reason=reason, t=t[i], steps=steps[i], detail=detail)
 
     def record(rows):
-        """Snapshot the rows at t; returns those that go on (a row whose
-        recovery fails halts)."""
+        """Snapshot the rows at their t; a row whose evaluation fails halts."""
         evaluator.f(rows, y if len(rows) == n else y[rows])
-        going = []
         for i in rows:
             if i in evaluator.failed:
                 end(i, *evaluator.failed.pop(i))
             else:
-                snapshot(i, t)
-                going.append(i)
-        return going
+                snapshot(i)
 
     # The right-hand sides are exact forms that equal the flows only on
     # closed input, so a start that is not closed halts, whatever the
@@ -646,67 +648,71 @@ def _integrate_rows(L, config, starts, references, A):
     closed = [evaluator.closedness(row) for row in y]
     for i in range(n):
         if closed[i] > tol:
-            snapshot(i, t, rhs_norm=False)
+            snapshot(i, rhs_norm=False)
             end(i, "closedness", "initial state violates the closedness tolerance")
-    active = record([i for i in range(n) if ends[i] is None])
+    record([i for i in range(n) if ends[i] is None])
 
-    while active:
-        if t >= t_stop:
-            for i in active:
+    while True:
+        for i in range(n):
+            if ends[i] is None and t[i] >= t_stop:
                 end(i, "t_end", status="completed")
+        active = [i for i in range(n) if ends[i] is None]
+        if not active:
             break
-        h = min(dt, t_end - t)
+        h = [min(dt[i], t_end - t[i]) for i in active]
+        # A column of step sizes, or one number where the rows share it (as
+        # rk4 rows always do): the same arithmetic, with less overhead.
+        step = h[0] if len(set(h)) == 1 else np.array(h)[:, None]
         f = functools.partial(evaluator.f, active)
-        if cfg_int.method == "rk4":
-            y_new = _rk4_step(f, y if len(active) == n else y[active], h)
-        else:  # one row
-            scale = cfg_int.rel_tol * max(1.0, float(np.linalg.norm(y)))
-            while True:
-                y_new, err = _rkf45_attempt(f, y, h)
-                accepted = err <= scale
-                if evaluator.failed or accepted or not np.isfinite(err):
-                    break
-                h *= max(0.2, 0.9 * (scale / err) ** 0.2)
-                if h < 1e-14 * max(1.0, t):
-                    break
-            if not evaluator.failed and h < 1e-14 * max(1.0, t):
-                end(0, "step_underflow", f"step size fell to {h:.3e}")
-                break
-            if accepted:
-                dt = h * min(5.0, max(0.2, 0.9 * (scale / max(err, 1e-300)) ** 0.2))
-        going = []
-        for i, row in zip(active, y_new):
+        y0 = y if len(active) == n else y[active]
+        if rkf45:
+            y_new, err = _rkf45_attempt(f, y0, step)
+            err = err.tolist()
+            scale = (cfg_int.rel_tol * np.maximum(1.0, _norms(y0))).tolist()
+        else:
+            y_new = _rk4_step(f, y0, step)
+        due = []
+        for r, i in enumerate(active):
             if i in evaluator.failed:
                 end(i, *evaluator.failed.pop(i))
-            elif not np.all(np.isfinite(row)):
+                continue
+            # Step control after Hairer, Norsett and Wanner, Solving ODEs I,
+            # II.4, on Python floats.  An attempt whose error estimate is not
+            # finite is neither retried nor resized.
+            retry = rkf45 and err[r] > scale[r] and math.isfinite(err[r])
+            if retry:
+                h[r] *= max(0.2, 0.9 * (scale[r] / err[r]) ** 0.2)
+            if h[r] < 1e-14 * max(1.0, t[i]):
+                end(i, "step_underflow", f"step size fell to {h[r]:.3e}")
+            elif retry:
+                dt[i] = h[r]
+            elif not np.isfinite(y_new[r]).all():
                 end(i, "nonfinite", "state left the finite range")
             else:
-                going.append((i, row))
-        t += h
-        steps += 1
-        active = []
-        for i, row in going:
-            y[i] = row
-            closed[i] = evaluator.closedness(y[i])
-            if closed[i] > tol:
-                end(i, "closedness", f"closedness residual {closed[i]:.3e} exceeded tolerance")
-            else:
-                active.append(i)
-        if active and (steps % mon.record_every == 0 or t >= t_stop):
-            active = record(active)
-            for i in active[:]:
-                norm = states[i][-1].diagnostics["rhs_norm"]
-                if max_rhs is not None and norm is not None and norm > max_rhs:
-                    end(i, "rhs_blowup", f"rhs_norm {norm:.3e}")
-                    active.remove(i)
-    for i in range(n):
-        if states[i][-1].t != ends[i]["t"]:
-            # A halt between records ends on a record of the state at the
-            # halt time (the last accepted step), unless its own recovery
-            # failed.
-            evaluator.f([i], y[[i]])
-            if evaluator.failed.pop(i, None) is None:
-                snapshot(i, ends[i]["t"])
+                if rkf45 and err[r] <= scale[r]:
+                    factor = 0.9 * (scale[r] / max(err[r], 1e-300)) ** 0.2
+                    dt[i] = h[r] * min(5.0, max(0.2, factor))
+                t[i] += h[r]
+                steps[i] += 1
+                y[i] = y_new[r]
+                closed[i] = evaluator.closedness(y[i])
+                if closed[i] > tol:
+                    end(i, "closedness", f"closedness residual {closed[i]:.3e} exceeded tolerance")
+                elif steps[i] % mon.record_every == 0 or t[i] >= t_stop:
+                    due.append(i)
+        if due:
+            record(due)
+        for i in due:
+            norm = states[i][-1].diagnostics["rhs_norm"]
+            if ends[i] is None and max_rhs is not None and norm is not None and norm > max_rhs:
+                end(i, "rhs_blowup", f"rhs_norm {norm:.3e}")
+    # A halt between records ends on a record of the state at the halt time
+    # (the last accepted step), unless its own evaluation failed.
+    last = [i for i in range(n) if states[i][-1].t != ends[i]["t"]]
+    evaluator.f(last, y[last])
+    for i in last:
+        if evaluator.failed.pop(i, None) is None:
+            snapshot(i)
     return [
         Trajectory(flow_kind=config.flow_kind, states=states[i], termination=ends[i])
         for i in range(n)

@@ -440,6 +440,23 @@ class TestOverflowingStep:
                                   "positively oriented (det B = -inf))")
 
 
+# An rk4 step of 1e-300 over a horizon of 1: about 1e300 steps, were the
+# step not floored as rkf45's is.
+TINY_RK4_STEP = {"schema_version": 1, "experiment": "ee2_flow",
+                 "flow": {"integrator": {"method": "rk4", "dt": 1e-300, "t_end": 1.0}}}
+
+
+def test_a_tiny_rk4_step_halts_at_the_start(tmp_path):
+    # In a subprocess, whose timeout fails the test where the run would hang.
+    proc = _run_with_warnings_as_errors(
+        ["run", _config(tmp_path, TINY_RK4_STEP), "--output-dir", str(tmp_path)]
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_NUMERICAL, "")
+    term = json.loads(proc.stdout)["summary"]["termination"]
+    assert (term["reason"], term["t"], term["steps"]) == ("step_underflow", 0.0, 0)
+    assert term["detail"] == "step size fell to 1.000e-300"
+
+
 class TestNpVerb:
     def test_worked_example(self, capsys, tmp_path):
         code, out, _ = _run(

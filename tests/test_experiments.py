@@ -35,6 +35,7 @@ from g2flow.experiments import (
 )
 from g2flow.fixtures import ee2_diagonal_phi
 
+from .conftest import N2_ALGEBRA, closed_n2_phi
 from .oracles import (
     FAMILY_LINES,
     STATIC_FAMILY_MEMBER,
@@ -694,7 +695,7 @@ class TestLockstepSweeps:
             ("t_end", 100), ("t_end", 100), ("newton", 55), ("newton", 60)
         ]
 
-    def test_cells_that_differ_in_method_or_deturck_step_alone(self, tmp_path):
+    def test_cells_group_by_method_and_deturck(self, tmp_path):
         raw = _minimal(
             "sweep",
             algebra_file="ee2",
@@ -707,10 +708,10 @@ class TestLockstepSweeps:
             }},
         )
         result, _ = self._sweep_matches_cells_alone(tmp_path, raw)
-        # Only the rk4 cells without DeTurck share a group.
-        assert result.summary["lockstep_groups"] == [[0, 4], [1], [2], [3], [5], [6], [7]]
+        # The cells of each method and DeTurck setting share a group.
+        assert result.summary["lockstep_groups"] == [[0, 4], [1, 5], [2, 6], [3, 7]]
 
-    def test_cells_that_differ_in_flow_kind_step_alone(self, tmp_path):
+    def test_cells_group_by_flow_kind(self, tmp_path):
         raw = _minimal(
             "sweep",
             algebra_file="ee1",
@@ -721,7 +722,35 @@ class TestLockstepSweeps:
             }},
         )
         result, _ = self._sweep_matches_cells_alone(tmp_path, raw)
-        assert result.summary["lockstep_groups"] == [[0, 2], [1], [3]]
+        assert result.summary["lockstep_groups"] == [[0, 2], [1, 3]]
+
+    def test_laplacian_flow_cells_match_runs_alone(self, tmp_path):
+        # Seeded closed starts on n2, stepped by rkf45 as one group.  A
+        # perturbation of a 3-form is drawn from all 3-forms, so the cells
+        # with a nonzero magnitude halt at t = 0 as not closed.
+        from g2flow.exterior import BASIS
+
+        starts = []
+        for seed in (0, 1, 2):
+            phi = closed_n2_phi(np.random.default_rng(seed))
+            terms = [{"idx": list(BASIS[3][k]), "coef": phi.coeffs[k]}
+                     for k in np.flatnonzero(phi.coeffs)]
+            starts.append(_write(tmp_path, f"phi_{seed}.json", {"degree": 3, "terms": terms}))
+        raw = _minimal(
+            "sweep",
+            algebra_file=str(N2_ALGEBRA),
+            flow={"flow_kind": "laplacian_flow",
+                  "integrator": {"method": "rkf45", "dt": 0.05, "t_end": 1.0}},
+            perturbation={"subspace": "full"},
+            sweep={"experiment": "custom", "axes": {
+                "initial": starts, "perturbation.magnitude": [0.0, 0.1]
+            }},
+        )
+        result, manifest = self._sweep_matches_cells_alone(tmp_path, raw)
+        assert result.summary["lockstep_groups"] == [list(range(6))]
+        terms = [cell["summary"]["termination"] for cell in manifest["cells"]]
+        assert [t["reason"] for t in terms] == ["t_end", "closedness"] * 3
+        assert len({t["steps"] for t in terms[::2]}) > 1  # the rows drift apart
 
     def test_sweep_ee2_loads_its_algebra_once(self, tmp_path, monkeypatch):
         # Validation expands the sweep once, checking each cell's algebra

@@ -46,7 +46,6 @@ from g2flow.flows import (
     MonitorConfig,
     _rkf45_attempt,
     coflow_rhs_stack,
-    steps_in_lockstep,
 )
 from g2flow.g2core import stack_from_psi
 from g2flow.liealg import Connection, LieAlgebraStructure, levi_civita
@@ -797,22 +796,168 @@ class TestEnsembles:
             assert row.records() == want.records()
             assert row.termination == want.termination
 
-    def test_only_lockstep_configs_step_as_ensembles(self, ee2):
-        # rkf45 sizes each row's steps, and DeTurck and Laplacian-flow rows
-        # have no stacked evaluation; one row of each still integrates.
-        starts = self._starts(ee2, (0, 1), 0.05)
+    def test_one_row_is_a_single_start(self, ee2):
+        starts = self._starts(ee2, (0,), 0.05)
         short = IntegratorConfig(t_end=0.01)
         for cfg in (
             FlowConfig(integrator=IntegratorConfig(method="rkf45", t_end=0.01)),
             FlowConfig(integrator=short, deturck=DeTurckConfig(enabled=True)),
             FlowConfig(integrator=short, flow_kind="laplacian_flow"),
         ):
-            assert not steps_in_lockstep(cfg)
-            with pytest.raises(G2FlowError, match="only rk4 modified-coflow runs"):
-                integrate(ee2, cfg, starts)
-            (row,) = integrate(ee2, cfg, starts[:1])
-            assert row.records() == integrate(ee2, cfg, starts[0]).records()
-        assert steps_in_lockstep(self.CFG)
+            (row,) = integrate(ee2, cfg, starts)
+            _same_bits(row, integrate(ee2, cfg, starts[0]))
+
+    def test_rkf45_rows_drift_apart_and_match_their_runs_alone(self, ee2, monkeypatch):
+        # Each row sizes its own steps from dt 1e-12.  At A = 1 the second
+        # row stalls in Newton; at A = 1e10 the third runs into a singularity
+        # at t ~ 2.9e-11, where its step falls below the floor.  Both are
+        # rejected on the way; the rows end at different t.
+        from g2flow import flows
+
+        (calm,) = self._starts(ee2, (0,), 0.05)
+        (rough,) = self._starts(ee2, (3,), 0.2)
+        starts, A = [calm, rough, calm], [0.0, 1.0, 1e10]
+        cfg = FlowConfig(
+            integrator=IntegratorConfig(method="rkf45", dt=1e-12, t_end=0.3),
+            monitors=MonitorConfig(record_every=3),
+        )
+        recovered, attempts = [], []
+        stack, recover = flows.stack_from_psi, flows._Evaluator._recover
+        attempt = flows._rkf45_attempt
+
+        def stacked(y):
+            out = stack(y)
+            recovered.append(int((~out[1]).sum()))  # a marked row is recovered again alone
+            return out
+
+        monkeypatch.setattr(flows, "stack_from_psi", stacked)
+        monkeypatch.setattr(
+            flows._Evaluator, "_recover", staticmethod(lambda y: recovered.append(1) or recover(y))
+        )
+        monkeypatch.setattr(
+            flows, "_rkf45_attempt", lambda f, y, h: attempts.append(len(y)) or attempt(f, y, h)
+        )
+        rows = integrate(ee2, cfg, starts, A=A)
+        in_ensemble, recovered[:] = sum(recovered), []
+        alone, rejected = [], []
+        for start, a in zip(starts, A):
+            attempts.clear()
+            alone.append(integrate(ee2, dataclasses.replace(cfg, A=a), start))
+            rejected.append(len(attempts) - alone[-1].termination["steps"])
+        terms = [t.termination for t in rows]
+        assert [(t["reason"], t["steps"]) for t in terms] == [
+            ("t_end", 20), ("newton", 57), ("step_underflow", 37)
+        ]
+        assert len({t["t"] for t in terms}) == 3
+        # Attempts that took no step: rejections, and a halted row's last attempt.
+        assert rejected == [0, 34, 35]
+        for row, want in zip(rows, alone):
+            _same_bits(row, want)
+        # The same recoveries as the rows alone: a retried attempt re-evaluates
+        # its first stage in the ensemble too.
+        assert in_ensemble == sum(recovered)
+
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    @pytest.mark.parametrize("flow_kind", ["modified_coflow", "laplacian_flow"])
+    def test_deturck_rows_match_their_runs_alone(self, ee2, n2, flow_kind, method):
+        if flow_kind == "modified_coflow":
+            L, starts = ee2, self._starts(ee2, (0, 1, 2), 0.1)
+        else:
+            rngs = [np.random.default_rng(seed) for seed in (0, 1, 2)]
+            L, starts = n2, [G2Structure.from_phi(closed_n2_phi(rng)) for rng in rngs]
+        cfg = dataclasses.replace(
+            self.CFG,
+            flow_kind=flow_kind,
+            deturck=DeTurckConfig(enabled=True, c1=0.7, c2=-0.4),
+            integrator=IntegratorConfig(method=method, dt=0.02, t_end=0.3),
+        )
+        A = [0.0, 0.3, 0.6]
+        rows = integrate(L, cfg, starts, A=A)
+        assert [t.termination["reason"] for t in rows] == ["t_end"] * 3
+        for row, want in zip(rows, _alone(L, cfg, starts, A)):
+            _same_bits(row, want)
+
+    @pytest.mark.parametrize(
+        "method, stacked, reasons",
+        [
+            ("rk4", 15 * 4 - 4 + 4, ["t_end"] * 3),
+            # A start scaled by 1e-4 moves about 460 times as fast: a stage
+            # of its first attempt is not positive.  The stack marks it, and
+            # it halts as it does alone.
+            ("rkf45", 30, ["t_end"] * 3 + ["positivity"]),
+        ],
+    )
+    def test_laplacian_rows_match_their_runs_alone(
+        self, n2, monkeypatch, method, stacked, reasons
+    ):
+        from g2flow import flows
+
+        phis = [closed_n2_phi(np.random.default_rng(seed)) for seed in (0, 1, 2)]
+        if method == "rkf45":
+            phis.append(1e-4 * phis[0])
+        starts = [G2Structure.from_phi(phi) for phi in phis]
+        cfg = dataclasses.replace(
+            self.CFG, flow_kind="laplacian_flow", integrator=IntegratorConfig(method, 0.02, 0.3)
+        )
+        calls, induced = [], flows._induced
+
+        def counting(x, bad=None):
+            calls.append((1 if bad is None else len(x), bad))
+            return induced(x, bad)
+
+        monkeypatch.setattr(flows, "_induced", counting)
+        rows = integrate(n2, cfg, starts)
+        assert [t.termination["reason"] for t in rows] == reasons
+        n = len(starts)
+        sizes = [size for size, _ in calls]
+        marked = [0 if bad is None else int(bad.sum()) for _, bad in calls]
+        assert sum(size > 1 for size in sizes) == stacked
+        if method == "rk4":
+            # As in test_rows_are_stacked; no call takes one form.
+            assert sizes == [n] * stacked and sum(marked) == 0
+        else:
+            # The sixth stage of the first attempt marks the scaled row,
+            # which is redone alone and halts.  The other rows drift apart
+            # in t, and the last one left steps alone.
+            assert (sizes[4:6], marked[4:6]) == ([n, 1], [1, 0])
+            assert sum(marked) == 1 and sizes.count(1) == 8
+        for row, want in zip(rows, _alone(n2, cfg, starts, [0.0] * n)):
+            _same_bits(row, want)
+
+    def test_laplacian_rows_match_on_dense_structure_constants(self, n2):
+        phis = [closed_n2_phi(np.random.default_rng(seed)) for seed in (0, 1, 2)]
+        changed = [_changed_coframe(n2, phi, seed=4) for phi in phis]
+        L = changed[0][0]
+        assert (np.abs(L.differential_matrix(3)) > 1e-3).sum(axis=1).min() >= 3
+        assert (np.abs(L.differential_matrix(4)) > 1e-3).sum(axis=1).min() >= 3
+        starts = [G2Structure.from_phi(phi) for _, phi in changed]
+        for method in ("rk4", "rkf45"):
+            cfg = dataclasses.replace(
+                self.CFG,
+                flow_kind="laplacian_flow",
+                integrator=IntegratorConfig(method, 0.02, 0.3),
+            )
+            rows = integrate(L, cfg, starts)
+            assert [t.termination["reason"] for t in rows] == ["t_end"] * 3
+            for row, want in zip(rows, _alone(L, cfg, starts, [0.0] * 3)):
+                _same_bits(row, want)
+
+    @pytest.mark.parametrize("flow_kind", ["modified_coflow", "laplacian_flow"])
+    def test_rows_whose_stage_overflows_halt_as_alone(self, ee2, n2, flow_kind):
+        # A step of 1e307: the first stage is finite, but the B of each row
+        # overflows, which raises here, where RuntimeWarnings are errors.
+        # The stack marks the rows, and each halts as it does alone.
+        if flow_kind == "modified_coflow":
+            L, starts, reason = ee2, self._starts(ee2, (1, 2), 0.1), "newton"
+        else:
+            rngs = [np.random.default_rng(seed) for seed in (1, 2)]
+            L, starts = n2, [G2Structure.from_phi(closed_n2_phi(rng)) for rng in rngs]
+            reason = "positivity"
+        cfg = FlowConfig(flow_kind=flow_kind, integrator=IntegratorConfig(dt=1e307, t_end=1e308))
+        rows = integrate(L, cfg, starts)
+        assert [(t.termination["reason"], t.termination["steps"]) for t in rows] == [(reason, 0)] * 2
+        for row, want in zip(rows, _alone(L, cfg, starts, [0.0] * 2)):
+            _same_bits(row, want)
 
     def test_a_single_start_reads_A_from_its_config(self, ee2):
         (start,) = self._starts(ee2, (0,), 0.05)
