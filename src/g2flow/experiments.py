@@ -32,10 +32,13 @@ whose flow sections agree apart from flow.A (``_lockstep_groups``) step
 together as the rows of one ``integrate`` ensemble; the other cells run
 one after another through ``_RUNNERS``.
 
-``ee1_static`` evaluates its samples as stacks of up to ``_STACK_ROWS``
-rows: one recovery (``g2core.stack_from_psi``) and one right-hand side per
-stack.  A row that fails a check there is sampled on its own, through the
-halving loop of ``sample_initial``, and takes its right-hand side on its own.
+``ee1_static``, ``ee2_family`` and ``linearize`` evaluate their states as
+stacks, through the one stacked evaluation of the flow engine
+(``flows._stacked_rhs``): the samples of the first two in blocks of up to
+``_STACK_ROWS`` rows, the perturbed states of ``linearize`` as one stack.
+A row that fails a check there is redone on its own: an ``ee1_static``
+sample through the halving loop of ``sample_initial``, an ``ee2_family``
+member and a ``linearize`` state through the public functions.
 """
 
 from __future__ import annotations
@@ -64,16 +67,16 @@ from .flows import (
     POSITIVE_INT,
     RECORD_FIELDS,
     FlowConfig,
+    _stacked_rhs,
     coclosed_directions,
     coflow_rhs,
-    coflow_rhs_stack,
     exact_directions,
     integrate,
     linearize,
     one_of,
     rule_violations,
 )
-from .g2core import CoclosedState, G2Structure, _norms, stack_from_psi
+from .g2core import CoclosedState, G2Structure, _norms
 from .liealg import jacobi_check
 from .nearly_parallel import NPParams, np_solve
 
@@ -486,10 +489,17 @@ def _load_algebra(name_or_path):
 
 
 def _check_algebra(name_or_path):
+    """The violations of an algebra that flow right-hand sides are taken
+    on: it must load, and be unimodular."""
     try:
-        _load_algebra(name_or_path)
+        L = _load_algebra(name_or_path)
     except ConfigError as exc:
         return exc.violations
+    if not L.is_unimodular():
+        return [
+            "algebra_file: the algebra is not unimodular, and the flow right-hand "
+            "sides need a unimodular algebra"
+        ]
     return []
 
 
@@ -767,52 +777,35 @@ def _run_ee1_static(cfg, L, path):
     _require_closed(L, base, cfg.flow.halt.closedness_tol)
     state = CoclosedState.from_psi(base)
     standard_rhs = float(np.linalg.norm(coflow_rhs(L, state, cfg.flow.A).coeffs))
-    records = [
-        {
-            "record": "reference",
-            "index": None,
-            "rhs_norm": standard_rhs,
-            "scale": None,
-            "halvings": None,
-        }
-    ]
+
+    def record(kind, rhs_norm, index=None, scale=None, halvings=None, **summary):
+        return dict(record=kind, index=index, rhs_norm=rhs_norm, scale=scale,
+                    halvings=halvings, **summary)
+
+    records = [record("reference", standard_rhs)]
     n = cfg.samples
     direction = _sample_directions(L, cfg.perturbation, rng, n)
     scales = np.where(direction.any(axis=1), cfg.perturbation.magnitude, 0.0)
     max_rhs = 0.0
     for rows in _row_blocks(n):
-        stack, bad = stack_from_psi(base.coeffs + scales[rows, None] * direction[rows])
-        # A row that fails a check of the stack is sampled as sample_initial
-        # samples it; its right-hand side is taken on its own too.
-        redone = {
-            i: _halve_until_positive(base, direction[i], scales[i], CoclosedState.from_psi)
-            for i in (rows.start + np.flatnonzero(bad)).tolist()
-        }
-        rhs = _norms(coflow_rhs_stack(L, stack, cfg.flow.A)).tolist()
-        for i, r in enumerate(rhs, start=rows.start):
+        psi = base.coeffs + scales[rows, None] * direction[rows]
+        _, rhs, _, bad = _stacked_rhs(L, "modified_coflow", 4, cfg.flow.A, psi)
+        for i, marked, r in zip(range(n)[rows], bad, _norms(rhs).tolist()):
             scale, h = scales[i], 0
-            if i in redone:
-                _, scale, h, state = redone[i]
+            if marked:
+                # A row that fails a check of the stack is sampled as
+                # sample_initial samples it; its right-hand side is taken
+                # on its own too.
+                _, scale, h, state = _halve_until_positive(
+                    base, direction[i], scales[i], CoclosedState.from_psi
+                )
                 r = float(np.linalg.norm(coflow_rhs(L, state, cfg.flow.A).coeffs))
             max_rhs = max(max_rhs, r)
-            records.append(
-                {"record": "sample", "index": i, "rhs_norm": r, "scale": float(scale), "halvings": h}
-            )
+            records.append(record("sample", r, i, float(scale), h))
     tolerance = 1e-8
     passed = standard_rhs <= 1e-10 and max_rhs <= tolerance
-    records.append(
-        {
-            "record": "summary",
-            "index": None,
-            "rhs_norm": max_rhs,
-            "scale": None,
-            "halvings": None,
-            "samples": n,
-            "reference_rhs_norm": standard_rhs,
-            "tolerance": tolerance,
-            "passed": passed,
-        }
-    )
+    records.append(record("summary", max_rhs, samples=n, reference_rhs_norm=standard_rhs,
+                          tolerance=tolerance, passed=passed))
     # The summary record carries every column, in order.
     _write_records(path, cfg.output.format, records, list(records[-1]))
     summary = {
@@ -836,40 +829,31 @@ def _run_ee2_family(cfg, L, path):
     """
     rng = np.random.default_rng(cfg.perturbation.seed)
     n = cfg.samples
-    records = []
-    max_law_err = 0.0
-    max_off = 0.0
-    direct_agrees = 0
-    for i in range(n):
-        c = np.ones(7) if i == 0 else rng.uniform(0.5, 2.0, size=7)
-        state = G2Structure.from_phi(ee2_diagonal_phi(c))
-        rhs = coflow_rhs(L, state, 0.0).coeffs
-        computed = float(rhs[_E1357])
-        off = float(np.max(np.abs(np.delete(rhs, _E1357))))
-        lam = family_stretch_factors(c)
-        law = float(family_coefficient_law(lam))
-        direct = float(family_monomial_pattern(c))
-        law_err = abs(computed - law)
-        direct_err = abs(computed - direct)
-        scale = max(1.0, abs(computed))
-        max_law_err = max(max_law_err, law_err / scale)
-        max_off = max(max_off, off / scale)
-        if direct_err <= 1e-8 * scale:
-            direct_agrees += 1
-        rec = {"index": i}
-        for j in range(7):
-            rec[f"c{j + 1}"] = float(c[j])
-        rec.update(
-            {
-                "coeff_computed": computed,
-                "coeff_law": law,
-                "law_err": law_err,
-                "coeff_direct": direct,
-                "direct_err": direct_err,
-                "off_max": off,
-            }
-        )
-        records.append(rec)
+    records, max_law_err, max_off, direct_agrees = [], 0.0, 0.0, 0
+    for rows in _row_blocks(n):
+        c = [np.ones(7) if i == 0 else rng.uniform(0.5, 2.0, size=7) for i in range(n)[rows]]
+        phi = np.array([ee2_diagonal_phi(ci).coeffs for ci in c])
+        _, rhs, _, bad = _stacked_rhs(L, "modified_coflow", 3, 0.0, phi)
+        for r in np.flatnonzero(bad):
+            # A row that fails a check of the stack raises what the public
+            # functions raise on it alone.
+            rhs[r] = coflow_rhs(L, G2Structure.from_phi(Form(3, phi[r])), 0.0).coeffs
+        for i, ci, row in zip(range(n)[rows], c, rhs):
+            computed = float(row[_E1357])
+            off = float(np.max(np.abs(np.delete(row, _E1357))))
+            law = float(family_coefficient_law(family_stretch_factors(ci)))
+            direct = float(family_monomial_pattern(ci))
+            law_err, direct_err = abs(computed - law), abs(computed - direct)
+            scale = max(1.0, abs(computed))
+            max_law_err = max(max_law_err, law_err / scale)
+            max_off = max(max_off, off / scale)
+            if direct_err <= 1e-8 * scale:
+                direct_agrees += 1
+            records.append(
+                {"index": i, **{f"c{j + 1}": float(ci[j]) for j in range(7)}}
+                | {"coeff_computed": computed, "coeff_law": law, "law_err": law_err}
+                | {"coeff_direct": direct, "direct_err": direct_err, "off_max": off}
+            )
     _write_records(path, cfg.output.format, records, list(records[0]))
     summary = {
         "samples": n,
@@ -979,9 +963,9 @@ def _run_linearize(cfg, L, path):
     subspace = cfg.perturbation.subspace
     report = linearize(
         L,
-        lambda lie, st: coflow_rhs(lie, st, cfg.flow.A),
         state,
         _subspace_directions(L, subspace),
+        A=cfg.flow.A,
         eps=cfg.linearize_section.eps,
         static_tol=cfg.linearize_section.static_tol,
     )

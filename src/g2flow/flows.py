@@ -35,14 +35,13 @@ on one grid, rkf45 rows drift apart).
 
 Every row of a stage is evaluated on coefficient arrays and kept as
 (key, G2Structure, rhs, trT).  Several rows are recovered and evaluated as
-one stack (``g2core.stack_from_psi`` or ``g2core._induced`` into a
-structure with rows, then the right-hand-side kernel), and each keeps its
-row of it, adding its DeTurck term; a single row goes through the kernels
-of one form (the closed form and residual gate of ``phi_of_psi`` for the
-coflow, the induced metric for the Laplacian flow, then the kernels that
-``coflow_rhs`` and ``laplacian_flow_rhs`` wrap).  A row the stack marks is
-redone alone, and a coflow row that misses the gate there by
-``CoclosedState.from_psi``, with its Newton corrections and errors.  Every
+one stack (``_stacked_rhs``, which the experiments share), and each keeps
+its row of it, adding its DeTurck term; a single row goes through the
+kernels of one form (the closed form and residual gate of ``phi_of_psi``
+for the coflow, the induced metric for the Laplacian flow, then the
+kernels that ``coflow_rhs`` and ``laplacian_flow_rhs`` wrap).  A row the
+stack marks is redone alone, and a coflow row that misses the gate there
+by ``CoclosedState.from_psi``, with its Newton corrections and errors.  Every
 kernel rounds a row as the public functions do on the form alone, d
 included on any structure constants, so each row's trajectory is bit for
 bit the one its start gets alone and the one the public functions give.
@@ -60,10 +59,11 @@ Laplacian flow) and the diagnostics, and no structure or metric, so only
 the current step's operators are alive at any time.  The experiments write
 ``Trajectory.records()`` through their shared record writer.
 
-``linearize`` probes a static point with central finite differences along a
-direction basis orthonormalized in the L2 inner product (pointwise metric
-inner product times the constant volume), reports the raw matrix, the
-eigenvalues of its symmetrization, and the asymmetry norm.
+``linearize`` probes a static point of the coflow with central finite
+differences along a direction basis orthonormalized in the L2 inner product
+(pointwise metric inner product times the constant volume), its 2m
+perturbed states evaluated as one stack (``_stacked_rhs``), and reports the
+raw matrix, the eigenvalues of its symmetrization, and the asymmetry norm.
 """
 
 from __future__ import annotations
@@ -102,7 +102,6 @@ __all__ = [
     "Trajectory",
     "SpectrumReport",
     "coflow_rhs",
-    "coflow_rhs_stack",
     "laplacian_flow_rhs",
     "deturck_vector",
     "deturck_term",
@@ -242,13 +241,6 @@ def coflow_rhs(L, state, A=0.0):
     return Form(4, _coflow_rhs(L, s.metric, s.phi_coeffs, A)[0])
 
 
-def coflow_rhs_stack(L, structure, A=0.0):
-    """``coflow_rhs`` of every row of a G2Structure with rows in one pass:
-    the (n, 35) array of right-hand-side coefficients.  Raises the
-    ValueError of ``coflow_rhs`` when a row is not finite."""
-    return _finite_coeffs(_coflow_rhs(L, structure.metric, structure.phi_coeffs, A)[0])
-
-
 def _finite_coeffs(x):
     """x, after the finiteness check that building a Form of each of its
     rows makes (raising the same ValueError)."""
@@ -286,6 +278,29 @@ def _laplacian_rhs(L, metric, psi):
     the metric of phi."""
     _require_unimodular(L)
     return CODIFF_SIGN[3] * _d(L, 2, metric.star_coeffs(5, _d(L, 4, psi)))
+
+
+def _stacked_rhs(L, flow_kind, degree, A, x):
+    """The structures and right-hand sides of the rows of ``x``: (n, 35)
+    coefficients of 4-forms, recovered by ``stack_from_psi``, or of 3-forms
+    with their induced metrics, under ``flow_kind`` at ``A`` (one value, or
+    one per row).  Returns (structure with rows, rhs, trT, bad): trT is None
+    for the Laplacian flow; a row marked in ``bad`` failed a check of the
+    stack and holds zeros, so that its right-hand side cannot overflow, and
+    the caller redoes it alone.  Every other row rounds as it does alone."""
+    if degree == 4:
+        stack, bad = _quietly(lambda: stack_from_psi(x))
+    else:
+        bad = np.zeros(len(x), dtype=bool)
+        stack = G2Structure(x, *_quietly(lambda: _induced(x, bad)))
+    if bad.any():
+        stack.phi_coeffs = np.where(bad[:, None], 0.0, stack.phi_coeffs)
+        stack.psi_coeffs = np.where(bad[:, None], 0.0, stack.psi_coeffs)
+    if flow_kind == "modified_coflow":
+        rhs, trT = _coflow_rhs(L, stack.metric, stack.phi_coeffs, A)
+    else:
+        rhs, trT = _laplacian_rhs(L, stack.metric, stack.psi_coeffs), None
+    return stack, _finite_coeffs(rhs), trT, bad
 
 
 def deturck_vector(L, state, nabla0, c1, c2):
@@ -386,14 +401,12 @@ class _Evaluator:
 
     Every row is evaluated on coefficient arrays and kernel-built metrics;
     no Form is built but for DeTurck.  The rows a call evaluates are one
-    stack when there are two or more: the coflow through ``stack_from_psi``,
-    the Laplacian flow through ``_induced`` (its metric and psi = star phi),
-    then ``_coflow_rhs`` or ``_laplacian_rhs``, and a DeTurck row adds its
-    Lie derivative to its row.  A single row, and a row the stack marks,
-    goes through the kernels of one form: the closed form and residual gate
-    of ``phi_of_psi``, falling back to ``CoclosedState.from_psi`` (so a row
-    gets the bits, Newton corrections and errors of its public-API
-    evaluation), or ``_induced``.  A row whose evaluation fails is entered
+    stack when there are two or more (``_stacked_rhs``), and a DeTurck row
+    adds its Lie derivative to its row.  A single row, and a row the stack
+    marks, goes through the kernels of one form: the closed form and
+    residual gate of ``phi_of_psi``, falling back to
+    ``CoclosedState.from_psi`` (so a row gets the bits, Newton corrections
+    and errors of its public-API evaluation), or ``_induced``.  A row whose evaluation fails is entered
     in ``failed`` with its halt reason and detail; calls skip it, with zero
     entries, until the caller takes it out.
     """
@@ -404,7 +417,8 @@ class _Evaluator:
         self.A = A
         self.coflow = config.flow_kind == "modified_coflow"
         self.nabla0 = Connection(np.zeros((DIM, DIM, DIM)))
-        self.dmat = L.differential_matrix(4 if self.coflow else 3)
+        self.degree = 4 if self.coflow else 3
+        self.dmat = L.differential_matrix(self.degree)
         self.rows = [(row.tobytes(), _structure_of(s), None, None) for row, s in zip(y, states)]
         self.failed = {}
 
@@ -425,25 +439,15 @@ class _Evaluator:
         if len(todo) == 1:
             self._one(rows[todo[0]], y[todo[0]], out[todo[0]])
         elif todo:
-            x = y[todo]
-            if self.coflow:
-                stack, bad = _quietly(lambda: stack_from_psi(x))
-                # A marked row is redone alone; zeros keep its row of the
-                # stacked right-hand side from overflowing.
-                stack.phi_coeffs[bad] = 0.0
-                A = np.array([self.A[rows[j]] for j in todo])
-                rhs, trT = _coflow_rhs(self.L, stack.metric, stack.phi_coeffs, A)
-            else:
-                bad = np.zeros(len(todo), dtype=bool)
-                stack = G2Structure(x, *_quietly(lambda: _induced(x, bad)))
-                stack.psi_coeffs[bad] = 0.0
-                rhs, trT = _laplacian_rhs(self.L, stack.metric, stack.psi_coeffs), [None] * len(x)
-            rhs = _finite_coeffs(rhs)
+            A = np.array([self.A[rows[j]] for j in todo])
+            kind, degree = self.config.flow_kind, self.degree
+            stack, rhs, trT, bad = _stacked_rhs(self.L, kind, degree, A, y[todo])
             for r, j in enumerate(todo):
                 if bad[r]:
                     self._one(rows[j], y[j], out[j])
                 else:
-                    out[j] = self._keep(rows[j], y[j], stack.row(r), rhs[r], trT[r])
+                    trace = None if trT is None else trT[r]
+                    out[j] = self._keep(rows[j], y[j], stack.row(r), rhs[r], trace)
         return out
 
     def _one(self, i, y, out):
@@ -757,18 +761,21 @@ class SpectrumReport:
     eps: float
 
 
-def linearize(L, rhs, state, directions, eps=1e-5, static_tol=1e-8):
-    """Central finite-difference linearization of ``rhs`` at a static state.
+def linearize(L, state, directions, A=0.0, eps=1e-5, static_tol=1e-8):
+    """Central finite-difference linearization of the modified coflow at
+    parameter ``A`` at a static state.
 
-    ``rhs(L, state) -> Form`` is the flow map; ``directions`` are 4-forms
-    spanning the probed subspace.  They are orthonormalized in the L2 inner
-    product (pointwise metric inner product times the constant volume);
-    a rank-deficient set raises, as does a base point that is not static to
-    ``static_tol``.
+    ``directions`` are 4-forms spanning the probed subspace.  They are
+    orthonormalized in the L2 inner product (pointwise metric inner product
+    times the constant volume); a rank-deficient set raises, as does a base
+    point that is not static to ``static_tol``.  The 2m perturbed states
+    are recovered and evaluated as one stack; a state the stack marks is
+    redone alone by ``CoclosedState.from_psi`` and ``coflow_rhs``, with
+    their Newton corrections and errors.
     """
     if not isinstance(state, CoclosedState):
         raise G2FlowError("linearize expects a CoclosedState base point")
-    base_norm = float(np.linalg.norm(rhs(L, state).coeffs))
+    base_norm = float(np.linalg.norm(coflow_rhs(L, state, A).coeffs))
     if base_norm > static_tol:
         raise G2FlowError(
             f"base point is not static: rhs norm {base_norm:.3e} exceeds {static_tol:.1e}"
@@ -785,13 +792,16 @@ def linearize(L, rhs, state, directions, eps=1e-5, static_tol=1e-8):
         raise G2FlowError("degenerate direction set (L2 Gram matrix is singular)") from None
     basis = dmat @ np.linalg.inv(chol).T  # columns are L2-orthonormal
     m = basis.shape[1]
-    matrix = np.empty((m, m))
+    # Rows psi + eps b_j and psi - eps b_j, in turn for each direction b_j.
+    psi = state.psi.coeffs
+    probes = np.stack([psi + eps * basis.T, psi - eps * basis.T], axis=1).reshape(2 * m, -1)
+    _, rhs, _, bad = _stacked_rhs(L, "modified_coflow", 4, A, probes)
+    for k in np.flatnonzero(bad):
+        rhs[k] = coflow_rhs(L, CoclosedState.from_psi(Form(4, probes[k])), A).coeffs
     project = basis.T @ gram
+    matrix = np.empty((m, m))
     for j in range(m):
-        plus = CoclosedState.from_psi(Form(4, state.psi.coeffs + eps * basis[:, j]))
-        minus = CoclosedState.from_psi(Form(4, state.psi.coeffs - eps * basis[:, j]))
-        deriv = (rhs(L, plus).coeffs - rhs(L, minus).coeffs) / (2.0 * eps)
-        matrix[:, j] = project @ deriv
+        matrix[:, j] = project @ ((rhs[2 * j] - rhs[2 * j + 1]) / (2.0 * eps))
     sym = 0.5 * (matrix + matrix.T)
     return SpectrumReport(
         directions=[Form(4, basis[:, j]) for j in range(m)],

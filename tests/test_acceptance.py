@@ -324,8 +324,8 @@ def test_criterion_11_linearization_sanity(announce, ee1, ee2):
         base = CoclosedState.from_psi(standard_psi())
         dirs = coclosed_directions(ee1)
         eps = 2e-3
-        coarse = linearize(ee1, _rhs0, base, dirs, eps=eps)
-        fine = linearize(ee1, _rhs0, base, dirs, eps=eps / 2.0)
+        coarse = linearize(ee1, base, dirs, A=0.0, eps=eps)
+        fine = linearize(ee1, base, dirs, A=0.0, eps=eps / 2.0)
         for report in (coarse, fine):
             assert np.max(np.abs(report.matrix)) <= 1e-6
             assert np.max(np.abs(report.eigenvalues)) <= 1e-6
@@ -336,7 +336,7 @@ def test_criterion_11_linearization_sanity(announce, ee1, ee2):
         curved = CoclosedState.from_phi(ee2_diagonal_phi(member))
         dirs2 = coclosed_directions(ee2)
         mats = {
-            e: linearize(ee2, _rhs0, curved, dirs2, eps=e).matrix
+            e: linearize(ee2, curved, dirs2, A=0.0, eps=e).matrix
             for e in (2e-3, 1e-3, 5e-4)
         }
         assert np.max(np.abs(mats[1e-3])) > 1.0

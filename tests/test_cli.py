@@ -126,6 +126,20 @@ class TestMalformedFixtures:
         assert json.loads(out)["ok"] is False
 
 
+    @pytest.mark.parametrize("algebra", ["skew", "ee1_corrupted"])
+    def test_a_non_unimodular_algebra_is_refused_before_the_run(self, capsys, tmp_path,
+                                                                 algebra):
+        # d e^7 = e^{17} passes Jacobi but is not unimodular; ee1_corrupted
+        # is neither.  Both are refused by --validate-only, before any work.
+        skew = {"dim": 7, "d": [{"one_form": 7, "terms": [{"idx": [1, 7], "coef": 1.0}]}]}
+        cfg = {"schema_version": 1, "experiment": "custom", "initial": "psi_standard",
+               "algebra_file": _config(tmp_path, skew, "skew.json") if algebra == "skew"
+               else algebra}
+        for extra in (["--validate-only"], ["--output-dir", str(tmp_path)]):
+            code, out, err = _run(capsys, ["run", _config(tmp_path, cfg)] + extra)
+            assert (code, out) == (EXIT_CONFIG, "")
+            assert "config error: algebra_file: the algebra is not unimodular" in err
+
     @pytest.mark.parametrize("kind", ["algebra", "form"])
     def test_directory_named_like_a_fixture_is_unknown(self, capsys, tmp_path, kind):
         folder = tmp_path / "dir.json"
@@ -377,7 +391,13 @@ def _overflowing_config(overrides, method):
 
 def _run_with_warnings_as_errors(argv):
     """The CLI in a subprocess with RuntimeWarnings as errors."""
-    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning",
+    return _run_in_subprocess(argv, "error::RuntimeWarning")
+
+
+def _run_in_subprocess(argv, warnings):
+    """The CLI in a subprocess under the ``PYTHONWARNINGS`` filter
+    ``warnings`` ("" for Python's default filters)."""
+    env = dict(os.environ, PYTHONWARNINGS=warnings,
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-m", "g2flow.cli"] + argv,
                           capture_output=True, text=True, env=env, timeout=60)
@@ -438,6 +458,41 @@ class TestOverflowingStep:
         assert (term["reason"], term["steps"]) == ("newton", 0)
         assert term["detail"] == ("4-form is not positive (its dual 3-form: 3-form is not "
                                   "positively oriented (det B = -inf))")
+
+
+# Experiment inputs whose stacked states overflow, and the halt each must
+# end in, whatever the warning filters.
+HOSTILE_EXPERIMENTS = {
+    "ee1_static-1e100": (
+        {"schema_version": 1, "experiment": "ee1_static", "samples": 5,
+         "perturbation": {"magnitude": 1e100}},
+        "could not find a positive perturbation within 40 halvings of magnitude 1e+100",
+    ),
+    "ee1_static-1e300": (
+        {"schema_version": 1, "experiment": "ee1_static", "samples": 5,
+         "perturbation": {"magnitude": 1e300}},
+        "could not find a positive perturbation within 40 halvings of magnitude 1e+300",
+    ),
+    "linearize-1e200": (
+        {"schema_version": 1, "experiment": "linearize", "linearize": {"eps": 1e200}},
+        "4-form is not positive (its dual 3-form: 3-form is not positively oriented "
+        "(det B = -inf))",
+    ),
+}
+
+
+@pytest.mark.parametrize("warnings", ["", "error::RuntimeWarning"], ids=["default", "errors"])
+@pytest.mark.parametrize(
+    "cfg, message", HOSTILE_EXPERIMENTS.values(), ids=HOSTILE_EXPERIMENTS.keys()
+)
+def test_hostile_experiment_inputs_end_in_a_halt(tmp_path, cfg, message, warnings):
+    # The stacked recovery overflows; where RuntimeWarnings are errors that
+    # raises, and the run must still end in the halt of default warnings.
+    proc = _run_in_subprocess(
+        ["run", _config(tmp_path, cfg), "--output-dir", str(tmp_path)], warnings
+    )
+    assert proc.returncode == EXIT_NUMERICAL
+    assert proc.stderr.splitlines()[-1] == f"numerical halt: {message}"
 
 
 # An rk4 step of 1e-300 over a horizon of 1: about 1e300 steps, were the

@@ -19,6 +19,7 @@ from g2flow import (
     family_stretch_factors,
     FlowConfig,
     G2FlowError,
+    G2Structure,
     load_algebra,
     run_experiment,
     validate_config,
@@ -43,6 +44,10 @@ from .oracles import (
     family_coefficient_oracle,
     family_lambda_oracle,
 )
+
+
+# d e^7 = e^{17}: a Lie algebra (d^2 = 0) that is not unimodular.
+NON_UNIMODULAR_ALGEBRA = {"dim": 7, "d": [{"one_form": 7, "terms": [{"idx": [1, 7], "coef": 1.0}]}]}
 
 
 def _write(tmp_path, name, payload):
@@ -195,6 +200,25 @@ class TestConfigFromDict:
         assert violations == [
             "ee2_family requires flow.A = 0 (the coefficient law is the A=0 one)"
         ]
+
+    def test_a_non_unimodular_algebra_is_refused_at_validation(self, tmp_path):
+        # d e^7 = e^{17} passes Jacobi, but ad(e_7) has trace 1; every
+        # experiment but np takes a flow right-hand side on the algebra.
+        path = _write(tmp_path, "skew.json", NON_UNIMODULAR_ALGEBRA)
+        report = check_fixture(path)
+        assert report["jacobi_ok"] and not report["unimodular"]
+        message = (
+            "algebra_file: the algebra is not unimodular, and the flow right-hand "
+            "sides need a unimodular algebra"
+        )
+        for experiment in ("ee1_static", "ee2_family", "ee2_flow", "linearize", "custom"):
+            cfg, violations = config_from_dict(_minimal(experiment, algebra_file=path))
+            assert (cfg, violations) == (None, [message])
+        sweep = _minimal("sweep", algebra_file=path,
+                         sweep={"experiment": "ee2_flow", "axes": {"flow.A": [0.0, 0.5]}})
+        _, violations = config_from_dict(sweep)
+        assert violations == [f"sweep cell 0: {message}"]
+        assert config_from_dict(_minimal("np", algebra_file=path))[1] == []
 
     def test_unknown_algebra_names_known_fixtures(self):
         _, violations = config_from_dict(_minimal("ee2_flow", algebra_file="heis7"))
@@ -479,12 +503,12 @@ class TestRunExperiment:
         assert kinds[1:-1] == ["sample"] * 3
 
     def test_ee1_static_recovers_each_sample_once(self, tmp_path, monkeypatch):
-        from g2flow import experiments, g2core
+        from g2flow import flows, g2core
 
         calls, rows = [], []
         # _phi_of_psi is the one-form recovery that phi_of_psi and
         # CoclosedState.from_psi both run.
-        recover, recover_stack = g2core._phi_of_psi, experiments.stack_from_psi
+        recover, recover_stack = g2core._phi_of_psi, flows.stack_from_psi
 
         def counting(*args, **kwargs):
             calls.append(1)
@@ -495,7 +519,7 @@ class TestRunExperiment:
             return recover_stack(psi, *args, **kwargs)
 
         monkeypatch.setattr(g2core, "_phi_of_psi", counting)
-        monkeypatch.setattr(experiments, "stack_from_psi", counting_rows)
+        monkeypatch.setattr(flows, "stack_from_psi", counting_rows)
         cfg, _ = config_from_dict(_minimal("ee1_static", samples=3))
         result = run_experiment(cfg, output_dir=tmp_path)
         assert result.summary["passed"] is True
@@ -529,7 +553,7 @@ class TestRunExperiment:
 
     def test_ee1_static_linear_algebra_calls_grow_with_stacks_not_samples(self, tmp_path,
                                                                           monkeypatch):
-        from g2flow import experiments
+        from g2flow import flows
         from g2flow.experiments import _STACK_ROWS
 
         counts = {}
@@ -553,17 +577,92 @@ class TestRunExperiment:
         # At magnitude 3 most samples are halved one by one, and the stacked
         # recovery still runs once per stack: halved rows are not restacked.
         stacks = []
-        recover_stack = experiments.stack_from_psi
+        recover_stack = flows.stack_from_psi
 
         def counting_stacks(psi):
             stacks.append(len(psi))
             return recover_stack(psi)
 
-        monkeypatch.setattr(experiments, "stack_from_psi", counting_stacks)
+        monkeypatch.setattr(flows, "stack_from_psi", counting_stacks)
         raw = _minimal("ee1_static", samples=100, perturbation={"seed": 0, "magnitude": 3.0})
         cfg, _ = config_from_dict(raw)
         run_experiment(cfg, output_dir=tmp_path)
         assert stacks == [_STACK_ROWS] * 4
+
+    @pytest.mark.parametrize(
+        "experiment, overrides, stacks",
+        [
+            ("ee2_family", {}, 1),
+            ("ee2_family", {"samples": 100}, 4),
+            ("linearize", {"perturbation": {"subspace": "coclosed"}}, 1),
+            ("linearize", {"perturbation": {"subspace": "exact"}}, 1),
+        ],
+        ids=["ee2_family-20", "ee2_family-100", "linearize-coclosed", "linearize-exact"],
+    )
+    def test_linear_algebra_calls_grow_with_stacks_not_rows(
+        self, tmp_path, monkeypatch, experiment, overrides, stacks
+    ):
+        counts = {}
+        for name in ("det", "inv", "cholesky"):
+            def counting(*args, _call=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        cfg, _ = config_from_dict(_minimal(experiment, **overrides))
+        assert run_experiment(cfg, output_dir=tmp_path).status == "ok"
+        if experiment == "ee2_family":
+            # One induced metric per stack of up to _STACK_ROWS members.
+            # One by one, 20 members took 20 cholesky and 20 inv.
+            calls = stacks
+        else:
+            # The base point's recovery (two structures), the factor of the
+            # directions' L2 Gram matrix and its inverse, and one stacked
+            # recovery of the 2m states, whether m is 31 or 6.  One by one,
+            # the 62 and 12 states took 127 and 27 of each.
+            calls = 2 + 1 + 2 * stacks
+        assert counts == {"inv": calls, "cholesky": calls}
+
+    def test_ee2_family_rows_match_one_by_one(self, tmp_path, ee2):
+        # 30 members: a stack of 25 and one of 5.  Each row's right-hand
+        # side is the one G2Structure.from_phi and coflow_rhs give the
+        # member alone, bit for bit.
+        raw = _minimal("ee2_family", samples=30, perturbation={"seed": 3})
+        cfg, _ = config_from_dict(raw)
+        result = run_experiment(cfg, output_dir=tmp_path)
+        records = [json.loads(line) for line in open(result.files[0])]
+        assert [rec["index"] for rec in records] == list(range(30))
+        for rec in records:
+            c = np.array([rec[f"c{j}"] for j in range(1, 8)])
+            rhs = coflow_rhs(ee2, G2Structure.from_phi(ee2_diagonal_phi(c)), 0.0).coeffs
+            assert rec["coeff_computed"] == float(rhs[_E1357])
+            assert rec["off_max"] == float(np.max(np.abs(np.delete(rhs, _E1357))))
+
+    def test_ee2_family_redoes_a_marked_member_by_the_public_functions(
+        self, tmp_path, monkeypatch
+    ):
+        # A member that fails a check of the stack is evaluated alone by
+        # G2Structure.from_phi, which raises what it raises on it alone.
+        from g2flow import experiments
+
+        stacked = experiments._stacked_rhs
+
+        def marking_the_third(L, kind, degree, A, x):
+            structure, rhs, trT, bad = stacked(L, kind, degree, A, x)
+            bad[2] = True
+            rhs[2] = 0.0
+            return structure, rhs, trT, bad
+
+        cfg, _ = config_from_dict(_minimal("ee2_family", samples=4))
+        want = run_experiment(cfg, output_dir=tmp_path / "want")
+        monkeypatch.setattr(experiments, "_stacked_rhs", marking_the_third)
+        from_phi, built = G2Structure.from_phi, []
+        monkeypatch.setattr(
+            G2Structure, "from_phi", classmethod(lambda cls, phi: built.append(1) or from_phi(phi))
+        )
+        got = run_experiment(cfg, output_dir=tmp_path / "got")
+        assert len(built) == 1
+        assert Path(got.files[0]).read_bytes() == Path(want.files[0]).read_bytes()
 
     def test_ee1_static_builds_the_subspace_basis_once(self, tmp_path, monkeypatch):
         from g2flow import experiments

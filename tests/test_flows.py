@@ -45,9 +45,8 @@ from g2flow.flows import (
     HaltConfig,
     MonitorConfig,
     _rkf45_attempt,
-    coflow_rhs_stack,
+    _stacked_rhs,
 )
-from g2flow.g2core import stack_from_psi
 from g2flow.liealg import Connection, LieAlgebraStructure, levi_civita
 
 from .conftest import closed_n2_phi, coclosed_sample
@@ -165,10 +164,10 @@ class TestCoflowRhs:
         for L in (ee1, ee2):
             rng = np.random.default_rng(11)
             states = [sample_initial(L, standard_psi(), pcfg, rng)[3] for _ in range(50)]
-            stack, bad = stack_from_psi(np.array([st.psi.coeffs for st in states]))
-            assert not bad.any()
+            psi = np.array([st.psi.coeffs for st in states])
             for A in (0.0, 0.5):
-                rows = coflow_rhs_stack(L, stack, A)
+                _, rows, _, bad = _stacked_rhs(L, "modified_coflow", 4, A, psi)
+                assert not bad.any()
                 for st, row in zip(states, rows):
                     s = st.recovered
                     dphi = differential(L, s.phi).coeffs
@@ -1133,6 +1132,76 @@ class TestLeanPath:
         assert NEWTON_TOL < float(residual.group(1)) <= 1e-10
         assert lean == public and runs[0] == runs[1]
 
+    @pytest.mark.parametrize("A", [0.0, 0.7])
+    def test_stacked_rows_match_the_public_api_on_dense_structure_constants(self, ee2, A):
+        # The stacked evaluation that the ensembles and the experiments
+        # share, on 4-form rows (recovered) and on 3-form rows (the coflow
+        # of a given phi, as in ee2_family): each row is bit for bit what
+        # the public functions give its form alone, and a row that fails a
+        # check is marked and holds zeros.
+        L, psi = _changed_coframe(ee2, standard_psi(), seed=4)
+        states = [self._coflow_start(L, psi, seed) for seed in range(6)]
+        for degree, alone in (
+            (4, lambda row: CoclosedState.from_psi(Form(4, row))),
+            (3, lambda row: G2Structure.from_phi(Form(3, row))),
+        ):
+            x = np.array([s.psi.coeffs if degree == 4 else s.recovered.phi_coeffs for s in states])
+            x[2] = -x[2]  # det B < 0
+            _, rhs, trT, bad = _stacked_rhs(L, "modified_coflow", degree, A, x)
+            assert np.flatnonzero(bad).tolist() == [2]
+            assert not rhs[2].any()
+            for r in np.flatnonzero(~bad):
+                state = alone(x[r])
+                assert rhs[r].tobytes() == coflow_rhs(L, state, A).coeffs.tobytes()
+                assert trT[r] == torsion_trace(L, state)
+
+    @pytest.mark.parametrize("subspace", ["coclosed", "exact"])
+    def test_linearize_states_match_the_public_api(self, ee1, ee2, monkeypatch, subspace):
+        # The 2m states psi +- eps b_j of linearize are one stack; each
+        # row's right-hand side is the one CoclosedState.from_psi and
+        # coflow_rhs give the state alone, bit for bit.
+        from g2flow import flows
+
+        stacks, stacked = [], flows._stacked_rhs
+        monkeypatch.setattr(
+            flows, "_stacked_rhs", lambda *args: stacks.append(args) or stacked(*args)
+        )
+        directions = coclosed_directions if subspace == "coclosed" else exact_directions
+        for L, base, A in (
+            (ee1, CoclosedState.from_psi(standard_psi()), 0.3),
+            (ee2, CoclosedState.from_phi(ee2_diagonal_phi(STATIC_MEMBER)), 0.0),
+        ):
+            stacks.clear()
+            report = linearize(L, base, directions(L), A=A, static_tol=1.0)
+            ((_, kind, degree, a, states),) = stacks
+            assert (kind, degree, a) == ("modified_coflow", 4, A)
+            basis = np.array([d.coeffs for d in report.directions])
+            want = [base.psi.coeffs + sign * report.eps * b for b in basis for sign in (1, -1)]
+            assert np.array_equal(states, want)
+            _, rhs, _, bad = stacked(L, kind, degree, a, states)
+            assert not bad.any()
+            for psi, row in zip(states, rhs):
+                one = coflow_rhs(L, CoclosedState.from_psi(Form(4, psi)), A).coeffs
+                assert row.tobytes() == one.tobytes()
+
+    def test_linearize_redoes_marked_states_alone(self, ee2, monkeypatch):
+        # A residual gate of 0 makes the stack mark the states; each is
+        # redone by CoclosedState.from_psi (at its own gate) and gives the
+        # matrix of the unmarked stack, bit for bit.
+        from g2flow import g2core
+
+        base = CoclosedState.from_phi(ee2_diagonal_phi(STATIC_MEMBER))
+        dirs = coclosed_directions(ee2)
+        want = linearize(ee2, base, dirs, A=0.0).matrix
+        monkeypatch.setattr(g2core, "NEWTON_TOL", 0.0)
+        redone, from_psi = [], CoclosedState.from_psi
+        monkeypatch.setattr(
+            CoclosedState, "from_psi", classmethod(lambda cls, psi: redone.append(1) or from_psi(psi))
+        )
+        got = linearize(ee2, base, dirs, A=0.0).matrix
+        assert len(redone) > len(dirs)
+        assert got.tobytes() == want.tobytes()
+
     def test_structures_are_built_per_record_not_per_stage(self, ee2, n2, monkeypatch):
         """Inside ``integrate``, after the start: no Metric is validated, no
         G2Structure is built but the one each evaluation carries its row in
@@ -1359,7 +1428,7 @@ class TestLinearize:
         # so the flow map has vanishing derivative in coclosed directions.
         base = CoclosedState.from_psi(standard_psi())
         dirs = coclosed_directions(ee1)
-        report = linearize(ee1, _rhs0, base, dirs, eps=1e-3)
+        report = linearize(ee1, base, dirs, A=0.0, eps=1e-3)
         assert report.matrix.shape == (len(dirs), len(dirs))
         assert np.max(np.abs(report.matrix)) <= 1e-6
         assert np.max(np.abs(report.eigenvalues)) <= 1e-6
@@ -1371,8 +1440,8 @@ class TestLinearize:
         base = CoclosedState.from_psi(standard_psi())
         dirs = coclosed_directions(ee1)
         eps = 2e-3
-        coarse = linearize(ee1, _rhs0, base, dirs, eps=eps)
-        fine = linearize(ee1, _rhs0, base, dirs, eps=eps / 2.0)
+        coarse = linearize(ee1, base, dirs, A=0.0, eps=eps)
+        fine = linearize(ee1, base, dirs, A=0.0, eps=eps / 2.0)
         assert np.max(np.abs(fine.matrix)) <= 1e-6
         assert np.max(np.abs(coarse.matrix - fine.matrix)) <= 1.0 * eps**2
 
@@ -1385,7 +1454,7 @@ class TestLinearize:
         dirs = coclosed_directions(ee2)
         mats = {}
         for eps in (2e-3, 1e-3, 5e-4):
-            mats[eps] = linearize(ee2, _rhs0, base, dirs, eps=eps).matrix
+            mats[eps] = linearize(ee2, base, dirs, A=0.0, eps=eps).matrix
         assert np.max(np.abs(mats[1e-3])) > 1.0  # genuinely nonzero
         d_coarse = np.max(np.abs(mats[2e-3] - mats[1e-3]))
         d_fine = np.max(np.abs(mats[1e-3] - mats[5e-4]))
@@ -1393,7 +1462,7 @@ class TestLinearize:
 
     def test_directions_are_l2_orthonormal(self, ee1):
         base = CoclosedState.from_psi(standard_psi())
-        report = linearize(ee1, _rhs0, base, coclosed_directions(ee1), eps=1e-3)
+        report = linearize(ee1, base, coclosed_directions(ee1), A=0.0, eps=1e-3)
         structure = base.recovered
         gram = structure.metric.gram(4) * structure.volume
         mat = np.column_stack([d.coeffs for d in report.directions])
@@ -1402,19 +1471,19 @@ class TestLinearize:
     def test_non_static_base_raises(self, ee2, rng):
         state = coclosed_sample(ee2, rng, magnitude=0.25)
         with pytest.raises(G2FlowError, match="not static"):
-            linearize(ee2, _rhs0, state, coclosed_directions(ee2))
+            linearize(ee2, state, coclosed_directions(ee2), A=0.0)
 
     def test_degenerate_directions_raise(self, ee1):
         base = CoclosedState.from_psi(standard_psi())
         dirs = coclosed_directions(ee1)
         with pytest.raises(G2FlowError, match="degenerate direction set"):
-            linearize(ee1, _rhs0, base, [dirs[0], dirs[0]])
+            linearize(ee1, base, [dirs[0], dirs[0]], A=0.0)
 
     def test_requires_coclosed_state(self, ee1):
         with pytest.raises(G2FlowError, match="CoclosedState"):
-            linearize(ee1, _rhs0, G2Structure.from_phi(standard_phi()), [])
+            linearize(ee1, G2Structure.from_phi(standard_phi()), [], A=0.0)
 
     def test_empty_directions_raise(self, ee1):
         base = CoclosedState.from_psi(standard_psi())
         with pytest.raises(G2FlowError, match="non-empty"):
-            linearize(ee1, _rhs0, base, [])
+            linearize(ee1, base, [], A=0.0)

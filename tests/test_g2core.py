@@ -393,7 +393,7 @@ class TestStackedRecovery:
     @pytest.mark.parametrize("name", ["ee1", "ee2"])
     def test_matches_per_state(self, request, monkeypatch, name, magnitude, tol):
         from g2flow import g2core
-        from g2flow.flows import coflow_rhs, coflow_rhs_stack
+        from g2flow.flows import _stacked_rhs, coflow_rhs
         from g2flow.g2core import stack_from_psi
 
         L = request.getfixturevalue(name)
@@ -416,7 +416,8 @@ class TestStackedRecovery:
             # marks some rows and keeps others.
             assert 0 < bad.sum() < len(psi)
         residual = np.linalg.norm(stack.metric.star_coeffs(3, stack.phi_coeffs) - psi, axis=1)
-        rhs = coflow_rhs_stack(L, stack, 0.5)
+        _, rhs, _, rhs_bad = _stacked_rhs(L, "modified_coflow", 4, 0.5, psi)
+        assert np.array_equal(rhs_bad, bad)
         for i in np.flatnonzero(~bad):
             state = CoclosedState.from_psi(Form(4, psi[i]), tol=tol)
             s = state.recovered
@@ -481,16 +482,15 @@ class TestStackedRecovery:
         assert sorted(calls, reverse=True) == [32, 16, 16, 8, 8, 4, 4, 2, 2, 1, 1]
 
     def test_a_non_finite_right_hand_side_raises_as_one_row_does(self, ee2):
-        from g2flow.flows import coflow_rhs, coflow_rhs_stack
+        # Structure constants of 1e300 leave every structure positive and
+        # finite, and send d of d phi's star past the finite range.
+        from g2flow.flows import _stacked_rhs, coflow_rhs
+        from g2flow.liealg import LieAlgebraStructure
 
-        s = G2Structure.from_phi(ee2_diagonal_phi(np.full(7, 1.2)))
-        huge = G2Structure(1e300 * s.phi_coeffs, s.metric)
-        stack = G2Structure(
-            np.array([s.phi_coeffs, huge.phi_coeffs]),
-            Metric(np.array([s.metric.g, huge.metric.g])),
-        )
+        huge = LieAlgebraStructure(tuple(Form(2, 1e300 * f.coeffs) for f in ee2.d1))
+        phi = np.array([ee2_diagonal_phi(np.full(7, c)).coeffs for c in (1.0, 1.2)])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="coefficients must be finite"):
-                coflow_rhs(ee2, huge)
+                coflow_rhs(huge, G2Structure.from_phi(Form(3, phi[1])))
             with pytest.raises(ValueError, match="coefficients must be finite"):
-                coflow_rhs_stack(ee2, stack)
+                _stacked_rhs(huge, "modified_coflow", 3, 0.0, phi)
