@@ -36,9 +36,10 @@ one after another through ``_RUNNERS``.
 stacks, through the one stacked evaluation of the flow engine
 (``flows._stacked_rhs``): the samples of the first two in blocks of up to
 ``_STACK_ROWS`` rows, the perturbed states of ``linearize`` as one stack.
-A row that fails a check there is redone on its own: an ``ee1_static``
-sample through the halving loop of ``sample_initial``, an ``ee2_family``
-member and a ``linearize`` state through the public functions.
+A row that fails a check there is evaluated alone there, and the callers
+only read the errors: an ``ee1_static`` sample whose evaluation alone
+raised is sampled again by the halving loop of ``sample_initial``, and
+``ee2_family`` and ``linearize`` raise the first error, in row order.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from .flows import (
     POSITIVE_INT,
     RECORD_FIELDS,
     FlowConfig,
+    _raise_alone_error,
     _stacked_rhs,
     coclosed_directions,
     coflow_rhs,
@@ -563,7 +565,7 @@ def expand_sweep(cfg):
     Axis keys are dotted config paths ("flow.A", "perturbation.seed",
     "initial", ...), iterated in sorted key order; returns a list of
     (overrides, cell_config) in deterministic order.  Invalid cells raise
-    ConfigError with messages prefixed by the cell index.
+    one ConfigError with all their messages, prefixed by the cell index.
     """
     base = cfg.to_dict()
     base["experiment"] = cfg.sweep_section.experiment
@@ -575,16 +577,17 @@ def expand_sweep(cfg):
             raise ConfigError([f"sweep axes cannot override {root!r}"])
     keys = sorted(cfg.sweep_section.axes)
     grids = [cfg.sweep_section.axes[k] for k in keys]
-    cells = []
+    cells, violations = [], []
     for n, combo in enumerate(itertools.product(*grids)):
         overrides = dict(zip(keys, combo))
         cell_raw = copy.deepcopy(base)
         for key, value in overrides.items():
             _set_dotted(cell_raw, key, value)
-        cell_cfg, violations = config_from_dict(cell_raw)
-        if violations:
-            raise ConfigError([f"sweep cell {n}: {v}" for v in violations])
+        cell_cfg, cell_violations = config_from_dict(cell_raw)
+        violations += [f"sweep cell {n}: {v}" for v in cell_violations]
         cells.append((overrides, cell_cfg))
+    if violations:
+        raise ConfigError(violations)
     return cells
 
 
@@ -789,13 +792,12 @@ def _run_ee1_static(cfg, L, path):
     max_rhs = 0.0
     for rows in _row_blocks(n):
         psi = base.coeffs + scales[rows, None] * direction[rows]
-        _, rhs, _, bad = _stacked_rhs(L, "modified_coflow", 4, cfg.flow.A, psi)
-        for i, marked, r in zip(range(n)[rows], bad, _norms(rhs).tolist()):
+        _, rhs, _, alone = _stacked_rhs(L, "modified_coflow", 4, cfg.flow.A, psi)
+        for i, r in zip(range(n)[rows], _norms(rhs).tolist()):
             scale, h = scales[i], 0
-            if marked:
-                # A row that fails a check of the stack is sampled as
-                # sample_initial samples it; its right-hand side is taken
-                # on its own too.
+            if isinstance(alone.get(i - rows.start), G2FlowError):
+                # A row whose evaluation alone raised is sampled as
+                # sample_initial samples it, right-hand side included.
                 _, scale, h, state = _halve_until_positive(
                     base, direction[i], scales[i], CoclosedState.from_psi
                 )
@@ -833,11 +835,8 @@ def _run_ee2_family(cfg, L, path):
     for rows in _row_blocks(n):
         c = [np.ones(7) if i == 0 else rng.uniform(0.5, 2.0, size=7) for i in range(n)[rows]]
         phi = np.array([ee2_diagonal_phi(ci).coeffs for ci in c])
-        _, rhs, _, bad = _stacked_rhs(L, "modified_coflow", 3, 0.0, phi)
-        for r in np.flatnonzero(bad):
-            # A row that fails a check of the stack raises what the public
-            # functions raise on it alone.
-            rhs[r] = coflow_rhs(L, G2Structure.from_phi(Form(3, phi[r])), 0.0).coeffs
+        _, rhs, _, alone = _stacked_rhs(L, "modified_coflow", 3, 0.0, phi)
+        _raise_alone_error(alone)
         for i, ci, row in zip(range(n)[rows], c, rhs):
             computed = float(row[_E1357])
             off = float(np.max(np.abs(np.delete(row, _E1357))))

@@ -33,18 +33,14 @@ setting.  One start is an ensemble of one row: there is one time loop, in
 which each row keeps its own t, step count and step size (rk4 rows stay
 on one grid, rkf45 rows drift apart).
 
-Every row of a stage is evaluated on coefficient arrays and kept as
-(key, G2Structure, rhs, trT).  Several rows are recovered and evaluated as
-one stack (``_stacked_rhs``, which the experiments share), and each keeps
-its row of it, adding its DeTurck term; a single row goes through the
-kernels of one form (the closed form and residual gate of ``phi_of_psi``
-for the coflow, the induced metric for the Laplacian flow, then the
-kernels that ``coflow_rhs`` and ``laplacian_flow_rhs`` wrap).  A row the
-stack marks is redone alone, and a coflow row that misses the gate there
-by ``CoclosedState.from_psi``, with its Newton corrections and errors.  Every
-kernel rounds a row as the public functions do on the form alone, d
-included on any structure constants, so each row's trajectory is bit for
-bit the one its start gets alone and the one the public functions give.
+Every row of a stage is evaluated on coefficient arrays by the one
+evaluation that the experiments share (``_stacked_rhs``), and kept as
+(key, G2Structure, rhs, trT) with its DeTurck term.  Several rows are one
+stack; a single row, and a row the stack marks, is evaluated alone by the
+kernels of one form that the public functions wrap.  Every kernel rounds
+a row as the public functions do on the form alone, d included on any
+structure constants, so each row's trajectory is bit for bit the one its
+start gets alone and the one the public functions give.
 Rows are independent: a row that halts freezes with the records it gets
 alone while the others step on.  An overflow in the arithmetic of a stage
 halts the row (``nonfinite``) also where RuntimeWarnings are errors.
@@ -280,27 +276,77 @@ def _laplacian_rhs(L, metric, psi):
     return CODIFF_SIGN[3] * _d(L, 2, metric.star_coeffs(5, _d(L, 4, psi)))
 
 
-def _stacked_rhs(L, flow_kind, degree, A, x):
-    """The structures and right-hand sides of the rows of ``x``: (n, 35)
-    coefficients of 4-forms, recovered by ``stack_from_psi``, or of 3-forms
-    with their induced metrics, under ``flow_kind`` at ``A`` (one value, or
-    one per row).  Returns (structure with rows, rhs, trT, bad): trT is None
-    for the Laplacian flow; a row marked in ``bad`` failed a check of the
-    stack and holds zeros, so that its right-hand side cannot overflow, and
-    the caller redoes it alone.  Every other row rounds as it does alone."""
-    if degree == 4:
-        stack, bad = _quietly(lambda: stack_from_psi(x))
-    else:
-        bad = np.zeros(len(x), dtype=bool)
-        stack = G2Structure(x, *_quietly(lambda: _induced(x, bad)))
-    if bad.any():
-        stack.phi_coeffs = np.where(bad[:, None], 0.0, stack.phi_coeffs)
-        stack.psi_coeffs = np.where(bad[:, None], 0.0, stack.psi_coeffs)
+def _structure_rhs(L, flow_kind, s, A):
+    """(rhs, trT) under ``flow_kind`` at A of a structure, one or a stack
+    in rows: trT is the torsion trace the coflow takes, None otherwise."""
     if flow_kind == "modified_coflow":
-        rhs, trT = _coflow_rhs(L, stack.metric, stack.phi_coeffs, A)
+        rhs, trT = _coflow_rhs(L, s.metric, s.phi_coeffs, A)
     else:
-        rhs, trT = _laplacian_rhs(L, stack.metric, stack.psi_coeffs), None
-    return stack, _finite_coeffs(rhs), trT, bad
+        rhs, trT = _laplacian_rhs(L, s.metric, s.psi_coeffs), None
+    return _finite_coeffs(rhs), trT
+
+
+def _structure_alone(degree, x):
+    """One row's structure by the kernels of one form: a 4-form's closed
+    form if it passes the residual gate of ``phi_of_psi``, else that of
+    ``CoclosedState.from_psi`` (or its error); a 3-form's induced one."""
+    if degree == 3:
+        return G2Structure(x, *_induced(x))
+    try:
+        phi, metric, back = _closed_form(x)
+    except RecoveryError:
+        pass
+    else:
+        if float(np.linalg.norm(back - x)) <= NEWTON_TOL:
+            return G2Structure(phi, metric, back)
+    return CoclosedState.from_psi(Form(4, x)).recovered
+
+
+def _stacked_rhs(L, flow_kind, degree, A, x):
+    """The structures and right-hand sides of the n >= 1 rows of ``x``,
+    (n, 35) coefficients of 4-forms (recovered) or of 3-forms (with their
+    induced metrics), under ``flow_kind`` at ``A`` (a number, or a list of
+    one per row).  Two or more rows are one stack, whose checks mark the
+    rows that fail one; one row, and each marked row, is evaluated alone
+    by the kernels of one form (``_structure_alone``: half the cost of a
+    stack of one).  Returns (stack, rhs, trT, alone): ``stack`` is None for
+    one row and holds zeros in marked rows, so that their right-hand sides
+    cannot overflow; trT holds None for the Laplacian flow; ``alone`` maps
+    each row evaluated alone to its structure, or to the PositivityError or
+    RecoveryError it raised (its rhs row is then zero).  Every row rounds
+    as it does alone, and a structure shares the rows of x."""
+    alone = {}
+    if len(x) == 1:
+        stack, rhs, trT, todo = None, np.zeros(x.shape), [None], (0,)
+    else:
+        # The stack marks every row that leaves the finite range.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if degree == 4:
+                stack, bad = stack_from_psi(x)
+            else:
+                bad = np.zeros(len(x), dtype=bool)
+                stack = G2Structure(x, *_induced(x, bad))
+        if bad.any():
+            stack.phi_coeffs = np.where(bad[:, None], 0.0, stack.phi_coeffs)
+            stack.psi_coeffs = np.where(bad[:, None], 0.0, stack.psi_coeffs)
+        rhs, trT = _structure_rhs(L, flow_kind, stack, A)
+        trT = [None] * len(x) if trT is None else trT
+        todo = np.flatnonzero(bad).tolist()
+    for r in todo:
+        try:
+            s = alone[r] = _structure_alone(degree, x[r])
+        except (PositivityError, RecoveryError) as exc:
+            alone[r] = exc
+            continue
+        rhs[r], trT[r] = _structure_rhs(L, flow_kind, s, A[r] if isinstance(A, list) else A)
+    return stack, rhs, trT, alone
+
+
+def _raise_alone_error(alone):
+    """Raise the first error of the rows evaluated alone, in row order."""
+    for s in alone.values():
+        if isinstance(s, G2FlowError):
+            raise s
 
 
 def deturck_vector(L, state, nabla0, c1, c2):
@@ -399,25 +445,21 @@ class _Evaluator:
     its last stage.  Row i starts out holding the structure of
     ``states[i]`` at ``y[i]``.
 
-    Every row is evaluated on coefficient arrays and kernel-built metrics;
-    no Form is built but for DeTurck.  The rows a call evaluates are one
-    stack when there are two or more (``_stacked_rhs``), and a DeTurck row
-    adds its Lie derivative to its row.  A single row, and a row the stack
-    marks, goes through the kernels of one form: the closed form and
-    residual gate of ``phi_of_psi``, falling back to
-    ``CoclosedState.from_psi`` (so a row gets the bits, Newton corrections
-    and errors of its public-API evaluation), or ``_induced``.  A row whose evaluation fails is entered
-    in ``failed`` with its halt reason and detail; calls skip it, with zero
-    entries, until the caller takes it out.
+    The rows a call evaluates, however many, go through ``_stacked_rhs``
+    (so a row gets the bits, Newton corrections and errors of its public-API
+    evaluation), and a DeTurck row adds its Lie derivative; no Form is built
+    but for DeTurck.  A row whose evaluation fails is entered in ``failed``
+    with its halt reason and detail; calls skip it, with zero entries, until
+    the caller takes it out.
     """
 
     def __init__(self, L, config, A, y, states):
         self.L = L
         self.config = config
         self.A = A
-        self.coflow = config.flow_kind == "modified_coflow"
+        self.kind = config.flow_kind
         self.nabla0 = Connection(np.zeros((DIM, DIM, DIM)))
-        self.degree = 4 if self.coflow else 3
+        self.degree = 4 if self.kind == "modified_coflow" else 3
         self.dmat = L.differential_matrix(self.degree)
         self.rows = [(row.tobytes(), _structure_of(s), None, None) for row, s in zip(y, states)]
         self.failed = {}
@@ -429,67 +471,27 @@ class _Evaluator:
         for j, i in enumerate(rows):
             if i in self.failed:
                 continue
-            key, _, rhs, _ = self.rows[i]
+            key, s, rhs, _ = self.rows[i]
             if y[j].tobytes() == key:
-                out[j] = self._rhs(i, y[j]) if rhs is None else rhs
+                if rhs is None:  # a start row, whose structure came with it
+                    rhs = self._keep(i, y[j], s, *_structure_rhs(self.L, self.kind, s, self.A[i]))
+                out[j] = rhs
             elif np.isfinite(y[j]).all():
                 todo.append(j)
             else:
                 self.failed[i] = ("nonfinite", "a stage of the step left the finite range")
-        if len(todo) == 1:
-            self._one(rows[todo[0]], y[todo[0]], out[todo[0]])
-        elif todo:
-            A = np.array([self.A[rows[j]] for j in todo])
-            kind, degree = self.config.flow_kind, self.degree
-            stack, rhs, trT, bad = _stacked_rhs(self.L, kind, degree, A, y[todo])
+        if todo:
+            A = [self.A[rows[j]] for j in todo]
+            x = y.take(todo, axis=0)  # a copy, which the structures may share
+            stack, rhs, trT, alone = _stacked_rhs(self.L, self.kind, self.degree, A, x)
             for r, j in enumerate(todo):
-                if bad[r]:
-                    self._one(rows[j], y[j], out[j])
+                s = alone.get(r) or stack.row(r)
+                if isinstance(s, G2FlowError):
+                    reason = "positivity" if isinstance(s, PositivityError) else "newton"
+                    self.failed[rows[j]] = (reason, str(s))
                 else:
-                    trace = None if trT is None else trT[r]
-                    out[j] = self._keep(rows[j], y[j], stack.row(r), rhs[r], trace)
+                    out[j] = self._keep(rows[j], y[j], s, rhs[r], trT[r])
         return out
-
-    def _one(self, i, y, out):
-        """Evaluate row i at y by the kernels of one form into ``out``."""
-        try:
-            s = self._recover(y) if self.coflow else self._induce(y)
-        except (PositivityError, RecoveryError) as exc:
-            reason = "positivity" if isinstance(exc, PositivityError) else "newton"
-            self.failed[i] = (reason, str(exc))
-            return
-        self.rows[i] = (y.tobytes(), s, None, None)
-        out[:] = self._rhs(i, y)
-
-    @staticmethod
-    def _recover(psi):
-        """The structure of a 4-form: the closed form when it passes the
-        residual gate of ``phi_of_psi``, else ``CoclosedState.from_psi``
-        (its Newton corrections, or its error)."""
-        try:
-            phi, metric, back = _closed_form(psi)
-        except RecoveryError:
-            pass
-        else:
-            if float(np.linalg.norm(back - psi)) <= NEWTON_TOL:
-                return G2Structure(phi, metric, back)
-        return CoclosedState.from_psi(Form(4, psi)).recovered
-
-    @staticmethod
-    def _induce(phi):
-        """The structure of a 3-form, with its induced metric and psi = star phi."""
-        phi = phi.copy()  # y is a stage array the integrator writes to
-        return G2Structure(phi, *_induced(phi))
-
-    def _rhs(self, i, y):
-        """The right-hand side of row i at its coefficients y, kept for reuse
-        with the torsion trace of a coflow row."""
-        s = self.rows[i][1]
-        if self.coflow:
-            rhs, trT = _coflow_rhs(self.L, s.metric, s.phi_coeffs, self.A[i])
-        else:
-            rhs, trT = _laplacian_rhs(self.L, s.metric, s.psi_coeffs), None
-        return self._keep(i, y, s, _finite_coeffs(rhs), trT)
 
     def _keep(self, i, y, s, rhs, trT):
         """Keep row i's evaluation at y: its structure s, the base right-hand
@@ -497,7 +499,7 @@ class _Evaluator:
         gauge = self.config.deturck
         if gauge.enabled:
             v = deturck_vector(self.L, s, self.nabla0, gauge.c1, gauge.c2)
-            form = Form(4, y) if self.coflow else s.phi
+            form = Form(4, y) if self.degree == 4 else s.phi
             rhs = _finite_coeffs(rhs + lie_derivative(self.L, v, form).coeffs)
         self.rows[i] = (y.tobytes(), s, rhs, trT)
         return rhs
@@ -507,12 +509,11 @@ class _Evaluator:
 
 
 def _quietly(fn):
-    """fn(), the arithmetic of a stage or a step (y + h k), or a stacked
-    structure.  Where RuntimeWarnings are errors an overflow there raises;
-    fn is then run again under np.errstate, since the evaluator and the step
-    check halt on a non-finite stage or step (``nonfinite``), and a stack
-    marks a row it overflows on and redoes it alone.  Otherwise no errstate
-    is entered: each costs about a microsecond."""
+    """fn(), the arithmetic of a stage or a step (y + h k).  Where
+    RuntimeWarnings are errors an overflow there raises; fn is then run
+    again under np.errstate, since the evaluator and the step check halt on
+    a non-finite stage or step (``nonfinite``).  Otherwise no errstate is
+    entered: each costs about a microsecond."""
     try:
         return fn()
     except RuntimeWarning:
@@ -769,9 +770,9 @@ def linearize(L, state, directions, A=0.0, eps=1e-5, static_tol=1e-8):
     orthonormalized in the L2 inner product (pointwise metric inner product
     times the constant volume); a rank-deficient set raises, as does a base
     point that is not static to ``static_tol``.  The 2m perturbed states
-    are recovered and evaluated as one stack; a state the stack marks is
-    redone alone by ``CoclosedState.from_psi`` and ``coflow_rhs``, with
-    their Newton corrections and errors.
+    are recovered and evaluated as one stack (``_stacked_rhs``, which
+    evaluates a state the stack marks alone); the first state that raises
+    there raises here.
     """
     if not isinstance(state, CoclosedState):
         raise G2FlowError("linearize expects a CoclosedState base point")
@@ -795,9 +796,8 @@ def linearize(L, state, directions, A=0.0, eps=1e-5, static_tol=1e-8):
     # Rows psi + eps b_j and psi - eps b_j, in turn for each direction b_j.
     psi = state.psi.coeffs
     probes = np.stack([psi + eps * basis.T, psi - eps * basis.T], axis=1).reshape(2 * m, -1)
-    _, rhs, _, bad = _stacked_rhs(L, "modified_coflow", 4, A, probes)
-    for k in np.flatnonzero(bad):
-        rhs[k] = coflow_rhs(L, CoclosedState.from_psi(Form(4, probes[k])), A).coeffs
+    _, rhs, _, alone = _stacked_rhs(L, "modified_coflow", 4, A, probes)
+    _raise_alone_error(alone)
     project = basis.T @ gram
     matrix = np.empty((m, m))
     for j in range(m):

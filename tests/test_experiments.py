@@ -217,7 +217,7 @@ class TestConfigFromDict:
         sweep = _minimal("sweep", algebra_file=path,
                          sweep={"experiment": "ee2_flow", "axes": {"flow.A": [0.0, 0.5]}})
         _, violations = config_from_dict(sweep)
-        assert violations == [f"sweep cell 0: {message}"]
+        assert violations == [f"sweep cell 0: {message}", f"sweep cell 1: {message}"]
         assert config_from_dict(_minimal("np", algebra_file=path))[1] == []
 
     def test_unknown_algebra_names_known_fixtures(self):
@@ -642,23 +642,26 @@ class TestRunExperiment:
         self, tmp_path, monkeypatch
     ):
         # A member that fails a check of the stack is evaluated alone by
-        # G2Structure.from_phi, which raises what it raises on it alone.
-        from g2flow import experiments
+        # the one-row function, which raises what G2Structure.from_phi
+        # raises on it alone.
+        from g2flow import flows
 
-        stacked = experiments._stacked_rhs
+        induced, structure_alone = flows._induced, flows._structure_alone
 
-        def marking_the_third(L, kind, degree, A, x):
-            structure, rhs, trT, bad = stacked(L, kind, degree, A, x)
-            bad[2] = True
-            rhs[2] = 0.0
-            return structure, rhs, trT, bad
+        def marking_the_third(x, bad=None):
+            out = induced(x, bad)
+            if bad is not None:
+                bad[2] = True
+            return out
 
         cfg, _ = config_from_dict(_minimal("ee2_family", samples=4))
         want = run_experiment(cfg, output_dir=tmp_path / "want")
-        monkeypatch.setattr(experiments, "_stacked_rhs", marking_the_third)
-        from_phi, built = G2Structure.from_phi, []
+        monkeypatch.setattr(flows, "_induced", marking_the_third)
+        built = []
         monkeypatch.setattr(
-            G2Structure, "from_phi", classmethod(lambda cls, phi: built.append(1) or from_phi(phi))
+            flows,
+            "_structure_alone",
+            lambda degree, phi: built.append(1) or structure_alone(degree, phi),
         )
         got = run_experiment(cfg, output_dir=tmp_path / "got")
         assert len(built) == 1

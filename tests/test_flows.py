@@ -166,8 +166,8 @@ class TestCoflowRhs:
             states = [sample_initial(L, standard_psi(), pcfg, rng)[3] for _ in range(50)]
             psi = np.array([st.psi.coeffs for st in states])
             for A in (0.0, 0.5):
-                _, rows, _, bad = _stacked_rhs(L, "modified_coflow", 4, A, psi)
-                assert not bad.any()
+                _, rows, _, alone = _stacked_rhs(L, "modified_coflow", 4, A, psi)
+                assert not alone
                 for st, row in zip(states, rows):
                     s = st.recovered
                     dphi = differential(L, s.phi).coeffs
@@ -821,7 +821,7 @@ class TestEnsembles:
             monitors=MonitorConfig(record_every=3),
         )
         recovered, attempts = [], []
-        stack, recover = flows.stack_from_psi, flows._Evaluator._recover
+        stack, recover = flows.stack_from_psi, flows._structure_alone
         attempt = flows._rkf45_attempt
 
         def stacked(y):
@@ -831,7 +831,7 @@ class TestEnsembles:
 
         monkeypatch.setattr(flows, "stack_from_psi", stacked)
         monkeypatch.setattr(
-            flows._Evaluator, "_recover", staticmethod(lambda y: recovered.append(1) or recover(y))
+            flows, "_structure_alone", lambda degree, y: recovered.append(1) or recover(degree, y)
         )
         monkeypatch.setattr(
             flows, "_rkf45_attempt", lambda f, y, h: attempts.append(len(y)) or attempt(f, y, h)
@@ -969,43 +969,44 @@ class TestEnsembles:
 
 def _public_api_rows(monkeypatch):
     """Make the evaluator build every one-form row through the public API:
-    the structure from ``CoclosedState.from_psi`` or ``G2Structure.from_phi``,
-    the right-hand side from ``coflow_rhs`` or ``laplacian_flow_rhs`` plus
+    the structure from ``CoclosedState.from_psi`` or ``G2Structure.from_phi``
+    (in place of the one-row function ``_structure_alone``), the right-hand
+    side from ``coflow_rhs`` or ``laplacian_flow_rhs`` plus
     ``deturck_term``, and the recorded torsion trace from ``torsion_trace``.
     This is the oracle of the lean one-form path."""
     from g2flow import flows
-    from g2flow.errors import PositivityError, RecoveryError
 
-    def rhs(self, i, y):
-        key, s, _, _ = self.rows[i]
-        if self.coflow:
-            # coflow_rhs and deturck_term read no residual.
-            state = CoclosedState(psi=Form(4, y), recovered=s, residual=0.0)
-            out = coflow_rhs(self.L, state, self.A[i])
+    def structure_alone(degree, x):
+        if degree == 4:
+            return CoclosedState.from_psi(Form(4, x)).recovered
+        return G2Structure.from_phi(Form(3, x))
+
+    structure_rhs = flows._structure_rhs
+
+    def rhs(L, flow_kind, s, A):
+        if np.ndim(s.phi_coeffs) > 1:  # a stack: not a one-form row
+            return structure_rhs(L, flow_kind, s, A)
+        if flow_kind == "modified_coflow":
+            out = coflow_rhs(L, s, A)
         else:
-            state = s
-            out = laplacian_flow_rhs(self.L, s)
+            out = laplacian_flow_rhs(L, s)
+        return out.coeffs, torsion_trace(L, s)
+
+    def keep(self, i, y, s, rhs, trT):
         gauge = self.config.deturck
         if gauge.enabled:
-            out = out + deturck_term(self.L, state, self.nabla0, gauge.c1, gauge.c2)
-        self.rows[i] = (key, s, out.coeffs, torsion_trace(self.L, s))
-        return out.coeffs
+            state = s
+            if self.degree == 4:
+                # coflow_rhs and deturck_term read no residual.
+                state = CoclosedState(psi=Form(4, y), recovered=s, residual=0.0)
+            term = deturck_term(self.L, state, self.nabla0, gauge.c1, gauge.c2)
+            rhs = (Form(self.degree, rhs) + term).coeffs
+        self.rows[i] = (y.tobytes(), s, rhs, trT)
+        return rhs
 
-    def one(self, i, y, out):
-        try:
-            if self.coflow:
-                s = CoclosedState.from_psi(Form(4, y)).recovered
-            else:
-                s = G2Structure.from_phi(Form(3, y))
-        except (PositivityError, RecoveryError) as exc:
-            reason = "positivity" if isinstance(exc, PositivityError) else "newton"
-            self.failed[i] = (reason, str(exc))
-            return
-        self.rows[i] = (y.tobytes(), s, None, None)
-        out[:] = self._rhs(i, y)
-
-    monkeypatch.setattr(flows._Evaluator, "_rhs", rhs)
-    monkeypatch.setattr(flows._Evaluator, "_one", one)
+    monkeypatch.setattr(flows, "_structure_alone", structure_alone)
+    monkeypatch.setattr(flows, "_structure_rhs", rhs)
+    monkeypatch.setattr(flows._Evaluator, "_keep", keep)
 
 
 def _lean_and_public(monkeypatch, run):
@@ -1138,22 +1139,110 @@ class TestLeanPath:
         # share, on 4-form rows (recovered) and on 3-form rows (the coflow
         # of a given phi, as in ee2_family): each row is bit for bit what
         # the public functions give its form alone, and a row that fails a
-        # check is marked and holds zeros.
+        # check is evaluated alone, holds zeros and returns the error the
+        # public functions raise on it.
         L, psi = _changed_coframe(ee2, standard_psi(), seed=4)
         states = [self._coflow_start(L, psi, seed) for seed in range(6)]
-        for degree, alone in (
+        for degree, alone_state in (
             (4, lambda row: CoclosedState.from_psi(Form(4, row))),
             (3, lambda row: G2Structure.from_phi(Form(3, row))),
         ):
             x = np.array([s.psi.coeffs if degree == 4 else s.recovered.phi_coeffs for s in states])
             x[2] = -x[2]  # det B < 0
-            _, rhs, trT, bad = _stacked_rhs(L, "modified_coflow", degree, A, x)
-            assert np.flatnonzero(bad).tolist() == [2]
+            _, rhs, trT, alone = _stacked_rhs(L, "modified_coflow", degree, A, x)
+            assert list(alone) == [2]
             assert not rhs[2].any()
-            for r in np.flatnonzero(~bad):
-                state = alone(x[r])
+            with pytest.raises(type(alone[2]), match=re.escape(str(alone[2]))):
+                alone_state(x[2])
+            for r in (0, 1, 3, 4, 5):
+                state = alone_state(x[r])
                 assert rhs[r].tobytes() == coflow_rhs(L, state, A).coeffs.tobytes()
                 assert trT[r] == torsion_trace(L, state)
+
+    @pytest.mark.parametrize(
+        "flow_kind, degree",
+        [("modified_coflow", 4), ("modified_coflow", 3), ("laplacian_flow", 3)],
+    )
+    def test_one_row_takes_the_kernels_of_one_form(self, ee2, monkeypatch, flow_kind, degree):
+        # One row is evaluated alone, by the kernels of one form: no stacked
+        # recovery and no stacked factorisation.  It is bit for bit row 0
+        # of a stack of two.
+        from g2flow import flows, g2core
+
+        L, psi = _changed_coframe(ee2, standard_psi(), seed=4)
+        states = [self._coflow_start(L, psi, seed) for seed in range(2)]
+        x = np.array([s.psi.coeffs if degree == 4 else s.recovered.phi_coeffs for s in states])
+        stack, rhs, trT, alone = _stacked_rhs(L, flow_kind, degree, 0.7, x)
+        assert not alone
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(flows, "stack_from_psi", lambda y: calls.append("stack_from_psi"))
+            m.setattr(g2core, "_cholesky_rows", lambda b: calls.append("_cholesky_rows"))
+            none, rhs1, trT1, alone1 = _stacked_rhs(L, flow_kind, degree, 0.7, x[:1])
+        assert calls == [] and none is None and list(alone1) == [0]
+        one, want = alone1[0], stack.row(0)
+        assert rhs1.shape == (1, 35) and rhs1[0].tobytes() == rhs[0].tobytes()
+        assert trT1[0] == trT[0]
+        assert (trT[0] is None) == (flow_kind == "laplacian_flow")
+        for name in ("phi_coeffs", "psi_coeffs"):
+            assert getattr(one, name).tobytes() == getattr(want, name).tobytes()
+        assert one.metric.g.tobytes() == want.metric.g.tobytes()
+        assert one.metric.inv.tobytes() == want.metric.inv.tobytes()
+        assert one.volume == want.volume
+
+    @pytest.mark.parametrize("caller", ["ensemble", "ee1_static", "ee2_family", "linearize"])
+    def test_a_marked_row_goes_through_the_one_row_function_once(
+        self, ee2, tmp_path, monkeypatch, caller
+    ):
+        # Whichever caller stacks the rows, a row the stack marks (the
+        # second row of its first stack, and at magnitude 3 most ee1_static
+        # samples) is evaluated alone inside the stacked evaluation, once,
+        # and the output is that of the unmarked stack.
+        from g2flow import flows
+
+        def run():
+            if caller == "ensemble":
+                starts = TestEnsembles._starts(ee2, (0, 1, 2), 0.05)
+                return [repr(t.records()) for t in integrate(ee2, TestEnsembles.CFG, starts)]
+            raw = {"schema_version": 1, "experiment": caller}
+            if caller == "ee1_static":
+                raw["perturbation"] = {"seed": 0, "magnitude": 3.0}
+            out = tmp_path / str(len(list(tmp_path.iterdir())))
+            result = run_experiment(config_from_dict(raw)[0], output_dir=out)
+            return [Path(f).read_bytes() for f in result.files]
+
+        want = run()
+        marked, alone = [], []
+        stack_from_psi, induced, structure_alone = (
+            flows.stack_from_psi, flows._induced, flows._structure_alone
+        )
+
+        def mark(x, bad):
+            if not marked:
+                bad[1] = True
+            marked.extend(row.tobytes() for row in x[bad])
+
+        def stacked_4(y):
+            structure, bad = stack_from_psi(y)
+            mark(y, bad)
+            return structure, bad
+
+        def stacked_3(x, bad=None):
+            out = induced(x, bad)
+            if bad is not None:
+                mark(x, bad)
+            return out
+
+        monkeypatch.setattr(flows, "stack_from_psi", stacked_4)
+        monkeypatch.setattr(flows, "_induced", stacked_3)
+        monkeypatch.setattr(
+            flows,
+            "_structure_alone",
+            lambda degree, x: alone.append(x.tobytes()) or structure_alone(degree, x),
+        )
+        assert run() == want
+        assert len(marked) == len(set(marked)) >= (50 if caller == "ee1_static" else 1)
+        assert sorted(alone) == sorted(marked)
 
     @pytest.mark.parametrize("subspace", ["coclosed", "exact"])
     def test_linearize_states_match_the_public_api(self, ee1, ee2, monkeypatch, subspace):
@@ -1178,25 +1267,28 @@ class TestLeanPath:
             basis = np.array([d.coeffs for d in report.directions])
             want = [base.psi.coeffs + sign * report.eps * b for b in basis for sign in (1, -1)]
             assert np.array_equal(states, want)
-            _, rhs, _, bad = stacked(L, kind, degree, a, states)
-            assert not bad.any()
+            _, rhs, _, alone = stacked(L, kind, degree, a, states)
+            assert not alone
             for psi, row in zip(states, rhs):
                 one = coflow_rhs(L, CoclosedState.from_psi(Form(4, psi)), A).coeffs
                 assert row.tobytes() == one.tobytes()
 
     def test_linearize_redoes_marked_states_alone(self, ee2, monkeypatch):
         # A residual gate of 0 makes the stack mark the states; each is
-        # redone by CoclosedState.from_psi (at its own gate) and gives the
-        # matrix of the unmarked stack, bit for bit.
-        from g2flow import g2core
+        # redone by the one-row function (at the gate of phi_of_psi, which
+        # the patch leaves alone) and gives the matrix of the unmarked
+        # stack, bit for bit.
+        from g2flow import flows, g2core
 
         base = CoclosedState.from_phi(ee2_diagonal_phi(STATIC_MEMBER))
         dirs = coclosed_directions(ee2)
         want = linearize(ee2, base, dirs, A=0.0).matrix
         monkeypatch.setattr(g2core, "NEWTON_TOL", 0.0)
-        redone, from_psi = [], CoclosedState.from_psi
+        redone, structure_alone = [], flows._structure_alone
         monkeypatch.setattr(
-            CoclosedState, "from_psi", classmethod(lambda cls, psi: redone.append(1) or from_psi(psi))
+            flows,
+            "_structure_alone",
+            lambda degree, psi: redone.append(1) or structure_alone(degree, psi),
         )
         got = linearize(ee2, base, dirs, A=0.0).matrix
         assert len(redone) > len(dirs)
