@@ -72,7 +72,7 @@ from .flows import (
     MonitorConfig,
     SpectrumReport,
     Trajectory,
-    coclosed_directions,
+    closed_directions,
     coflow_rhs,
     deturck_term,
     deturck_vector,
@@ -163,7 +163,7 @@ __all__ = [
     "MonitorConfig",
     "SpectrumReport",
     "Trajectory",
-    "coclosed_directions",
+    "closed_directions",
     "coflow_rhs",
     "deturck_term",
     "deturck_vector",

@@ -9,7 +9,12 @@ writes bitwise-identical output files.
 Randomness (perturbation sampling) uses numpy's ``default_rng`` — the PCG64
 generator — seeded from ``perturbation.seed``, so runs are reproducible
 bitwise within this implementation and statistically comparable across
-implementations of the same sampling recipe.
+implementations of the same sampling recipe.  The degree of the base form
+decides what a draw needs: directions come from the closed (``coclosed``)
+or exact forms of that degree (``flows.closed_directions`` and
+``flows.exact_directions``; closed psi for the coflow, closed phi for the
+Laplacian flow), and a 4-form is checked by its recovery, a 3-form by its
+induced metric.  ``linearize`` probes the same 4-form bases.
 
 Experiments:
 
@@ -38,8 +43,9 @@ stacks, through the one stacked evaluation of the flow engine
 ``_STACK_ROWS`` rows, the perturbed states of ``linearize`` as one stack.
 A row that fails a check there is evaluated alone there, and the callers
 only read the errors: an ``ee1_static`` sample whose evaluation alone
-raised is sampled again by the halving loop of ``sample_initial``, and
-``ee2_family`` and ``linearize`` raise the first error, in row order.
+raised is sampled again by the halving loop of ``sample_initial`` from its
+first halving, and ``ee2_family`` and ``linearize`` raise the first error,
+in row order.
 """
 
 from __future__ import annotations
@@ -70,7 +76,7 @@ from .flows import (
     FlowConfig,
     _raise_alone_error,
     _stacked_rhs,
-    coclosed_directions,
+    closed_directions,
     coflow_rhs,
     exact_directions,
     integrate,
@@ -458,23 +464,14 @@ def _semantic_violations(cfg):
                     f"initial has degree {form.degree}; flow_kind "
                     f"{cfg.flow.flow_kind!r} needs degree {needed_degree}"
                 )
-    if (
-        cfg.flow.flow_kind == "laplacian_flow"
-        and cfg.perturbation.magnitude > 0
-        and cfg.perturbation.subspace != "full"
+    # Both flows hold on closed forms only: drawn (magnitude > 0) or
+    # probed (linearize) directions stay in a closed subspace.
+    if cfg.perturbation.subspace == "full" and (
+        cfg.perturbation.magnitude > 0 or experiment == "linearize"
     ):
         out.append(
-            "perturbation.subspace must be 'full' for laplacian_flow "
-            "(coclosed/exact sample 4-form directions)"
-        )
-    if (
-        cfg.flow.flow_kind == "modified_coflow"
-        and cfg.perturbation.subspace == "full"
-        and (cfg.perturbation.magnitude > 0 or experiment == "linearize")
-    ):
-        out.append(
-            "perturbation.subspace must be 'coclosed' or 'exact' for modified_coflow "
-            "(full directions leave the closed 4-forms)"
+            "perturbation.subspace must be 'coclosed' or 'exact' where directions are "
+            "drawn or probed (full directions leave the closed forms)"
         )
     return out
 
@@ -654,63 +651,55 @@ def _write_records(path, fmt, records, fieldnames):
                 writer.writerow(row)
 
 
-def _subspace_directions(L, subspace):
-    """The 4-form directions spanning a perturbation subspace."""
-    if subspace == "coclosed":
-        return coclosed_directions(L)
-    if subspace == "exact":
-        return exact_directions(L)
-    return [Form(4, row) for row in np.eye(DIMS[4])]
-
-
-# The perturbation bases of each algebra by (subspace, flow kind), kept while
+# The perturbation bases of each algebra by (subspace, degree), kept while
 # the algebra lives: a run loads each algebra once, so it computes each
 # basis once, not once per cell or per sample.
 _BASES = weakref.WeakKeyDictionary()
 
 
-def _perturbation_basis(L, subspace, flow_kind):
-    """Columns spanning the directions a perturbation is drawn from
-    (read-only, shared by every draw on the algebra L)."""
+def _perturbation_basis(L, subspace, degree):
+    """Columns spanning the degree-k forms of a perturbation subspace, the
+    closed ones (``coclosed``) or the exact ones, from which draws and
+    probes are taken (read-only, shared by every draw on the algebra L)."""
     bases = _BASES.setdefault(L, {})
-    key = (subspace, flow_kind)
+    key = (subspace, degree)
     if key not in bases:
-        if flow_kind != "modified_coflow":
-            basis = np.eye(DIMS[3])
-        else:
-            columns = [f.coeffs for f in _subspace_directions(L, subspace)]
-            # An empty subspace (the exact 4-forms of an abelian algebra) has no columns.
-            basis = np.column_stack(columns) if columns else np.zeros((DIMS[4], 0))
+        directions = closed_directions if subspace == "coclosed" else exact_directions
+        columns = [f.coeffs for f in directions(L, degree)]
+        # An empty subspace (the exact forms of an abelian algebra) has no columns.
+        basis = np.column_stack(columns) if columns else np.zeros((DIMS[degree], 0))
         basis.flags.writeable = False
         bases[key] = basis
     return bases[key]
 
 
-def sample_initial(L, base, pcfg, rng, flow_kind="modified_coflow"):
+def sample_initial(L, base, pcfg, rng):
     """One positivity-validated random perturbation of the base form.
 
-    Draws a unit direction in the configured subspace, scales it by
-    ``pcfg.magnitude``, and halves the scale until the perturbed form defines
-    a positive structure (3-form check for the Laplacian flow, 4-form
-    recovery for the coflow).  Returns (form, scale_used, halvings, state)
-    with ``state`` the structure the check built (a CoclosedState or a
-    G2Structure), so callers need not recover the form again.
+    Draws a unit direction in the configured subspace of the base form's
+    degree, scales it by ``pcfg.magnitude``, and halves the scale until the
+    perturbed form defines a positive structure (the 3-form check of a
+    3-form, the recovery of a 4-form).  Returns (form, scale_used,
+    halvings, state) with ``state`` the structure the check built (a
+    G2Structure or a CoclosedState), so callers need not recover the form
+    again.
     """
-    state_of = CoclosedState.from_psi if flow_kind == "modified_coflow" else G2Structure.from_phi
+    state_of = CoclosedState.from_psi if base.degree == 4 else G2Structure.from_phi
     if pcfg.magnitude == 0.0:
         return base, 0.0, 0, state_of(base)
-    basis = _perturbation_basis(L, pcfg.subspace, flow_kind)
+    basis = _perturbation_basis(L, pcfg.subspace, base.degree)
     direction = _unit_directions(basis, rng.standard_normal(basis.shape[1]))
     if not direction.any():
         return base, 0.0, 0, state_of(base)
     return _halve_until_positive(base, direction, pcfg.magnitude, state_of)
 
 
-def _halve_until_positive(base, direction, magnitude, state_of):
+def _halve_until_positive(base, direction, magnitude, state_of, first=0):
     """The first of base + scale * direction, scale = magnitude, magnitude/2,
-    ..., on which ``state_of`` succeeds: (form, scale, halvings, state)."""
-    scale = magnitude
-    for halvings in range(_MAX_HALVINGS + 1):
+    ..., on which ``state_of`` succeeds: (form, scale, halvings, state).
+    The loop starts at ``first`` halvings, past candidates known to fail."""
+    scale = magnitude * 0.5**first
+    for halvings in range(first, _MAX_HALVINGS + 1):
         candidate = Form(base.degree, base.coeffs + scale * direction)
         try:
             return candidate, scale, halvings, state_of(candidate)
@@ -736,7 +725,7 @@ def _sample_directions(L, pcfg, rng, n):
     none)."""
     if pcfg.magnitude == 0.0:
         return np.zeros((n, DIMS[4]))
-    basis = _perturbation_basis(L, pcfg.subspace, "modified_coflow")
+    basis = _perturbation_basis(L, pcfg.subspace, 4)
     return _unit_directions(basis, rng.standard_normal((n, basis.shape[1])))
 
 
@@ -797,9 +786,10 @@ def _run_ee1_static(cfg, L, path):
             scale, h = scales[i], 0
             if isinstance(alone.get(i - rows.start), G2FlowError):
                 # A row whose evaluation alone raised is sampled as
-                # sample_initial samples it, right-hand side included.
+                # sample_initial samples it, right-hand side included, from
+                # its first halving: the row was its candidate at halving 0.
                 _, scale, h, state = _halve_until_positive(
-                    base, direction[i], scales[i], CoclosedState.from_psi
+                    base, direction[i], scales[i], CoclosedState.from_psi, first=1
                 )
                 r = float(np.linalg.norm(coflow_rhs(L, state, cfg.flow.A).coeffs))
             max_rhs = max(max_rhs, r)
@@ -880,7 +870,7 @@ def _flow_start(cfg, L, loaded):
     fixtures already read (see ``_initial_form``)."""
     base = _initial_form(cfg, 4 if cfg.flow.flow_kind == "modified_coflow" else 3, loaded)
     rng = np.random.default_rng(cfg.perturbation.seed)
-    _, scale, halvings, state = sample_initial(L, base, cfg.perturbation, rng, cfg.flow.flow_kind)
+    _, scale, halvings, state = sample_initial(L, base, cfg.perturbation, rng)
     return _FlowStart(base, scale, halvings, state)
 
 
@@ -963,7 +953,7 @@ def _run_linearize(cfg, L, path):
     report = linearize(
         L,
         state,
-        _subspace_directions(L, subspace),
+        [Form(4, b) for b in _perturbation_basis(L, subspace, 4).T],
         A=cfg.flow.A,
         eps=cfg.linearize_section.eps,
         static_tol=cfg.linearize_section.static_tol,

@@ -55,11 +55,15 @@ Laplacian flow) and the diagnostics, and no structure or metric, so only
 the current step's operators are alive at any time.  The experiments write
 ``Trajectory.records()`` through their shared record writer.
 
-``linearize`` probes a static point of the coflow with central finite
-differences along a direction basis orthonormalized in the L2 inner product
-(pointwise metric inner product times the constant volume), its 2m
-perturbed states evaluated as one stack (``_stacked_rhs``), and reports the
-raw matrix, the eigenvalues of its symmetrization, and the asymmetry norm.
+``closed_directions(L, k)`` and ``exact_directions(L, k)`` are orthonormal
+bases of the closed and the exact k-forms in any degree, each from one SVD
+of d; they are the directions the experiments draw perturbations of either
+flow from and that ``linearize`` probes.  ``linearize`` probes a static
+point of the coflow with central finite differences along a direction basis
+orthonormalized in the L2 inner product (pointwise metric inner product
+times the constant volume), its 2m perturbed states evaluated as one stack
+(``_stacked_rhs``), and reports the raw matrix, the eigenvalues of its
+symmetrization, and the asymmetry norm.
 """
 
 from __future__ import annotations
@@ -70,13 +74,14 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .conventions import CODIFF_SIGN, NEWTON_TOL
+from .conventions import CODIFF_SIGN, NEWTON_MAX_ITER, NEWTON_TOL
 from .errors import ConfigError, G2FlowError, PositivityError, RecoveryError
 from .exterior import DIM, Form, _per_row
 from .g2core import (
     CoclosedState,
     G2Structure,
     _closed_form,
+    _corrected,
     _d,
     _induced,
     _norms,
@@ -103,8 +108,8 @@ __all__ = [
     "deturck_term",
     "integrate",
     "linearize",
+    "closed_directions",
     "exact_directions",
-    "coclosed_directions",
     "volume_monotonicity_criterion",
 ]
 
@@ -287,19 +292,12 @@ def _structure_rhs(L, flow_kind, s, A):
 
 
 def _structure_alone(degree, x):
-    """One row's structure by the kernels of one form: a 4-form's closed
-    form if it passes the residual gate of ``phi_of_psi``, else that of
-    ``CoclosedState.from_psi`` (or its error); a 3-form's induced one."""
+    """One row's structure by the kernels of one form: a 4-form's as
+    ``CoclosedState.from_psi`` recovers it (its closed form, Newton-corrected
+    where it fails the residual gate, or its error); a 3-form's induced one."""
     if degree == 3:
         return G2Structure(x, *_induced(x))
-    try:
-        phi, metric, back = _closed_form(x)
-    except RecoveryError:
-        pass
-    else:
-        if float(np.linalg.norm(back - x)) <= NEWTON_TOL:
-            return G2Structure(phi, metric, back)
-    return CoclosedState.from_psi(Form(4, x)).recovered
+    return _corrected(G2Structure(*_closed_form(x)), x, NEWTON_TOL, NEWTON_MAX_ITER)[0]
 
 
 def _stacked_rhs(L, flow_kind, degree, A, x):
@@ -729,20 +727,28 @@ def _integrate_rows(L, config, starts, references, A):
 # --------------------------------------------------------------------------
 
 
-def exact_directions(L):
-    """Orthonormal basis (coefficient Euclidean) of d(invariant 3-forms)."""
-    d3 = L.differential_matrix(3)
-    u, s, _ = np.linalg.svd(d3)
-    rank = int(np.sum(s > max(d3.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)))
-    return [Form(4, u[:, i]) for i in range(rank)]
+def _svd_split(m):
+    """(u, rank, vt) of the full SVD of m and its numerical rank: the first
+    rank columns of u span the image of m, the rows of vt from rank on its
+    kernel."""
+    u, s, vt = np.linalg.svd(m)
+    return u, int(np.sum(s > max(m.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0))), vt
 
 
-def coclosed_directions(L):
-    """Orthonormal basis (coefficient Euclidean) of the closed 4-forms."""
-    d4 = L.differential_matrix(4)
-    _, s, vt = np.linalg.svd(d4)
-    rank = int(np.sum(s > max(d4.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)))
-    return [Form(4, vt[i]) for i in range(rank, vt.shape[0])]
+def closed_directions(L, k):
+    """Orthonormal basis (coefficient Euclidean) of the closed k-forms, the
+    kernel of d on k-forms."""
+    _, rank, vt = _svd_split(L.differential_matrix(k))
+    return [Form(k, row) for row in vt[rank:]]
+
+
+def exact_directions(L, k):
+    """Orthonormal basis (coefficient Euclidean) of the exact k-forms, d of
+    the (k-1)-forms (none for k = 0)."""
+    if k == 0:
+        return []
+    u, rank, _ = _svd_split(L.differential_matrix(k - 1))
+    return [Form(k, col) for col in u.T[:rank]]
 
 
 @dataclass(eq=False)

@@ -49,9 +49,9 @@ one recovery runs over the whole stack, and a row that fails one comes back
 marked, to be redone one by one by ``CoclosedState.from_psi`` (Newton
 corrections, errors and messages are its own).  Scalar powers and the
 product of the factor's diagonal are taken per row as for one form, so a
-stacked row gets the arithmetic of its one-form evaluation.  An overflow in
-forming the B of one form leaves B non-finite, which ends in a
-PositivityError also where RuntimeWarnings are errors.
+stacked row gets the arithmetic of its one-form evaluation.  B is formed
+under ``np.errstate``: an overflow there leaves B non-finite, which ends in
+a PositivityError (a marked row of a stack) without a RuntimeWarning.
 
 The kernels build their metrics trusted (``Metric._trusted``): no copy and
 no second validation, with the inverse, det and sqrt(det) of the same
@@ -257,17 +257,11 @@ def _induced(x, bad=None):
     g = (kappa / r) B, g^{-1} = (r / kappa) B^{-1} from one inverse,
     det g = kappa^7 r^2 and sqrt(det g) = kappa^{7/2} r become the metric's
     caches, and psi is read off g^{-1} up (``_dual``)."""
-    try:
+    # The screens below turn a B that is not finite into a PositivityError
+    # or a marked row, so its overflow is silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
         up, b = _b_parts(x)
         b = b + b.swapaxes(-1, -2)
-    except RuntimeWarning:  # raised where warnings are errors
-        if bad is not None:  # a stack keeps its warnings
-            raise
-        # The screen below turns the non-finite B of one form into a
-        # PositivityError, so its overflow is silenced.
-        with np.errstate(over="ignore", invalid="ignore"):
-            up, b = _b_parts(x)
-            b = b + b.swapaxes(-1, -2)
     b *= 0.5
     if bad is None:
         if not np.isfinite(b).all():
@@ -381,8 +375,13 @@ def _phi_of_psi(psi, tol, max_iter):
     """``phi_of_psi`` with the residual |star phi - psi| it ends on."""
     if psi.degree != 4:
         raise DegreeError(f"expected a 4-form, got degree {psi.degree}")
-    structure = G2Structure(*_closed_form(psi.coeffs))
-    f = structure.psi.coeffs - psi.coeffs
+    return _corrected(G2Structure(*_closed_form(psi.coeffs)), psi.coeffs, tol, max_iter)
+
+
+def _corrected(structure, psi, tol, max_iter):
+    """The Newton loop of ``phi_of_psi`` from a given structure, the closed
+    form of the 4-form coefficients psi: (structure, residual)."""
+    f = structure.psi_coeffs - psi
     res = float(np.linalg.norm(f))
     for _ in range(max_iter):
         if res <= tol:
@@ -399,7 +398,7 @@ def _phi_of_psi(psi, tol, max_iter):
             except PositivityError:
                 step = 0.5 * step
                 continue
-            f_new = trial.psi.coeffs - psi.coeffs
+            f_new = trial.psi.coeffs - psi
             res_new = float(np.linalg.norm(f_new))
             if res_new < res:
                 break

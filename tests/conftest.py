@@ -139,9 +139,9 @@ def coclosed_sample(L, rng, magnitude=0.25, max_halvings=40):
     magnitude until the recovery of its 3-form succeeds.
     """
     from g2flow.errors import PositivityError, RecoveryError
-    from g2flow.flows import coclosed_directions
+    from g2flow.flows import closed_directions
 
-    basis = np.column_stack([f.coeffs for f in coclosed_directions(L)])
+    basis = np.column_stack([f.coeffs for f in closed_directions(L, 4)])
     z = rng.standard_normal(basis.shape[1])
     direction = basis @ z
     direction /= np.linalg.norm(direction)

@@ -21,7 +21,7 @@ from g2flow import (
     G2Structure,
     IntegratorConfig,
     Metric,
-    coclosed_directions,
+    closed_directions,
     coflow_rhs,
     config_from_dict,
     family_coefficient_law,
@@ -322,7 +322,7 @@ def test_criterion_11_linearization_sanity(announce, ee1, ee2):
     # member whose linearization is genuinely nonzero.
     with gate(announce, 11, "linearization sanity"):
         base = CoclosedState.from_psi(standard_psi())
-        dirs = coclosed_directions(ee1)
+        dirs = closed_directions(ee1, 4)
         eps = 2e-3
         coarse = linearize(ee1, base, dirs, A=0.0, eps=eps)
         fine = linearize(ee1, base, dirs, A=0.0, eps=eps / 2.0)
@@ -334,7 +334,7 @@ def test_criterion_11_linearization_sanity(announce, ee1, ee2):
 
         member = np.asarray(STATIC_FAMILY_MEMBER)
         curved = CoclosedState.from_phi(ee2_diagonal_phi(member))
-        dirs2 = coclosed_directions(ee2)
+        dirs2 = closed_directions(ee2, 4)
         mats = {
             e: linearize(ee2, curved, dirs2, A=0.0, eps=e).matrix
             for e in (2e-3, 1e-3, 5e-4)

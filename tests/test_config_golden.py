@@ -125,7 +125,7 @@ CASES = {
     "unknown_algebra": _cfg("ee2_flow", algebra_file="heis7"),
     "unknown_initial_fixture": _cfg("ee2_flow", initial="no_such_form"),
     "initial_degree_mismatch": _cfg("ee2_flow", initial="phi_standard"),
-    "laplacian_needs_full_subspace": _cfg(
+    "laplacian_draws_closed_3_forms": _cfg(
         "custom",
         algebra_file="ee1",
         flow={"flow_kind": "laplacian_flow"},
@@ -144,10 +144,16 @@ CASES = {
         perturbation={"magnitude": 0.0},
     ),
     "family_needs_coflow": _cfg("ee2_family", flow={"flow_kind": "laplacian_flow"}),
-    # The coflow right-hand side holds on closed 4-forms only: drawn or
-    # probed directions stay in a closed subspace.
+    # Both right-hand sides hold on closed forms only: drawn or probed
+    # directions stay in a closed subspace.
     "coflow_draws_need_closed_subspace": _cfg(
         "ee2_flow", perturbation={"magnitude": 0.1, "subspace": "full"}
+    ),
+    "laplacian_draws_need_closed_subspace": _cfg(
+        "custom",
+        algebra_file="ee1",
+        flow={"flow_kind": "laplacian_flow"},
+        perturbation={"magnitude": 0.1, "subspace": "full"},
     ),
     "linearize_needs_closed_subspace": _cfg("linearize", perturbation={"subspace": "full"}),
     "static_full_subspace_draws_nothing": _cfg(

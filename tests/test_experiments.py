@@ -227,17 +227,21 @@ class TestConfigFromDict:
         for name in ("torus", "ee1", "ee2"):
             assert name in violations[0]
 
-    def test_laplacian_perturbation_needs_full_subspace(self):
-        raw = _minimal(
-            "custom",
-            algebra_file="ee1",
-            flow={"flow_kind": "laplacian_flow"},
-            perturbation={"magnitude": 0.1},
-        )
-        _, violations = config_from_dict(raw)
-        assert violations == [
-            "perturbation.subspace must be 'full' for laplacian_flow "
-            "(coclosed/exact sample 4-form directions)"
+    def test_laplacian_perturbation_needs_a_closed_subspace(self):
+        def violations(subspace, magnitude=0.1):
+            raw = _minimal(
+                "custom",
+                algebra_file="ee1",
+                flow={"flow_kind": "laplacian_flow"},
+                perturbation={"magnitude": magnitude, "subspace": subspace},
+            )
+            return config_from_dict(raw)[1]
+
+        assert violations("coclosed") == violations("exact") == []
+        assert violations("full", magnitude=0.0) == []  # draws nothing
+        assert violations("full") == [
+            "perturbation.subspace must be 'coclosed' or 'exact' where directions are "
+            "drawn or probed (full directions leave the closed forms)"
         ]
 
     def test_linearize_requires_coflow(self):
@@ -458,10 +462,13 @@ class TestSampleInitial:
 
         base = standard_phi()
         pcfg = PerturbationConfig(magnitude=0.1)
-        form, _, _, state = sample_initial(
-            ee1, base, pcfg, np.random.default_rng(5), flow_kind="laplacian_flow"
-        )
+        form, scale, _, state = sample_initial(ee1, base, pcfg, np.random.default_rng(5))
         assert isinstance(state, G2Structure) and state.phi is form
+        # The drawn direction is a closed 3-form.
+        assert scale > 0.0
+        assert np.linalg.norm(form.coeffs - base.coeffs) == pytest.approx(scale, rel=1e-12)
+        d3 = ee1.differential_matrix(3)
+        assert np.linalg.norm(d3 @ (form.coeffs - base.coeffs)) <= 1e-12 * scale
 
 
 class TestCheckFixture:
@@ -526,6 +533,35 @@ class TestRunExperiment:
         # The reference alone; the three samples are one stacked recovery.
         assert len(calls) == 1
         assert rows == [3]
+
+        # At magnitude 3 most samples are marked and raise alone.  The closed
+        # form of one 4-form then runs once for the reference, once for each
+        # marked row and once for each halving after a raise: a raised row
+        # is not recovered again as its halving 0.
+        closed_form, marked = g2core._closed_form, []
+
+        def counting_closed_form(psi, bad=None):
+            if bad is None:  # one 4-form, not a stack
+                calls.append(1)
+            return closed_form(psi, bad)
+
+        def marking_rows(psi):
+            stack, bad = recover_stack(psi)
+            marked.append(int(bad.sum()))
+            return stack, bad
+
+        calls.clear()
+        monkeypatch.setattr(g2core, "_phi_of_psi", recover)
+        monkeypatch.setattr(g2core, "_closed_form", counting_closed_form)
+        monkeypatch.setattr(flows, "_closed_form", counting_closed_form)
+        monkeypatch.setattr(flows, "stack_from_psi", marking_rows)
+        raw = _minimal("ee1_static", samples=100, perturbation={"magnitude": 3.0})
+        cfg, _ = config_from_dict(raw)
+        result = run_experiment(cfg, output_dir=tmp_path)
+        halvings = [r["halvings"] for r in map(json.loads, open(result.files[0]))
+                    if r["record"] == "sample"]
+        assert sum(h > 0 for h in halvings) > 50
+        assert len(calls) == 1 + sum(marked) + sum(halvings)
 
     @pytest.mark.parametrize("magnitude", [0.25, 3.0])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -671,13 +707,13 @@ class TestRunExperiment:
         from g2flow import experiments
 
         calls = []
-        directions = experiments.coclosed_directions
+        directions = experiments.closed_directions
 
-        def counting(L):
+        def counting(L, k):
             calls.append(1)
-            return directions(L)
+            return directions(L, k)
 
-        monkeypatch.setattr(experiments, "coclosed_directions", counting)
+        monkeypatch.setattr(experiments, "closed_directions", counting)
         cfg, _ = config_from_dict(_minimal("ee1_static", samples=5))
         result = run_experiment(cfg, output_dir=tmp_path)
         assert result.summary["passed"] is True
@@ -828,8 +864,8 @@ class TestLockstepSweeps:
 
     def test_laplacian_flow_cells_match_runs_alone(self, tmp_path):
         # Seeded closed starts on n2, stepped by rkf45 as one group.  A
-        # perturbation of a 3-form is drawn from all 3-forms, so the cells
-        # with a nonzero magnitude halt at t = 0 as not closed.
+        # perturbation of a 3-form is drawn from the closed 3-forms, so the
+        # perturbed cells stay closed and reach t_end too.
         from g2flow.exterior import BASIS
 
         starts = []
@@ -843,7 +879,7 @@ class TestLockstepSweeps:
             algebra_file=str(N2_ALGEBRA),
             flow={"flow_kind": "laplacian_flow",
                   "integrator": {"method": "rkf45", "dt": 0.05, "t_end": 1.0}},
-            perturbation={"subspace": "full"},
+            perturbation={"subspace": "coclosed"},
             sweep={"experiment": "custom", "axes": {
                 "initial": starts, "perturbation.magnitude": [0.0, 0.1]
             }},
@@ -851,8 +887,26 @@ class TestLockstepSweeps:
         result, manifest = self._sweep_matches_cells_alone(tmp_path, raw)
         assert result.summary["lockstep_groups"] == [list(range(6))]
         terms = [cell["summary"]["termination"] for cell in manifest["cells"]]
-        assert [t["reason"] for t in terms] == ["t_end", "closedness"] * 3
+        assert [t["reason"] for t in terms] == ["t_end"] * 6
         assert len({t["steps"] for t in terms[::2]}) > 1  # the rows drift apart
+
+    def test_laplacian_flow_draws_on_n2_reach_t_end(self, tmp_path):
+        # Draws from the closed 3-forms around the standard form, which is
+        # closed on n2: every seed's start is closed, and rk4 runs it to t_end.
+        raw = _minimal(
+            "sweep",
+            algebra_file=str(N2_ALGEBRA),
+            flow={"flow_kind": "laplacian_flow",
+                  "integrator": {"method": "rk4", "dt": 0.01, "t_end": 0.5}},
+            perturbation={"magnitude": 0.3},
+            sweep={"experiment": "custom", "axes": {"perturbation.seed": list(range(6))}},
+        )
+        result, manifest = self._sweep_matches_cells_alone(tmp_path, raw)
+        assert result.status == "ok"
+        summaries = [cell["summary"] for cell in manifest["cells"]]
+        assert [s["termination"]["reason"] for s in summaries] == ["t_end"] * 6
+        assert [s["perturbation_halvings"] for s in summaries] == [0] * 6
+        assert all(s["perturbation_scale"] == 0.3 for s in summaries)
 
     def test_sweep_ee2_loads_its_algebra_once(self, tmp_path, monkeypatch):
         # Validation expands the sweep once, checking each cell's algebra

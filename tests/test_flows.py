@@ -18,7 +18,7 @@ from g2flow import (
     G2FlowError,
     G2Structure,
     IntegratorConfig,
-    coclosed_directions,
+    closed_directions,
     coflow_rhs,
     config_from_dict,
     deturck_term,
@@ -47,7 +47,7 @@ from g2flow.flows import (
     _rkf45_attempt,
     _stacked_rhs,
 )
-from g2flow.liealg import Connection, LieAlgebraStructure, levi_civita
+from g2flow.liealg import Connection, LieAlgebraStructure, hodge_laplacian_matrix, levi_civita
 
 from .conftest import closed_n2_phi, coclosed_sample
 
@@ -297,36 +297,52 @@ class TestVolumeMonotonicity:
         assert checked >= 4
 
 
-class TestDirectionBases:
-    def test_coclosed_directions_are_closed_and_orthonormal(self, ee1, ee2):
-        for L in (ee1, ee2):
-            d4 = L.differential_matrix(4)
-            dirs = coclosed_directions(L)
-            assert len(dirs) == 35 - np.linalg.matrix_rank(d4)
-            mat = np.column_stack([d.coeffs for d in dirs])
-            assert np.max(np.abs(d4 @ mat)) <= 1e-12
-            assert np.max(np.abs(mat.T @ mat - np.eye(len(dirs)))) <= 1e-12
+DEGREES = range(1, DIM)
 
-    def test_exact_directions_are_closed_and_inside_coclosed(self, ee1, ee2):
-        # d of a 3-form is closed because d squares to zero, so the
-        # exact directions sit inside the span of the closed ones.
-        for L in (ee1, ee2):
-            d3 = L.differential_matrix(3)
-            d4 = L.differential_matrix(4)
-            exact = exact_directions(L)
-            assert len(exact) == np.linalg.matrix_rank(d3)
-            closed = np.column_stack([d.coeffs for d in coclosed_directions(L)])
-            for e in exact:
-                assert np.max(np.abs(d4 @ e.coeffs)) <= 1e-12
-                resid = e.coeffs - closed @ (closed.T @ e.coeffs)
-                assert np.linalg.norm(resid) <= 1e-12
-                # genuinely in the image of d on 3-forms
-                sol, *_ = np.linalg.lstsq(d3, e.coeffs, rcond=None)
-                assert np.linalg.norm(d3 @ sol - e.coeffs) <= 1e-12
+
+class TestDirectionBases:
+    # The bases of every degree from 1 to 6 on the abelian, the two
+    # solvable and the nilpotent algebra.
+    def test_coclosed_directions_are_closed_and_orthonormal(self, torus, ee1, ee2, n2):
+        for L in (torus, ee1, ee2, n2):
+            for k in DEGREES:
+                d = L.differential_matrix(k)
+                dirs = closed_directions(L, k)
+                assert {f.degree for f in dirs} == {k}
+                assert len(dirs) == DIMS[k] - np.linalg.matrix_rank(d)
+                mat = np.column_stack([f.coeffs for f in dirs])
+                assert np.all(np.linalg.norm(d @ mat, axis=0) <= 1e-12)  # |x| = 1
+                assert np.max(np.abs(mat.T @ mat - np.eye(len(dirs)))) <= 1e-12
+
+    def test_exact_directions_are_closed_and_inside_coclosed(self, torus, ee1, ee2, n2):
+        # d of a (k-1)-form is closed because d squares to zero, so the
+        # exact directions sit inside the span of the closed ones; what is
+        # left over, the cohomology, is as large as the kernel of the Hodge
+        # Laplacian of any metric (here the identity), an independent oracle.
+        for L in (torus, ee1, ee2, n2):
+            for k in DEGREES:
+                below, d = L.differential_matrix(k - 1), L.differential_matrix(k)
+                exact = exact_directions(L, k)
+                closed = np.column_stack([f.coeffs for f in closed_directions(L, k)])
+                assert len(exact) == np.linalg.matrix_rank(below)
+                laplacian = hodge_laplacian_matrix(L, Metric.identity(), k)
+                harmonic = DIMS[k] - np.linalg.matrix_rank(laplacian)
+                assert closed.shape[1] - len(exact) == harmonic
+                if not exact:
+                    continue
+                mat = np.column_stack([f.coeffs for f in exact])
+                assert {f.degree for f in exact} == {k}
+                assert np.max(np.abs(mat.T @ mat - np.eye(len(exact)))) <= 1e-12
+                assert np.max(np.abs(d @ mat)) <= 1e-12
+                assert np.linalg.norm(mat - closed @ (closed.T @ mat)) <= 1e-12
+                # genuinely in the image of d on (k-1)-forms
+                sol, *_ = np.linalg.lstsq(below, mat, rcond=None)
+                assert np.linalg.norm(below @ sol - mat) <= 1e-12
 
     def test_torus_has_no_exact_directions(self, torus):
-        assert exact_directions(torus) == []
-        assert len(coclosed_directions(torus)) == 35
+        for k in range(DIM + 1):
+            assert exact_directions(torus, k) == []
+            assert len(closed_directions(torus, k)) == DIMS[k]
 
 
 class TestIntegrate:
@@ -1255,13 +1271,13 @@ class TestLeanPath:
         monkeypatch.setattr(
             flows, "_stacked_rhs", lambda *args: stacks.append(args) or stacked(*args)
         )
-        directions = coclosed_directions if subspace == "coclosed" else exact_directions
+        directions = closed_directions if subspace == "coclosed" else exact_directions
         for L, base, A in (
             (ee1, CoclosedState.from_psi(standard_psi()), 0.3),
             (ee2, CoclosedState.from_phi(ee2_diagonal_phi(STATIC_MEMBER)), 0.0),
         ):
             stacks.clear()
-            report = linearize(L, base, directions(L), A=A, static_tol=1.0)
+            report = linearize(L, base, directions(L, 4), A=A, static_tol=1.0)
             ((_, kind, degree, a, states),) = stacks
             assert (kind, degree, a) == ("modified_coflow", 4, A)
             basis = np.array([d.coeffs for d in report.directions])
@@ -1281,7 +1297,7 @@ class TestLeanPath:
         from g2flow import flows, g2core
 
         base = CoclosedState.from_phi(ee2_diagonal_phi(STATIC_MEMBER))
-        dirs = coclosed_directions(ee2)
+        dirs = closed_directions(ee2, 4)
         want = linearize(ee2, base, dirs, A=0.0).matrix
         monkeypatch.setattr(g2core, "NEWTON_TOL", 0.0)
         redone, structure_alone = [], flows._structure_alone
@@ -1519,7 +1535,7 @@ class TestLinearize:
         # Every nearby invariant coclosed structure is also static,
         # so the flow map has vanishing derivative in coclosed directions.
         base = CoclosedState.from_psi(standard_psi())
-        dirs = coclosed_directions(ee1)
+        dirs = closed_directions(ee1, 4)
         report = linearize(ee1, base, dirs, A=0.0, eps=1e-3)
         assert report.matrix.shape == (len(dirs), len(dirs))
         assert np.max(np.abs(report.matrix)) <= 1e-6
@@ -1530,7 +1546,7 @@ class TestLinearize:
         # Halving eps must leave the zero matrix in place: entry changes stay
         # within a quadratic-in-eps budget instead of exploding as 1/eps.
         base = CoclosedState.from_psi(standard_psi())
-        dirs = coclosed_directions(ee1)
+        dirs = closed_directions(ee1, 4)
         eps = 2e-3
         coarse = linearize(ee1, base, dirs, A=0.0, eps=eps)
         fine = linearize(ee1, base, dirs, A=0.0, eps=eps / 2.0)
@@ -1543,7 +1559,7 @@ class TestLinearize:
         # successive halvings shrink the increment by a factor of four.
         base = CoclosedState.from_phi(ee2_diagonal_phi(STATIC_MEMBER))
         assert np.linalg.norm(_rhs0(ee2, base).coeffs) <= 1e-10
-        dirs = coclosed_directions(ee2)
+        dirs = closed_directions(ee2, 4)
         mats = {}
         for eps in (2e-3, 1e-3, 5e-4):
             mats[eps] = linearize(ee2, base, dirs, A=0.0, eps=eps).matrix
@@ -1554,7 +1570,7 @@ class TestLinearize:
 
     def test_directions_are_l2_orthonormal(self, ee1):
         base = CoclosedState.from_psi(standard_psi())
-        report = linearize(ee1, base, coclosed_directions(ee1), A=0.0, eps=1e-3)
+        report = linearize(ee1, base, closed_directions(ee1, 4), A=0.0, eps=1e-3)
         structure = base.recovered
         gram = structure.metric.gram(4) * structure.volume
         mat = np.column_stack([d.coeffs for d in report.directions])
@@ -1563,11 +1579,11 @@ class TestLinearize:
     def test_non_static_base_raises(self, ee2, rng):
         state = coclosed_sample(ee2, rng, magnitude=0.25)
         with pytest.raises(G2FlowError, match="not static"):
-            linearize(ee2, state, coclosed_directions(ee2), A=0.0)
+            linearize(ee2, state, closed_directions(ee2, 4), A=0.0)
 
     def test_degenerate_directions_raise(self, ee1):
         base = CoclosedState.from_psi(standard_psi())
-        dirs = coclosed_directions(ee1)
+        dirs = closed_directions(ee1, 4)
         with pytest.raises(G2FlowError, match="degenerate direction set"):
             linearize(ee1, base, [dirs[0], dirs[0]], A=0.0)
 

@@ -372,9 +372,9 @@ class TestLaplacian:
 
 def _coclosed_stack(L, magnitude, n=40, seed=5):
     """n rows of the reference 4-form plus seeded unit coclosed directions."""
-    from g2flow.flows import coclosed_directions
+    from g2flow.flows import closed_directions
 
-    basis = np.column_stack([f.coeffs for f in coclosed_directions(L)])
+    basis = np.column_stack([f.coeffs for f in closed_directions(L, 4)])
     direction = np.random.default_rng(seed).standard_normal((n, basis.shape[1])) @ basis.T
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     return standard_psi().coeffs + magnitude * direction
