@@ -83,7 +83,6 @@ from .flows import (
     volume_monotonicity_criterion,
 )
 from .g2core import (
-    CoclosedState,
     G2Structure,
     TorsionTensor,
     full_torsion,
@@ -172,7 +171,6 @@ __all__ = [
     "laplacian_flow_rhs",
     "linearize",
     "volume_monotonicity_criterion",
-    "CoclosedState",
     "G2Structure",
     "TorsionTensor",
     "full_torsion",

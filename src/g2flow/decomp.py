@@ -19,7 +19,7 @@ The module also houses the symmetric-tensor insertion map i_phi and the
 
 a linear isomorphism from (alpha, h) in R^7 x S^2 onto 4-forms at any
 positive structure; its inverse feeds the metric-variation law
-dg = (1/2) tr_g(h) g - 2 h.
+dg = (1/2) tr_g(h) g - 2 h.  Each function takes the G2Structure it works at.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 from .conventions import VARIATION_IPHI_WEIGHT
 from .errors import G2FlowError
 from .exterior import DIM, DIMS, WEDGE, Form, derivation_matrix, star, wedge
-from .g2core import _structure_of
 
 __all__ = [
     "SymTensor",
@@ -96,7 +95,6 @@ def i_phi(structure, h):
     index raised (h g^{-1}) acting on phi; for h = g this returns
     IPHI_KAPPA1 * phi, the frozen component-convention constant.
     """
-    structure = _structure_of(structure)
     h = _as_sym(h)
     action = h.h @ structure.metric.inv
     return Form(3, 2.0 * derivation_matrix(action, 3) @ structure.phi.coeffs)
@@ -130,23 +128,21 @@ def _variation_matrix(structure):
     return cols
 
 
-def variation_form(state, alpha, h):
+def variation_form(structure, alpha, h):
     """Forward variation map alpha ^ phi + 3 star itilde(h) as a 4-form."""
-    structure = _structure_of(state)
     h = _as_sym(h)
     return wedge(alpha, structure.phi) + (3.0 * VARIATION_IPHI_WEIGHT) * star(
         structure.metric, i_phi(structure, h)
     )
 
 
-def decompose_variation(state, sigma):
+def decompose_variation(structure, sigma):
     """Split a 4-form variation into its (alpha, h) parametrization.
 
     The parametrization is a linear isomorphism at every positive structure,
     so the solve is exact up to roundoff; the reconstruction residual is
-    reported on the output.  A singular matrix signals a corrupted state.
+    reported on the output.  A singular matrix signals a corrupted structure.
     """
-    structure = _structure_of(state)
     if sigma.degree != 4:
         raise G2FlowError(f"variation must be a 4-form, got degree {sigma.degree}")
     mat = _variation_matrix(structure)
@@ -166,9 +162,8 @@ def decompose_variation(state, sigma):
     return VariationParts(alpha=alpha, h=h, reconstruction_residual=residual)
 
 
-def metric_variation(state, h):
+def metric_variation(structure, h):
     """First-order metric change (1/2) tr_g(h) g - 2 h induced by the split."""
-    structure = _structure_of(state)
     h = _as_sym(h)
     return 0.5 * h.trace(structure.metric) * structure.metric.g - 2.0 * h.h
 
@@ -223,18 +218,16 @@ def projector_matrices3(structure):
     return p1, p7, p27
 
 
-def project2(state, a):
+def project2(structure, a):
     """Split a 2-form into its 7- and 14-dimensional pieces."""
-    structure = _structure_of(state)
     if a.degree != 2:
         raise G2FlowError(f"expected a 2-form, got degree {a.degree}")
     p7, p14 = projector_matrices2(structure)
     return Form(2, p7 @ a.coeffs), Form(2, p14 @ a.coeffs)
 
 
-def project3(state, a):
+def project3(structure, a):
     """Split a 3-form into its 1-, 7- and 27-dimensional pieces."""
-    structure = _structure_of(state)
     if a.degree != 3:
         raise G2FlowError(f"expected a 3-form, got degree {a.degree}")
     p1, p7, p27 = projector_matrices3(structure)

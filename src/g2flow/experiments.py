@@ -13,8 +13,9 @@ implementations of the same sampling recipe.  The degree of the base form
 decides what a draw needs: directions come from the closed (``coclosed``)
 or exact forms of that degree (``flows.closed_directions`` and
 ``flows.exact_directions``; closed psi for the coflow, closed phi for the
-Laplacian flow), and a 4-form is checked by its recovery, a 3-form by its
-induced metric.  ``linearize`` probes the same 4-form bases.
+Laplacian flow), and a 4-form is checked by its recovery (``phi_of_psi``),
+a 3-form by its induced metric.  ``linearize`` probes the same 4-form
+bases.  A flow run hands ``integrate`` the sampled form itself.
 
 Experiments:
 
@@ -35,21 +36,24 @@ A single run is a sweep of one cell: both go through ``_run_cells``, which
 loads each distinct algebra once per run.  Flow cells on the same algebra
 whose flow sections agree apart from flow.A (``_lockstep_groups``) step
 together as the rows of one ``integrate`` ensemble; the other cells run
-one after another through ``_RUNNERS``.
+one after another through ``_RUNNERS``.  A numerical halt raised by one
+cell's sampling or runner halts that cell only; a single run raises it.
 
 ``ee1_static``, ``ee2_family`` and ``linearize`` evaluate their states as
 stacks, through the one stacked evaluation of the flow engine
 (``flows._stacked_rhs``): the samples of the first two in blocks of up to
 ``_STACK_ROWS`` rows, the perturbed states of ``linearize`` as one stack.
 A row that fails a check there is evaluated alone there, and the callers
-only read the errors: an ``ee1_static`` sample whose evaluation alone
-raised is sampled again by the halving loop of ``sample_initial`` from its
-first halving, and ``ee2_family`` and ``linearize`` raise the first error,
-in row order.
+only read the errors and the norms: an ``ee1_static`` sample whose
+evaluation alone raised is sampled again by the halving loop of
+``sample_initial`` from its first halving, and every caller raises on a
+right-hand side that left the finite range; ``ee2_family`` and
+``linearize`` raise the first failure, in row order.
 """
 
 from __future__ import annotations
 
+import collections
 import copy
 import csv
 import functools
@@ -73,18 +77,19 @@ from .flows import (
     POSITIVE,
     POSITIVE_INT,
     RECORD_FIELDS,
+    NONFINITE_RHS,
     FlowConfig,
-    _raise_alone_error,
+    _raise_row_error,
     _stacked_rhs,
+    _structure_rhs,
     closed_directions,
-    coflow_rhs,
     exact_directions,
     integrate,
     linearize,
     one_of,
     rule_violations,
 )
-from .g2core import CoclosedState, G2Structure, _norms
+from .g2core import G2Structure, _norms, phi_of_psi
 from .liealg import jacobi_check
 from .nearly_parallel import NPParams, np_solve
 
@@ -680,11 +685,9 @@ def sample_initial(L, base, pcfg, rng):
     degree, scales it by ``pcfg.magnitude``, and halves the scale until the
     perturbed form defines a positive structure (the 3-form check of a
     3-form, the recovery of a 4-form).  Returns (form, scale_used,
-    halvings, state) with ``state`` the structure the check built (a
-    G2Structure or a CoclosedState), so callers need not recover the form
-    again.
+    halvings, state) with ``state`` the G2Structure the check built.
     """
-    state_of = CoclosedState.from_psi if base.degree == 4 else G2Structure.from_phi
+    state_of = phi_of_psi if base.degree == 4 else G2Structure.from_phi
     if pcfg.magnitude == 0.0:
         return base, 0.0, 0, state_of(base)
     basis = _perturbation_basis(L, pcfg.subspace, base.degree)
@@ -767,8 +770,7 @@ def _run_ee1_static(cfg, L, path):
     rng = np.random.default_rng(cfg.perturbation.seed)
     base = _initial_form(cfg, 4)
     _require_closed(L, base, cfg.flow.halt.closedness_tol)
-    state = CoclosedState.from_psi(base)
-    standard_rhs = float(np.linalg.norm(coflow_rhs(L, state, cfg.flow.A).coeffs))
+    standard_rhs = float(_structure_rhs(L, "modified_coflow", phi_of_psi(base), cfg.flow.A)[2])
 
     def record(kind, rhs_norm, index=None, scale=None, halvings=None, **summary):
         return dict(record=kind, index=index, rhs_norm=rhs_norm, scale=scale,
@@ -781,19 +783,21 @@ def _run_ee1_static(cfg, L, path):
     max_rhs = 0.0
     for rows in _row_blocks(n):
         psi = base.coeffs + scales[rows, None] * direction[rows]
-        _, rhs, _, alone = _stacked_rhs(L, "modified_coflow", 4, cfg.flow.A, psi)
-        for i, r in zip(range(n)[rows], _norms(rhs).tolist()):
+        _, _, _, norms, alone = _stacked_rhs(L, "modified_coflow", 4, cfg.flow.A, psi)
+        for i, r in zip(range(n)[rows], norms.tolist()):
             scale, h = scales[i], 0
             if isinstance(alone.get(i - rows.start), G2FlowError):
                 # A row whose evaluation alone raised is sampled as
                 # sample_initial samples it, right-hand side included, from
                 # its first halving: the row was its candidate at halving 0.
                 _, scale, h, state = _halve_until_positive(
-                    base, direction[i], scales[i], CoclosedState.from_psi, first=1
+                    base, direction[i], scales[i], phi_of_psi, first=1
                 )
-                r = float(np.linalg.norm(coflow_rhs(L, state, cfg.flow.A).coeffs))
+                r = float(_structure_rhs(L, "modified_coflow", state, cfg.flow.A)[2])
             max_rhs = max(max_rhs, r)
             records.append(record("sample", r, i, float(scale), h))
+    if not all(math.isfinite(rec["rhs_norm"]) for rec in records):
+        raise G2FlowError(NONFINITE_RHS)
     tolerance = 1e-8
     passed = standard_rhs <= 1e-10 and max_rhs <= tolerance
     records.append(record("summary", max_rhs, samples=n, reference_rhs_norm=standard_rhs,
@@ -825,8 +829,8 @@ def _run_ee2_family(cfg, L, path):
     for rows in _row_blocks(n):
         c = [np.ones(7) if i == 0 else rng.uniform(0.5, 2.0, size=7) for i in range(n)[rows]]
         phi = np.array([ee2_diagonal_phi(ci).coeffs for ci in c])
-        _, rhs, _, alone = _stacked_rhs(L, "modified_coflow", 3, 0.0, phi)
-        _raise_alone_error(alone)
+        _, rhs, _, norms, alone = _stacked_rhs(L, "modified_coflow", 3, 0.0, phi)
+        _raise_row_error(alone, norms)
         for i, ci, row in zip(range(n)[rows], c, rhs):
             computed = float(row[_E1357])
             off = float(np.max(np.abs(np.delete(row, _E1357))))
@@ -854,15 +858,9 @@ def _run_ee2_family(cfg, L, path):
     return summary["passed"], summary
 
 
-@dataclass(eq=False)
-class _FlowStart:
-    """What a flow run needs before it steps: its base form and sampled
-    initial state (with the sampling's scale and halvings)."""
-
-    base: Form
-    scale: float
-    halvings: int
-    state: object
+# What a flow run needs before it steps: its base form and sampled start,
+# with the sampling's scale and halvings.
+_FlowStart = collections.namedtuple("_FlowStart", "base scale halvings form")
 
 
 def _flow_start(cfg, L, loaded):
@@ -870,8 +868,8 @@ def _flow_start(cfg, L, loaded):
     fixtures already read (see ``_initial_form``)."""
     base = _initial_form(cfg, 4 if cfg.flow.flow_kind == "modified_coflow" else 3, loaded)
     rng = np.random.default_rng(cfg.perturbation.seed)
-    _, scale, halvings, state = sample_initial(L, base, cfg.perturbation, rng)
-    return _FlowStart(base, scale, halvings, state)
+    form, scale, halvings, _ = sample_initial(L, base, cfg.perturbation, rng)
+    return _FlowStart(base, scale, halvings, form)
 
 
 def _lockstep_key(cfg):
@@ -948,11 +946,10 @@ def _run_linearize(cfg, L, path):
     """Finite-difference spectrum at a static point; writes a JSON report."""
     base = _initial_form(cfg, 4)
     _require_closed(L, base, cfg.flow.halt.closedness_tol)
-    state = CoclosedState.from_psi(base)
     subspace = cfg.perturbation.subspace
     report = linearize(
         L,
-        state,
+        base,
         [Form(4, b) for b in _perturbation_basis(L, subspace, 4).T],
         A=cfg.flow.A,
         eps=cfg.linearize_section.eps,
@@ -1000,6 +997,16 @@ def _result(experiment, ok, summary, files):
     )
 
 
+def _halt_of(fn, *args):
+    """fn(*args), or the numerical halt (no ConfigError) that it raised."""
+    try:
+        return fn(*args)
+    except ConfigError:
+        raise
+    except G2FlowError as exc:
+        return exc
+
+
 def _run_cells(cfgs, output_dir):
     """Run configs that are not sweeps: the one config of a run, or the
     cells of a sweep.
@@ -1007,8 +1014,10 @@ def _run_cells(cfgs, output_dir):
     Each distinct algebra, and each form fixture that flow configs start
     from, is loaded once.  The starts of the flow configs (ee2_flow and
     custom) are sampled first, in order; then the configs of each
-    ``_lockstep_groups`` group step as one ensemble.  The other configs
-    run one after another.  Returns (one result per config, the groups).
+    ``_lockstep_groups`` group whose sampling succeeded step as one
+    ensemble.  The other configs run one after another.  Returns (one
+    outcome per config, the groups): its result, or the numerical halt its
+    sampling or runner raised, which leaves the other configs as they are.
     """
     paths = [_resolve_output(cfg, output_dir, _output_name(cfg)) for cfg in cfgs]
     algebras = {}
@@ -1017,30 +1026,31 @@ def _run_cells(cfgs, output_dir):
         if cfg.experiment != "np" and cfg.algebra_file not in algebras:
             algebras[cfg.algebra_file] = _load_algebra(cfg.algebra_file)
     loaded = {}
-    starts = {
-        i: _flow_start(cfg, algebras[cfg.algebra_file], loaded)
+    outcomes = {
+        i: _halt_of(_flow_start, cfg, algebras[cfg.algebra_file], loaded)
         for i, cfg in enumerate(cfgs)
         if cfg.experiment in _FLOWS
     }
     groups = _lockstep_groups(cfgs)
-    outcomes = {}
     for group in groups:
         cfg = cfgs[group[0]]
         L = algebras.get(cfg.algebra_file)
         if cfg.experiment not in _FLOWS:  # a group of one
-            outcomes[group[0]] = _RUNNERS[cfg.experiment](cfg, L, paths[group[0]])
+            outcomes[group[0]] = _halt_of(_RUNNERS[cfg.experiment], cfg, L, paths[group[0]])
             continue
+        rows = [i for i in group if isinstance(outcomes[i], _FlowStart)]
         trajectories = integrate(
             L,
             cfg.flow,
-            [starts[i].state for i in group],
-            reference=[starts[i].base for i in group],
-            A=[cfgs[i].flow.A for i in group],
+            [outcomes[i].form for i in rows],
+            reference=[outcomes[i].base for i in rows],
+            A=[cfgs[i].flow.A for i in rows],
         )
-        for i, trajectory in zip(group, trajectories):
-            outcomes[i] = _write_flow(cfgs[i], starts[i], trajectory, paths[i])
+        for i, trajectory in zip(rows, trajectories):
+            outcomes[i] = _write_flow(cfgs[i], outcomes[i], trajectory, paths[i])
     results = [
-        _result(cfg.experiment, *outcomes[i], [path])
+        outcomes[i] if isinstance(outcomes[i], G2FlowError)
+        else _result(cfg.experiment, *outcomes[i], [path])
         for i, (cfg, path) in enumerate(zip(cfgs, paths))
     ]
     return results, groups
@@ -1058,6 +1068,12 @@ def _run_sweep(cfg, output_dir):
     for index, cell_cfg in enumerate(cfgs):
         cell_cfg.output.path = str(sweep_dir / _output_name(cell_cfg, index))
     results, groups = _run_cells(cfgs, None)
+    # A cell that raised a numerical halt has no file; the others are written.
+    results = [
+        _result(cell_cfg.experiment, False, {"error": str(r)}, [])
+        if isinstance(r, G2FlowError) else r
+        for cell_cfg, r in zip(cfgs, results)
+    ]
     manifest = {
         "experiment": cfg.sweep_section.experiment,
         "axes": cfg.sweep_section.axes,
@@ -1065,7 +1081,7 @@ def _run_sweep(cfg, output_dir):
             {
                 "index": i,
                 "overrides": overrides,
-                "path": result.files[0],
+                "path": result.files[0] if result.files else None,
                 "status": result.status,
                 "summary": result.summary,
             }
@@ -1083,7 +1099,7 @@ def _run_sweep(cfg, output_dir):
         "manifest": str(manifest_path),
         "lockstep_groups": groups,
     }
-    files = [manifest_path] + [r.files[0] for r in results]
+    files = [manifest_path] + [f for r in results for f in r.files]
     return _result("sweep", halted == 0, summary, files)
 
 
@@ -1092,8 +1108,8 @@ def run_experiment(cfg, output_dir=None):
 
     Relative output paths are resolved under ``output_dir`` when given.
     Returns an ExperimentResult whose status is "ok" or "halted"; config
-    problems raise ConfigError, numerical failures raise G2FlowError
-    subclasses.
+    problems raise ConfigError, and numerical failures raise G2FlowError
+    subclasses, but for those of a sweep cell, which halt that cell only.
     """
     violations = rule_violations(cfg)
     if violations:
@@ -1103,6 +1119,8 @@ def run_experiment(cfg, output_dir=None):
     if cfg.experiment == "sweep":
         return _run_sweep(cfg, output_dir)
     (result,), _ = _run_cells([cfg], output_dir)
+    if isinstance(result, G2FlowError):
+        raise result
     return result
 
 

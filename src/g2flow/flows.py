@@ -6,54 +6,57 @@ Two flows are supported on left-invariant data:
 * ``modified_coflow``:   d psi / dt = Laplacian(psi) + 2 d((A - trT) phi),
   flowing the dual 4-form, with real parameter A (A = 0 is the plain case).
 
-Both flows move a closed form inside its cohomology class, where the
-Laplacian is d delta, so each right-hand side is evaluated as the
+The state of a flow is the closed form it flows: a start, a stage and a
+record are coefficient vectors of that form, and everything that needs a
+structure (the right-hand sides, the torsion, the DeTurck vector) takes the
+G2Structure recovered from it (``_structure_alone``, stacked in
+``_stacked_rhs``).  Both flows move a closed form inside its cohomology
+class, where the Laplacian is d delta, so each right-hand side is the
 differential of one form (see ``coflow_rhs`` and ``laplacian_flow_rhs``);
-that equals the flow only on closed input, and ``integrate`` halts a start
-that is not closed before evaluating any.  The flow variable is the
-coefficient vector of the flowing form.  For the coflow, each
-right-hand-side evaluation recovers phi from psi in closed form, so every
-step revalidates positivity and checks the recovery residual.  An optional
-DeTurck correction adds the Lie derivative along V^i = c1 g^{pq} T^i_{pq}
-+ c2 g^{ki} T^j_{jk}, where T is the (lower-index symmetrized) difference
-between the Levi-Civita connection and a reference connection.
+that equals the flow only on closed input, so ``integrate`` halts a start
+that is not closed at t = 0.  For the coflow, each evaluation recovers phi
+from psi in closed form, so every step revalidates positivity and checks
+the recovery residual.  An optional DeTurck correction adds the Lie
+derivative along V^i = c1 g^{pq} T^i_{pq} + c2 g^{ki} T^j_{jk}, where T is
+the (lower-index symmetrized) difference between the Levi-Civita
+connection and a reference connection.
 
 Integrators: classic fixed-step rk4 (default dt 1e-3) and adaptive
 Fehlberg rkf45 (default rel_tol 1e-8), which accepts a step when its error
 estimate is below rel_tol * max(1, |y|) and sizes the next step from that
 same scale.  Trajectories halt - never project - when closedness drifts,
 positivity or recovery fails, a step of either method underflows
-(1e-14 max(1, t)), or values stop being finite; the termination record
-carries the cause, and a halt between records still ends the trajectory on
-a record of the state at the halt time.
+(1e-14 max(1, t)), or a state, a stage or a right-hand side (or its norm)
+stops being finite; the termination record carries the cause, and a halt
+between records still ends the trajectory on a record of the state at the
+halt time.  An overflow halts its row (``nonfinite``) without a warning,
+also where RuntimeWarnings are errors.
 
 ``integrate`` also takes a list of starts: an ensemble whose rows share
 the config apart from A (one per row), under any flow, method and DeTurck
 setting.  One start is an ensemble of one row: there is one time loop, in
 which each row keeps its own t, step count and step size (rk4 rows stay
-on one grid, rkf45 rows drift apart).
-
-Every row of a stage is evaluated on coefficient arrays by the one
-evaluation that the experiments share (``_stacked_rhs``), and kept as
-(key, G2Structure, rhs, trT) with its DeTurck term.  Several rows are one
-stack; a single row, and a row the stack marks, is evaluated alone by the
-kernels of one form that the public functions wrap.  Every kernel rounds
-a row as the public functions do on the form alone, d included on any
-structure constants, so each row's trajectory is bit for bit the one its
-start gets alone and the one the public functions give.
-Rows are independent: a row that halts freezes with the records it gets
-alone while the others step on.  An overflow in the arithmetic of a stage
-halts the row (``nonfinite``) also where RuntimeWarnings are errors.
+on one grid, rkf45 rows drift apart).  Every row of a stage, the starts
+included, is evaluated on coefficient arrays by the one evaluation that
+the experiments share (``_stacked_rhs``), and kept as (key, G2Structure,
+rhs, trT, norm) with its DeTurck term.  Several rows are one stack; a
+single row, and a row the stack marks, is evaluated alone by the kernels
+of one form that the public functions wrap.  Every kernel rounds a row as
+the public functions do on the form alone, d included on any structure
+constants, so each row's trajectory is bit for bit the one its start gets
+alone and the one the public functions give.  Rows are independent: a row
+that halts freezes with the records it gets alone while the others step
+on.
 
 A Trajectory is a list of FlowState records and the termination record.
 A stage builds no Form (but for DeTurck), and its metric is built trusted
 by its kernel (see ``g2core``).  A record builds the Forms of its
 FlowState and reads everything else off its row: the coflow's trT is the
 one its right-hand side took, the Laplacian flow's is taken on the row's
-arrays.  A FlowState holds t, the flowing form, psi (star phi for the
-Laplacian flow) and the diagnostics, and no structure or metric, so only
-the current step's operators are alive at any time.  The experiments write
-``Trajectory.records()`` through their shared record writer.
+arrays (0.0 where d phi is exactly zero).  A FlowState holds t, the
+flowing form, psi (star phi for the Laplacian flow) and the diagnostics,
+and no structure or metric.  The experiments write ``Trajectory.records()``
+through their shared record writer.
 
 ``closed_directions(L, k)`` and ``exact_directions(L, k)`` are orthonormal
 bases of the closed and the exact k-forms in any degree, each from one SVD
@@ -75,17 +78,15 @@ from dataclasses import dataclass, field, fields, is_dataclass
 import numpy as np
 
 from .conventions import CODIFF_SIGN, NEWTON_MAX_ITER, NEWTON_TOL
-from .errors import ConfigError, G2FlowError, PositivityError, RecoveryError
+from .errors import ConfigError, DegreeError, G2FlowError, PositivityError, RecoveryError
 from .exterior import DIM, Form, _per_row
 from .g2core import (
-    CoclosedState,
     G2Structure,
     _closed_form,
     _corrected,
     _d,
     _induced,
     _norms,
-    _structure_of,
     _torsion_trace,
     full_torsion,
     stack_from_psi,
@@ -232,22 +233,13 @@ class FlowConfig:
 # --------------------------------------------------------------------------
 
 
-def coflow_rhs(L, state, A=0.0):
-    """Modified coflow right-hand side d(delta psi + 2 (A - trT) phi).
+def coflow_rhs(L, s, A=0.0):
+    """Modified coflow right-hand side d(delta psi + 2 (A - trT) phi) at s.
 
     On a closed psi this is Laplacian(psi) + 2 (A - trT) d(phi), and it is
     affine in A: the A-dependence is exactly 2 A d(phi).
     """
-    s = _structure_of(state)
     return Form(4, _coflow_rhs(L, s.metric, s.phi_coeffs, A)[0])
-
-
-def _finite_coeffs(x):
-    """x, after the finiteness check that building a Form of each of its
-    rows makes (raising the same ValueError)."""
-    if not np.isfinite(x).all():
-        raise ValueError("coefficients must be finite")
-    return x
 
 
 def _coflow_rhs(L, metric, phi, A):
@@ -266,11 +258,10 @@ def _coflow_rhs(L, metric, phi, A):
     return _d(L, 3, chi), trace
 
 
-def laplacian_flow_rhs(L, state):
-    """Laplacian flow right-hand side: on a closed phi its Hodge Laplacian
-    d delta phi = CODIFF_SIGN[3] d star d psi, with psi = star phi the
-    structure's cached dual 4-form (one star besides it)."""
-    s = _structure_of(state)
+def laplacian_flow_rhs(L, s):
+    """Laplacian flow right-hand side at s: on a closed phi its Hodge
+    Laplacian d delta phi = CODIFF_SIGN[3] d star d psi, with psi = star phi
+    the structure's cached dual 4-form (one star besides it)."""
     return Form(3, _laplacian_rhs(L, s.metric, s.psi_coeffs))
 
 
@@ -281,23 +272,33 @@ def _laplacian_rhs(L, metric, psi):
     return CODIFF_SIGN[3] * _d(L, 2, metric.star_coeffs(5, _d(L, 4, psi)))
 
 
+# The halt detail of a right-hand side, or of its norm, that is not finite.
+NONFINITE_RHS = "the right-hand side left the finite range"
+
+
 def _structure_rhs(L, flow_kind, s, A):
-    """(rhs, trT) under ``flow_kind`` at A of a structure, one or a stack
-    in rows: trT is the torsion trace the coflow takes, None otherwise."""
-    if flow_kind == "modified_coflow":
-        rhs, trT = _coflow_rhs(L, s.metric, s.phi_coeffs, A)
-    else:
-        rhs, trT = _laplacian_rhs(L, s.metric, s.psi_coeffs), None
-    return _finite_coeffs(rhs), trT
+    """(rhs, trT, norm) under ``flow_kind`` at A of a structure, one or a
+    stack in rows: trT is the torsion trace the coflow takes, else None, and
+    norm the norm of each rhs row.  An overflow leaves a norm that is not
+    finite, on which the callers halt (``NONFINITE_RHS``), so it is quiet."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if flow_kind == "modified_coflow":
+            rhs, trT = _coflow_rhs(L, s.metric, s.phi_coeffs, A)
+        else:
+            rhs, trT = _laplacian_rhs(L, s.metric, s.psi_coeffs), None
+        return rhs, trT, _norms(rhs)
 
 
 def _structure_alone(degree, x):
-    """One row's structure by the kernels of one form: a 4-form's as
-    ``CoclosedState.from_psi`` recovers it (its closed form, Newton-corrected
-    where it fails the residual gate, or its error); a 3-form's induced one."""
+    """The structure of one flowing form's coefficients by the kernels of
+    one form: a 4-form's as ``phi_of_psi`` recovers it (its closed form,
+    Newton-corrected where it fails the residual gate, or its error); a
+    3-form's induced one."""
     if degree == 3:
         return G2Structure(x, *_induced(x))
-    return _corrected(G2Structure(*_closed_form(x)), x, NEWTON_TOL, NEWTON_MAX_ITER)[0]
+    if degree == 4:
+        return _corrected(G2Structure(*_closed_form(x)), x, NEWTON_TOL, NEWTON_MAX_ITER)[0]
+    raise DegreeError(f"expected a 3-form or a 4-form, got degree {degree}")
 
 
 def _stacked_rhs(L, flow_kind, degree, A, x):
@@ -307,15 +308,16 @@ def _stacked_rhs(L, flow_kind, degree, A, x):
     one per row).  Two or more rows are one stack, whose checks mark the
     rows that fail one; one row, and each marked row, is evaluated alone
     by the kernels of one form (``_structure_alone``: half the cost of a
-    stack of one).  Returns (stack, rhs, trT, alone): ``stack`` is None for
-    one row and holds zeros in marked rows, so that their right-hand sides
-    cannot overflow; trT holds None for the Laplacian flow; ``alone`` maps
+    stack of one).  Returns (stack, rhs, trT, norms, alone): ``stack`` is
+    None for one row and holds zeros in marked rows, so that their
+    right-hand sides cannot overflow; trT holds None for the Laplacian flow;
+    norms is not finite where a row left the finite range; ``alone`` maps
     each row evaluated alone to its structure, or to the PositivityError or
-    RecoveryError it raised (its rhs row is then zero).  Every row rounds
-    as it does alone, and a structure shares the rows of x."""
+    RecoveryError it raised (its rhs row and norm are then zero).  Every row
+    rounds as it does alone, and a structure shares the rows of x."""
     alone = {}
     if len(x) == 1:
-        stack, rhs, trT, todo = None, np.zeros(x.shape), [None], (0,)
+        stack, rhs, trT, norms, todo = None, np.zeros(x.shape), [None], np.zeros(1), (0,)
     else:
         # The stack marks every row that leaves the finite range.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -327,7 +329,7 @@ def _stacked_rhs(L, flow_kind, degree, A, x):
         if bad.any():
             stack.phi_coeffs = np.where(bad[:, None], 0.0, stack.phi_coeffs)
             stack.psi_coeffs = np.where(bad[:, None], 0.0, stack.psi_coeffs)
-        rhs, trT = _structure_rhs(L, flow_kind, stack, A)
+        rhs, trT, norms = _structure_rhs(L, flow_kind, stack, A)
         trT = [None] * len(x) if trT is None else trT
         todo = np.flatnonzero(bad).tolist()
     for r in todo:
@@ -336,19 +338,24 @@ def _stacked_rhs(L, flow_kind, degree, A, x):
         except (PositivityError, RecoveryError) as exc:
             alone[r] = exc
             continue
-        rhs[r], trT[r] = _structure_rhs(L, flow_kind, s, A[r] if isinstance(A, list) else A)
-    return stack, rhs, trT, alone
+        a = A[r] if isinstance(A, list) else A
+        rhs[r], trT[r], norms[r] = _structure_rhs(L, flow_kind, s, a)
+    return stack, rhs, trT, norms, alone
 
 
-def _raise_alone_error(alone):
-    """Raise the first error of the rows evaluated alone, in row order."""
-    for s in alone.values():
-        if isinstance(s, G2FlowError):
-            raise s
+def _raise_row_error(alone, norms):
+    """Raise the first failure among the rows of ``_stacked_rhs``, in row
+    order: the error of a row evaluated alone, or a right-hand side whose
+    norm is not finite."""
+    for r, norm in enumerate(norms.tolist()):
+        if isinstance(alone.get(r), G2FlowError):
+            raise alone[r]
+        if not math.isfinite(norm):
+            raise G2FlowError(NONFINITE_RHS)
 
 
-def deturck_vector(L, state, nabla0, c1, c2):
-    """Gauge vector V^i = c1 g^{pq} T^i_{pq} + c2 g^{ki} T^j_{jk}.
+def deturck_vector(L, s, nabla0, c1, c2):
+    """Gauge vector V^i = c1 g^{pq} T^i_{pq} + c2 g^{ki} T^j_{jk} at s.
 
     T is the difference between the structure's Levi-Civita connection and
     the reference ``nabla0``, symmetrized in its lower index pair (the
@@ -356,7 +363,6 @@ def deturck_vector(L, state, nabla0, c1, c2):
     """
     from .liealg import levi_civita
 
-    s = _structure_of(state)
     diff = levi_civita(L, s.metric).gamma - nabla0.gamma
     tsym = 0.5 * (diff + diff.transpose(1, 0, 2))  # tsym[p, q, i] = T^i_{pq}
     ginv = s.metric.inv
@@ -365,17 +371,17 @@ def deturck_vector(L, state, nabla0, c1, c2):
     return v
 
 
-def deturck_term(L, state, nabla0, c1, c2):
-    """Lie derivative of the flowing form along the gauge vector."""
-    v = deturck_vector(L, state, nabla0, c1, c2)
-    form = state.psi if isinstance(state, CoclosedState) else _structure_of(state).phi
+def deturck_term(L, form, nabla0, c1, c2):
+    """Lie derivative of the flowing form (a 4-form psi or a 3-form phi)
+    along the gauge vector of its structure."""
+    v = deturck_vector(L, _structure_alone(form.degree, form.coeffs), nabla0, c1, c2)
     return lie_derivative(L, v, form)
 
 
-def volume_monotonicity_criterion(L, state, A=0.0):
-    """Sign criterion |T|^2 + trT (4A - 3 trT) for volume growth under the
-    modified coflow; positive iff the volume is instantaneously increasing."""
-    s = _structure_of(state)
+def volume_monotonicity_criterion(L, s, A=0.0):
+    """Sign criterion |T|^2 + trT (4A - 3 trT) at s for volume growth under
+    the modified coflow; positive iff the volume is instantaneously
+    increasing."""
     trT = torsion_trace(L, s)
     normsq = full_torsion(L, s).norm_squared(s.metric)
     return normsq + trT * (4.0 * A - 3.0 * trT)
@@ -434,24 +440,24 @@ class _Evaluator:
     """Shared right-hand-side evaluator of the rows of an ensemble.
 
     The state of a row is a pure function of its flowing coefficients, so
-    ``rows[i]`` keeps row i's last evaluation as (key, structure, rhs, trT):
-    the bytes of the coefficients it was evaluated at, their G2Structure,
-    and the right-hand side and torsion trace once evaluated (trT is None
-    for the Laplacian flow, whose right-hand side takes none).  A record
-    time and the next step's first stage share one evaluation; a retried
-    rkf45 attempt evaluates its first stage again, since the row keeps only
-    its last stage.  Row i starts out holding the structure of
-    ``states[i]`` at ``y[i]``.
+    ``rows[i]`` keeps row i's last evaluation, a start's included, as (key,
+    structure, rhs, trT, norm): the bytes of the coefficients it was
+    evaluated at, their G2Structure, the right-hand side, the torsion trace
+    (None for the Laplacian flow, whose right-hand side takes none) and the
+    right-hand side's norm.  A record time and the next step's first stage
+    share one evaluation; a retried rkf45 attempt evaluates its first stage
+    again, since the row keeps only its last stage.
 
     The rows a call evaluates, however many, go through ``_stacked_rhs``
     (so a row gets the bits, Newton corrections and errors of its public-API
     evaluation), and a DeTurck row adds its Lie derivative; no Form is built
     but for DeTurck.  A row whose evaluation fails is entered in ``failed``
-    with its halt reason and detail; calls skip it, with zero entries, until
-    the caller takes it out.
+    as (halt reason, error); calls skip it, with zero entries, until the
+    caller takes it out.  A right-hand side whose norm is not finite fails
+    its row (``nonfinite``) with the row's evaluation kept, for its record.
     """
 
-    def __init__(self, L, config, A, y, states):
+    def __init__(self, L, config, A):
         self.L = L
         self.config = config
         self.A = A
@@ -459,7 +465,7 @@ class _Evaluator:
         self.nabla0 = Connection(np.zeros((DIM, DIM, DIM)))
         self.degree = 4 if self.kind == "modified_coflow" else 3
         self.dmat = L.differential_matrix(self.degree)
-        self.rows = [(row.tobytes(), _structure_of(s), None, None) for row, s in zip(y, states)]
+        self.rows = [None] * len(A)
         self.failed = {}
 
     def f(self, rows, y):
@@ -469,38 +475,43 @@ class _Evaluator:
         for j, i in enumerate(rows):
             if i in self.failed:
                 continue
-            key, s, rhs, _ = self.rows[i]
-            if y[j].tobytes() == key:
-                if rhs is None:  # a start row, whose structure came with it
-                    rhs = self._keep(i, y[j], s, *_structure_rhs(self.L, self.kind, s, self.A[i]))
-                out[j] = rhs
+            kept = self.rows[i]
+            if kept is not None and y[j].tobytes() == kept[0]:
+                out[j] = kept[2]
             elif np.isfinite(y[j]).all():
                 todo.append(j)
             else:
-                self.failed[i] = ("nonfinite", "a stage of the step left the finite range")
+                error = G2FlowError("a stage of the step left the finite range")
+                self.failed[i] = ("nonfinite", error)
         if todo:
             A = [self.A[rows[j]] for j in todo]
             x = y.take(todo, axis=0)  # a copy, which the structures may share
-            stack, rhs, trT, alone = _stacked_rhs(self.L, self.kind, self.degree, A, x)
+            stack, rhs, trT, norms, alone = _stacked_rhs(self.L, self.kind, self.degree, A, x)
             for r, j in enumerate(todo):
                 s = alone.get(r) or stack.row(r)
                 if isinstance(s, G2FlowError):
                     reason = "positivity" if isinstance(s, PositivityError) else "newton"
-                    self.failed[rows[j]] = (reason, str(s))
+                    self.failed[rows[j]] = (reason, s)
                 else:
-                    out[j] = self._keep(rows[j], y[j], s, rhs[r], trT[r])
+                    out[j] = self._keep(rows[j], y[j], s, rhs[r], trT[r], norms[r])
         return out
 
-    def _keep(self, i, y, s, rhs, trT):
-        """Keep row i's evaluation at y: its structure s, the base right-hand
-        side rhs plus the DeTurck term when enabled, and trT."""
+    def _keep(self, i, y, s, rhs, trT, norm):
+        """Keep row i's evaluation at y: its structure s, rhs plus the DeTurck
+        term when enabled, trT and the norm.  Returns the right-hand side, or
+        0.0 where its norm is not finite and the row fails."""
         gauge = self.config.deturck
         if gauge.enabled:
             v = deturck_vector(self.L, s, self.nabla0, gauge.c1, gauge.c2)
             form = Form(4, y) if self.degree == 4 else s.phi
-            rhs = _finite_coeffs(rhs + lie_derivative(self.L, v, form).coeffs)
-        self.rows[i] = (y.tobytes(), s, rhs, trT)
-        return rhs
+            with np.errstate(over="ignore", invalid="ignore"):
+                rhs = rhs + lie_derivative(self.L, v, form).coeffs
+                norm = _norms(rhs)
+        self.rows[i] = (y.tobytes(), s, rhs, trT, norm)
+        if math.isfinite(norm):
+            return rhs
+        self.failed[i] = ("nonfinite", G2FlowError(NONFINITE_RHS))
+        return 0.0
 
     def closedness(self, y):
         return float(np.linalg.norm(self.dmat @ y))
@@ -558,17 +569,19 @@ def _rkf45_attempt(f, y, h):
     return _quietly(lambda: combine(y.copy(), _RKF_B5)), err
 
 
-def integrate(L, config, state0, reference=None, A=None):
-    """Integrate the configured flow from ``state0``.
+def integrate(L, config, start, reference=None, A=None):
+    """Integrate the configured flow from the flowing form ``start``.
 
-    ``state0`` is a CoclosedState for the coflow or a G2Structure for the
-    Laplacian flow; ``reference`` (a form, defaults to the initial one)
-    anchors the dist_ref diagnostic.  Returns a Trajectory whose termination
-    record distinguishes a completed run from halts caused by closedness
-    drift, positivity loss, recovery failure, step underflow, or non-finite
-    values.
+    ``start`` is a 4-form psi for the coflow and a 3-form phi for the
+    Laplacian flow (another degree raises DegreeError).  Its structure is
+    recovered as every later state's is, so a start that is not positive
+    raises the PositivityError or RecoveryError of its recovery before any
+    step.  ``reference`` (a form, defaults to the start) anchors the
+    dist_ref diagnostic.  Returns a Trajectory whose termination record
+    distinguishes a completed run from halts caused by closedness drift,
+    positivity loss, recovery failure, step underflow, or non-finite values.
 
-    A list ``state0`` is an ensemble of rows, under any config, whose
+    A list ``start`` is an ensemble of rows, under any config, whose
     stages are evaluated as one stack.  ``reference`` and ``A`` are then
     lists with one entry per row (``A`` defaults to ``config.A`` for every
     row; a single start reads ``config.A`` only), and a list of
@@ -577,13 +590,13 @@ def integrate(L, config, state0, reference=None, A=None):
     rkf45 rows size their own steps and drift apart in t, and a row that
     halts freezes while the others step on unchanged.
     """
-    if not isinstance(state0, list):
+    if not isinstance(start, list):
         if A is not None:
             raise G2FlowError("A= takes one value per row of a list of starts")
-        return _integrate_rows(L, config, [state0], [reference], [config.A])[0]
-    n = len(state0)
+        return _integrate_rows(L, config, [start], [reference], [config.A])[0]
+    n = len(start)
     A = [config.A] * n if A is None else A
-    return _integrate_rows(L, config, state0, reference or [None] * n, A)
+    return _integrate_rows(L, config, start, reference or [None] * n, A)
 
 
 def _integrate_rows(L, config, starts, references, A):
@@ -592,16 +605,16 @@ def _integrate_rows(L, config, starts, references, A):
     whose attempt is rejected stays at its t with a smaller step."""
     config.ensure_valid()
     n = len(starts)
-    coflow = config.flow_kind == "modified_coflow"
     cfg_int = config.integrator
     rkf45 = cfg_int.method == "rkf45"
-    if coflow and not all(isinstance(s, CoclosedState) for s in starts):
-        raise G2FlowError("modified_coflow expects a CoclosedState initial state")
-    if not coflow:
-        starts = [_structure_of(s) for s in starts]
-    y = np.array([(s.psi if coflow else s.phi).coeffs for s in starts])
+    evaluator = _Evaluator(L, config, [float(a) for a in A])
+    coflow = evaluator.degree == 4
+    for start in starts:
+        if start.degree != evaluator.degree:
+            kind, degree = config.flow_kind, evaluator.degree
+            raise DegreeError(f"{kind} flows a {degree}-form; a start has degree {start.degree}")
+    y = np.array([start.coeffs for start in starts])
     ref = np.array([y[i] if r is None else r.coeffs for i, r in enumerate(references)])
-    evaluator = _Evaluator(L, config, [float(a) for a in A], y, starts)
 
     t_end = cfg_int.t_end
     t_stop = t_end - 1e-12 * max(1.0, t_end)  # end of the horizon up to rounding
@@ -618,22 +631,25 @@ def _integrate_rows(L, config, starts, references, A):
         """Record row i at its t with the monitor values; ``rhs_norm``
         False leaves its right-hand side unread (and the value null).  The
         torsion trace is the one the coflow right-hand side took, else it is
-        taken here on the row's arrays."""
-        _, s, rhs, trT = evaluator.rows[i]
+        taken here on the row's arrays: (1/4) star(d phi ^ phi), which is
+        0.0 where d phi is exactly zero."""
+        _, s, _, trT, norm = evaluator.rows[i]
         if mon.trT and trT is None:
-            trT = _torsion_trace(s.metric, s.phi_coeffs, _d(L, 3, s.phi_coeffs))
+            dphi = _d(L, 3, s.phi_coeffs)
+            trT = _torsion_trace(s.metric, s.phi_coeffs, dphi) if dphi.any() else 0.0
         diag = {
             "trT": float(trT) if mon.trT else None,
             "volume": s.volume if mon.volume else None,
             "closedness": closed[i] if mon.closedness else None,
-            "rhs_norm": float(np.linalg.norm(rhs)) if mon.rhs_norm and rhs_norm else None,
+            "rhs_norm": float(norm) if mon.rhs_norm and rhs_norm else None,
             "dist_ref": float(np.linalg.norm(y[i] - ref[i])) if mon.dist_ref else None,
         }
         psi = Form(4, y[i]) if coflow else s.psi
         states[i].append(FlowState(t[i], psi if coflow else s.phi, psi, diag))
 
     def end(i, reason, detail="", status="halted"):
-        ends[i] = dict(status=status, reason=reason, t=t[i], steps=steps[i], detail=detail)
+        """End row i; ``detail`` is a message, or the error that gives it."""
+        ends[i] = dict(status=status, reason=reason, t=t[i], steps=steps[i], detail=str(detail))
 
     def record(rows):
         """Snapshot the rows at their t; a row whose evaluation fails halts."""
@@ -644,16 +660,23 @@ def _integrate_rows(L, config, starts, references, A):
             else:
                 snapshot(i)
 
-    # The right-hand sides are exact forms that equal the flows only on
-    # closed input, so a start that is not closed halts, whatever the
-    # closedness monitor says, before a right-hand side is evaluated.
     # closed[i] is the closedness residual of y[i], kept as y[i] moves.
+    # Every start is evaluated, and one that is not positive raises.  The
+    # right-hand sides are exact forms that equal the flows only on closed
+    # input, so a start that is not closed halts, whatever the closedness
+    # monitor says, on a record that leaves its right-hand side unread; so
+    # does a start whose right-hand side left the finite range.
     closed = [evaluator.closedness(row) for row in y]
+    evaluator.f(range(n), y)
     for i in range(n):
+        halt = evaluator.failed.pop(i, None)
+        if halt and halt[0] != "nonfinite":
+            raise halt[1]
         if closed[i] > tol:
-            snapshot(i, rhs_norm=False)
-            end(i, "closedness", "initial state violates the closedness tolerance")
-    record([i for i in range(n) if ends[i] is None])
+            halt = ("closedness", "initial state violates the closedness tolerance")
+        snapshot(i, rhs_norm=not halt)
+        if halt:
+            end(i, *halt)
 
     while True:
         for i in range(n):
@@ -768,28 +791,32 @@ class SpectrumReport:
     eps: float
 
 
-def linearize(L, state, directions, A=0.0, eps=1e-5, static_tol=1e-8):
+def linearize(L, base, directions, A=0.0, eps=1e-5, static_tol=1e-8):
     """Central finite-difference linearization of the modified coflow at
-    parameter ``A`` at a static state.
+    parameter ``A`` at a static 4-form ``base`` (another degree raises
+    DegreeError), whose structure is recovered once.
 
     ``directions`` are 4-forms spanning the probed subspace.  They are
     orthonormalized in the L2 inner product (pointwise metric inner product
     times the constant volume); a rank-deficient set raises, as does a base
-    point that is not static to ``static_tol``.  The 2m perturbed states
-    are recovered and evaluated as one stack (``_stacked_rhs``, which
-    evaluates a state the stack marks alone); the first state that raises
-    there raises here.
+    point that is not static to ``static_tol`` or whose right-hand side
+    leaves the finite range.  The 2m perturbed states are recovered and evaluated as
+    one stack (``_stacked_rhs``, which evaluates a state the stack marks
+    alone); the first state that raises there, or whose right-hand side
+    leaves the finite range, raises here.
     """
-    if not isinstance(state, CoclosedState):
-        raise G2FlowError("linearize expects a CoclosedState base point")
-    base_norm = float(np.linalg.norm(coflow_rhs(L, state, A).coeffs))
+    if base.degree != 4:
+        raise DegreeError(f"linearize expects a 4-form base point, got degree {base.degree}")
+    structure = _structure_alone(4, base.coeffs)
+    base_norm = float(_structure_rhs(L, "modified_coflow", structure, A)[2])
+    if not math.isfinite(base_norm):
+        raise G2FlowError(NONFINITE_RHS)
     if base_norm > static_tol:
         raise G2FlowError(
             f"base point is not static: rhs norm {base_norm:.3e} exceeds {static_tol:.1e}"
         )
     if not directions:
         raise G2FlowError("directions must be a non-empty list of 4-forms")
-    structure = state.recovered
     gram = structure.metric.gram(4) * structure.volume
     dmat = np.column_stack([d.coeffs for d in directions])
     overlap = dmat.T @ gram @ dmat
@@ -800,10 +827,10 @@ def linearize(L, state, directions, A=0.0, eps=1e-5, static_tol=1e-8):
     basis = dmat @ np.linalg.inv(chol).T  # columns are L2-orthonormal
     m = basis.shape[1]
     # Rows psi + eps b_j and psi - eps b_j, in turn for each direction b_j.
-    psi = state.psi.coeffs
+    psi = base.coeffs
     probes = np.stack([psi + eps * basis.T, psi - eps * basis.T], axis=1).reshape(2 * m, -1)
-    _, rhs, _, alone = _stacked_rhs(L, "modified_coflow", 4, A, probes)
-    _raise_alone_error(alone)
+    _, rhs, _, norms, alone = _stacked_rhs(L, "modified_coflow", 4, A, probes)
+    _raise_row_error(alone, norms)
     project = basis.T @ gram
     matrix = np.empty((m, m))
     for j in range(m):

@@ -27,31 +27,24 @@ itself, its inverse and its degree-4 star are never built
 other form (d phi, d psi, the type decomposition, linearization) and is the
 identity's oracle in the tests.
 
-One factorisation per metric: one Cholesky factor L of the symmetrized B
-is the positivity witness, since kappa > 0; det B = prod L_ii^2, and with
-r = (det B)^{1/9}, g = (kappa / r) B, g^{-1} = (r / kappa) B^{-1} from one
-inverse of B, det g = kappa^7 r^2 and sqrt(det g) = kappa^{7/2} r
-(``_induced``).  A Laplacian-flow evaluation thus takes one ``cholesky``
-and one ``inv``, a coflow recovery two of each (the structures of chi and
-of phi), and neither takes a determinant: det B is taken only on the
-failure path, for the message that tells an orientation failure
-(det B <= 0) from an indefinite B, under ``np.errstate`` so an overflow
-there halts the flow instead of raising a RuntimeWarning.  A B whose
-entries are not finite is screened before it is factorised.
+One factorisation per metric (``_induced``): one Cholesky factor of B is
+the positivity witness and gives det B, g, g^{-1} and sqrt(det g).  A
+Laplacian-flow evaluation thus takes one ``cholesky`` and one ``inv``, a
+coflow recovery two of each (the structures of chi and of phi), and
+neither takes a determinant but on the failure path, for the message
+(``_positivity_error``).  A B whose entries are not finite is screened
+before it is factorised.
 
 The kernels (B, the induced metric and dual, the closed-form recovery, the
 torsion trace) take the coefficients of one form or a stack of forms in
-rows, with one metric per row, and ``G2Structure`` carries what they make:
-phi, its metric and psi as arrays, for one form or for rows, with Form
-views of one form built only when asked for.  ``stack_from_psi`` recovers
-independent 4-forms in one pass into a structure with rows: every check of
-one recovery runs over the whole stack, and a row that fails one comes back
-marked, to be redone one by one by ``CoclosedState.from_psi`` (Newton
-corrections, errors and messages are its own).  Scalar powers and the
-product of the factor's diagonal are taken per row as for one form, so a
-stacked row gets the arithmetic of its one-form evaluation.  B is formed
-under ``np.errstate``: an overflow there leaves B non-finite, which ends in
-a PositivityError (a marked row of a stack) without a RuntimeWarning.
+rows, with one metric per row; ``G2Structure`` carries what they make, and
+is what everything that needs a structure takes.  ``stack_from_psi``
+recovers independent 4-forms in one pass: every check of one recovery runs
+over the whole stack, and a row that fails one comes back marked, to be
+redone by ``phi_of_psi``.  Scalar powers and the product of the factor's
+diagonal are taken per row as for one form, so a stacked row gets the
+arithmetic of its one-form evaluation.  An overflow in forming B ends in a
+PositivityError (a marked row of a stack) without a RuntimeWarning.
 
 The kernels build their metrics trusted (``Metric._trusted``): no copy and
 no second validation, with the inverse, det and sqrt(det) of the same
@@ -440,12 +433,12 @@ def _closed_form(psi, bad=None):
 
 
 def stack_from_psi(psi):
-    """``CoclosedState.from_psi`` for each 4-form row of ``psi`` (n, 35), by
-    the closed form in one pass.  Returns (structure, bad): a G2Structure
-    with a row per 4-form, and ``bad`` marking the rows that fail a check or
-    whose residual exceeds ``NEWTON_TOL``; they hold placeholders, and
-    ``CoclosedState.from_psi`` on such a row applies the Newton corrections
-    or raises as it does for one form."""
+    """``phi_of_psi`` for each 4-form row of ``psi`` (n, 35), by the closed
+    form in one pass.  Returns (structure, bad): a G2Structure with a row
+    per 4-form, and ``bad`` marking the rows that fail a check or whose
+    residual exceeds ``NEWTON_TOL``; they hold placeholders, and
+    ``phi_of_psi`` of such a row applies the Newton corrections or raises as
+    it does for one form."""
     bad = np.zeros(len(psi), dtype=bool)
     psi = _finite(psi, bad, 0.0)
     structure = G2Structure(*_closed_form(psi, bad))
@@ -453,41 +446,10 @@ def stack_from_psi(psi):
     return structure, bad
 
 
-@dataclass(eq=False)
-class CoclosedState:
-    """Evolving 4-form with its recovered structure.
-
-    ``residual`` is the Euclidean norm of star_{g(phi)} phi - psi at the
-    recovered phi; the closedness of psi is a separate diagnostic tracked by
-    the flow layer.
-    """
-
-    psi: Form
-    recovered: G2Structure
-    residual: float
-
-    @classmethod
-    def from_psi(cls, psi, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
-        """Recover the structure of psi in closed form (see ``phi_of_psi``)."""
-        structure, residual = _phi_of_psi(psi, tol, max_iter)
-        return cls(psi=psi, recovered=structure, residual=residual)
-
-    @classmethod
-    def from_phi(cls, phi):
-        """State whose psi is exactly the dual of phi (zero residual)."""
-        structure = G2Structure.from_phi(phi)
-        return cls(psi=structure.psi, recovered=structure, residual=0.0)
-
-
-def _structure_of(state):
-    return state.recovered if isinstance(state, CoclosedState) else state
-
-
-def torsion_trace(L, state):
-    """Scalar torsion trace (1/4) star(d phi ^ phi) of a structure or state."""
-    s = _structure_of(state)
-    phi = s.phi_coeffs
-    return float(_torsion_trace(s.metric, phi, _d(L, 3, phi)))
+def torsion_trace(L, structure):
+    """Scalar torsion trace (1/4) star(d phi ^ phi) of a G2Structure."""
+    phi = structure.phi_coeffs
+    return float(_torsion_trace(structure.metric, phi, _d(L, 3, phi)))
 
 
 def _torsion_trace(metric, phi, dphi):
@@ -528,13 +490,13 @@ class TorsionTensor:
         return float(np.einsum("ik,jl,ij,kl->", metric.inv, metric.inv, self.t, self.t))
 
 
-def full_torsion(L, state):
-    """Full torsion tensor T_ij = (1/4) <nabla_i phi, iota_j psi>.
+def full_torsion(L, s):
+    """Full torsion tensor T_ij = (1/4) <nabla_i phi, iota_j psi> of a
+    G2Structure.
 
     The pairing constant is calibrated so the metric trace agrees with
     ``torsion_trace``; the trace-consistency test enforces it.
     """
-    s = _structure_of(state)
     conn = levi_civita(L, s.metric)
     nabla_phi = np.einsum("iab,b->ia", conn.form_action(3), s.phi_coeffs)
     iota_psi = np.einsum("iab,a->ib", CONTRACT[4], s.psi_coeffs)

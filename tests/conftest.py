@@ -38,10 +38,10 @@ def pytest_sessionfinish(session, exitstatus):
         session.exitstatus = 1
 
 from g2flow import (
-    CoclosedState,
     Form,
     G2Structure,
     load_algebra,
+    phi_of_psi,
     standard_phi,
     standard_psi,
 )
@@ -133,7 +133,8 @@ def random_form(rng, degree, scale=1.0):
 
 
 def coclosed_sample(L, rng, magnitude=0.25, max_halvings=40):
-    """Positivity-validated random coclosed 4-form near the reference one.
+    """Positivity-validated random coclosed 4-form near the reference one,
+    with its recovered structure: (psi, structure).
 
     Draws a unit direction in the closed-4-form subspace and halves the
     magnitude until the recovery of its 3-form succeeds.
@@ -150,7 +151,7 @@ def coclosed_sample(L, rng, magnitude=0.25, max_halvings=40):
     for _ in range(max_halvings + 1):
         candidate = Form(4, base + scale * direction)
         try:
-            return CoclosedState.from_psi(candidate)
+            return candidate, phi_of_psi(candidate)
         except (PositivityError, RecoveryError):
             scale *= 0.5
     raise AssertionError("no positive coclosed sample found")

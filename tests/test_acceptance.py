@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from g2flow import (
-    CoclosedState,
     FlowConfig,
     Form,
     G2Structure,
@@ -76,8 +75,8 @@ def gate(announce, number, slug):
     announce(f"ACCEPTANCE {number:02d} PASS {slug} ({elapsed:.2f}s)")
 
 
-def _rhs0(L, state):
-    return coflow_rhs(L, state, 0.0)
+def _rhs0(L, s):
+    return coflow_rhs(L, s, 0.0)
 
 
 def test_criterion_01_hodge_star_calibration(announce):
@@ -120,18 +119,17 @@ def test_criterion_03_static_suite(announce, ee1):
     # positivity-validated neighbours, and a long integration all sit still.
     with gate(announce, 3, "static suite on ee1"):
         t0 = time.perf_counter()
-        base = CoclosedState.from_psi(standard_psi())
-        assert np.linalg.norm(_rhs0(ee1, base).coeffs) <= 1e-10
+        assert np.linalg.norm(_rhs0(ee1, phi_of_psi(standard_psi())).coeffs) <= 1e-10
 
         rng = np.random.default_rng(31)
         for _ in range(100):
-            state = coclosed_sample(ee1, rng, magnitude=0.25)
-            assert np.linalg.norm(_rhs0(ee1, state).coeffs) <= 1e-8
+            _, s = coclosed_sample(ee1, rng, magnitude=0.25)
+            assert np.linalg.norm(_rhs0(ee1, s).coeffs) <= 1e-8
 
         cfg = FlowConfig(
             integrator=IntegratorConfig(method="rk4", dt=1e-2, t_end=10.0)
         )
-        traj = integrate(ee1, cfg, base, reference=standard_psi())
+        traj = integrate(ee1, cfg, standard_psi(), reference=standard_psi())
         assert traj.termination["status"] == "completed"
         assert max(r["dist_ref"] for r in traj.records()) <= 1e-8
         assert time.perf_counter() - t0 < 10.0
@@ -151,7 +149,7 @@ def test_criterion_04_diagonal_family_formula(announce, ee2):
         disagreements = 0
         for _ in range(20):
             c = rng.uniform(0.5, 2.0, size=7)
-            state = CoclosedState.from_phi(ee2_diagonal_phi(c))
+            state = G2Structure.from_phi(ee2_diagonal_phi(c))
             rhs = coflow_rhs(ee2, state, 0.0).coeffs
             leading = rhs[_E1357]
             rest = np.delete(rhs, _E1357)
@@ -180,7 +178,7 @@ def test_criterion_04_diagonal_family_formula(announce, ee2):
         # At the unit point both readings coincide and the member is moving.
         ones = np.ones(7)
         unit_rhs = coflow_rhs(
-            ee2, CoclosedState.from_phi(ee2_diagonal_phi(ones)), 0.0
+            ee2, G2Structure.from_phi(ee2_diagonal_phi(ones)), 0.0
         ).coeffs
         assert unit_rhs[_E1357] == pytest.approx(2.0, rel=1e-10)
         assert family_monomial_pattern(ones) == pytest.approx(2.0, rel=1e-12)
@@ -188,7 +186,7 @@ def test_criterion_04_diagonal_family_formula(announce, ee2):
         # Non-unit static member: law and right-hand side vanish together.
         member = np.asarray(STATIC_FAMILY_MEMBER)
         member_rhs = coflow_rhs(
-            ee2, CoclosedState.from_phi(ee2_diagonal_phi(member)), 0.0
+            ee2, G2Structure.from_phi(ee2_diagonal_phi(member)), 0.0
         ).coeffs
         assert np.linalg.norm(member_rhs) <= 1e-10
         assert abs(family_coefficient_law(family_stretch_factors(member))) <= 1e-12
@@ -196,7 +194,7 @@ def test_criterion_04_diagonal_family_formula(announce, ee2):
         # Off the zero locus the member moves.
         off = np.array([1.3, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0])
         off_rhs = coflow_rhs(
-            ee2, CoclosedState.from_phi(ee2_diagonal_phi(off)), 0.0
+            ee2, G2Structure.from_phi(ee2_diagonal_phi(off)), 0.0
         ).coeffs
         assert np.linalg.norm(off_rhs) > 1e-2
         assert time.perf_counter() - t0 < 5.0
@@ -238,10 +236,10 @@ def test_criterion_07_torsion_scaling(announce, ee1, ee2):
         rng = np.random.default_rng(71)
         for L in (ee1, ee2):
             for _ in range(5):
-                state = coclosed_sample(L, rng, magnitude=0.2)
-                trt = torsion_trace(L, state)
+                psi, s = coclosed_sample(L, rng, magnitude=0.2)
+                trt = torsion_trace(L, s)
                 for c in (0.5, 2.0, 5.0):
-                    scaled = CoclosedState.from_psi(Form(4, c * state.psi.coeffs))
+                    scaled = phi_of_psi(Form(4, c * psi.coeffs))
                     assert torsion_trace(L, scaled) == pytest.approx(
                         c**-0.25 * trt, rel=1e-8
                     )
@@ -255,9 +253,9 @@ def test_criterion_08_rhs_stays_closed(announce, ee1, ee2):
         for L in (ee1, ee2):
             d4 = L.differential_matrix(4)
             for _ in range(5):
-                state = coclosed_sample(L, rng, magnitude=0.2)
+                _, s = coclosed_sample(L, rng, magnitude=0.2)
                 for A in (0.0, 1.0):
-                    rhs = coflow_rhs(L, state, A)
+                    rhs = coflow_rhs(L, s, A)
                     assert np.max(np.abs(d4 @ rhs.coeffs)) <= 1e-12
 
 
@@ -321,7 +319,7 @@ def test_criterion_11_linearization_sanity(announce, ee1, ee2):
     # The quadratic refinement law itself is exhibited at a static family
     # member whose linearization is genuinely nonzero.
     with gate(announce, 11, "linearization sanity"):
-        base = CoclosedState.from_psi(standard_psi())
+        base = standard_psi()
         dirs = closed_directions(ee1, 4)
         eps = 2e-3
         coarse = linearize(ee1, base, dirs, A=0.0, eps=eps)
@@ -333,7 +331,7 @@ def test_criterion_11_linearization_sanity(announce, ee1, ee2):
         assert np.max(np.abs(coarse.matrix - fine.matrix)) <= 1.0 * eps**2
 
         member = np.asarray(STATIC_FAMILY_MEMBER)
-        curved = CoclosedState.from_phi(ee2_diagonal_phi(member))
+        curved = G2Structure.from_phi(ee2_diagonal_phi(member)).psi
         dirs2 = closed_directions(ee2, 4)
         mats = {
             e: linearize(ee2, curved, dirs2, A=0.0, eps=e).matrix

@@ -460,11 +460,9 @@ class TestOverflowingStep:
                                   "positively oriented (det B = -inf))")
 
 
-# Experiment inputs whose stacked states overflow, the halt each must end
-# in, whatever the warning filters, and whether the halt is all it prints
-# under default warnings.  At 1e300 the kernels of one form, which evaluate
-# a marked row alone and run the halving loop outside any np.errstate, also
-# overflow, and print their RuntimeWarnings.
+# Experiment inputs whose stacked states, or right-hand sides, overflow, and
+# the halt each must end in, whatever the warning filters; the halt is all
+# it prints.
 HOSTILE_EXPERIMENTS = {
     "ee1_static-1e100": (
         {"schema_version": 1, "experiment": "ee1_static", "samples": 5,
@@ -486,6 +484,15 @@ HOSTILE_EXPERIMENTS = {
         "4-form is not positive (its dual 3-form: 3-form is not positively oriented "
         "(det B = nan))",
     ),
+    # A finite flow.A whose right-hand side overflows: 2 A phi is not finite.
+    "ee1_static-A1e308": (
+        {"schema_version": 1, "experiment": "ee1_static", "samples": 5, "flow": {"A": 1e308}},
+        "the right-hand side left the finite range",
+    ),
+    "linearize-A1e308": (
+        {"schema_version": 1, "experiment": "linearize", "flow": {"A": 1e308}},
+        "the right-hand side left the finite range",
+    ),
 }
 
 
@@ -502,6 +509,52 @@ def test_hostile_experiment_inputs_end_in_a_halt(tmp_path, cfg, message, warning
     )
     assert proc.returncode == EXIT_NUMERICAL
     assert proc.stderr == f"numerical halt: {message}\n"
+
+
+def _flow_at(A, method="rk4"):
+    return {"schema_version": 1, "experiment": "ee2_flow", "flow": {
+        "A": A, "integrator": {"method": method, "dt": 0.01, "t_end": 0.1}}}
+
+
+# Flow runs whose right-hand side at the start is not finite (A = 1e308) or
+# has a norm that is not (A = 1e300), alone and as a sweep cell beside a
+# good one.
+HOSTILE_FLOWS = {
+    "ee2_flow-A1e300": _flow_at(1e300),
+    "ee2_flow-A1e308-rkf45": _flow_at(1e308, "rkf45"),
+    "sweep-A": {**_flow_at(0.0), "experiment": "sweep",
+                "sweep": {"experiment": "ee2_flow", "axes": {"flow.A": [0.0, 1e308]}}},
+}
+
+
+@pytest.mark.parametrize("warnings", ["", "error::RuntimeWarning"], ids=["default", "errors"])
+@pytest.mark.parametrize("cfg", HOSTILE_FLOWS.values(), ids=HOSTILE_FLOWS.keys())
+def test_a_start_whose_right_hand_side_overflows_halts_quietly(tmp_path, cfg, warnings):
+    # The row halts nonfinite on its t = 0 record, whose rhs_norm is null;
+    # no file holds a value that is not JSON, and a good cell of the same
+    # sweep is written as its run alone writes it.
+    proc = _run_in_subprocess(
+        ["run", _config(tmp_path, cfg), "--output-dir", str(tmp_path / "out")], warnings
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_NUMERICAL, "")
+    files = sorted((tmp_path / "out").rglob("*.jsonl"))
+    for path in files:
+        assert "Infinity" not in path.read_text() and "NaN" not in path.read_text()
+    records = [json.loads(line) for line in files[-1].read_text().splitlines()]
+    assert len(records) == 1 and records[0]["t"] == 0.0 and records[0]["rhs_norm"] is None
+    summary = json.loads(proc.stdout)["summary"]
+    if cfg["experiment"] == "sweep":
+        manifest = json.loads(Path(summary["manifest"]).read_text())
+        assert [c["status"] for c in manifest["cells"]] == ["ok", "halted"]
+        summary = manifest["cells"][1]["summary"]
+        alone = _run_in_subprocess(
+            ["run", _config(tmp_path, _flow_at(0.0), "good.json"),
+             "--output-dir", str(tmp_path / "good")], warnings)
+        assert alone.returncode == EXIT_OK
+        assert files[0].read_bytes() == (tmp_path / "good" / "ee2_flow.jsonl").read_bytes()
+    term = summary["termination"]
+    assert (term["reason"], term["t"], term["steps"]) == ("nonfinite", 0.0, 0)
+    assert term["detail"] == "the right-hand side left the finite range"
 
 
 # An rk4 step of 1e-300 over a horizon of 1: about 1e300 steps, were the
@@ -684,29 +737,67 @@ class TestSweepVerb:
         assert blobs["serial"] == blobs["parallel"]
 
     def test_sweep_that_fails_to_sample_a_start_halts_as_its_cell_does(self, capsys, tmp_path):
-        # Every start is sampled before any cell steps, so no cell file is
-        # written; the message and exit code are those of the cell alone.
+        # The second cell's start is not positive: the zero form, or no
+        # perturbation of magnitude 1e300 within 40 halvings.  That cell
+        # halts in the manifest with the message its run alone prints; the
+        # first cell is written as its run alone writes it, and the sweep
+        # exits as a halt does.
         from g2flow import standard_psi
 
-        starts = [list(standard_psi().coeffs), [0.0] * 35]  # the zero form is not positive
-        sweep = {
-            "schema_version": 1,
-            "experiment": "sweep",
-            "algebra_file": "ee2",
-            "flow": {"integrator": {"t_end": 0.1, "dt": 0.05}},
-            "sweep": {"experiment": "ee2_flow", "axes": {"initial": starts}},
-        }
+        for axis, values in (
+            ("initial", [list(standard_psi().coeffs), [0.0] * 35]),
+            ("perturbation.magnitude", [0.05, 1e300]),
+        ):
+            sweep = {
+                "schema_version": 1,
+                "experiment": "sweep",
+                "algebra_file": "ee2",
+                "flow": {"integrator": {"t_end": 0.1, "dt": 0.05}},
+                "sweep": {"experiment": "ee2_flow", "axes": {axis: values}},
+            }
+            out_dir = tmp_path / axis
+            code, out, err = _run(
+                capsys, ["sweep", _config(tmp_path, sweep), "--output-dir", str(out_dir / "s")]
+            )
+            assert (code, err) == (EXIT_NUMERICAL, "")
+            assert sorted(p.name for p in (out_dir / "s" / "sweep_out").iterdir()) == [
+                "cell_000.jsonl", "manifest.json"
+            ]
+            manifest = json.loads((out_dir / "s" / "sweep_out" / "manifest.json").read_text())
+            assert json.loads(out)["summary"]["halted_cells"] == 1
+            alone = []
+            for i, value in enumerate(values):
+                cell = {**sweep, "experiment": "ee2_flow"}
+                del cell["sweep"]
+                if axis == "initial":
+                    cell["initial"] = value
+                else:
+                    cell["perturbation"] = {"magnitude": value}
+                alone.append(_run(capsys, ["run", _config(tmp_path, cell, "cell.json"),
+                                           "--output-dir", str(out_dir / str(i))]))
+            good, bad = manifest["cells"]
+            assert alone[0][0] == EXIT_OK and good["status"] == "ok"
+            assert good["summary"] == json.loads(alone[0][1])["summary"]
+            assert (out_dir / "s" / "sweep_out" / "cell_000.jsonl").read_bytes() == (
+                out_dir / "0" / "ee2_flow.jsonl"
+            ).read_bytes()
+            code, out, err = alone[1]
+            assert (code, out) == (EXIT_NUMERICAL, "") and err.startswith("numerical halt: ")
+            assert bad == {"index": 1, "overrides": {axis: values[1]}, "path": None,
+                           "status": "halted", "summary": {"error": err[16:-1]}}
+
+    def test_sweep_whose_runner_halts_keeps_its_other_cells(self, capsys, tmp_path):
+        # An ee1_static cell whose right-hand side overflows halts alone.
+        sweep = {"schema_version": 1, "experiment": "sweep", "samples": 3,
+                 "sweep": {"experiment": "ee1_static", "axes": {"flow.A": [0.0, 1e308]}}}
         code, out, err = _run(
-            capsys, ["sweep", _config(tmp_path, sweep), "--output-dir", str(tmp_path / "s")]
+            capsys, ["sweep", _config(tmp_path, sweep), "--output-dir", str(tmp_path)]
         )
-        assert (code, out) == (EXIT_NUMERICAL, "")
-        assert err.startswith("numerical halt: 4-form is not positive")
-        assert not list((tmp_path / "s" / "sweep_out").iterdir())
-        cell = {**sweep, "experiment": "ee2_flow", "initial": starts[1]}
-        del cell["sweep"]
-        alone = _run(capsys, ["run", _config(tmp_path, cell, "cell.json"),
-                              "--output-dir", str(tmp_path / "a")])
-        assert alone == (code, out, err)
+        assert (code, err) == (EXIT_NUMERICAL, "")
+        cells = json.loads(Path(json.loads(out)["summary"]["manifest"]).read_text())["cells"]
+        assert [c["status"] for c in cells] == ["ok", "halted"]
+        assert cells[0]["summary"]["passed"] is True
+        assert cells[1]["summary"] == {"error": "the right-hand side left the finite range"}
 
 
 class TestLinearizeVerb:

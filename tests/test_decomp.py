@@ -229,17 +229,3 @@ class TestThreeFormProjectors:
         with pytest.raises(G2FlowError, match="3-form"):
             project3(G2Structure.from_phi(phi_bar), Form.zero(2))
 
-
-class TestStateArguments:
-    def test_accepts_coclosed_state(self, ee1, phi_bar):
-        # Projector and variation entry points accept any state carrying a
-        # positive 3-form, not only a bare structure.
-        from g2flow import CoclosedState
-
-        state = CoclosedState.from_phi(standard_phi())
-        direct = G2Structure.from_phi(standard_phi())
-        a = Form(2, np.arange(DIMS[2], dtype=float))
-        via_state = project2(state, a)
-        via_struct = project2(direct, a)
-        for x, y in zip(via_state, via_struct):
-            assert np.array_equal(x.coeffs, y.coeffs)

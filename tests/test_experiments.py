@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from g2flow import (
-    CoclosedState,
     ConfigError,
     coflow_rhs,
     config_from_dict,
@@ -24,7 +23,8 @@ from g2flow import (
     run_experiment,
     validate_config,
 )
-from g2flow.conventions import NEWTON_TOL
+from g2flow.conventions import NEWTON_MAX_ITER, NEWTON_TOL
+from g2flow.g2core import _phi_of_psi
 from g2flow.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -120,7 +120,7 @@ class TestFamilyHelpers:
         # given by the monomial law in the stretch factors.
         for _ in range(3):
             c = rng.uniform(0.5, 2.0, size=7)
-            state = CoclosedState.from_phi(ee2_diagonal_phi(c))
+            state = G2Structure.from_phi(ee2_diagonal_phi(c))
             rhs = coflow_rhs(ee2, state, 0.0).coeffs
             law = family_coefficient_law(family_stretch_factors(c))
             assert rhs[_E1357] == pytest.approx(law, rel=1e-10)
@@ -130,7 +130,7 @@ class TestFamilyHelpers:
     def test_static_member_annihilates_law_and_rhs(self, ee2):
         c = np.asarray(STATIC_FAMILY_MEMBER)
         assert abs(family_coefficient_law(family_stretch_factors(c))) <= 1e-12
-        state = CoclosedState.from_phi(ee2_diagonal_phi(c))
+        state = G2Structure.from_phi(ee2_diagonal_phi(c))
         assert np.linalg.norm(coflow_rhs(ee2, state, 0.0).coeffs) <= 1e-12
 
 
@@ -426,12 +426,14 @@ class TestExpandSweep:
 
 class TestSampleInitial:
     def test_coclosed_sample_is_coclosed_and_positive(self, ee2):
-        base = CoclosedState.from_phi(ee2_diagonal_phi(np.ones(7))).psi
+        base = G2Structure.from_phi(ee2_diagonal_phi(np.ones(7))).psi
         pcfg = PerturbationConfig(magnitude=0.2, subspace="coclosed")
         rng = np.random.default_rng(3)
         form, scale, halvings, state = sample_initial(ee2, base, pcfg, rng)
         assert form.degree == 4
-        assert state.psi is form and state.residual <= NEWTON_TOL
+        recovered, residual = _phi_of_psi(form, NEWTON_TOL, NEWTON_MAX_ITER)
+        assert state.phi_coeffs.tobytes() == recovered.phi_coeffs.tobytes()
+        assert residual <= NEWTON_TOL
         assert 0.0 < scale <= 0.2
         assert np.linalg.norm(form.coeffs - base.coeffs) == pytest.approx(scale, rel=1e-12)
         d4 = ee2.differential_matrix(4)
@@ -445,7 +447,7 @@ class TestSampleInitial:
         form, scale, halvings, state = sample_initial(
             ee1, base, PerturbationConfig(magnitude=0.0), np.random.default_rng(0)
         )
-        assert form is base and state.psi is base
+        assert form is base and np.array_equal(state.psi.coeffs, base.coeffs)
         assert scale == 0.0 and halvings == 0
 
     def test_same_seed_reproduces_sample(self, ee1):
@@ -513,19 +515,21 @@ class TestRunExperiment:
         from g2flow import flows, g2core
 
         calls, rows = [], []
-        # _phi_of_psi is the one-form recovery that phi_of_psi and
-        # CoclosedState.from_psi both run.
-        recover, recover_stack = g2core._phi_of_psi, flows.stack_from_psi
+        # The closed form of one 4-form runs in every one-form recovery:
+        # phi_of_psi's and the one-row evaluation's.
+        closed_form, recover_stack = g2core._closed_form, flows.stack_from_psi
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return recover(*args, **kwargs)
+        def counting_closed_form(psi, bad=None):
+            if bad is None:  # one 4-form, not a stack
+                calls.append(1)
+            return closed_form(psi, bad)
 
         def counting_rows(psi, *args, **kwargs):
             rows.append(len(psi))
             return recover_stack(psi, *args, **kwargs)
 
-        monkeypatch.setattr(g2core, "_phi_of_psi", counting)
+        monkeypatch.setattr(g2core, "_closed_form", counting_closed_form)
+        monkeypatch.setattr(flows, "_closed_form", counting_closed_form)
         monkeypatch.setattr(flows, "stack_from_psi", counting_rows)
         cfg, _ = config_from_dict(_minimal("ee1_static", samples=3))
         result = run_experiment(cfg, output_dir=tmp_path)
@@ -538,12 +542,7 @@ class TestRunExperiment:
         # form of one 4-form then runs once for the reference, once for each
         # marked row and once for each halving after a raise: a raised row
         # is not recovered again as its halving 0.
-        closed_form, marked = g2core._closed_form, []
-
-        def counting_closed_form(psi, bad=None):
-            if bad is None:  # one 4-form, not a stack
-                calls.append(1)
-            return closed_form(psi, bad)
+        marked = []
 
         def marking_rows(psi):
             stack, bad = recover_stack(psi)
@@ -551,9 +550,6 @@ class TestRunExperiment:
             return stack, bad
 
         calls.clear()
-        monkeypatch.setattr(g2core, "_phi_of_psi", recover)
-        monkeypatch.setattr(g2core, "_closed_form", counting_closed_form)
-        monkeypatch.setattr(flows, "_closed_form", counting_closed_form)
         monkeypatch.setattr(flows, "stack_from_psi", marking_rows)
         raw = _minimal("ee1_static", samples=100, perturbation={"magnitude": 3.0})
         cfg, _ = config_from_dict(raw)
@@ -961,13 +957,13 @@ class TestLockstepSweeps:
         from g2flow import experiments, flows
 
         rows, after_sampling = [], []
-        stack, recover, run = flows.stack_from_psi, CoclosedState.from_psi, experiments.integrate
+        stack, recover, run = flows.stack_from_psi, flows._structure_alone, experiments.integrate
 
         def integrating(*args, **kwargs):
             monkeypatch.setattr(
-                CoclosedState,
-                "from_psi",
-                classmethod(lambda cls, psi: after_sampling.append(1) or recover(psi)),
+                flows,
+                "_structure_alone",
+                lambda degree, psi: after_sampling.append(1) or recover(degree, psi),
             )
             return run(*args, **kwargs)
 
@@ -975,7 +971,8 @@ class TestLockstepSweeps:
         monkeypatch.setattr(experiments, "integrate", integrating)
         cfg, _ = config_from_dict(SWEEP_EE2)
         assert run_experiment(cfg, output_dir=tmp_path).status == "ok"
-        # 20 steps of four stages and two records, one stacked recovery
-        # each, less the first stages that reuse a record or the starts.
+        # The starts, then 20 steps of four stages and two records, one
+        # stacked recovery each, less the first stages that reuse a record
+        # or the starts.
         assert 0 < len(rows) <= 81 and set(rows) == {8}
         assert after_sampling == []

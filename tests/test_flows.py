@@ -10,14 +10,16 @@ import numpy as np
 import pytest
 
 from g2flow import (
-    CoclosedState,
     ConfigError,
     DIM,
+    DegreeError,
     FlowConfig,
     Form,
     G2FlowError,
     G2Structure,
     IntegratorConfig,
+    PositivityError,
+    RecoveryError,
     closed_directions,
     coflow_rhs,
     config_from_dict,
@@ -28,7 +30,9 @@ from g2flow import (
     hodge_laplacian,
     integrate,
     laplacian_flow_rhs,
+    lie_derivative,
     linearize,
+    phi_of_psi,
     run_experiment,
     standard_phi,
     standard_psi,
@@ -54,8 +58,8 @@ from .conftest import closed_n2_phi, coclosed_sample
 STATIC_MEMBER = np.array([np.sqrt(2.0), 1.0, np.sqrt(2.0), 1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0)])
 
 
-def _rhs0(L, state):
-    return coflow_rhs(L, state, 0.0)
+def _rhs0(L, s):
+    return coflow_rhs(L, s, 0.0)
 
 
 def ee2_flow_run(tmp_path, A, integrator, magnitude, seed):
@@ -124,17 +128,17 @@ class TestCoflowRhs:
     def test_reference_state_is_static(self, ee1):
         # The standard structure is a stationary point of the plain
         # coflow on this algebra.
-        state = CoclosedState.from_psi(standard_psi())
-        assert np.linalg.norm(coflow_rhs(ee1, state, 0.0).coeffs) <= 1e-10
+        s = phi_of_psi(standard_psi())
+        assert np.linalg.norm(coflow_rhs(ee1, s, 0.0).coeffs) <= 1e-10
 
     def test_parameter_dependence_is_affine(self, ee1, ee2, rng):
         # The A-dependence enters only through 2 A d(phi).
         for L in (ee1, ee2):
-            state = coclosed_sample(L, rng, magnitude=0.2)
-            dphi = differential(L, state.recovered.phi)
-            base = coflow_rhs(L, state, 0.0)
+            _, s = coclosed_sample(L, rng, magnitude=0.2)
+            dphi = differential(L, s.phi)
+            base = coflow_rhs(L, s, 0.0)
             for A in (1.0, -2.5, 0.3):
-                diff = coflow_rhs(L, state, A) - base
+                diff = coflow_rhs(L, s, A) - base
                 err = np.max(np.abs(diff.coeffs - 2.0 * A * dphi.coeffs))
                 assert err <= 1e-12 * max(1.0, np.max(np.abs(dphi.coeffs)))
 
@@ -145,15 +149,9 @@ class TestCoflowRhs:
             d4 = L.differential_matrix(4)
             for A in (0.0, 1.0):
                 for _ in range(3):
-                    state = coclosed_sample(L, rng, magnitude=0.25)
-                    rhs = coflow_rhs(L, state, A)
+                    _, s = coclosed_sample(L, rng, magnitude=0.25)
+                    rhs = coflow_rhs(L, s, A)
                     assert np.max(np.abs(d4 @ rhs.coeffs)) <= 1e-12
-
-    def test_accepts_structure_or_state(self, ee2, rng):
-        state = coclosed_sample(ee2, rng, magnitude=0.1)
-        via_state = coflow_rhs(ee2, state, 0.7)
-        via_struct = coflow_rhs(ee2, state.recovered, 0.7)
-        assert np.max(np.abs(via_state.coeffs - via_struct.coeffs)) <= 1e-12
 
     @pytest.mark.parametrize("subspace", ["coclosed", "exact"])
     def test_exact_form_matches_the_laplacian_on_closed_samples(self, ee1, ee2, subspace):
@@ -163,25 +161,24 @@ class TestCoflowRhs:
         pcfg = PerturbationConfig(seed=0, magnitude=0.25, subspace=subspace)
         for L in (ee1, ee2):
             rng = np.random.default_rng(11)
-            states = [sample_initial(L, standard_psi(), pcfg, rng)[3] for _ in range(50)]
-            psi = np.array([st.psi.coeffs for st in states])
+            draws = [sample_initial(L, standard_psi(), pcfg, rng) for _ in range(50)]
+            psi = np.array([form.coeffs for form, *_ in draws])
             for A in (0.0, 0.5):
-                _, rows, _, alone = _stacked_rhs(L, "modified_coflow", 4, A, psi)
+                _, rows, _, _, alone = _stacked_rhs(L, "modified_coflow", 4, A, psi)
                 assert not alone
-                for st, row in zip(states, rows):
-                    s = st.recovered
+                for (form, _, _, s), row in zip(draws, rows):
                     dphi = differential(L, s.phi).coeffs
-                    want = hodge_laplacian(L, s.metric, st.psi).coeffs
+                    want = hodge_laplacian(L, s.metric, form).coeffs
                     want = want + 2.0 * (A - torsion_trace(L, s)) * dphi
                     scale = 1e-12 * max(1.0, float(np.linalg.norm(want)))
-                    assert np.linalg.norm(coflow_rhs(L, st, A).coeffs - want) <= scale
+                    assert np.linalg.norm(coflow_rhs(L, s, A).coeffs - want) <= scale
                     assert np.linalg.norm(row - want) <= scale
 
     def test_takes_two_stars(self, ee2, rng, monkeypatch):
         # One star of d(phi) and one of the 7-form in the torsion trace.
-        state = coclosed_sample(ee2, rng, magnitude=0.2)
+        _, s = coclosed_sample(ee2, rng, magnitude=0.2)
         stars = _count_stars(monkeypatch)
-        coflow_rhs(ee2, state, 0.5)
+        coflow_rhs(ee2, s, 0.5)
         assert sorted(stars) == [4, 7]
 
 
@@ -225,16 +222,16 @@ class TestLaplacianFlowRhs:
 
 class TestDeTurck:
     def test_zero_constants_vanish(self, ee1, rng):
-        state = coclosed_sample(ee1, rng, magnitude=0.2)
+        _, s = coclosed_sample(ee1, rng, magnitude=0.2)
         flat = Connection(np.zeros((DIM, DIM, DIM)))
-        assert np.linalg.norm(deturck_vector(ee1, state, flat, 0.0, 0.0)) == 0.0
+        assert np.linalg.norm(deturck_vector(ee1, s, flat, 0.0, 0.0)) == 0.0
 
     def test_levi_civita_reference_vanishes(self, ee2, rng):
         # The difference tensor against the structure's own
         # Levi-Civita connection is zero.
-        state = coclosed_sample(ee2, rng, magnitude=0.2)
-        ref = levi_civita(ee2, state.recovered.metric)
-        assert np.linalg.norm(deturck_vector(ee2, state, ref, 1.0, 2.0)) <= 1e-14
+        _, s = coclosed_sample(ee2, rng, magnitude=0.2)
+        ref = levi_civita(ee2, s.metric)
+        assert np.linalg.norm(deturck_vector(ee2, s, ref, 1.0, 2.0)) <= 1e-14
 
     def test_flat_reference_vanishes_on_unimodular(self, ee1, ee2, rng):
         # With the frame-flat reference both contractions of the
@@ -242,33 +239,36 @@ class TestDeTurck:
         # unimodular algebra; the default gauge term is a no-op there.
         flat = Connection(np.zeros((DIM, DIM, DIM)))
         for L in (ee1, ee2):
-            state = coclosed_sample(L, rng, magnitude=0.2)
-            assert np.linalg.norm(deturck_vector(L, state, flat, 1.0, 0.0)) <= 1e-14
-            assert np.linalg.norm(deturck_vector(L, state, flat, 0.0, 1.0)) <= 1e-14
+            _, s = coclosed_sample(L, rng, magnitude=0.2)
+            assert np.linalg.norm(deturck_vector(L, s, flat, 1.0, 0.0)) <= 1e-14
+            assert np.linalg.norm(deturck_vector(L, s, flat, 0.0, 1.0)) <= 1e-14
 
     def test_general_reference_acts_linearly(self, ee2, rng):
-        state = coclosed_sample(ee2, rng, magnitude=0.2)
+        psi, s = coclosed_sample(ee2, rng, magnitude=0.2)
         ref = Connection(rng.normal(size=(DIM, DIM, DIM)))
-        va = deturck_vector(ee2, state, ref, 1.0, 0.0)
-        vb = deturck_vector(ee2, state, ref, 0.0, 1.0)
-        vab = deturck_vector(ee2, state, ref, 2.0, 3.0)
+        va = deturck_vector(ee2, s, ref, 1.0, 0.0)
+        vb = deturck_vector(ee2, s, ref, 0.0, 1.0)
+        vab = deturck_vector(ee2, s, ref, 2.0, 3.0)
         assert np.linalg.norm(va) > 1e-3
         assert np.linalg.norm(vb) > 1e-3
         assert np.linalg.norm(vab - 2.0 * va - 3.0 * vb) <= 1e-12
-        term = deturck_term(ee2, state, ref, 1.0, 0.5)
+        term = deturck_term(ee2, psi, ref, 1.0, 0.5)
         assert term.degree == 4
         assert np.linalg.norm(term.coeffs) > 1e-3
+        # The Lie derivative of the flowing form along the vector of its structure.
+        v = deturck_vector(ee2, s, ref, 1.0, 0.5)
+        assert term.coeffs.tobytes() == lie_derivative(ee2, v, psi).coeffs.tobytes()
 
     def test_enabled_flat_gauge_reproduces_plain_flow(self, ee2, rng):
         # On a unimodular algebra the built-in (frame-flat) gauge reference
         # contributes nothing, so enabling it must not change the trajectory.
-        state = coclosed_sample(ee2, rng, magnitude=0.15)
+        psi, _ = coclosed_sample(ee2, rng, magnitude=0.15)
         integ = IntegratorConfig(dt=1e-3, t_end=0.01)
-        plain = integrate(ee2, FlowConfig(integrator=integ), state)
+        plain = integrate(ee2, FlowConfig(integrator=integ), psi)
         gauged = integrate(
             ee2,
             FlowConfig(deturck=DeTurckConfig(enabled=True, c1=1.0, c2=0.5), integrator=integ),
-            state,
+            psi,
         )
         assert np.max(np.abs(plain.final.psi.coeffs - gauged.final.psi.coeffs)) <= 1e-12
 
@@ -282,12 +282,12 @@ class TestVolumeMonotonicity:
         checked = 0
         for L in (ee1, ee2):
             for A in (0.0, 1.0, -0.5):
-                state = coclosed_sample(L, rng, magnitude=0.3)
-                crit = volume_monotonicity_criterion(L, state, A)
-                vol = state.recovered.volume
-                f = coflow_rhs(L, state, A).coeffs
-                vp = CoclosedState.from_psi(Form(4, state.psi.coeffs + h * f)).recovered.volume
-                vm = CoclosedState.from_psi(Form(4, state.psi.coeffs - h * f)).recovered.volume
+                psi, s = coclosed_sample(L, rng, magnitude=0.3)
+                crit = volume_monotonicity_criterion(L, s, A)
+                vol = s.volume
+                f = coflow_rhs(L, s, A).coeffs
+                vp = phi_of_psi(Form(4, psi.coeffs + h * f)).volume
+                vm = phi_of_psi(Form(4, psi.coeffs - h * f)).volume
                 dvdt = (vp - vm) / (2.0 * h)
                 if abs(crit) < 1e-4:
                     continue  # sign is ambiguous at the stationary locus
@@ -348,9 +348,8 @@ class TestDirectionBases:
 class TestIntegrate:
     def test_static_state_stays_put(self, ee1):
         # Long run at the stationary state: the trajectory must not drift.
-        state = CoclosedState.from_psi(standard_psi())
         cfg = FlowConfig(integrator=IntegratorConfig(dt=1e-2, t_end=10.0))
-        traj = integrate(ee1, cfg, state)
+        traj = integrate(ee1, cfg, standard_psi())
         assert traj.termination["status"] == "completed"
         assert traj.termination["reason"] == "t_end"
         assert traj.final.diagnostics["dist_ref"] <= 1e-8
@@ -361,13 +360,13 @@ class TestIntegrate:
 
     def test_record_shares_recovery_and_rhs_with_next_step(self, ee2, rng, monkeypatch):
         """With a record every step, rk4 costs four recoveries and four
-        right-hand sides per step (plus the initial snapshot's right-hand
-        side): a record and the next step's first stage share both, and the
-        initial state is not recovered again.  One row runs the kernels of
-        one form: the closed-form recovery and ``_coflow_rhs``."""
+        right-hand sides per step (plus the start's recovery and right-hand
+        side, for the initial snapshot): a record and the next step's first
+        stage share both.  One row runs the kernels of one form: the
+        closed-form recovery and ``_coflow_rhs``."""
         import g2flow.flows
 
-        state = coclosed_sample(ee2, rng, magnitude=0.2)
+        psi, _ = coclosed_sample(ee2, rng, magnitude=0.2)
         counts = {"recoveries": 0, "rhs": 0}
 
         def counting(name, fn):
@@ -387,9 +386,9 @@ class TestIntegrate:
             integrator=IntegratorConfig(dt=1e-3, t_end=0.01),
             monitors=MonitorConfig(record_every=1),
         )
-        traj = integrate(ee2, cfg, state)
+        traj = integrate(ee2, cfg, psi)
         assert traj.termination["steps"] == 10
-        assert counts == {"recoveries": 40, "rhs": 41}
+        assert counts == {"recoveries": 41, "rhs": 41}
 
     @pytest.mark.parametrize("flow_kind, per_evaluation", [
         ("modified_coflow", 2), ("laplacian_flow", 1),
@@ -399,11 +398,12 @@ class TestIntegrate:
         """A Laplacian evaluation factorises and inverts its B once; a coflow
         recovery does so for the structures of chi and of phi.  No
         determinant is taken, and records take no linear algebra: 10
-        recorded rk4 steps make 40 evaluations (see the test above)."""
+        recorded rk4 steps make 41 evaluations, the start's included (see
+        the test above)."""
         if flow_kind == "modified_coflow":
-            L, start = ee2, coclosed_sample(ee2, rng, magnitude=0.2)
+            L, start = ee2, coclosed_sample(ee2, rng, magnitude=0.2)[0]
         else:
-            L, start = n2, G2Structure.from_phi(closed_n2_phi(rng))
+            L, start = n2, closed_n2_phi(rng)
         counts = {"det": 0, "inv": 0, "cholesky": 0}
         for name in counts:
             def counting(*args, _call=getattr(np.linalg, name), _name=name, **kwargs):
@@ -418,53 +418,52 @@ class TestIntegrate:
         )
         traj = integrate(L, cfg, start)
         assert (traj.termination["steps"], len(traj.states)) == (10, 11)
-        n = 40 * per_evaluation
+        n = 41 * per_evaluation
         assert counts == {"det": 0, "inv": n, "cholesky": n}
 
     def test_rk4_and_rkf45_agree(self, ee2, rng):
-        state = coclosed_sample(ee2, rng, magnitude=0.2)
+        psi, _ = coclosed_sample(ee2, rng, magnitude=0.2)
         results = {}
         for method in ("rk4", "rkf45"):
             cfg = FlowConfig(
                 integrator=IntegratorConfig(method=method, dt=1e-3, t_end=0.1, rel_tol=1e-10)
             )
-            traj = integrate(ee2, cfg, state)
+            traj = integrate(ee2, cfg, psi)
             assert traj.termination["status"] == "completed"
             results[method] = traj.final.psi.coeffs
         assert np.max(np.abs(results["rk4"] - results["rkf45"])) <= 1e-8
 
     def test_closedness_preserved_along_run(self, ee2, rng):
-        state = coclosed_sample(ee2, rng, magnitude=0.25)
+        psi, _ = coclosed_sample(ee2, rng, magnitude=0.25)
         cfg = FlowConfig(
             integrator=IntegratorConfig(dt=1e-3, t_end=0.05),
             monitors=MonitorConfig(record_every=5),
         )
-        traj = integrate(ee2, cfg, state)
+        traj = integrate(ee2, cfg, psi)
         assert traj.termination["status"] == "completed"
         worst = max(s.diagnostics["closedness"] for s in traj.states)
         assert worst <= 1e-10
 
     def test_deterministic_records(self, ee2, rng):
-        state = coclosed_sample(ee2, rng, magnitude=0.2)
+        psi, _ = coclosed_sample(ee2, rng, magnitude=0.2)
         cfg = FlowConfig(integrator=IntegratorConfig(dt=1e-3, t_end=0.02))
-        a = integrate(ee2, cfg, state).records()
-        b = integrate(ee2, cfg, state).records()
+        a = integrate(ee2, cfg, psi).records()
+        b = integrate(ee2, cfg, psi).records()
         assert json.dumps(a) == json.dumps(b)
 
     def test_reference_anchors_distance(self, ee2, rng):
-        state = coclosed_sample(ee2, rng, magnitude=0.2)
+        psi, _ = coclosed_sample(ee2, rng, magnitude=0.2)
         cfg = FlowConfig(integrator=IntegratorConfig(dt=1e-3, t_end=0.01))
-        traj = integrate(ee2, cfg, state, reference=standard_psi())
-        expected = float(np.linalg.norm(state.psi.coeffs - standard_psi().coeffs))
+        traj = integrate(ee2, cfg, psi, reference=standard_psi())
+        expected = float(np.linalg.norm(psi.coeffs - standard_psi().coeffs))
         assert traj.states[0].diagnostics["dist_ref"] == pytest.approx(expected, rel=1e-12)
 
     def test_disabled_monitors_record_none(self, ee1):
-        state = CoclosedState.from_psi(standard_psi())
         cfg = FlowConfig(
             integrator=IntegratorConfig(dt=1e-2, t_end=0.05),
             monitors=MonitorConfig(record_every=1, trT=False, volume=False, dist_ref=False),
         )
-        traj = integrate(ee1, cfg, state)
+        traj = integrate(ee1, cfg, standard_psi())
         rec = traj.final.record()
         assert rec["trT"] is None
         assert rec["volume"] is None
@@ -473,18 +472,42 @@ class TestIntegrate:
         assert rec["rhs_norm"] is not None
 
     def test_wrong_initial_type_raises(self, ee1):
-        cfg = FlowConfig()
-        with pytest.raises(G2FlowError, match="CoclosedState"):
-            integrate(ee1, cfg, G2Structure.from_phi(standard_phi()))
+        # Each flow takes the form it flows: a 4-form for the coflow, a
+        # 3-form for the Laplacian flow, alone or in a list.
+        message = "{} flows a {}-form; a start has degree {}"
+        with pytest.raises(DegreeError, match=message.format("modified_coflow", 4, 3)):
+            integrate(ee1, FlowConfig(), standard_phi())
+        laplacian = FlowConfig(flow_kind="laplacian_flow")
+        with pytest.raises(DegreeError, match=message.format("laplacian_flow", 3, 4)):
+            integrate(ee1, laplacian, [standard_phi(), standard_psi()])
+
+    @pytest.mark.parametrize(
+        "flow_kind, start, error, message",
+        [
+            ("modified_coflow", -standard_psi(), RecoveryError,
+             "4-form is not positive (its dual 3-form: 3-form is not positively oriented"),
+            ("laplacian_flow", -standard_phi(), PositivityError,
+             "3-form is not positively oriented"),
+        ],
+    )
+    def test_a_start_that_is_not_positive_raises_its_recovery_error(
+        self, torus, flow_kind, start, error, message
+    ):
+        # The error its recovery raises, before any step; in an ensemble
+        # too, where the other start is positive.
+        cfg = FlowConfig(flow_kind=flow_kind)
+        good = standard_psi() if flow_kind == "modified_coflow" else standard_phi()
+        for starts in (start, [good, start]):
+            with pytest.raises(error, match=re.escape(message)):
+                integrate(torus, cfg, starts)
 
     def test_invalid_config_raises(self, ee1):
-        state = CoclosedState.from_psi(standard_psi())
         with pytest.raises(ConfigError, match="integrator.dt must be > 0"):
-            integrate(ee1, FlowConfig(integrator=IntegratorConfig(dt=-1.0)), state)
+            integrate(ee1, FlowConfig(integrator=IntegratorConfig(dt=-1.0)), standard_psi())
 
     def test_torus_laplacian_flow_completes(self, torus):
         cfg = FlowConfig(flow_kind="laplacian_flow", integrator=IntegratorConfig(dt=1e-2, t_end=1.0))
-        traj = integrate(torus, cfg, G2Structure.from_phi(standard_phi()))
+        traj = integrate(torus, cfg, standard_phi())
         assert traj.termination["status"] == "completed"
         assert traj.final.diagnostics["dist_ref"] == 0.0
         assert traj.final.form.degree == 3 and traj.final.psi.degree == 4
@@ -495,8 +518,8 @@ class TestIntegrate:
         matrix and no Laplacian matrix."""
         import g2flow.liealg
 
-        coflow_start = coclosed_sample(ee2, np.random.default_rng(0), magnitude=0.1)
-        laplacian_start = G2Structure.from_phi(standard_phi())
+        coflow_start = coclosed_sample(ee2, np.random.default_rng(0), magnitude=0.1)[0]
+        laplacian_start = standard_phi()
         calls = []
 
         def counting(name, fn):
@@ -538,18 +561,18 @@ class TestIntegrate:
                 return [v for x in obj for v in held(x)]
             return [obj] + (held(vars(obj)) if hasattr(obj, "__dict__") else [])
 
-        coflow_start = coclosed_sample(ee2, np.random.default_rng(1), magnitude=0.1)
+        coflow_start = coclosed_sample(ee2, np.random.default_rng(1), magnitude=0.1)[0]
         integrator = IntegratorConfig(dt=1e-2, t_end=0.03)
         for L, kind, start in (
             (ee2, "modified_coflow", coflow_start),
-            (n2, "laplacian_flow", G2Structure.from_phi(standard_phi())),
+            (n2, "laplacian_flow", standard_phi()),
         ):
             cfg = FlowConfig(flow_kind=kind, integrator=integrator)
             traj = integrate(L, cfg, start)
             for state in traj.states:
                 assert set(vars(state)) == {"t", "form", "psi", "diagnostics"}
                 assert not any(
-                    isinstance(v, (G2Structure, CoclosedState, Metric)) for v in held(state)
+                    isinstance(v, (G2Structure, Metric)) for v in held(state)
                 )
                 assert state.psi.degree == 4
 
@@ -564,7 +587,7 @@ class TestIntegrate:
     def test_rkf45_error_estimate_is_fifth_order(self, ee2):
         """Halving the step divides the embedded error estimate by about
         2^5 (the local error of the fourth-order solution is O(h^5))."""
-        f = lambda y: coflow_rhs(ee2, CoclosedState.from_psi(Form(4, y)), 0.0).coeffs  # noqa: E731
+        f = lambda y: coflow_rhs(ee2, phi_of_psi(Form(4, y)), 0.0).coeffs  # noqa: E731
         for seed in (0, 3, 7):
             pcfg = PerturbationConfig(magnitude=0.1, seed=seed)
             form, *_ = sample_initial(ee2, standard_psi(), pcfg, np.random.default_rng(seed))
@@ -575,17 +598,16 @@ class TestIntegrate:
 
 class TestHalts:
     def test_initial_closedness_violation(self, ee1, monkeypatch):
-        # A generic 4-form is not closed; the run must stop before stepping,
-        # and before any right-hand side: d chi is the flow only on closed
-        # forms, so the record's rhs_norm is null.
+        # A generic 4-form is not closed; the run must stop before stepping.
+        # Its start is evaluated as any start is, but d chi is the flow only
+        # on closed forms, so the record's rhs_norm is null.
         from g2flow import flows
 
         psi = Form(4, standard_psi().coeffs + 1e-3 * np.arange(35, dtype=float))
-        state = CoclosedState.from_psi(psi)
         calls = []
         rhs = flows._coflow_rhs  # the kernel of every coflow right-hand side
         monkeypatch.setattr(flows, "_coflow_rhs", lambda *a: calls.append(1) or rhs(*a))
-        traj = integrate(ee1, FlowConfig(), state)
+        traj = integrate(ee1, FlowConfig(), psi)
         term = traj.termination
         assert term["status"] == "halted"
         assert term["reason"] == "closedness"
@@ -595,14 +617,14 @@ class TestHalts:
         record = traj.final.record()
         assert record["rhs_norm"] is None
         assert record["closedness"] > FlowConfig().halt.closedness_tol
-        assert calls == []
+        assert calls == [1]
 
     def test_closed_start_is_checked_with_the_monitor_off(self, ee1):
         # The right-hand side equals the flow only on closed forms, so the
         # t = 0 check does not hang on the closedness monitor.
         psi = Form(4, standard_psi().coeffs + 1e-3 * np.arange(35, dtype=float))
         cfg = FlowConfig(monitors=MonitorConfig(closedness=False))
-        traj = integrate(ee1, cfg, CoclosedState.from_psi(psi))
+        traj = integrate(ee1, cfg, psi)
         term = traj.termination
         assert (term["status"], term["reason"], term["t"]) == ("halted", "closedness", 0.0)
         assert len(traj.states) == 1
@@ -612,19 +634,19 @@ class TestHalts:
         # The standard 3-form is not closed on this algebra, so the closed-form
         # guard trips immediately for the 3-form flow as well.
         cfg = FlowConfig(flow_kind="laplacian_flow")
-        traj = integrate(ee1, cfg, G2Structure.from_phi(standard_phi()))
+        traj = integrate(ee1, cfg, standard_phi())
         assert traj.termination["status"] == "halted"
         assert traj.termination["reason"] == "closedness"
         assert traj.termination["t"] == 0.0
 
     def test_rhs_norm_threshold(self, ee2, rng):
-        state = coclosed_sample(ee2, rng, magnitude=0.2)
+        psi, _ = coclosed_sample(ee2, rng, magnitude=0.2)
         cfg = FlowConfig(
             integrator=IntegratorConfig(dt=1e-3, t_end=1.0),
             monitors=MonitorConfig(record_every=1),
             halt=HaltConfig(max_rhs_norm=1e-6),
         )
-        traj = integrate(ee2, cfg, state)
+        traj = integrate(ee2, cfg, psi)
         term = traj.termination
         assert term["status"] == "halted"
         assert term["reason"] == "rhs_blowup"
@@ -633,11 +655,11 @@ class TestHalts:
         assert traj.final.diagnostics["rhs_norm"] > 1e-6
 
     def test_step_underflow(self, ee2, rng):
-        state = coclosed_sample(ee2, rng, magnitude=0.2)
+        psi, _ = coclosed_sample(ee2, rng, magnitude=0.2)
         cfg = FlowConfig(
             integrator=IntegratorConfig(method="rkf45", dt=1e-3, t_end=1.0, rel_tol=1e-300)
         )
-        traj = integrate(ee2, cfg, state)
+        traj = integrate(ee2, cfg, psi)
         term = traj.termination
         assert term["status"] == "halted"
         assert term["reason"] == "step_underflow"
@@ -670,9 +692,9 @@ class TestHalts:
         assert term["detail"].startswith("4-form is not positive (its dual 3-form: ")
 
     def test_recovery_failure_on_huge_step(self, ee2, rng):
-        state = coclosed_sample(ee2, rng, magnitude=0.2)
+        psi, _ = coclosed_sample(ee2, rng, magnitude=0.2)
         cfg = FlowConfig(integrator=IntegratorConfig(dt=1e4, t_end=1e5))
-        traj = integrate(ee2, cfg, state)
+        traj = integrate(ee2, cfg, psi)
         term = traj.termination
         assert term["status"] == "halted"
         assert term["reason"] in ("newton", "positivity")
@@ -723,7 +745,7 @@ class TestEnsembles:
         out = []
         for seed in seeds:
             pcfg = PerturbationConfig(magnitude=magnitude, seed=seed)
-            out.append(sample_initial(L, standard_psi(), pcfg, np.random.default_rng(seed))[3])
+            out.append(sample_initial(L, standard_psi(), pcfg, np.random.default_rng(seed))[0])
         return out
 
     def test_rows_match_their_runs_alone(self, ee2):
@@ -751,7 +773,7 @@ class TestEnsembles:
         starts = []
         for seed in (0, 1, 2):
             pcfg = PerturbationConfig(magnitude=0.1, seed=seed)
-            starts.append(sample_initial(L, psi, pcfg, np.random.default_rng(seed))[3])
+            starts.append(sample_initial(L, psi, pcfg, np.random.default_rng(seed))[0])
         A = [0.0, 0.25, 0.5]
         rows = integrate(L, self.CFG, starts, A=A)
         assert [t.termination["reason"] for t in rows] == ["t_end"] * 3
@@ -763,17 +785,17 @@ class TestEnsembles:
         from g2flow import flows
 
         rows, one_form = [], []
-        stack, recover = flows.stack_from_psi, CoclosedState.from_psi
+        stack, recover = flows.stack_from_psi, flows._structure_alone
         monkeypatch.setattr(flows, "stack_from_psi", lambda y: rows.append(len(y)) or stack(y))
         starts = self._starts(ee2, (0, 1, 2), 0.05)
-        counting = classmethod(lambda cls, psi: one_form.append(1) or recover(psi))
-        monkeypatch.setattr(CoclosedState, "from_psi", counting)
+        counting = lambda degree, psi: one_form.append(1) or recover(degree, psi)  # noqa: E731
+        monkeypatch.setattr(flows, "_structure_alone", counting)
         trajectories = integrate(ee2, self.CFG, starts, A=[0.0, 0.5, 0.25])
         assert [t.termination["reason"] for t in trajectories] == ["t_end"] * 3
-        # Four stages in each of 15 steps, less the first stages of steps 1,
-        # 5, 9 and 13 (they reuse the starts and the records), plus the
-        # records at steps 4, 8, 12 and 15.
-        assert rows == [3] * (15 * 4 - 4 + 4)
+        # The starts, then four stages in each of 15 steps, less the first
+        # stages of steps 1, 5, 9 and 13 (they reuse the starts and the
+        # records), plus the records at steps 4, 8, 12 and 15.
+        assert rows == [3] * (1 + 15 * 4 - 4 + 4)
         assert one_form == []
         # One row takes the closed form of one form, and passes its gate.
         rows.clear()
@@ -782,14 +804,14 @@ class TestEnsembles:
             flows, "_closed_form", lambda psi: closed_forms.append(1) or closed_form(psi)
         )
         (single,) = integrate(ee2, self.CFG, starts[:1])
-        assert rows == [] and one_form == [] and len(closed_forms) == 15 * 4 - 4 + 4
+        assert rows == [] and len(one_form) == len(closed_forms) == 1 + 15 * 4 - 4 + 4
         assert single.records() == integrate(ee2, self.CFG, starts[0]).records()
 
     def test_a_start_that_is_not_closed_halts_alone(self, ee2, monkeypatch):
         from g2flow import flows
 
         psi = Form(4, standard_psi().coeffs + 1e-3 * np.arange(35, dtype=float))
-        starts = [CoclosedState.from_psi(psi)] + self._starts(ee2, (0, 1), 0.05)
+        starts = [psi] + self._starts(ee2, (0, 1), 0.05)
         # Every 3-form whose right-hand side is evaluated, and every 4-form
         # that is recovered, one by one or stacked.
         seen = []
@@ -802,8 +824,11 @@ class TestEnsembles:
         monkeypatch.setattr(flows, "_closed_form", lambda y: seen.append(y) or closed_form(y))
         monkeypatch.setattr(flows, "stack_from_psi", lambda y: seen.extend(y) or stack(y))
         rows = integrate(ee2, self.CFG, starts)
-        phi = starts[0].recovered.phi.coeffs
-        assert not any(np.array_equal(y, psi.coeffs) or np.array_equal(y, phi) for y in seen)
+        # The start is evaluated once, in the stack of the starts, and never
+        # stepped.
+        phi = phi_of_psi(psi).phi_coeffs
+        assert sum(np.array_equal(y, psi.coeffs) for y in seen) == 1
+        assert sum(np.array_equal(y, phi) for y in seen) == 1
         term = rows[0].termination
         assert (term["reason"], term["t"], len(rows[0].states)) == ("closedness", 0.0, 1)
         assert rows[0].final.record()["rhs_norm"] is None
@@ -812,15 +837,15 @@ class TestEnsembles:
             assert row.termination == want.termination
 
     def test_one_row_is_a_single_start(self, ee2):
-        starts = self._starts(ee2, (0,), 0.05)
+        (psi,) = self._starts(ee2, (0,), 0.05)
         short = IntegratorConfig(t_end=0.01)
-        for cfg in (
-            FlowConfig(integrator=IntegratorConfig(method="rkf45", t_end=0.01)),
-            FlowConfig(integrator=short, deturck=DeTurckConfig(enabled=True)),
-            FlowConfig(integrator=short, flow_kind="laplacian_flow"),
+        for cfg, start in (
+            (FlowConfig(integrator=IntegratorConfig(method="rkf45", t_end=0.01)), psi),
+            (FlowConfig(integrator=short, deturck=DeTurckConfig(enabled=True)), psi),
+            (FlowConfig(integrator=short, flow_kind="laplacian_flow"), phi_of_psi(psi).phi),
         ):
-            (row,) = integrate(ee2, cfg, starts)
-            _same_bits(row, integrate(ee2, cfg, starts[0]))
+            (row,) = integrate(ee2, cfg, [start])
+            _same_bits(row, integrate(ee2, cfg, start))
 
     def test_rkf45_rows_drift_apart_and_match_their_runs_alone(self, ee2, monkeypatch):
         # Each row sizes its own steps from dt 1e-12.  At A = 1 the second
@@ -879,7 +904,7 @@ class TestEnsembles:
             L, starts = ee2, self._starts(ee2, (0, 1, 2), 0.1)
         else:
             rngs = [np.random.default_rng(seed) for seed in (0, 1, 2)]
-            L, starts = n2, [G2Structure.from_phi(closed_n2_phi(rng)) for rng in rngs]
+            L, starts = n2, [closed_n2_phi(rng) for rng in rngs]
         cfg = dataclasses.replace(
             self.CFG,
             flow_kind=flow_kind,
@@ -910,7 +935,7 @@ class TestEnsembles:
         phis = [closed_n2_phi(np.random.default_rng(seed)) for seed in (0, 1, 2)]
         if method == "rkf45":
             phis.append(1e-4 * phis[0])
-        starts = [G2Structure.from_phi(phi) for phi in phis]
+        starts = phis
         cfg = dataclasses.replace(
             self.CFG, flow_kind="laplacian_flow", integrator=IntegratorConfig(method, 0.02, 0.3)
         )
@@ -926,15 +951,17 @@ class TestEnsembles:
         n = len(starts)
         sizes = [size for size, _ in calls]
         marked = [0 if bad is None else int(bad.sum()) for _, bad in calls]
-        assert sum(size > 1 for size in sizes) == stacked
+        # The stack of the starts, then the stacks of the steps.
+        assert sum(size > 1 for size in sizes) == 1 + stacked
         if method == "rk4":
             # As in test_rows_are_stacked; no call takes one form.
-            assert sizes == [n] * stacked and sum(marked) == 0
+            assert sizes == [n] * (1 + stacked) and sum(marked) == 0
         else:
-            # The sixth stage of the first attempt marks the scaled row,
-            # which is redone alone and halts.  The other rows drift apart
-            # in t, and the last one left steps alone.
-            assert (sizes[4:6], marked[4:6]) == ([n, 1], [1, 0])
+            # After the stack of the starts, the sixth stage of the first
+            # attempt marks the scaled row, which is redone alone and halts.
+            # The other rows drift apart in t, and the last one left steps
+            # alone.
+            assert (sizes[5:7], marked[5:7]) == ([n, 1], [1, 0])
             assert sum(marked) == 1 and sizes.count(1) == 8
         for row, want in zip(rows, _alone(n2, cfg, starts, [0.0] * n)):
             _same_bits(row, want)
@@ -945,7 +972,7 @@ class TestEnsembles:
         L = changed[0][0]
         assert (np.abs(L.differential_matrix(3)) > 1e-3).sum(axis=1).min() >= 3
         assert (np.abs(L.differential_matrix(4)) > 1e-3).sum(axis=1).min() >= 3
-        starts = [G2Structure.from_phi(phi) for _, phi in changed]
+        starts = [phi for _, phi in changed]
         for method in ("rk4", "rkf45"):
             cfg = dataclasses.replace(
                 self.CFG,
@@ -966,7 +993,7 @@ class TestEnsembles:
             L, starts, reason = ee2, self._starts(ee2, (1, 2), 0.1), "newton"
         else:
             rngs = [np.random.default_rng(seed) for seed in (1, 2)]
-            L, starts = n2, [G2Structure.from_phi(closed_n2_phi(rng)) for rng in rngs]
+            L, starts = n2, [closed_n2_phi(rng) for rng in rngs]
             reason = "positivity"
         cfg = FlowConfig(flow_kind=flow_kind, integrator=IntegratorConfig(dt=1e307, t_end=1e308))
         rows = integrate(L, cfg, starts)
@@ -985,16 +1012,16 @@ class TestEnsembles:
 
 def _public_api_rows(monkeypatch):
     """Make the evaluator build every one-form row through the public API:
-    the structure from ``CoclosedState.from_psi`` or ``G2Structure.from_phi``
-    (in place of the one-row function ``_structure_alone``), the right-hand
-    side from ``coflow_rhs`` or ``laplacian_flow_rhs`` plus
-    ``deturck_term``, and the recorded torsion trace from ``torsion_trace``.
-    This is the oracle of the lean one-form path."""
+    the structure from ``phi_of_psi`` or ``G2Structure.from_phi`` (in place
+    of the one-row function ``_structure_alone``), the right-hand side from
+    ``coflow_rhs`` or ``laplacian_flow_rhs`` plus ``deturck_term``, its
+    norm from ``np.linalg.norm``, and the recorded torsion trace from
+    ``torsion_trace``.  This is the oracle of the lean one-form path."""
     from g2flow import flows
 
     def structure_alone(degree, x):
         if degree == 4:
-            return CoclosedState.from_psi(Form(4, x)).recovered
+            return phi_of_psi(Form(4, x))
         return G2Structure.from_phi(Form(3, x))
 
     structure_rhs = flows._structure_rhs
@@ -1006,18 +1033,16 @@ def _public_api_rows(monkeypatch):
             out = coflow_rhs(L, s, A)
         else:
             out = laplacian_flow_rhs(L, s)
-        return out.coeffs, torsion_trace(L, s)
+        return out.coeffs, torsion_trace(L, s), np.linalg.norm(out.coeffs)
 
-    def keep(self, i, y, s, rhs, trT):
+    def keep(self, i, y, s, rhs, trT, norm):
         gauge = self.config.deturck
         if gauge.enabled:
-            state = s
-            if self.degree == 4:
-                # coflow_rhs and deturck_term read no residual.
-                state = CoclosedState(psi=Form(4, y), recovered=s, residual=0.0)
-            term = deturck_term(self.L, state, self.nabla0, gauge.c1, gauge.c2)
+            form = Form(4, y) if self.degree == 4 else s.phi
+            term = deturck_term(self.L, form, self.nabla0, gauge.c1, gauge.c2)
             rhs = (Form(self.degree, rhs) + term).coeffs
-        self.rows[i] = (y.tobytes(), s, rhs, trT)
+            norm = np.linalg.norm(rhs)
+        self.rows[i] = (y.tobytes(), s, rhs, trT, norm)
         return rhs
 
     monkeypatch.setattr(flows, "_structure_alone", structure_alone)
@@ -1046,7 +1071,7 @@ class TestLeanPath:
     @staticmethod
     def _coflow_start(L, psi, seed=1):
         pcfg = PerturbationConfig(magnitude=0.1, seed=seed)
-        return sample_initial(L, psi, pcfg, np.random.default_rng(seed))[3]
+        return sample_initial(L, psi, pcfg, np.random.default_rng(seed))[0]
 
     @pytest.mark.parametrize("method", ["rk4", "rkf45"])
     @pytest.mark.parametrize(
@@ -1060,8 +1085,7 @@ class TestLeanPath:
             L, psi = _changed_coframe(ee2, standard_psi(), seed=4)
             start = self._coflow_start(L, psi)
         else:
-            L, phi = _changed_coframe(n2, closed_n2_phi(np.random.default_rng(2)), seed=4)
-            start = G2Structure.from_phi(phi)
+            L, start = _changed_coframe(n2, closed_n2_phi(np.random.default_rng(2)), seed=4)
         assert (np.abs(L.differential_matrix(3)) > 1e-3).sum(axis=1).min() >= 3
         cfg = FlowConfig(
             flow_kind=flow_kind,
@@ -1095,7 +1119,7 @@ class TestLeanPath:
         if flow_kind == "modified_coflow":
             L, start = ee2, self._coflow_start(ee2, standard_psi())
         else:
-            L, start = n2, G2Structure.from_phi(closed_n2_phi(np.random.default_rng(3)))
+            L, start = n2, closed_n2_phi(np.random.default_rng(3))
         cfg = FlowConfig(
             flow_kind=flow_kind, integrator=IntegratorConfig(method=method, dt=dt, t_end=1.79e308)
         )
@@ -1116,7 +1140,7 @@ class TestLeanPath:
         if flow_kind == "modified_coflow":
             L, start = ee2, self._coflow_start(ee2, standard_psi())
         else:
-            L, start = n2, G2Structure.from_phi(closed_n2_phi(np.random.default_rng(3)))
+            L, start = n2, closed_n2_phi(np.random.default_rng(3))
         cfg = FlowConfig(
             flow_kind=flow_kind,
             A=0.3,
@@ -1158,22 +1182,24 @@ class TestLeanPath:
         # check is evaluated alone, holds zeros and returns the error the
         # public functions raise on it.
         L, psi = _changed_coframe(ee2, standard_psi(), seed=4)
-        states = [self._coflow_start(L, psi, seed) for seed in range(6)]
+        starts = [self._coflow_start(L, psi, seed) for seed in range(6)]
         for degree, alone_state in (
-            (4, lambda row: CoclosedState.from_psi(Form(4, row))),
+            (4, lambda row: phi_of_psi(Form(4, row))),
             (3, lambda row: G2Structure.from_phi(Form(3, row))),
         ):
-            x = np.array([s.psi.coeffs if degree == 4 else s.recovered.phi_coeffs for s in states])
+            x = np.array([f.coeffs if degree == 4 else phi_of_psi(f).phi_coeffs for f in starts])
             x[2] = -x[2]  # det B < 0
-            _, rhs, trT, alone = _stacked_rhs(L, "modified_coflow", degree, A, x)
+            _, rhs, trT, norms, alone = _stacked_rhs(L, "modified_coflow", degree, A, x)
             assert list(alone) == [2]
-            assert not rhs[2].any()
+            assert not rhs[2].any() and norms[2] == 0.0
             with pytest.raises(type(alone[2]), match=re.escape(str(alone[2]))):
                 alone_state(x[2])
             for r in (0, 1, 3, 4, 5):
                 state = alone_state(x[r])
-                assert rhs[r].tobytes() == coflow_rhs(L, state, A).coeffs.tobytes()
+                one = coflow_rhs(L, state, A).coeffs
+                assert rhs[r].tobytes() == one.tobytes()
                 assert trT[r] == torsion_trace(L, state)
+                assert norms[r] == np.linalg.norm(one)
 
     @pytest.mark.parametrize(
         "flow_kind, degree",
@@ -1186,19 +1212,19 @@ class TestLeanPath:
         from g2flow import flows, g2core
 
         L, psi = _changed_coframe(ee2, standard_psi(), seed=4)
-        states = [self._coflow_start(L, psi, seed) for seed in range(2)]
-        x = np.array([s.psi.coeffs if degree == 4 else s.recovered.phi_coeffs for s in states])
-        stack, rhs, trT, alone = _stacked_rhs(L, flow_kind, degree, 0.7, x)
+        starts = [self._coflow_start(L, psi, seed) for seed in range(2)]
+        x = np.array([f.coeffs if degree == 4 else phi_of_psi(f).phi_coeffs for f in starts])
+        stack, rhs, trT, norms, alone = _stacked_rhs(L, flow_kind, degree, 0.7, x)
         assert not alone
         calls = []
         with monkeypatch.context() as m:
             m.setattr(flows, "stack_from_psi", lambda y: calls.append("stack_from_psi"))
             m.setattr(g2core, "_cholesky_rows", lambda b: calls.append("_cholesky_rows"))
-            none, rhs1, trT1, alone1 = _stacked_rhs(L, flow_kind, degree, 0.7, x[:1])
+            none, rhs1, trT1, norms1, alone1 = _stacked_rhs(L, flow_kind, degree, 0.7, x[:1])
         assert calls == [] and none is None and list(alone1) == [0]
         one, want = alone1[0], stack.row(0)
         assert rhs1.shape == (1, 35) and rhs1[0].tobytes() == rhs[0].tobytes()
-        assert trT1[0] == trT[0]
+        assert trT1[0] == trT[0] and norms1[0] == norms[0]
         assert (trT[0] is None) == (flow_kind == "laplacian_flow")
         for name in ("phi_coeffs", "psi_coeffs"):
             assert getattr(one, name).tobytes() == getattr(want, name).tobytes()
@@ -1258,13 +1284,15 @@ class TestLeanPath:
         )
         assert run() == want
         assert len(marked) == len(set(marked)) >= (50 if caller == "ee1_static" else 1)
-        assert sorted(alone) == sorted(marked)
+        # linearize also evaluates its base alone.
+        base = [standard_psi().coeffs.tobytes()] if caller == "linearize" else []
+        assert sorted(alone) == sorted(marked + base)
 
     @pytest.mark.parametrize("subspace", ["coclosed", "exact"])
     def test_linearize_states_match_the_public_api(self, ee1, ee2, monkeypatch, subspace):
         # The 2m states psi +- eps b_j of linearize are one stack; each
-        # row's right-hand side is the one CoclosedState.from_psi and
-        # coflow_rhs give the state alone, bit for bit.
+        # row's right-hand side is the one phi_of_psi and coflow_rhs give
+        # the state alone, bit for bit.
         from g2flow import flows
 
         stacks, stacked = [], flows._stacked_rhs
@@ -1273,20 +1301,20 @@ class TestLeanPath:
         )
         directions = closed_directions if subspace == "coclosed" else exact_directions
         for L, base, A in (
-            (ee1, CoclosedState.from_psi(standard_psi()), 0.3),
-            (ee2, CoclosedState.from_phi(ee2_diagonal_phi(STATIC_MEMBER)), 0.0),
+            (ee1, standard_psi(), 0.3),
+            (ee2, G2Structure.from_phi(ee2_diagonal_phi(STATIC_MEMBER)).psi, 0.0),
         ):
             stacks.clear()
             report = linearize(L, base, directions(L, 4), A=A, static_tol=1.0)
             ((_, kind, degree, a, states),) = stacks
             assert (kind, degree, a) == ("modified_coflow", 4, A)
             basis = np.array([d.coeffs for d in report.directions])
-            want = [base.psi.coeffs + sign * report.eps * b for b in basis for sign in (1, -1)]
+            want = [base.coeffs + sign * report.eps * b for b in basis for sign in (1, -1)]
             assert np.array_equal(states, want)
-            _, rhs, _, alone = stacked(L, kind, degree, a, states)
+            _, rhs, _, _, alone = stacked(L, kind, degree, a, states)
             assert not alone
             for psi, row in zip(states, rhs):
-                one = coflow_rhs(L, CoclosedState.from_psi(Form(4, psi)), A).coeffs
+                one = coflow_rhs(L, phi_of_psi(Form(4, psi)), A).coeffs
                 assert row.tobytes() == one.tobytes()
 
     def test_linearize_redoes_marked_states_alone(self, ee2, monkeypatch):
@@ -1296,7 +1324,7 @@ class TestLeanPath:
         # stack, bit for bit.
         from g2flow import flows, g2core
 
-        base = CoclosedState.from_phi(ee2_diagonal_phi(STATIC_MEMBER))
+        base = G2Structure.from_phi(ee2_diagonal_phi(STATIC_MEMBER)).psi
         dirs = closed_directions(ee2, 4)
         want = linearize(ee2, base, dirs, A=0.0).matrix
         monkeypatch.setattr(g2core, "NEWTON_TOL", 0.0)
@@ -1316,8 +1344,8 @@ class TestLeanPath:
         (as many with a record every step as with records at the ends only),
         neither ``G2Structure.from_phi`` nor the public ``torsion_trace`` is
         called, and the Forms built are those of the records: one per
-        coflow record and two per Laplacian record (the start's phi is the
-        Form it was built from).  One row of each flow, and a stack."""
+        coflow record and two per Laplacian record.  One row of each flow,
+        and a stack."""
         from g2flow import flows
 
         counts = {"Form": 0, "Metric": 0, "G2Structure": 0, "from_phi": 0, "torsion_trace": 0}
@@ -1345,7 +1373,7 @@ class TestLeanPath:
         coflow = TestEnsembles.CFG
         structures = []
         for L, cfg, start, forms_per_record in (
-            (n2, laplacian, lambda: from_phi(phi), 2),
+            (n2, laplacian, lambda: phi, 2),
             (ee2, coflow, lambda: coflow_starts[0], 1),
             (ee2, coflow, lambda: coflow_starts, 1),
         ):
@@ -1360,12 +1388,11 @@ class TestLeanPath:
                 records = sum(len(run.states) for run in runs)
                 steps = runs[0].termination["steps"]
                 assert records == len(runs) * (2 if record_every > 1 else steps + 1)
-                reused = 1 if cfg is laplacian else 0
-                assert counts["Form"] == forms_per_record * records - reused
+                assert counts["Form"] == forms_per_record * records
                 assert counts["Metric"] == counts["from_phi"] == counts["torsion_trace"] == 0
                 structures.append(counts["G2Structure"])
         assert structures[0::2] == structures[1::2]
-        assert structures[0] == 400  # one per rk4 stage
+        assert structures[0] == 401  # the start's, and one per rk4 stage
 
 
 class TestRecordedTorsionTrace:
@@ -1392,19 +1419,19 @@ class TestRecordedTorsionTrace:
         for L, psi in ((ee2, standard_psi()), _changed_coframe(ee2, standard_psi(), seed=4)):
             start = TestLeanPath._coflow_start(L, psi)
             trajectory = integrate(L, dataclasses.replace(self.CFG, A=0.4), start)
-            self._assert_public_trT(L, trajectory, lambda s: CoclosedState.from_psi(s.psi))
+            self._assert_public_trT(L, trajectory, lambda s: phi_of_psi(s.psi))
             assert all(s.diagnostics["trT"] != 0.0 for s in trajectory.states)
         phi = closed_n2_phi(np.random.default_rng(2))
         cfg = dataclasses.replace(self.CFG, flow_kind="laplacian_flow")
         for L, phi in ((n2, phi), _changed_coframe(n2, phi, seed=4)):
-            trajectory = integrate(L, cfg, G2Structure.from_phi(phi))
+            trajectory = integrate(L, cfg, phi)
             self._assert_public_trT(L, trajectory, lambda s: G2Structure.from_phi(s.form))
 
     def test_rows_of_a_stack_with_a_marked_row(self, ee2, monkeypatch):
         # Eight rows in lockstep on ee2 in a generic coframe.  A residual
         # gate inside the spread of the closed form's residuals (about 1e-14
         # here) makes the stack mark some rows, which are then redone one by
-        # one (by the gate of CoclosedState.from_psi).
+        # one (by the gate of phi_of_psi).
         from g2flow import flows, g2core
 
         L, psi = _changed_coframe(ee2, standard_psi(), seed=4)
@@ -1422,7 +1449,7 @@ class TestRecordedTorsionTrace:
         assert {n for n, _ in marked} == {8}
         assert any(0 < m < 8 for _, m in marked)
         for trajectory in rows:
-            self._assert_public_trT(L, trajectory, lambda s: CoclosedState.from_psi(s.psi))
+            self._assert_public_trT(L, trajectory, lambda s: phi_of_psi(s.psi))
 
 
 class TestTrajectoryIO:
@@ -1534,9 +1561,8 @@ class TestLinearize:
     def test_reference_point_has_zero_linearization(self, ee1):
         # Every nearby invariant coclosed structure is also static,
         # so the flow map has vanishing derivative in coclosed directions.
-        base = CoclosedState.from_psi(standard_psi())
         dirs = closed_directions(ee1, 4)
-        report = linearize(ee1, base, dirs, A=0.0, eps=1e-3)
+        report = linearize(ee1, standard_psi(), dirs, A=0.0, eps=1e-3)
         assert report.matrix.shape == (len(dirs), len(dirs))
         assert np.max(np.abs(report.matrix)) <= 1e-6
         assert np.max(np.abs(report.eigenvalues)) <= 1e-6
@@ -1545,7 +1571,7 @@ class TestLinearize:
     def test_refinement_keeps_zero_matrix(self, ee1):
         # Halving eps must leave the zero matrix in place: entry changes stay
         # within a quadratic-in-eps budget instead of exploding as 1/eps.
-        base = CoclosedState.from_psi(standard_psi())
+        base = standard_psi()
         dirs = closed_directions(ee1, 4)
         eps = 2e-3
         coarse = linearize(ee1, base, dirs, A=0.0, eps=eps)
@@ -1557,41 +1583,40 @@ class TestLinearize:
         # At a static point with a genuinely nonzero linearization
         # the central-difference matrix M(eps) = M0 + C eps^2 + ..., so
         # successive halvings shrink the increment by a factor of four.
-        base = CoclosedState.from_phi(ee2_diagonal_phi(STATIC_MEMBER))
-        assert np.linalg.norm(_rhs0(ee2, base).coeffs) <= 1e-10
+        static = G2Structure.from_phi(ee2_diagonal_phi(STATIC_MEMBER))
+        assert np.linalg.norm(_rhs0(ee2, static).coeffs) <= 1e-10
         dirs = closed_directions(ee2, 4)
         mats = {}
         for eps in (2e-3, 1e-3, 5e-4):
-            mats[eps] = linearize(ee2, base, dirs, A=0.0, eps=eps).matrix
+            mats[eps] = linearize(ee2, static.psi, dirs, A=0.0, eps=eps).matrix
         assert np.max(np.abs(mats[1e-3])) > 1.0  # genuinely nonzero
         d_coarse = np.max(np.abs(mats[2e-3] - mats[1e-3]))
         d_fine = np.max(np.abs(mats[1e-3] - mats[5e-4]))
         assert d_coarse / d_fine == pytest.approx(4.0, rel=0.2)
 
     def test_directions_are_l2_orthonormal(self, ee1):
-        base = CoclosedState.from_psi(standard_psi())
+        base = standard_psi()
         report = linearize(ee1, base, closed_directions(ee1, 4), A=0.0, eps=1e-3)
-        structure = base.recovered
+        structure = phi_of_psi(base)
         gram = structure.metric.gram(4) * structure.volume
         mat = np.column_stack([d.coeffs for d in report.directions])
         assert np.max(np.abs(mat.T @ gram @ mat - np.eye(mat.shape[1]))) <= 1e-10
 
     def test_non_static_base_raises(self, ee2, rng):
-        state = coclosed_sample(ee2, rng, magnitude=0.25)
+        psi, _ = coclosed_sample(ee2, rng, magnitude=0.25)
         with pytest.raises(G2FlowError, match="not static"):
-            linearize(ee2, state, closed_directions(ee2, 4), A=0.0)
+            linearize(ee2, psi, closed_directions(ee2, 4), A=0.0)
 
     def test_degenerate_directions_raise(self, ee1):
-        base = CoclosedState.from_psi(standard_psi())
         dirs = closed_directions(ee1, 4)
         with pytest.raises(G2FlowError, match="degenerate direction set"):
-            linearize(ee1, base, [dirs[0], dirs[0]], A=0.0)
+            linearize(ee1, standard_psi(), [dirs[0], dirs[0]], A=0.0)
 
     def test_requires_coclosed_state(self, ee1):
-        with pytest.raises(G2FlowError, match="CoclosedState"):
-            linearize(ee1, G2Structure.from_phi(standard_phi()), [], A=0.0)
+        # The base is the coflow's flowing form, a 4-form.
+        with pytest.raises(DegreeError, match="expects a 4-form base point, got degree 3"):
+            linearize(ee1, standard_phi(), [], A=0.0)
 
     def test_empty_directions_raise(self, ee1):
-        base = CoclosedState.from_psi(standard_psi())
         with pytest.raises(G2FlowError, match="non-empty"):
-            linearize(ee1, base, [], A=0.0)
+            linearize(ee1, standard_psi(), [], A=0.0)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from g2flow import (
-    CoclosedState,
     Form,
     G2Structure,
     full_torsion,
@@ -17,10 +16,16 @@ from g2flow import (
     standard_psi,
     torsion_trace,
 )
-from g2flow.conventions import NEWTON_TOL
-from g2flow.errors import DegreeError, PositivityError, RecoveryError, UnimodularityError
+from g2flow.conventions import NEWTON_MAX_ITER, NEWTON_TOL
+from g2flow.errors import (
+    DegreeError,
+    G2FlowError,
+    PositivityError,
+    RecoveryError,
+    UnimodularityError,
+)
 from g2flow.exterior import DIM, Metric, star
-from g2flow.g2core import b_matrix, dual_jacobian
+from g2flow.g2core import _phi_of_psi, b_matrix, dual_jacobian
 from g2flow.fixtures import ee2_diagonal_phi
 
 from .conftest import (
@@ -205,7 +210,7 @@ class TestDualIdentity:
         s = G2Structure.from_phi(phi_bar)
         assert np.array_equal(s.metric.g, np.eye(DIM))
         assert np.array_equal(s.metric.inv, np.eye(DIM))
-        rec = CoclosedState.from_psi(psi_bar).recovered
+        rec = phi_of_psi(psi_bar)
         assert np.array_equal(rec.phi.coeffs, phi_bar.coeffs)
         assert np.array_equal(rec.psi.coeffs, psi_bar.coeffs)
 
@@ -243,11 +248,13 @@ class TestRecovery:
             phi_of_psi(s.psi, tol=0.5 * residual, max_iter=0)
         assert info.value.residual == residual
 
-    def test_coclosed_state_residuals(self, phi_bar):
-        exact = CoclosedState.from_phi(phi_bar)
-        assert exact.residual == 0.0
-        rebuilt = CoclosedState.from_psi(exact.psi)
-        assert rebuilt.residual <= 1e-10
+    def test_coclosed_state_residuals(self, phi_bar, rng):
+        # The residual |star phi - psi| that the recovery ends on: zero at
+        # the dual of the standard form, within the gate at another one.
+        exact = G2Structure.from_phi(phi_bar)
+        assert _phi_of_psi(exact.psi, NEWTON_TOL, NEWTON_MAX_ITER)[1] == 0.0
+        rebuilt = G2Structure.from_phi(random_positive_phi(rng))
+        assert _phi_of_psi(rebuilt.psi, NEWTON_TOL, NEWTON_MAX_ITER)[1] <= 1e-10
 
 
 class TestRecoveryOracles:
@@ -318,10 +325,10 @@ class TestTorsion:
         """psi -> c psi rescales the torsion trace by c^{-1/4}."""
         for L in (ee1, ee2):
             for _ in range(5):
-                state = coclosed_sample(L, rng, magnitude=0.2)
-                base = torsion_trace(L, state)
+                psi, s = coclosed_sample(L, rng, magnitude=0.2)
+                base = torsion_trace(L, s)
                 for c in (0.5, 2.0, 5.0):
-                    scaled = CoclosedState.from_psi(Form(4, c * state.psi.coeffs))
+                    scaled = phi_of_psi(Form(4, c * psi.coeffs))
                     got = torsion_trace(L, scaled)
                     assert np.isclose(got, c ** (-0.25) * base, rtol=1e-8, atol=1e-12)
 
@@ -416,15 +423,14 @@ class TestStackedRecovery:
             # marks some rows and keeps others.
             assert 0 < bad.sum() < len(psi)
         residual = np.linalg.norm(stack.metric.star_coeffs(3, stack.phi_coeffs) - psi, axis=1)
-        _, rhs, _, alone = _stacked_rhs(L, "modified_coflow", 4, 0.5, psi)
+        _, rhs, _, _, alone = _stacked_rhs(L, "modified_coflow", 4, 0.5, psi)
         assert list(alone) == np.flatnonzero(bad).tolist()
         for i in np.flatnonzero(~bad):
-            state = CoclosedState.from_psi(Form(4, psi[i]), tol=tol)
-            s = state.recovered
+            s, s_residual = _phi_of_psi(Form(4, psi[i]), tol, NEWTON_MAX_ITER)
             _assert_rows_close(stack.phi_coeffs[i], s.phi.coeffs)
             _assert_rows_close(stack.metric.g[i], s.metric.g)
-            assert abs(residual[i] - state.residual) <= 1e-14
-            _assert_rows_close(rhs[i], coflow_rhs(L, state, 0.5).coeffs)
+            assert abs(residual[i] - s_residual) <= 1e-14
+            _assert_rows_close(rhs[i], coflow_rhs(L, s, 0.5).coeffs)
 
     def test_a_non_positive_row_is_marked_and_the_others_kept(self, ee1):
         from g2flow.g2core import stack_from_psi
@@ -441,7 +447,7 @@ class TestStackedRecovery:
         # Redone on its own, the row raises what one recovery raises.
         with pytest.raises(RecoveryError, match=r"^4-form is not positive \(its dual 3-form: "
                            r"3-form is not positively oriented \(det B = -"):
-            CoclosedState.from_psi(Form(4, mixed[2]))
+            phi_of_psi(Form(4, mixed[2]))
 
     def test_rows_marked_before_the_witness_leave_it_one_factorisation(self, monkeypatch):
         from g2flow.g2core import _induced
@@ -483,8 +489,11 @@ class TestStackedRecovery:
 
     def test_a_non_finite_right_hand_side_raises_as_one_row_does(self, ee2):
         # Structure constants of 1e300 leave every structure positive and
-        # finite, and send d of d phi's star past the finite range.
-        from g2flow.flows import _stacked_rhs, coflow_rhs
+        # finite, and send d of d phi's star past the finite range.  The
+        # public function raises on it; the stacked evaluation, of a stack
+        # or of one row, quietly gives norms that are not finite, on which
+        # its callers halt.
+        from g2flow.flows import _raise_row_error, _stacked_rhs, coflow_rhs
         from g2flow.liealg import LieAlgebraStructure
 
         huge = LieAlgebraStructure(tuple(Form(2, 1e300 * f.coeffs) for f in ee2.d1))
@@ -492,5 +501,8 @@ class TestStackedRecovery:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="coefficients must be finite"):
                 coflow_rhs(huge, G2Structure.from_phi(Form(3, phi[1])))
-            with pytest.raises(ValueError, match="coefficients must be finite"):
-                _stacked_rhs(huge, "modified_coflow", 3, 0.0, phi)
+        for x in (phi, phi[1:]):
+            _, _, _, norms, alone = _stacked_rhs(huge, "modified_coflow", 3, 0.0, x)
+            assert not np.isfinite(norms).any()
+            with pytest.raises(G2FlowError, match="the right-hand side left the finite range"):
+                _raise_row_error(alone, norms)
