@@ -72,6 +72,7 @@ from .exterior import BASIS, DIMS, Form, _is_finite_number
 from .fixtures import ee2_diagonal_phi, load_algebra, load_form
 from .flows import (
     FINITE,
+    MONITORS,
     NON_NEGATIVE,
     NON_NEGATIVE_INT,
     POSITIVE,
@@ -899,21 +900,26 @@ def _lockstep_groups(cfgs):
 
 
 def _write_flow(cfg, start, trajectory, path):
-    records = trajectory.records()
-    fieldnames = list(RECORD_FIELDS)
-    if cfg.output.format == "csv":
-        # The CSV mirror flattens the psi vector into psi_00..psi_34.
-        for rec in records:
-            rec.update(zip(_PSI_COLUMNS, rec.pop("psi")))
-        fieldnames[1:2] = _PSI_COLUMNS
-    _write_records(path, cfg.output.format, records, fieldnames)
+    """Stream a trajectory's records, one row at a time, as ``_write_records``
+    would write them: a JSON line per record, or a CSV row that flattens psi
+    into psi_00..psi_34, with floats through repr and None as an empty field."""
+    if cfg.output.format == "jsonl":
+        with open(path, "w", encoding="utf-8") as fh:
+            for row in trajectory.rows():
+                fh.write(json.dumps(dict(zip(RECORD_FIELDS, row))) + "\n")
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(["t", *_PSI_COLUMNS, *MONITORS]) + "\r\n")
+            for t, psi, *monitors in trajectory.rows():
+                empty_or_repr = ("" if v is None else repr(v) for v in monitors)
+                fh.write(",".join([repr(t), *map(repr, psi), *empty_or_repr]) + "\r\n")
     term = trajectory.termination
     summary = {
         "termination": term,
         "perturbation_scale": start.scale,
         "perturbation_halvings": start.halvings,
-        "records": len(trajectory.states),
-        "final_t": trajectory.final.t,
+        "records": len(trajectory.t),
+        "final_t": float(trajectory.t[-1]),
     }
     return term["status"] == "completed", summary
 

@@ -48,15 +48,18 @@ alone and the one the public functions give.  Rows are independent: a row
 that halts freezes with the records it gets alone while the others step
 on.
 
-A Trajectory is a list of FlowState records and the termination record.
-A stage builds no Form (but for DeTurck), and its metric is built trusted
-by its kernel (see ``g2core``).  A record builds the Forms of its
-FlowState and reads everything else off its row: the coflow's trT is the
-one its right-hand side took, the Laplacian flow's is taken on the row's
-arrays (0.0 where d phi is exactly zero).  A FlowState holds t, the
-flowing form, psi (star phi for the Laplacian flow) and the diagnostics,
-and no structure or metric.  The experiments write ``Trajectory.records()``
-through their shared record writer.
+A Trajectory holds its records as rows of arrays, and the termination
+record.  A stage builds no Form (but for DeTurck), and its metric is built
+trusted by its kernel (see ``g2core``).  A record builds no Form either: it
+appends t, the flowing form's row, psi's row (star phi for the Laplacian
+flow; the coflow's psi rows are its form rows) and one value per monitor,
+all read off its row: the coflow's trT is the one its right-hand side took,
+the Laplacian flow's is taken on the row's arrays (0.0 where d phi is
+exactly zero).  ``Trajectory.rows()`` gives the records one at a time,
+which the experiments stream to their files; ``states``, ``final`` and
+``records()`` build FlowStates and dicts from the arrays on access.  A
+FlowState holds t, the flowing form, psi and the diagnostics, and no
+structure or metric.
 
 ``closed_directions(L, k)`` and ``exact_directions(L, k)`` are orthonormal
 bases of the closed and the exact k-forms in any degree, each from one SVD
@@ -237,9 +240,11 @@ def coflow_rhs(L, s, A=0.0):
     """Modified coflow right-hand side d(delta psi + 2 (A - trT) phi) at s.
 
     On a closed psi this is Laplacian(psi) + 2 (A - trT) d(phi), and it is
-    affine in A: the A-dependence is exactly 2 A d(phi).
+    affine in A: the A-dependence is exactly 2 A d(phi).  A right-hand side
+    that leaves the finite range raises G2FlowError (``NONFINITE_RHS``)
+    without a warning, as a row of ``integrate`` halts on it.
     """
-    return Form(4, _coflow_rhs(L, s.metric, s.phi_coeffs, A)[0])
+    return Form(4, _public_rhs(L, "modified_coflow", s, A))
 
 
 def _coflow_rhs(L, metric, phi, A):
@@ -261,8 +266,9 @@ def _coflow_rhs(L, metric, phi, A):
 def laplacian_flow_rhs(L, s):
     """Laplacian flow right-hand side at s: on a closed phi its Hodge
     Laplacian d delta phi = CODIFF_SIGN[3] d star d psi, with psi = star phi
-    the structure's cached dual 4-form (one star besides it)."""
-    return Form(3, _laplacian_rhs(L, s.metric, s.psi_coeffs))
+    the structure's cached dual 4-form (one star besides it).  One that
+    leaves the finite range raises as ``coflow_rhs`` does."""
+    return Form(3, _public_rhs(L, "laplacian_flow", s, None))
 
 
 def _laplacian_rhs(L, metric, psi):
@@ -287,6 +293,15 @@ def _structure_rhs(L, flow_kind, s, A):
         else:
             rhs, trT = _laplacian_rhs(L, s.metric, s.psi_coeffs), None
         return rhs, trT, _norms(rhs)
+
+
+def _public_rhs(L, flow_kind, s, A):
+    """The right-hand side of ``_structure_rhs`` at one structure, or the
+    quiet ``NONFINITE_RHS`` halt where it left the finite range."""
+    rhs, _, norm = _structure_rhs(L, flow_kind, s, A)
+    if not math.isfinite(norm):
+        raise G2FlowError(NONFINITE_RHS)
+    return rhs
 
 
 def _structure_alone(degree, x):
@@ -392,6 +407,7 @@ def volume_monotonicity_criterion(L, s, A=0.0):
 # --------------------------------------------------------------------------
 
 RECORD_FIELDS = ("t", "psi", "trT", "volume", "closedness", "rhs_norm", "dist_ref")
+MONITORS = RECORD_FIELDS[2:]
 
 
 @dataclass(eq=False)
@@ -412,28 +428,55 @@ class FlowState:
     def record(self):
         """Record dict in the trajectory output schema."""
         rec = {"t": self.t, "psi": [float(c) for c in self.psi.coeffs]}
-        for key in RECORD_FIELDS[2:]:
+        for key in MONITORS:
             rec[key] = self.diagnostics.get(key)
         return rec
 
 
 @dataclass(eq=False)
 class Trajectory:
-    """Monitor-time snapshots plus a termination record.
+    """Monitor-time records plus a termination record.
+
+    The records are rows of arrays, in ``RECORD_FIELDS`` order with the
+    flowing form after t: ``t`` ((n,) record times), ``forms`` ((n, 35)
+    coefficients of the flowing form), ``psi`` ((n, 35) coefficients of its
+    dual 4-form: the array ``forms`` itself for the coflow, star phi for the
+    Laplacian flow) and ``monitors``, one list per monitor name in
+    ``MONITORS`` order, None where the monitor is off or the value unread.
+    ``rows()`` gives them one at a time; ``states``, ``final`` and
+    ``records()`` are views built on each access.
 
     ``termination`` = {status: completed|halted, reason, t, steps, detail}.
     """
 
     flow_kind: str
-    states: list
+    t: np.ndarray
+    forms: np.ndarray
+    psi: np.ndarray
+    monitors: dict
     termination: dict
+
+    def rows(self):
+        """Each record as a tuple in ``RECORD_FIELDS`` order, t and the
+        entries of psi (a list) as Python floats, built as it is read."""
+        return zip(self.t.tolist(), map(np.ndarray.tolist, self.psi), *self.monitors.values())
+
+    def records(self):
+        return [dict(zip(RECORD_FIELDS, row)) for row in self.rows()]
+
+    @property
+    def states(self):
+        return [self._state(r) for r in range(len(self.t))]
 
     @property
     def final(self):
-        return self.states[-1]
+        return self._state(-1)
 
-    def records(self):
-        return [s.record() for s in self.states]
+    def _state(self, r):
+        form = Form(4 if self.flow_kind == "modified_coflow" else 3, self.forms[r])
+        psi = form if self.psi is self.forms else Form(4, self.psi[r])
+        diagnostics = {key: column[r] for key, column in self.monitors.items()}
+        return FlowState(float(self.t[r]), form, psi, diagnostics)
 
 
 class _Evaluator:
@@ -621,31 +664,39 @@ def _integrate_rows(L, config, starts, references, A):
     t = [0.0] * n
     steps = [0] * n
     dt = [cfg_int.dt] * n
-    states = [[] for _ in range(n)]
+    # The records of each row, as lists that become its Trajectory's columns
+    # (see ``_trajectory``): t, the flowing-form rows, the psi rows (the same
+    # list for the coflow) and one list per monitor.
+    records = []
+    for _ in range(n):
+        forms = []
+        records.append({"t": [], "form": forms, "psi": forms if coflow else []})
+        records[-1].update((key, []) for key in MONITORS)
     ends = [None] * n
     mon = config.monitors
     tol = config.halt.closedness_tol
     max_rhs = config.halt.max_rhs_norm
 
     def snapshot(i, rhs_norm=True):
-        """Record row i at its t with the monitor values; ``rhs_norm``
-        False leaves its right-hand side unread (and the value null).  The
-        torsion trace is the one the coflow right-hand side took, else it is
-        taken here on the row's arrays: (1/4) star(d phi ^ phi), which is
-        0.0 where d phi is exactly zero."""
+        """Append row i at its t to its records, with the monitor values;
+        ``rhs_norm`` False leaves its right-hand side unread (and the value
+        null).  The torsion trace is the one the coflow right-hand side
+        took, else it is taken here on the row's arrays: (1/4) star(d phi ^
+        phi), which is 0.0 where d phi is exactly zero."""
         _, s, _, trT, norm = evaluator.rows[i]
         if mon.trT and trT is None:
             dphi = _d(L, 3, s.phi_coeffs)
             trT = _torsion_trace(s.metric, s.phi_coeffs, dphi) if dphi.any() else 0.0
-        diag = {
-            "trT": float(trT) if mon.trT else None,
-            "volume": s.volume if mon.volume else None,
-            "closedness": closed[i] if mon.closedness else None,
-            "rhs_norm": float(norm) if mon.rhs_norm and rhs_norm else None,
-            "dist_ref": float(np.linalg.norm(y[i] - ref[i])) if mon.dist_ref else None,
-        }
-        psi = Form(4, y[i]) if coflow else s.psi
-        states[i].append(FlowState(t[i], psi if coflow else s.phi, psi, diag))
+        rec = records[i]
+        rec["t"].append(t[i])
+        rec["form"].append(y[i].copy())
+        if not coflow:
+            rec["psi"].append(s.psi_coeffs.copy())
+        rec["trT"].append(float(trT) if mon.trT else None)
+        rec["volume"].append(s.volume if mon.volume else None)
+        rec["closedness"].append(closed[i] if mon.closedness else None)
+        rec["rhs_norm"].append(float(norm) if mon.rhs_norm and rhs_norm else None)
+        rec["dist_ref"].append(float(np.linalg.norm(y[i] - ref[i])) if mon.dist_ref else None)
 
     def end(i, reason, detail="", status="halted"):
         """End row i; ``detail`` is a message, or the error that gives it."""
@@ -729,20 +780,29 @@ def _integrate_rows(L, config, starts, references, A):
         if due:
             record(due)
         for i in due:
-            norm = states[i][-1].diagnostics["rhs_norm"]
+            norm = records[i]["rhs_norm"][-1]
             if ends[i] is None and max_rhs is not None and norm is not None and norm > max_rhs:
                 end(i, "rhs_blowup", f"rhs_norm {norm:.3e}")
     # A halt between records ends on a record of the state at the halt time
     # (the last accepted step), unless its own evaluation failed.
-    last = [i for i in range(n) if states[i][-1].t != ends[i]["t"]]
+    last = [i for i in range(n) if records[i]["t"][-1] != ends[i]["t"]]
     evaluator.f(last, y[last])
     for i in last:
         if evaluator.failed.pop(i, None) is None:
             snapshot(i)
-    return [
-        Trajectory(flow_kind=config.flow_kind, states=states[i], termination=ends[i])
-        for i in range(n)
-    ]
+    return [_trajectory(config.flow_kind, rec, end) for rec, end in zip(records, ends)]
+
+
+def _trajectory(flow_kind, rec, termination):
+    """The Trajectory of one row's records (see ``_integrate_rows``): its
+    times and rows become arrays, one copy each at the end of the run.
+    (Growing float buffers in place of the lists gave the laplacian_n2
+    benchmark a peak RSS about 0.2 MB higher.)"""
+    t = np.array(rec["t"])
+    forms = np.array(rec["form"])
+    psi = forms if rec["psi"] is rec["form"] else np.array(rec["psi"])
+    monitors = {key: rec[key] for key in MONITORS}
+    return Trajectory(flow_kind, t, forms, psi, monitors, termination)
 
 
 # --------------------------------------------------------------------------

@@ -11,11 +11,15 @@ sit at the end.  ``closed_form_oracle`` is the closed-form recovery with a
 generic star (``Metric.star_coeffs``) and a determinant, factorisation and
 inverse per metric, the reference for the kernel that reads star phi off B.
 The Newton recovery is the reference for the inverse map psi -> phi, so it
-iterates the package's forward map phi -> star_{g(phi)} phi.
+iterates the package's forward map phi -> star_{g(phi)} phi.  The record
+writers at the very end, ``csv.writer`` and ``json.dumps`` over record
+dicts, are the byte-for-byte reference for the experiments' output files.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
@@ -546,3 +550,44 @@ def newton_phi_of_psi(psi, seed, tol=1e-12, max_iter=50):
                 continue
             return None
     return structure if res <= tol else None
+
+
+# --------------------------------------------------------------------------
+# Record writers (reference for the experiments' output files)
+# --------------------------------------------------------------------------
+
+FLOW_FIELDS = ("t", "psi", "trT", "volume", "closedness", "rhs_norm", "dist_ref")
+PSI_COLUMNS = [f"psi_{i:02d}" for i in range(35)]
+
+
+def write_records_oracle(path, fmt, records, fieldnames):
+    """Record dicts as JSON lines (``json.dumps`` of each, keys in
+    ``fieldnames`` order) or a CSV through ``csv.writer`` with a header row;
+    floats through repr, None as null or an empty field."""
+    if fmt == "jsonl":
+        with open(path, "w", encoding="utf-8") as fh:
+            for rec in records:
+                fh.write(json.dumps({k: rec.get(k) for k in fieldnames if k in rec}) + "\n")
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(fieldnames)
+            for rec in records:
+                row = []
+                for key in fieldnames:
+                    val = rec.get(key)
+                    row.append("" if val is None else (repr(val) if isinstance(val, float) else val))
+                writer.writerow(row)
+
+
+def write_flow_oracle(path, fmt, records):
+    """Flow record dicts (t, psi as a list, the monitors) as
+    ``write_records_oracle`` writes them; the CSV flattens psi into
+    psi_00..psi_34."""
+    fieldnames = list(FLOW_FIELDS)
+    records = [dict(rec) for rec in records]
+    if fmt == "csv":
+        for rec in records:
+            rec.update(zip(PSI_COLUMNS, rec.pop("psi")))
+        fieldnames[1:2] = PSI_COLUMNS
+    write_records_oracle(path, fmt, records, fieldnames)

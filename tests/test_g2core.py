@@ -490,17 +490,23 @@ class TestStackedRecovery:
     def test_a_non_finite_right_hand_side_raises_as_one_row_does(self, ee2):
         # Structure constants of 1e300 leave every structure positive and
         # finite, and send d of d phi's star past the finite range.  The
-        # public function raises on it; the stacked evaluation, of a stack
-        # or of one row, quietly gives norms that are not finite, on which
-        # its callers halt.
-        from g2flow.flows import _raise_row_error, _stacked_rhs, coflow_rhs
+        # public functions quietly raise the halt of a row on it; the stacked
+        # evaluation, of a stack or of one row, quietly gives norms that are
+        # not finite, on which its callers halt.
+        from g2flow.flows import _raise_row_error, _stacked_rhs, coflow_rhs, laplacian_flow_rhs
         from g2flow.liealg import LieAlgebraStructure
 
         huge = LieAlgebraStructure(tuple(Form(2, 1e300 * f.coeffs) for f in ee2.d1))
         phi = np.array([ee2_diagonal_phi(np.full(7, c)).coeffs for c in (1.0, 1.2)])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="coefficients must be finite"):
-                coflow_rhs(huge, G2Structure.from_phi(Form(3, phi[1])))
+        # The diagonal family is coclosed, so the Laplacian flow needs a
+        # generic positive 3-form to have a right-hand side at all.
+        generic = G2Structure.from_phi(Form(3, phi[0] + 0.1 * np.sin(np.arange(35))))
+        for public in (
+            lambda: coflow_rhs(huge, G2Structure.from_phi(Form(3, phi[1]))),
+            lambda: laplacian_flow_rhs(huge, generic),
+        ):
+            with pytest.raises(G2FlowError, match="the right-hand side left the finite range"):
+                public()
         for x in (phi, phi[1:]):
             _, _, _, norms, alone = _stacked_rhs(huge, "modified_coflow", 3, 0.0, x)
             assert not np.isfinite(norms).any()
