@@ -31,7 +31,7 @@ import numpy as np
 
 from .conventions import VARIATION_IPHI_WEIGHT
 from .errors import G2FlowError
-from .exterior import DIM, DIMS, WEDGE, Form, derivation_matrix, star, wedge
+from .exterior import DIM, DIMS, Form, derivation_matrix, star, wedge, wedge_table
 
 __all__ = [
     "SymTensor",
@@ -85,7 +85,7 @@ def _as_sym(h):
 
 def wedge_matrix(form, k):
     """Matrix of a |-> a ^ form on k-forms (k + form.degree <= 7)."""
-    return np.tensordot(WEDGE[k, form.degree], form.coeffs, axes=(1, 0)).T
+    return np.tensordot(wedge_table(k, form.degree), form.coeffs, axes=(1, 0)).T
 
 
 def i_phi(structure, h):

@@ -9,7 +9,8 @@ writes bitwise-identical output files.
 Randomness (perturbation sampling) uses numpy's ``default_rng`` — the PCG64
 generator — seeded from ``perturbation.seed``, so runs are reproducible
 bitwise within this implementation and statistically comparable across
-implementations of the same sampling recipe.  The degree of the base form
+implementations of the same sampling recipe; a flow run that draws nothing
+(``magnitude`` 0) makes no generator.  The degree of the base form
 decides what a draw needs: directions come from the closed (``coclosed``)
 or exact forms of that degree (``flows.closed_directions`` and
 ``flows.exact_directions``; closed psi for the coflow, closed phi for the
@@ -360,11 +361,13 @@ def _read_section(cls, raw, path, violations, defaults):
     return cls(**_read_fields(cls, raw, path, violations, defaults))
 
 
-def config_from_dict(raw):
+def config_from_dict(raw, checked=None):
     """Build an ExperimentConfig from a parsed JSON object.
 
     Returns (config-or-None, violations).  The config is fully defaulted;
-    it is None exactly when violations is non-empty.
+    it is None exactly when violations is non-empty.  ``checked`` maps each
+    algebra_file this validation has checked to its violations; a sweep
+    passes one to all its cells, so each distinct algebra loads once.
     """
     if not isinstance(raw, dict):
         return None, ["config must be an object"]
@@ -387,7 +390,7 @@ def config_from_dict(raw):
         )
     cfg = ExperimentConfig(**_read_fields(ExperimentConfig, raw, "", violations, _defaults(raw)))
     violations += rule_violations(cfg)
-    violations += _semantic_violations(cfg)
+    violations += _semantic_violations(cfg, {} if checked is None else checked)
     if violations:
         return None, violations
     return cfg, []
@@ -403,9 +406,9 @@ def _defaults(raw):
     return _EXPERIMENT_DEFAULTS.get(experiment, {}) if isinstance(experiment, str) else {}
 
 
-def _semantic_violations(cfg):
+def _semantic_violations(cfg, checked):
     """Cross-field checks: referenced fixtures exist, degrees line up,
-    experiment-specific constraints."""
+    experiment-specific constraints.  ``checked`` is ``config_from_dict``'s."""
     out = []
     experiment = cfg.experiment
     if experiment is None or experiment not in EXPERIMENTS:
@@ -423,7 +426,7 @@ def _semantic_violations(cfg):
         if cfg.algebra_file is None:
             out.append("algebra_file is required")
         else:
-            out += _check_algebra(cfg.algebra_file)
+            out += _check_algebra(cfg.algebra_file, checked)
         return out
     if experiment == "sweep":
         axes = cfg.sweep_section.axes
@@ -445,14 +448,14 @@ def _semantic_violations(cfg):
             # The cells stay with the config, and a run of it runs them: a
             # sweep is expanded, and its cells validated, once.
             try:
-                cfg._cells = expand_sweep(cfg)
+                cfg._cells = expand_sweep(cfg, checked)
             except ConfigError as exc:
                 out += exc.violations
         return out
     if cfg.algebra_file is None:
         out.append(f"algebra_file is required for experiment {experiment!r}")
     else:
-        out += _check_algebra(cfg.algebra_file)
+        out += _check_algebra(cfg.algebra_file, checked)
     needed_degree = 4 if cfg.flow.flow_kind == "modified_coflow" else 3
     if isinstance(cfg.initial, str):
         try:
@@ -493,9 +496,16 @@ def _load_algebra(name_or_path):
         raise ConfigError([f"algebra_file: malformed algebra file ({exc})"]) from None
 
 
-def _check_algebra(name_or_path):
+def _check_algebra(name_or_path, checked):
     """The violations of an algebra that flow right-hand sides are taken
-    on: it must load, and be unimodular."""
+    on: it must load, and be unimodular.  An algebra in ``checked`` (name
+    -> violations) is not loaded again; a new one is entered there."""
+    if name_or_path not in checked:
+        checked[name_or_path] = _algebra_violations(name_or_path)
+    return checked[name_or_path]
+
+
+def _algebra_violations(name_or_path):
     try:
         L = _load_algebra(name_or_path)
     except ConfigError as exc:
@@ -562,14 +572,16 @@ def _set_dotted(target, dotted, value):
     cur[parts[-1]] = value
 
 
-def expand_sweep(cfg):
+def expand_sweep(cfg, checked=None):
     """Cartesian product of the sweep axes applied to the base config.
 
     Axis keys are dotted config paths ("flow.A", "perturbation.seed",
     "initial", ...), iterated in sorted key order; returns a list of
     (overrides, cell_config) in deterministic order.  Invalid cells raise
     one ConfigError with all their messages, prefixed by the cell index.
+    The cells share ``checked`` (see ``config_from_dict``).
     """
+    checked = {} if checked is None else checked
     base = cfg.to_dict()
     base["experiment"] = cfg.sweep_section.experiment
     base["sweep"] = {"experiment": "custom", "axes": {}}
@@ -586,7 +598,7 @@ def expand_sweep(cfg):
         cell_raw = copy.deepcopy(base)
         for key, value in overrides.items():
             _set_dotted(cell_raw, key, value)
-        cell_cfg, cell_violations = config_from_dict(cell_raw)
+        cell_cfg, cell_violations = config_from_dict(cell_raw, checked)
         violations += [f"sweep cell {n}: {v}" for v in cell_violations]
         cells.append((overrides, cell_cfg))
     if violations:
@@ -868,8 +880,10 @@ def _flow_start(cfg, L, loaded):
     """Sample the start of a flow config; ``loaded`` holds the form
     fixtures already read (see ``_initial_form``)."""
     base = _initial_form(cfg, 4 if cfg.flow.flow_kind == "modified_coflow" else 3, loaded)
-    rng = np.random.default_rng(cfg.perturbation.seed)
-    form, scale, halvings, _ = sample_initial(L, base, cfg.perturbation, rng)
+    # A start that draws nothing makes no generator (nor imports numpy.random).
+    pcfg = cfg.perturbation
+    rng = np.random.default_rng(pcfg.seed) if pcfg.magnitude else None
+    form, scale, halvings, _ = sample_initial(L, base, pcfg, rng)
     return _FlowStart(base, scale, halvings, form)
 
 

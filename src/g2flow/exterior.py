@@ -3,8 +3,10 @@
 A k-form is stored densely as a coefficient vector over the C(7,k) strictly
 increasing multi-indices in lexicographic order.  Every operation (wedge,
 interior product, metric inner product, Hodge star) reduces to signed sums of
-coefficient products against tables built once at import, so identities with
-integer inputs hold to machine precision and golden cases hold exactly.
+coefficient products against sign tables, so identities with integer inputs
+hold to machine precision and golden cases hold exactly.  The wedge tables
+are built on first use by bit arithmetic (``wedge_table``); a process reads
+a few of the 36.
 
 Conventions
 -----------
@@ -48,6 +50,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from dataclasses import dataclass, field
@@ -91,17 +94,6 @@ def sort_sign(seq):
     return sign, tuple(lst)
 
 
-def merge_sign(left, right):
-    """Sign of merging two increasing index tuples into one increasing tuple.
-
-    Returns (0, ()) when the tuples share an index.
-    """
-    if set(left) & set(right):
-        return 0, ()
-    swaps = sum(1 for a in left for b in right if a > b)
-    return (-1 if swaps % 2 else 1), tuple(sorted(left + right))
-
-
 class MultiIndex(tuple):
     """Strictly increasing tuple of axis labels in 1..7 naming a basis monomial."""
 
@@ -123,18 +115,47 @@ class MultiIndex(tuple):
         return BASIS_POS[len(self)][tuple(self)]
 
 
-def _build_wedge_tables():
-    tables = {}
-    for k in range(DIM + 1):
-        for l in range(DIM + 1 - k):
-            table = np.zeros((DIMS[k], DIMS[l], DIMS[k + l]))
-            for a, lhs in enumerate(BASIS[k]):
-                for b, rhs in enumerate(BASIS[l]):
-                    sign, merged = merge_sign(lhs, rhs)
-                    if sign:
-                        table[a, b, BASIS_POS[k + l][merged]] = sign
-            tables[k, l] = table
-    return tables
+def _mask(idx):
+    """The 7-bit mask of a multi-index: bit i - 1 is set for each index i."""
+    return sum(1 << (i - 1) for i in idx)
+
+
+def _merge_sign_bits(lhs, rhs):
+    """Sign of e^lhs ^ e^rhs against the increasing order of lhs | rhs, for
+    disjoint masks: each bit j of rhs passes the popcount(lhs >> j) bits of
+    lhs above it."""
+    swaps = 0
+    while rhs:
+        low = rhs & -rhs
+        swaps += (lhs >> (low.bit_length() - 1)).bit_count()
+        rhs ^= low
+    return -1 if swaps & 1 else 1
+
+
+# _MASKS[k][a] is the mask of BASIS[k][a]; _MASK_POS[k] maps it back to a.
+_MASKS = tuple(tuple(_mask(idx) for idx in b) for b in BASIS)
+_MASK_POS = tuple({mask: a for a, mask in enumerate(masks)} for masks in _MASKS)
+
+
+@functools.cache
+def wedge_table(k, l):
+    """Sign table of the wedge of degrees k and l, built on first use
+    (read-only): entry [a, b, c] is the sign of basis_k[a] ^ basis_l[b] on
+    basis_{k+l}[c].  A product is zero where the masks meet, and otherwise
+    lands on the mask lhs | rhs."""
+    if min(k, l) < 0 or k + l > DIM:
+        raise DegreeError(f"no wedge table for degrees {k} and {l} in dimension {DIM}")
+    pos = _MASK_POS[k + l]
+    flat, signs = [], []
+    for a, lhs in enumerate(_MASKS[k]):
+        for b, rhs in enumerate(_MASKS[l]):
+            if not lhs & rhs:
+                flat.append((a * DIMS[l] + b) * DIMS[k + l] + pos[lhs | rhs])
+                signs.append(_merge_sign_bits(lhs, rhs))
+    table = np.zeros((DIMS[k], DIMS[l], DIMS[k + l]))
+    table.put(flat, signs)
+    table.flags.writeable = False
+    return table
 
 
 def _build_contraction_tables():
@@ -150,18 +171,13 @@ def _build_contraction_tables():
 
 
 def _build_complements():
-    full = set(range(1, DIM + 1))
+    full = (1 << DIM) - 1
     comp_index, comp_sign = [], []
     for k in range(DIM + 1):
-        ci = np.empty(DIMS[k], dtype=np.intp)
-        cs = np.empty(DIMS[k])
-        for a, idx in enumerate(BASIS[k]):
-            comp = tuple(sorted(full - set(idx)))
-            sign, _ = merge_sign(idx, comp)
-            ci[a] = BASIS_POS[DIM - k][comp]
-            cs[a] = sign
-        comp_index.append(ci)
-        comp_sign.append(cs)
+        comps = [full ^ mask for mask in _MASKS[k]]
+        comp_index.append(np.array([_MASK_POS[DIM - k][c] for c in comps], dtype=np.intp))
+        signs = [_merge_sign_bits(mask, c) for mask, c in zip(_MASKS[k], comps)]
+        comp_sign.append(np.array(signs, dtype=float))
     return tuple(comp_index), tuple(comp_sign)
 
 
@@ -193,12 +209,8 @@ def _build_power_tables():
     return tuple(layout), tuple(star)
 
 
-#: WEDGE[k, l][a, b, c] = sign of basis_k[a] ^ basis_l[b] on basis_{k+l}[c].
-WEDGE = _build_wedge_tables()
 #: CONTRACT[k][i, a, b] = sign of iota_{e_{i+1}} basis_k[a] on basis_{k-1}[b].
 CONTRACT = _build_contraction_tables()
-# _WEDGE_FLAT[k, l] is WEDGE[k, l] viewed as a (C(7,k), C(7,l) * C(7,k+l)) matrix.
-_WEDGE_FLAT = {key: table.reshape(table.shape[0], -1) for key, table in WEDGE.items()}
 COMPL_INDEX, COMPL_SIGN = _build_complements()
 # _LAYOUT[j] = (source, sign, pick) of degree j <= 3; _STAR_TABLES[k] =
 # (source, sign, pick, output sign) of the star on degree k.
@@ -536,7 +548,8 @@ def wedge(a, b):
 def _wedge(k, l, a, b):
     """``wedge`` on coefficients: one k-form and one l-form, or stacks of
     them wedged row by row."""
-    partial = (a @ _WEDGE_FLAT[k, l]).reshape(a.shape[:-1] + (DIMS[l], DIMS[k + l]))
+    flat = wedge_table(k, l).reshape(DIMS[k], -1)
+    partial = (a @ flat).reshape(a.shape[:-1] + (DIMS[l], DIMS[k + l]))
     return (b[..., None, :] @ partial)[..., 0, :]
 
 
@@ -579,7 +592,7 @@ def insertion_matrix(K, k):
     n = k + p - 1
     if k == 0 or n > DIM:
         return np.zeros((DIMS[n] if n <= DIM else 0, DIMS[k]))
-    wedged = np.tensordot(K, WEDGE[p, k - 1], axes=(1, 0))  # [j, b, c]
+    wedged = np.tensordot(K, wedge_table(p, k - 1), axes=(1, 0))  # [j, b, c]
     return np.einsum("jab,jbc->jca", CONTRACT[k], wedged).sum(axis=0)
 
 

@@ -71,20 +71,20 @@ from .conventions import (
 )
 from .errors import DegreeError, MetricError, PositivityError, RecoveryError
 from .exterior import (
-    BASIS,
-    BASIS_POS,
     COMPL_INDEX,
     COMPL_SIGN,
     CONTRACT,
     DIM,
     DIMS,
-    WEDGE,
     Form,
     Metric,
+    _MASK_POS,
+    _MASKS,
     _cached,
+    _merge_sign_bits,
     _per_row,
     _wedge,
-    merge_sign,
+    wedge_table,
 )
 from .liealg import _require_unimodular, levi_civita
 
@@ -94,7 +94,9 @@ from .liealg import _require_unimodular, levi_civita
 # B takes two signed gathers of the coefficients (_GATHER_*: the source
 # coefficient and its sign, 0 where the row is empty) and two small matrix
 # products.
-_P223 = np.einsum("abd,dce->abc", WEDGE[2, 2], WEDGE[4, 3]).reshape(DIMS[2] ** 2, DIMS[3])
+_P223 = np.einsum("abd,dce->abc", wedge_table(2, 2), wedge_table(4, 3)).reshape(
+    DIMS[2] ** 2, DIMS[3]
+)
 _IOTA3 = np.ascontiguousarray(CONTRACT[3].transpose(0, 2, 1)).reshape(DIM * DIMS[2], DIMS[3])
 _GATHER_P = (np.abs(_P223).argmax(axis=1), _P223.sum(axis=1))
 _GATHER_IOTA = (np.abs(_IOTA3).argmax(axis=1), _IOTA3.sum(axis=1))
@@ -123,14 +125,14 @@ def _b_parts(x):
 def _build_dual_tables():
     # psi_q = (1/2) s_q w[k, b], w = g^{-1} up, where {k} + b (k first) is
     # the complement of the 4-index q and s_q the sign of e^k ^ e^q ^ e^b.
-    full = set(range(1, DIM + 1))
+    full = (1 << DIM) - 1
     index, sign = [], []
-    for q in BASIS[4]:
-        k, *rest = sorted(full - set(q))
-        s1, kq = merge_sign((k,), q)
-        s2, _ = merge_sign(kq, tuple(rest))
-        index.append((k - 1) * DIMS[2] + BASIS_POS[2][tuple(rest)])
-        sign.append(0.5 * s1 * s2)
+    for q in _MASKS[4]:
+        comp = full ^ q
+        k = comp & -comp  # the lowest index of the complement
+        rest = comp ^ k
+        index.append((k.bit_length() - 1) * DIMS[2] + _MASK_POS[2][rest])
+        sign.append(0.5 * _merge_sign_bits(k, q) * _merge_sign_bits(k | q, rest))
     return np.array(index), np.array(sign)
 
 

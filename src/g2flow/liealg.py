@@ -105,11 +105,8 @@ class LieAlgebraStructure:
 
     @cached_property
     def _differentials(self):
-        d1 = np.array([form.coeffs for form in self.d1])
-        mats = tuple(insertion_matrix(d1, k) for k in range(DIM + 1))
-        for mat in mats:
-            mat.flags.writeable = False
-        return mats
+        # degree -> the matrix of d, each built on first use
+        return {}
 
     @cached_property
     def structure_constants(self):
@@ -125,8 +122,14 @@ class LieAlgebraStructure:
         return np.einsum("ijk,i,j->k", self.structure_constants, u, v)
 
     def differential_matrix(self, k):
-        """Matrix of d from k-forms to (k+1)-forms (zero-width for k = 7)."""
-        return self._differentials[k]
+        """Matrix of d from k-forms to (k+1)-forms (zero-width for k = 7),
+        built on first use (read-only)."""
+        mats = self._differentials
+        if k not in mats:
+            mat = insertion_matrix(np.array([form.coeffs for form in self.d1]), k)
+            mat.flags.writeable = False
+            mats[k] = mat
+        return mats[k]
 
     @cached_property
     def _max_trace(self):

@@ -3,6 +3,8 @@
 Everything here is written against sparse dictionaries keyed by increasing
 index tuples, with its own sign bookkeeping, so it shares no code path with
 the package's dense table-driven kernels.  Tests compare the two.  The
+sign tables built by ``merge_sign`` over index tuples are the byte-for-byte
+reference for the package's bit-mask tables (wedge, complement, dual).  The
 slot-by-slot Laplace recursion for exterior powers builds its own index
 lists and is the bitwise reference for the gather kernel ``exterior_powers``,
 its batched form, which ``_dual_batch`` uses.  ``ExactMetric`` computes the
@@ -82,6 +84,71 @@ def dict_contract(i, a):
         key = idx[:pos] + idx[pos + 1 :]
         out[key] = out.get(key, 0.0) + ((-1.0) ** pos) * c
     return out
+
+
+def merge_sign(left, right):
+    """Sign of merging two increasing index tuples into one increasing tuple.
+
+    Returns (0, ()) when the tuples share an index.
+    """
+    if set(left) & set(right):
+        return 0, ()
+    swaps = sum(1 for a in left for b in right if a > b)
+    return (-1 if swaps % 2 else 1), tuple(sorted(left + right))
+
+
+def wedge_tables_oracle():
+    """{(k, l): table} of every degree pair, merge_sign over each pair of
+    basis tuples: table[a, b, c] is the sign of basis_k[a] ^ basis_l[b] on
+    basis_{k+l}[c] (the reference for ``exterior.wedge_table``)."""
+    pos = [{idx: p for p, idx in enumerate(oracle_basis(n))} for n in range(DIM + 1)]
+    tables = {}
+    for k in range(DIM + 1):
+        for l in range(DIM + 1 - k):
+            table = np.zeros((len(pos[k]), len(pos[l]), len(pos[k + l])))
+            for a, lhs in enumerate(oracle_basis(k)):
+                for b, rhs in enumerate(oracle_basis(l)):
+                    sign, merged = merge_sign(lhs, rhs)
+                    if sign:
+                        table[a, b, pos[k + l][merged]] = sign
+            tables[k, l] = table
+    return tables
+
+
+def complement_tables_oracle():
+    """(index, sign) per degree k: the position of each basis k-tuple's
+    complement and the sign of the tuple followed by it (the reference for
+    ``exterior.COMPL_INDEX`` and ``COMPL_SIGN``)."""
+    full = set(range(1, DIM + 1))
+    comp_index, comp_sign = [], []
+    for k in range(DIM + 1):
+        pos = {idx: p for p, idx in enumerate(oracle_basis(DIM - k))}
+        ci = np.empty(len(oracle_basis(k)), dtype=np.intp)
+        cs = np.empty(len(oracle_basis(k)))
+        for a, idx in enumerate(oracle_basis(k)):
+            comp = tuple(sorted(full - set(idx)))
+            sign, _ = merge_sign(idx, comp)
+            ci[a] = pos[comp]
+            cs[a] = sign
+        comp_index.append(ci)
+        comp_sign.append(cs)
+    return tuple(comp_index), tuple(comp_sign)
+
+
+def dual_tables_oracle():
+    """(index, sign) of ``g2core._DUAL_INDEX`` and ``_DUAL_SIGN``: for each
+    4-tuple q with complement {k} + b (k its lowest index), the flat
+    position (k - 1) * 21 + pos(b) and half the sign of e^k ^ e^q ^ e^b."""
+    full = set(range(1, DIM + 1))
+    pos2 = {idx: p for p, idx in enumerate(oracle_basis(2))}
+    index, sign = [], []
+    for q in oracle_basis(4):
+        k, *rest = sorted(full - set(q))
+        s1, kq = merge_sign((k,), q)
+        s2, _ = merge_sign(kq, tuple(rest))
+        index.append((k - 1) * len(pos2) + pos2[tuple(rest)])
+        sign.append(0.5 * s1 * s2)
+    return np.array(index), np.array(sign)
 
 
 def gram_minors(ginv, k):

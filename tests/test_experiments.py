@@ -905,16 +905,17 @@ class TestLockstepSweeps:
         assert all(s["perturbation_scale"] == 0.3 for s in summaries)
 
     def test_sweep_ee2_loads_its_algebra_once(self, tmp_path, monkeypatch):
-        # Validation expands the sweep once, checking each cell's algebra
-        # (8 loads), and the run runs those cells with one more load.  When
-        # the run expanded the sweep again it took 2 expansions and 17 loads.
+        # Validation expands the sweep once and checks the algebra the eight
+        # cells share once (1 load; 8 when each cell checked its own), and
+        # the run runs those cells with one more load.  When the run
+        # expanded the sweep again it took 2 expansions and 17 loads.
         from g2flow import experiments
 
         loads, expanded = [], []
         load, expand = experiments.load_algebra, experiments.expand_sweep
 
-        def expanding(cfg):
-            cells = expand(cfg)  # validates every cell, loading its algebra
+        def expanding(cfg, *checked):
+            cells = expand(cfg, *checked)  # validates every cell
             expanded.append(1)
             return cells
 
@@ -925,7 +926,7 @@ class TestLockstepSweeps:
         cfg, _ = config_from_dict(SWEEP_EE2)
         assert run_experiment(cfg, output_dir=tmp_path).status == "ok"
         assert expanded == [1]
-        assert (loads.count(False), loads.count(True)) == (8, 1)
+        assert (loads.count(False), loads.count(True)) == (1, 1)
 
     def test_a_hand_built_sweep_is_expanded_by_its_run(self, tmp_path):
         cfg, _ = config_from_dict(SWEEP_EE2)

@@ -3,38 +3,47 @@
 import numpy as np
 import pytest
 
+from g2flow import g2core
 from g2flow.errors import DegreeError, MetricError
 from g2flow.exterior import (
     BASIS,
     BASIS_POS,
+    COMPL_INDEX,
+    COMPL_SIGN,
     DIM,
     DIMS,
     Form,
     Metric,
+    _mask,
+    _merge_sign_bits,
     contract,
     derivation_matrix,
     form_norm,
     inner,
-    merge_sign,
     sort_sign,
     star,
     wedge,
+    wedge_table,
 )
 
 from .conftest import conditioned_spd, random_form, random_spd
 from .oracles import (
     ExactMetric,
     coeffs_of_dict,
+    complement_tables_oracle,
     derivation_oracle,
     dict_contract,
     dict_of_coeffs,
     dict_wedge,
+    dual_tables_oracle,
     exterior_powers,
     gram_minors,
     laplace_exterior_powers,
+    merge_sign,
     oracle_basis,
     perm_parity,
     star_oracle,
+    wedge_tables_oracle,
 )
 
 
@@ -77,6 +86,37 @@ class TestSigns:
             sign, merged = merge_sign(left, right)
             assert sign == perm_parity(list(left + right))
             assert merged == tuple(sorted(left + right))
+            assert _merge_sign_bits(_mask(left), _mask(right)) == sign
+
+
+class TestSignTables:
+    """The bit-mask tables against the merge_sign tables, byte for byte."""
+
+    def test_all_wedge_tables_equal_the_oracle(self):
+        for (k, l), want in wedge_tables_oracle().items():
+            got = wedge_table(k, l)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (k, l)
+            assert not got.flags.writeable
+
+    def test_complement_tables_equal_the_oracle(self):
+        index, sign = complement_tables_oracle()
+        for k in range(DIM + 1):
+            assert COMPL_INDEX[k].dtype == index[k].dtype
+            assert COMPL_INDEX[k].tobytes() == index[k].tobytes()
+            assert COMPL_SIGN[k].dtype == sign[k].dtype
+            assert COMPL_SIGN[k].tobytes() == sign[k].tobytes()
+
+    def test_dual_tables_equal_the_oracle(self):
+        index, sign = dual_tables_oracle()
+        assert g2core._DUAL_INDEX.dtype == index.dtype
+        assert g2core._DUAL_INDEX.tobytes() == index.tobytes()
+        assert g2core._DUAL_SIGN.dtype == sign.dtype
+        assert g2core._DUAL_SIGN.tobytes() == sign.tobytes()
+
+    def test_no_table_past_the_top_degree(self):
+        with pytest.raises(DegreeError):
+            wedge_table(4, 4)
 
 
 class TestForm:
@@ -130,14 +170,12 @@ class TestWedge:
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_flat_table_equals_tensordot_bitwise(self, rng):
-        from g2flow.exterior import WEDGE
-
         for k in range(DIM + 1):
             for l in range(DIM + 1 - k):
                 # half the coefficients zeroed (with both signs of zero)
                 a = Form(k, random_form(rng, k).coeffs * (rng.random(DIMS[k]) < 0.5))
                 b = random_form(rng, l)
-                want = b.coeffs @ np.tensordot(a.coeffs, WEDGE[k, l], axes=(0, 0))
+                want = b.coeffs @ np.tensordot(a.coeffs, wedge_table(k, l), axes=(0, 0))
                 assert wedge(a, b).coeffs.tobytes() == want.tobytes()
 
     def test_degree_overflow_raises(self, rng):

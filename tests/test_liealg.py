@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from g2flow.errors import DegreeError, UnimodularityError
-from g2flow.exterior import DIM, DIMS, Form, Metric, inner, wedge
+from g2flow.exterior import DIM, DIMS, Form, Metric, inner, insertion_matrix, wedge
 from g2flow.liealg import (
     Connection,
     LieAlgebraStructure,
@@ -81,6 +81,16 @@ class TestDifferential:
                 want = d_oracle(_d1_dicts(L), dict_of_coeffs(k, a.coeffs), k)
                 got = differential(L, a)
                 assert np.allclose(got.coeffs, coeffs_of_dict(k + 1, want), atol=1e-12)
+
+    def test_each_degree_is_built_on_first_use_and_kept(self, rng):
+        L = LieAlgebraStructure(tuple(random_form(rng, 2) for _ in range(DIM)))
+        first = L.differential_matrix(3)
+        assert list(L._differentials) == [3]
+        assert L.differential_matrix(3) is first and not first.flags.writeable
+        d1 = np.array([form.coeffs for form in L.d1])
+        for k in (4, 0, 7, 3):
+            assert L.differential_matrix(k).tobytes() == insertion_matrix(d1, k).tobytes()
+        assert sorted(L._differentials) == [0, 3, 4, 7]
 
     def test_d_squared_is_zero_as_matrices(self, torus, ee1, ee2):
         for L in (torus, ee1, ee2):
